@@ -5,7 +5,7 @@ discovered hypothesis violations: perfectness exceptions, test-word
 violations, failed suite claims, failed retraction checks).
 
 Reports are byte-deterministic for fixed flags and seed: canonical JSON
-with sorted keys, no timestamps.  Timing is printed to stderr only.
+with sorted keys, no timestamps.  Reports never contain timing.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .words import Alphabet, Word, WordError, format_word, parse_word, reduce
+from .words import Alphabet, WordError, format_word, parse_word, reduce, word_tokens
 from . import equations, finitegroups, hypgeom, oracles, presentations, quasimorphisms, testwords
 
 EXIT_OK = 0
@@ -28,11 +28,7 @@ EXIT_FINDING = 2
 def _infer_rank(texts: Sequence[str], rank: Optional[int]) -> Alphabet:
     if rank is not None:
         return Alphabet(rank)
-    probe = Alphabet(1000)
-    used = -1
-    for text in texts:
-        for syl in parse_word(text, probe).syllables:
-            used = max(used, syl.gen)
+    used = max((gen for text in texts for gen, _ in word_tokens(text)), default=-1)
     return Alphabet(max(used + 1, 1))
 
 

@@ -136,12 +136,8 @@ def brute_force_solutions(
         found = [pair for part in parts for pair in part]
     else:
         found = _solve_chunk((inst.a, inst.b, inst.n, inst.m, candidates, bound))
-    found.sort(key=lambda p: (_shortlex_key(p.x), _shortlex_key(p.y)))
+    found.sort(key=lambda p: (len(p.x), p.x.lex_key(), len(p.y), p.y.lex_key()))
     return found
-
-
-def _shortlex_key(word: Word) -> tuple:
-    return (len(word), tuple(2 * (abs(l) - 1) + (l < 0) for l in word.letters()))
 
 
 def _solve_chunk(args: tuple) -> list[SolutionPair]:

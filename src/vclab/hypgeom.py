@@ -95,16 +95,12 @@ def cayley_ball(gens: Sequence[Word], radius: int, cap: int = 200_000) -> Finite
                     if len(distances) > cap:
                         raise BallCapExceeded(f"ball exceeds cap of {cap} elements")
         frontier = nxt
-    points = tuple(sorted((w for w, d in distances.items() if d <= radius), key=lambda w: (distances[w], _lex(w))))
+    points = tuple(sorted((w for w, d in distances.items() if d <= radius), key=lambda w: (distances[w], w.lex_key())))
     matrix = tuple(
         tuple(distances[u.inverse() * v] for v in points)
         for u in points
     )
     return FiniteMetricSpace(points, matrix)
-
-
-def _lex(word: Word) -> tuple:
-    return tuple(2 * (abs(l) - 1) + (l < 0) for l in word.letters())
 
 
 def gromov_product(sp: FiniteMetricSpace, a: Word, b: Word, c: Word) -> Fraction:
@@ -116,8 +112,7 @@ def free_tree_geodesic(u: Word, v: Word) -> list[Word]:
     """The unique geodesic between u and v over the standard basis."""
     path = [u]
     for letter in (u.inverse() * v).letters():
-        step = Word.from_syllables(u.alphabet, [(abs(letter) - 1, 1 if letter > 0 else -1)])
-        path.append(path[-1] * step)
+        path.append(path[-1] * Word.from_letters(u.alphabet, [letter]))
     return path
 
 
@@ -438,10 +433,7 @@ def minimal_conjugation_split(w: Word, bound: int) -> tuple[Word, Word]:
     k = len(conj)
     slack = (bound - len(core)) // 2
     j = max(0, k - slack)
-    conj_letters = list(conj.letters())
-    prefix = Word.from_syllables(
-        w.alphabet, [(abs(l) - 1, 1 if l > 0 else -1) for l in conj_letters[:j]]
-    )
+    prefix = Word.from_letters(w.alphabet, list(conj.letters())[:j])
     x = prefix.inverse()
     y = prefix.inverse() * w * prefix  # w = x^{-1} y x with x = prefix^{-1}
     assert x.inverse() * y * x == w

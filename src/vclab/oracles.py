@@ -53,7 +53,7 @@ def is_conjugate(u: Word, v: Word) -> Optional[ConjugacyWitness]:
         if doubled[shift:shift + n] == lv:
             # cu = x y and cv = y x with x the first `shift` letters,
             # so cv = x^{-1} cu x and g = pu x pv^{-1} conjugates u to v
-            x = Word.from_syllables(u.alphabet, [(abs(l) - 1, 1 if l > 0 else -1) for l in lu[:shift]])
+            x = Word.from_letters(u.alphabet, lu[:shift])
             g = pu * x * pv.inverse()
             return ConjugacyWitness(g)
     return None
@@ -70,9 +70,7 @@ def root(w: Word) -> RootData:
         if n % period:
             continue
         if all(letters[i] == letters[i % period] for i in range(n)):
-            piece = Word.from_syllables(
-                w.alphabet, [(abs(l) - 1, 1 if l > 0 else -1) for l in letters[:period]]
-            )
+            piece = Word.from_letters(w.alphabet, letters[:period])
             return RootData(conj * piece * conj.inverse(), n // period)
     raise AssertionError("unreachable: period n always matches")
 

@@ -282,7 +282,7 @@ def _letter_evaluate(w: SymbolicWord, images: Sequence[Word]) -> Word:
                 out.pop()
             else:
                 out.append(x)
-    return Word.from_syllables(target, [(abs(l) - 1, 1 if l > 0 else -1) for l in out])
+    return Word.from_letters(target, out)
 
 
 def verify_testword(

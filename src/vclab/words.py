@@ -8,7 +8,6 @@ is the word problem.  All values are immutable and hashable.
 
 from __future__ import annotations
 
-import itertools
 import string
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -58,12 +57,17 @@ def _merge_runs(items: Iterable[tuple[int, int]]) -> tuple[Syllable, ...]:
     return tuple(Syllable(g, e) for g, e in stack)
 
 
-@dataclass(frozen=True)
+# slotted: searches and Cayley balls hold hundreds of thousands of words
+@dataclass(frozen=True, slots=True)
 class Word:
     """A reduced word over a fixed alphabet.
 
     Supports ``u * v``, ``u ** k``, ``~u`` (inverse) and the usual
     free-group operations.  The empty word is the group identity.
+
+    Construction through ``Word(...)`` validates its input.  Kernel
+    operations whose output is reduced by construction build it with
+    ``Word._reduced``, which skips the check.
     """
 
     alphabet: Alphabet
@@ -84,11 +88,24 @@ class Word:
     def from_syllables(alph: Alphabet, items: Iterable[tuple[int, int]]) -> "Word":
         return Word(alph, _merge_runs(items))
 
+    @staticmethod
+    def from_letters(alph: Alphabet, letters: Iterable[int]) -> "Word":
+        """The reduced word of signed letters +-(gen+1), as ``letters()`` yields them."""
+        return Word.from_syllables(alph, ((abs(l) - 1, 1 if l > 0 else -1) for l in letters))
+
+    @staticmethod
+    def _reduced(alph: Alphabet, syllables: tuple[Syllable, ...]) -> "Word":
+        """Trusted constructor: ``syllables`` must already be a valid reduced word."""
+        word = object.__new__(Word)
+        object.__setattr__(word, "alphabet", alph)
+        object.__setattr__(word, "syllables", syllables)
+        return word
+
     # -- basic structure -------------------------------------------------
 
     def __len__(self) -> int:
         """Letter length |w| over the standard basis."""
-        return sum(abs(s.exp) for s in self.syllables)
+        return sum(abs(e) for _, e in self.syllables)
 
     def __bool__(self) -> bool:
         return bool(self.syllables)
@@ -103,6 +120,10 @@ class Word:
             for _ in range(abs(exp)):
                 yield step
 
+    def lex_key(self) -> tuple[int, ...]:
+        """Sort key of the letter sequence, letters ordered a < a^-1 < b < b^-1 < ..."""
+        return tuple(2 * (abs(l) - 1) + (l < 0) for l in self.letters())
+
     def _require_same_alphabet(self, other: "Word") -> None:
         if self.alphabet != other.alphabet:
             raise WordError(f"alphabet mismatch: rank {self.alphabet.rank} vs {other.alphabet.rank}")
@@ -110,16 +131,37 @@ class Word:
     # -- group operations ------------------------------------------------
 
     def __mul__(self, other: "Word") -> "Word":
-        self._require_same_alphabet(other)
-        return Word(self.alphabet, _merge_runs(itertools.chain(self.syllables, other.syllables)))
+        if other.alphabet is not self.alphabet:
+            self._require_same_alphabet(other)
+        left, right = self.syllables, other.syllables
+        if not right:
+            return self
+        if not left:
+            return other
+        # both factors are reduced, so cancellation happens only at the seam
+        i, j, n = len(left), 0, len(right)
+        while i and j < n:
+            gen, exp = left[i - 1]
+            if gen != right[j][0]:
+                break
+            total = exp + right[j][1]
+            if total:
+                return Word._reduced(self.alphabet, left[:i - 1] + (Syllable(gen, total),) + right[j + 1:])
+            i -= 1
+            j += 1
+        return Word._reduced(self.alphabet, left[:i] + right[j:])
 
     def inverse(self) -> "Word":
-        return Word(self.alphabet, tuple(Syllable(g, -e) for g, e in reversed(self.syllables)))
+        return Word._reduced(self.alphabet, tuple([Syllable(g, -e) for g, e in reversed(self.syllables)]))
 
     def __invert__(self) -> "Word":
         return self.inverse()
 
     def __pow__(self, k: int) -> "Word":
+        if k == 1:
+            return self
+        if k == -1:
+            return self.inverse()
         if k == 0:
             return self.alphabet.identity()
         base = self if k > 0 else self.inverse()
@@ -138,7 +180,7 @@ class Word:
             seam = Syllable(syl[0].gen, syl[0].exp + syl[-1].exp)
             middle = syl[1:-1]
             powered = (syl[0],) + (middle + (seam,)) * (k - 1) + middle + (syl[-1],)
-        return conj * Word(self.alphabet, powered) * conj.inverse()
+        return conj * Word._reduced(self.alphabet, powered) * conj.inverse()
 
     def conjugate(self, g: "Word") -> "Word":
         """g^{-1} * self * g."""
@@ -155,21 +197,29 @@ class Word:
 
         Returns ``(core, u)``.  The core is shortest in the conjugacy class.
         """
-        syl = [list(s) for s in self.syllables]
-        prefix: list[tuple[int, int]] = []
-        while len(syl) >= 2 and syl[0][0] == syl[-1][0] and (syl[0][1] > 0) != (syl[-1][1] > 0):
-            first, last = syl[0], syl[-1]
-            trim = min(abs(first[1]), abs(last[1]))
-            trim = trim if first[1] > 0 else -trim
-            prefix.append((first[0], trim))
-            first[1] -= trim
-            last[1] += trim
-            if last[1] == 0:
-                syl.pop()
-            if first[1] == 0:
-                syl.pop(0)
-        core = Word(self.alphabet, tuple(Syllable(g, e) for g, e in syl))
-        return core, Word.from_syllables(self.alphabet, prefix)
+        syl, alph = self.syllables, self.alphabet
+        i, j = 0, len(syl) - 1
+        while i < j:
+            gen, first = syl[i]
+            last_gen, last = syl[j]
+            if gen != last_gen or (first > 0) == (last > 0):
+                break
+            rest = first + last
+            if rest:
+                # the longer end keeps `rest`; its new neighbour differs in
+                # generator from the other end, so trimming stops here
+                if abs(first) > abs(last):
+                    core = (Syllable(gen, rest),) + syl[i + 1:j]
+                    trimmed = Syllable(gen, -last)
+                else:
+                    core = syl[i + 1:j] + (Syllable(gen, rest),)
+                    trimmed = Syllable(gen, first)
+                return Word._reduced(alph, core), Word._reduced(alph, syl[:i] + (trimmed,))
+            i += 1
+            j -= 1
+        if not i:
+            return self, Word._reduced(alph, ())
+        return Word._reduced(alph, syl[i:j + 1]), Word._reduced(alph, syl[:i])
 
     def is_cyclically_reduced(self) -> bool:
         core, _ = self.cyclic_reduce()
@@ -190,30 +240,6 @@ class Word:
 def reduce(letters: Iterable[tuple[int, int]], alph: Alphabet) -> Word:
     """Reduce a stream of (generator, exponent) pairs to a Word."""
     return Word.from_syllables(alph, letters)
-
-
-def multiply(u: Word, v: Word) -> Word:
-    return u * v
-
-
-def invert(u: Word) -> Word:
-    return u.inverse()
-
-
-def power(u: Word, k: int) -> Word:
-    return u ** k
-
-
-def conjugate(w: Word, g: Word) -> Word:
-    return w.conjugate(g)
-
-
-def cyclic_reduce(w: Word) -> tuple[Word, Word]:
-    return w.cyclic_reduce()
-
-
-def exponent_sum(w: Word, gen: int) -> int:
-    return w.exponent_sum(gen)
 
 
 def substitute(w: Word, images: Sequence[Word]) -> Word:
@@ -243,8 +269,9 @@ def substitute(w: Word, images: Sequence[Word]) -> Word:
 _LOWER = string.ascii_lowercase
 
 
-def parse_word(text: str, alph: Alphabet) -> Word:
-    items: list[tuple[int, int]] = []
+def word_tokens(text: str) -> Iterator[tuple[int, int]]:
+    """The (generator, exponent) tokens of a literal, before reduction and
+    without a rank: the generator index of each token is as written."""
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
@@ -284,8 +311,12 @@ def parse_word(text: str, alph: Alphabet) -> Word:
                 j += 1
             exp = int(text[i:j])
             i = j
-        if inverted:
-            exp = -exp
+        yield gen, -exp if inverted else exp
+
+
+def parse_word(text: str, alph: Alphabet) -> Word:
+    items: list[tuple[int, int]] = []
+    for gen, exp in word_tokens(text):
         if gen >= alph.rank:
             raise WordError(f"generator index {gen} out of range for rank {alph.rank}")
         items.append((gen, exp))

@@ -128,3 +128,14 @@ def test_vcl_jobs_env_overrides(monkeypatch, capsys):
     assert code == 0
     data = json.loads(out)
     assert data["solutions"][0]["x"] == "a"
+
+
+def test_rank_is_inferred_from_generator_indices(capsys):
+    # the rank comes from the indices as written, so no index is too large
+    code, out = run(capsys, "solve-eq", "--a", "g1000", "--b", "g3", "--n", "2", "--m", "3", "--bound", "0")
+    assert code == 0
+    assert json.loads(out)["instance"]["g"] == "g1000^2 g3^3"
+    # a generator that cancels away still counts towards the rank
+    code, out = run(capsys, "qm-invariance", "--pattern", "ab", "--word", "cC", "--conjugator", "a",
+                    "--truncation", "4")
+    assert code == 0

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from vclab.words import (
     Alphabet,
+    Syllable,
     Word,
     WordError,
     count_reduced,
@@ -149,6 +150,93 @@ def test_power_agrees_with_repeated_multiplication():
             slow = slow * word
         assert word ** k == slow
         assert word ** (-k) == slow.inverse()
+
+
+# -- the kernel against a letter-level oracle ------------------------------------
+#
+# The oracle works on signed letters +-(gen+1) with a cancellation stack and
+# shares no code with the syllable kernel.
+
+syllable_words = st.lists(st.tuples(st.integers(0, 2), st.integers(-3, 3)), max_size=12).map(
+    lambda items: reduce(items, F3)
+)
+
+
+def stack_reduce(letters):
+    out = []
+    for x in letters:
+        if out and out[-1] == -x:
+            out.pop()
+        else:
+            out.append(x)
+    return out
+
+
+def letters_of(word):
+    return list(word.letters())
+
+
+def inverse_letters(letters):
+    return [-x for x in reversed(letters)]
+
+
+def checked(word):
+    """The letters of a kernel output that also passes the public validation."""
+    assert Word(word.alphabet, word.syllables) == word
+    assert all(type(syl) is Syllable for syl in word.syllables)
+    return letters_of(word)
+
+
+@given(syllable_words, syllable_words)
+def test_product_matches_letter_reduction(u, v):
+    assert checked(u * v) == stack_reduce(letters_of(u) + letters_of(v))
+    # a factor that cancels deep into the other one
+    assert checked(u * (u.inverse() * v)) == letters_of(v)
+
+
+@given(syllable_words, st.integers(-5, 5))
+def test_power_matches_letter_reduction(u, k):
+    piece = letters_of(u) if k >= 0 else inverse_letters(letters_of(u))
+    assert checked(u ** k) == stack_reduce(piece * abs(k))
+
+
+@given(syllable_words)
+def test_inverse_matches_letter_reduction(u):
+    assert checked(u.inverse()) == inverse_letters(letters_of(u))
+
+
+@given(syllable_words, syllable_words)
+def test_cyclic_reduce_matches_letter_trimming(u, g):
+    word = g * u * g.inverse()
+    letters = letters_of(word)
+    k = 0
+    while 2 * k + 1 < len(letters) and letters[k] == -letters[-1 - k]:
+        k += 1
+    core, conj = word.cyclic_reduce()
+    assert checked(core) == letters[k:len(letters) - k]
+    assert checked(conj) == letters[:k]
+
+
+def test_checking_constructor_rejects_bad_syllables():
+    with pytest.raises(WordError):
+        Word(F2, (Syllable(0, 0),))
+    with pytest.raises(WordError):
+        Word(F2, (Syllable(2, 1),))
+    with pytest.raises(WordError):
+        Word(F2, (Syllable(-1, 1),))
+    with pytest.raises(WordError):
+        Word(F2, (Syllable(0, 1), Syllable(0, 2)))
+
+
+def test_from_letters_reduces_and_round_trips():
+    assert Word.from_letters(F2, [1, -2, 2, 1]) == w("a^2")
+    word = w("a^2Bab^3")
+    assert Word.from_letters(F2, word.letters()) == word
+
+
+def test_lex_key_orders_letters_a_before_inverse_before_b():
+    assert w("a").lex_key() < w("A").lex_key() < w("b").lex_key() < w("B").lex_key()
+    assert w("a^2B").lex_key() == (0, 0, 3)
 
 
 # -- conjugation and cyclic reduction ----------------------------------------
