@@ -78,26 +78,8 @@ def _cmd_solve_eq(args) -> tuple[int, str]:
     )
     tagged = [(pair, equations.classify_solution(inst, pair)) for pair in pairs]
     findings = [t for t in tagged if t[1].tag is not equations.Tag.CONJUGATE_FAMILY]
-    data = {
-        "instance": {
-            "a": format_word(inst.a),
-            "b": format_word(inst.b),
-            "n": inst.n,
-            "m": inst.m,
-            "g": format_word(inst.g),
-        },
-        "bound": args.bound,
-        "solutions": [
-            {
-                "x": format_word(p.x),
-                "y": format_word(p.y),
-                "classification": c.tag.value,
-                "witness": c.to_json_dict()["witness"],
-            }
-            for p, c in tagged
-        ],
-        "non_conjugate_family_count": len(findings),
-    }
+    data = equations.solutions_json_dict(inst, args.bound, tagged)
+    data["non_conjugate_family_count"] = len(findings)
     return (EXIT_FINDING if findings else EXIT_OK), _json_payload(data)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -127,11 +128,13 @@ def brute_force_solutions(
     if max_candidates is not None and total > max_candidates:
         raise BudgetExceeded(f"{total} x-candidates exceed cap {max_candidates}")
     candidates = list(enumerate_reduced(inst.alphabet, bound))
-    if jobs > 1:
-        chunks = [candidates[i::jobs] for i in range(jobs)]
+    # never more workers than CPUs or candidates, whatever jobs asks for
+    workers = min(jobs, os.cpu_count() or 1, len(candidates))
+    if workers > 1:
+        chunks = [candidates[i::workers] for i in range(workers)]
         import concurrent.futures
 
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             parts = pool.map(_solve_chunk, [(inst.a, inst.b, inst.n, inst.m, chunk, bound) for chunk in chunks])
         found = [pair for part in parts for pair in part]
     else:
@@ -194,6 +197,31 @@ def classify_solution(inst: EquationInstance, p: SolutionPair) -> Classification
     return Classification(Tag.UNCLASSIFIED, {})
 
 
+def solutions_json_dict(
+    inst: EquationInstance, bound: int, solutions: Sequence[tuple[SolutionPair, Classification]]
+) -> dict:
+    """The instance, the bound and one row per classified solution, as reported."""
+    return {
+        "instance": {
+            "a": format_word(inst.a),
+            "b": format_word(inst.b),
+            "n": inst.n,
+            "m": inst.m,
+            "g": format_word(inst.g),
+        },
+        "bound": bound,
+        "solutions": [
+            {
+                "x": format_word(p.x),
+                "y": format_word(p.y),
+                "classification": c.tag.value,
+                "witness": c.to_json_dict()["witness"],
+            }
+            for p, c in solutions
+        ],
+    }
+
+
 @dataclass(frozen=True)
 class PerfectnessReport:
     instance: EquationInstance
@@ -206,25 +234,8 @@ class PerfectnessReport:
         return [(p, c) for p, c in self.solutions if c.tag is not Tag.CONJUGATE_FAMILY]
 
     def to_json_dict(self) -> dict:
-        inst = self.instance
         return {
-            "instance": {
-                "a": format_word(inst.a),
-                "b": format_word(inst.b),
-                "n": inst.n,
-                "m": inst.m,
-                "g": format_word(inst.g),
-            },
-            "bound": self.bound,
-            "solutions": [
-                {
-                    "x": format_word(p.x),
-                    "y": format_word(p.y),
-                    "classification": c.tag.value,
-                    "witness": c.to_json_dict()["witness"],
-                }
-                for p, c in self.solutions
-            ],
+            **solutions_json_dict(self.instance, self.bound, self.solutions),
             "perfect_at_bound": self.perfect_at_bound,
             "hypothesis_flags": self.hypothesis_flags,
             "note": "bounded non-refutation only; no finite bound certifies perfectness",

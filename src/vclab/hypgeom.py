@@ -1,6 +1,8 @@
 """Finite-sample hyperbolic geometry over free-group Cayley balls.
 
-Balls are built breadth-first over an arbitrary finite generating set,
+A ball over the standard basis is the set of reduced words of length at
+most the radius, and its distances are word lengths computed when asked
+for.  A ball over any other finite generating set is built breadth-first,
 with the word metric computed exactly inside a window of twice the
 radius.  The validators (thin triangles, midpoints, quasi-geodesic
 concatenation) measure quantities on finite data; a delta estimate is a
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .words import Alphabet, Word, WordError, format_word
+from .words import Word, WordError, count_reduced, enumerate_reduced, format_word
 from .oracles import is_commensurable
 
 
@@ -28,15 +30,22 @@ class GeodesicOracleError(RuntimeError):
 
 @dataclass(frozen=True)
 class FiniteMetricSpace:
-    """Finitely many points with an exact integer metric."""
+    """Finitely many points with an exact integer metric.
+
+    ``dist_matrix`` holds every pairwise distance.  Without it the points
+    are reduced words and the distance is the standard-basis word metric,
+    computed on demand.
+    """
 
     points: tuple[Word, ...]
-    dist_matrix: tuple[tuple[int, ...], ...]
+    dist_matrix: Optional[tuple[tuple[int, ...], ...]] = None
     index: dict = field(repr=False, hash=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         n = len(self.points)
         object.__setattr__(self, "index", {pt: i for i, pt in enumerate(self.points)})
+        if self.dist_matrix is None:
+            return
         for i in range(n):
             if self.dist_matrix[i][i] != 0:
                 raise WordError("nonzero self-distance")
@@ -49,16 +58,20 @@ class FiniteMetricSpace:
 
     def dist(self, u: Word, v: Word) -> int:
         try:
-            return self.dist_matrix[self.index[u]][self.index[v]]
+            i, j = self.index[u], self.index[v]
         except KeyError as missing:
             raise WordError(f"point {missing.args[0]} not in space") from None
+        if self.dist_matrix is None:
+            return free_word_metric(u, v)
+        return self.dist_matrix[i][j]
 
     def check_triangle_inequality(self, samples: int, seed: int = 0) -> bool:
         rng = random.Random(seed)
-        n = len(self.points)
+        pts, d = self.points, self.dist
+        n = len(pts)
         for _ in range(samples):
-            i, j, k = (rng.randrange(n) for _ in range(3))
-            if self.dist_matrix[i][k] > self.dist_matrix[i][j] + self.dist_matrix[j][k]:
+            u, v, w = (pts[rng.randrange(n)] for _ in range(3))
+            if d(u, w) > d(u, v) + d(v, w):
                 return False
         return True
 
@@ -67,21 +80,32 @@ def cayley_ball(gens: Sequence[Word], radius: int, cap: int = 200_000) -> Finite
     """Ball of the word metric over ``gens`` in the free group.
 
     Points are group elements (reduced words) within distance ``radius``
-    of the identity; distances come from a breadth-first search out to
-    2 * radius, which covers every pair inside the ball.
+    of the identity, ordered by distance and then by ``Word.lex_key``.
+    Over the standard basis they are the reduced words of length at most
+    ``radius`` and distances are computed on demand; ``cap`` bounds their
+    count.  Over any other generating set, distances come from a
+    breadth-first search out to 2 * radius, which covers every pair inside
+    the ball, and ``cap`` bounds the elements that search reaches.
     """
     if radius < 0:
         raise WordError("radius must be >= 0")
     if not gens:
         raise WordError("need at least one generator")
     alph = gens[0].alphabet
-    moves = []
     for g in gens:
         if g.alphabet != alph:
             raise WordError("generators use mixed alphabets")
-        moves.append(g)
-        moves.append(g.inverse())
+    if set(gens) == set(alph.generators()):
+        if count_reduced(alph.rank, radius) > cap:
+            raise BallCapExceeded(f"ball exceeds cap of {cap} elements")
+        return FiniteMetricSpace(tuple(enumerate_reduced(alph, radius)))
+    return _bfs_ball(gens, radius, cap)
 
+
+def _bfs_ball(gens: Sequence[Word], radius: int, cap: int) -> FiniteMetricSpace:
+    """The ball over ``gens`` with every distance found by breadth-first search."""
+    alph = gens[0].alphabet
+    moves = [m for g in gens for m in (g, g.inverse())]
     distances = {alph.identity(): 0}
     frontier = [alph.identity()]
     for step in range(1, 2 * radius + 1):
@@ -170,16 +194,19 @@ def delta_thin_report(
         product = gromov_product(sp, a, b, c)
         side_a = _validated_geodesic(sp, geodesic_oracle, c, a)
         side_b = _validated_geodesic(sp, geodesic_oracle, c, b)
+        # side_b's vertices by their distance from C, in path order
+        level: dict[int, list[Word]] = {}
+        for pb in side_b:
+            level.setdefault(sp.dist(c, pb), []).append(pb)
         for pa in side_a:
             da = sp.dist(c, pa)
             if da > product:
                 continue
-            for pb in side_b:
-                if sp.dist(c, pb) == da:
-                    gap = Fraction(sp.dist(pa, pb))
-                    if gap > best:
-                        best = gap
-                        witness = (a, b, c)
+            for pb in level.get(da, ()):
+                gap = Fraction(sp.dist(pa, pb))
+                if gap > best:
+                    best = gap
+                    witness = (a, b, c)
     return DeltaReport(best, witness, samples)
 
 

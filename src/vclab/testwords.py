@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .words import Alphabet, Word, WordError, enumerate_reduced, count_reduced, format_word
+from .words import Alphabet, Word, WordError, enumerate_reduced, format_word, substitute
 from .oracles import is_special_tuple
 
 
@@ -170,7 +170,10 @@ class TestWordSpec:
 
 
 def evaluate(w: SymbolicWord, assignment: Mapping[str, Word]) -> Word:
-    """Homomorphic image under variable name -> word, reduced."""
+    """Homomorphic image under variable name -> word, reduced.
+
+    Variables the word does not use may be left out; they map to the identity.
+    """
     images: list[Optional[Word]] = [None] * variable_count(w.level)
     for name, value in assignment.items():
         index = _parse_variable(w.level, name)
@@ -179,18 +182,13 @@ def evaluate(w: SymbolicWord, assignment: Mapping[str, Word]) -> Word:
     missing = [variable_name(w.level, g) for g in sorted(used) if images[g] is None]
     if missing:
         raise WordError(f"assignment missing variables: {', '.join(missing)}")
-    target = None
-    for img in images:
-        if img is not None:
-            if target is None:
-                target = img.alphabet
-            elif img.alphabet != target:
-                raise WordError("assignment words use mixed alphabets")
-    assert target is not None
-    result = target.identity()
-    for gen, exp in w.word.syllables:
-        result = result * images[gen] ** exp
-    return result
+    given = [img for img in images if img is not None]
+    if not given:
+        raise WordError("assignment names no variables")
+    target = given[0].alphabet
+    if any(img.alphabet != target for img in given):
+        raise WordError("assignment words use mixed alphabets")
+    return substitute(w.word, [target.identity() if img is None else img for img in images])
 
 
 def _parse_variable(level: int, name: str) -> int:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from vclab import hypgeom
 from vclab.cli import main
 
 
@@ -139,3 +140,21 @@ def test_rank_is_inferred_from_generator_indices(capsys):
     code, out = run(capsys, "qm-invariance", "--pattern", "ab", "--word", "cC", "--conjugator", "a",
                     "--truncation", "4")
     assert code == 0
+
+
+def test_cayley_delta_radius_six_succeeds(capsys):
+    code, out = run(capsys, "cayley-delta", "--radius", "6", "--samples", "300")
+    assert code == 0
+    data = json.loads(out)
+    assert data["ball"] == {"radius": 6, "points": 1457}
+    assert data["delta_lower_bound"] == "0"
+
+
+def test_cayley_delta_cap_is_checked_before_enumerating(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("enumerated a ball beyond the cap")
+
+    monkeypatch.setattr(hypgeom, "enumerate_reduced", refuse)
+    # radius 11 at rank 2 holds 354,293 points, above the default cap
+    assert main(["cayley-delta", "--radius", "11"]) == 1
+    assert "ball exceeds cap of 200000 elements" in capsys.readouterr().err

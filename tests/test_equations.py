@@ -173,6 +173,42 @@ def test_brute_force_budget_cap():
         brute_force_solutions(inst23(), 6, max_candidates=100)
 
 
+def test_brute_force_caps_workers(monkeypatch):
+    import concurrent.futures
+    import os
+
+    pools = []
+
+    class InlinePool:
+        """Records the pool size and the chunk count, and maps in process."""
+
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            items = list(items)
+            pools.append((self.max_workers, len(items)))
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    expected = brute_force_solutions(inst23(), 3)
+    assert brute_force_solutions(inst23(), 3, jobs=10**6) == expected
+    assert brute_force_solutions(inst23(), 3, jobs=3) == expected
+    # one candidate: no pool at all
+    assert brute_force_solutions(inst23(), 0, jobs=8) == []
+    assert pools == [(4, 4), (3, 3)]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert brute_force_solutions(inst23(), 3, jobs=8) == expected
+    assert pools == [(4, 4), (3, 3)]
+
+
 def test_brute_force_deterministic_order():
     inst = inst23()
     assert brute_force_solutions(inst, 5) == brute_force_solutions(inst, 5)

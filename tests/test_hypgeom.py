@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from vclab import hypgeom
 from vclab.words import Alphabet, WordError, enumerate_reduced, parse_word, reduce
 from vclab.hypgeom import (
     BallCapExceeded,
@@ -12,6 +13,7 @@ from vclab.hypgeom import (
     cayley_ball,
     check_concatenation_quasigeodesic,
     check_midpoint_inequality,
+    delta_thin_report,
     divergence_experiment,
     estimate_delta_thin,
     free_tree_geodesic,
@@ -51,6 +53,10 @@ def test_ball_sizes():
 def test_ball_cap():
     with pytest.raises(BallCapExceeded):
         cayley_ball([p("a"), p("b")], 4, cap=50)
+    # over the standard basis the cap bounds the ball's point count
+    assert len(cayley_ball([p("a"), p("b")], 4, cap=161)) == 161
+    with pytest.raises(BallCapExceeded, match="ball exceeds cap of 160 elements"):
+        cayley_ball([p("a"), p("b")], 4, cap=160)
 
 
 def test_ball_metric_is_word_metric(ball4):
@@ -71,6 +77,38 @@ def test_ball_nonstandard_generators():
 
 def test_triangle_inequality_sampled(ball4):
     assert ball4.check_triangle_inequality(2000, seed=9)
+
+
+@pytest.mark.parametrize("rank, radius", [(2, r) for r in range(5)] + [(3, r) for r in range(3)])
+def test_standard_ball_matches_breadth_first_ball(rank, radius):
+    alph = Alphabet(rank)
+    fast = cayley_ball(alph.generators(), radius)
+    slow = hypgeom._bfs_ball(alph.generators(), radius, cap=10**6)
+    assert fast.dist_matrix is None
+    # enumeration order is the breadth-first order (distance, lex_key)
+    assert fast.points == slow.points
+    assert fast.points == tuple(enumerate_reduced(alph, radius))
+    assert fast.points == tuple(sorted(fast.points, key=lambda w: (len(w), w.lex_key())))
+    assert tuple(tuple(fast.dist(u, v) for v in fast.points) for u in fast.points) == slow.dist_matrix
+
+
+def test_standard_ball_ignores_generator_order_and_repeats():
+    a, b = p("a"), p("b")
+    assert cayley_ball([b, a, b], 3).points == cayley_ball([a, b], 3).points
+
+
+def test_on_demand_dist_rejects_points_outside_the_ball(ball4):
+    assert ball4.dist(p("a^4"), p("B^4")) == 8
+    with pytest.raises(WordError, match="not in space"):
+        ball4.dist(p("a^5"), p(""))
+    with pytest.raises(WordError, match="not in space"):
+        ball4.dist(p(""), p("ab^4"))
+
+
+def test_triangle_inequality_violation_in_explicit_matrix():
+    pts = (p(""), p("a"), p("b"))
+    sp = FiniteMetricSpace(pts, ((0, 1, 3), (1, 0, 1), (3, 1, 0)))
+    assert not sp.check_triangle_inequality(200, seed=2)
 
 
 # -- Gromov products --------------------------------------------------------------
@@ -135,6 +173,33 @@ def test_perturbed_metric_gives_positive_delta():
     )
     assert full
     assert estimate_delta_thin(sp, oracle, 1000, seed=5) == 2
+
+
+def _quadratic_delta(sp, oracle, samples, seed):
+    """Every pair of vertices on the two sides, as the report defines it."""
+    rng = random.Random(seed)
+    n = len(sp.points)
+    best, witness = Fraction(0), None
+    for _ in range(samples):
+        a, b, c = (sp.points[rng.randrange(n)] for _ in range(3))
+        product = Fraction(sp.dist(c, a) + sp.dist(c, b) - sp.dist(a, b), 2)
+        for pa in oracle(c, a):
+            for pb in oracle(c, b):
+                if sp.dist(c, pa) == sp.dist(c, pb) <= product and sp.dist(pa, pb) > best:
+                    best, witness = Fraction(sp.dist(pa, pb)), (a, b, c)
+    return best, witness
+
+
+@pytest.mark.parametrize("samples, seed", [(1, 0), (3, 1), (10, 2), (40, 3), (1000, 5)])
+def test_delta_report_matches_quadratic_reference(samples, seed):
+    sp, oracle = _perturbed_space()
+    report = delta_thin_report(sp, oracle, samples, seed=seed)
+    assert (report.lower_bound, report.witness_triangle) == _quadratic_delta(sp, oracle, samples, seed)
+
+
+def test_delta_report_on_tree_ball_matches_quadratic_reference(ball4):
+    report = delta_thin_report(ball4, free_tree_geodesic, 200, seed=4)
+    assert (report.lower_bound, report.witness_triangle) == _quadratic_delta(ball4, free_tree_geodesic, 200, 4)
 
 
 # -- quasi-geodesics -----------------------------------------------------------------

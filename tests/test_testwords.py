@@ -11,6 +11,7 @@ from vclab.testwords import (
     base_test_word,
     base_value,
     canonical_solutions,
+    _letter_evaluate,
     evaluate,
     exponent_sum_certificates,
     lift,
@@ -145,6 +146,30 @@ def test_evaluate_missing_variable():
     w3 = base_test_word(ExponentTuple.uniform(1))
     with pytest.raises(WordError):
         evaluate(w3, {"x1": p("a"), "x2": p("b"), "x3": p("c")})
+
+
+def test_evaluate_unused_variables_default_to_identity():
+    alph = Alphabet(4)
+    word = SymbolicWord(3, alph.generator(1) ** 2 * alph.generator(3))
+    assert evaluate(word, {"x2": p("ab"), "y3": p("C")}) == p("ababC")
+
+
+def test_evaluate_matches_letter_oracle():
+    rng = random.Random(23)
+    w4 = TestWordSpec(4, (ExponentTuple.uniform(1), ExponentTuple.from_list([1, 2, 1, 1, 2, 1, 1, 1, 2, 1]))).build()
+    names = ["x1", "x2", "x3", "x4", "y3", "y4"]
+    for _ in range(30):
+        images = [random_word(rng, F3, 3) for _ in names]
+        assert evaluate(w4, dict(zip(names, images))) == _letter_evaluate(w4, images)
+
+
+def test_evaluate_rejects_mixed_alphabets_and_empty_assignments():
+    alph = Alphabet(4)
+    word = SymbolicWord(3, alph.generator(0))
+    with pytest.raises(WordError, match="mixed alphabets"):
+        evaluate(word, {"x1": p("a"), "x2": parse_word("a", Alphabet(2))})
+    with pytest.raises(WordError, match="names no variables"):
+        evaluate(SymbolicWord(3, alph.identity()), {})
 
 
 # -- canonical solutions ---------------------------------------------------------------
