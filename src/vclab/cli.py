@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .words import Alphabet, WordError, format_word, parse_word, reduce, word_tokens
-from . import equations, finitegroups, hypgeom, oracles, presentations, quasimorphisms, testwords
+from . import equations, finitegroups, hypgeom, presentations, quasimorphisms, testwords
 
 EXIT_OK = 0
 EXIT_ERROR = 1

@@ -1,10 +1,11 @@
 """The equation family x^n y^m = a^n b^m in free groups.
 
 Structural solution families (conjugation orbit of the base solution,
-Bezout powers of the right-hand side), exhaustive bounded solving with a
-root-based prune, classification of solutions, and bounded perfectness
-verification.  A report can only refute perfectness or fail to refute it
-at a bound; no finite run certifies the unbounded statement.
+Bezout powers of the right-hand side), exhaustive bounded solving with an
+abelianization prune and a root-based solve for y, classification of
+solutions, and bounded perfectness verification.  A report can only
+refute perfectness or fail to refute it at a bound; no finite run
+certifies the unbounded statement.
 """
 
 from __future__ import annotations
@@ -120,14 +121,30 @@ def brute_force_solutions(
     """All solution pairs with both components of length <= bound.
 
     Enumerates x only: y is forced, since in a free group x^{-n} g is an
-    m-th power in at most one way.  Deterministic shortlex order.
+    m-th power in at most one way.  Before any root is taken, x is dropped
+    unless the abelianized equation n*sigma(x) + m*sigma(y) = sigma(g) has
+    an integer solution sigma(y), sigma being the vector of exponent sums:
+    every solution passes this test.  ``max_candidates`` still caps all
+    reduced x, since all of them are enumerated.  Deterministic shortlex
+    order.
     """
     if bound < 0:
         raise WordError("bound must be >= 0")
     total = count_reduced(inst.alphabet.rank, bound)
     if max_candidates is not None and total > max_candidates:
         raise BudgetExceeded(f"{total} x-candidates exceed cap {max_candidates}")
-    candidates = list(enumerate_reduced(inst.alphabet, bound))
+    n, m = inst.n, inst.m
+    target = [inst.g.exponent_sum(i) for i in range(inst.alphabet.rank)]
+    candidates = []
+    for x in enumerate_reduced(inst.alphabet, bound):
+        sums = target[:]  # sigma(g) - n*sigma(x), which m must divide
+        for gen, exp in x.syllables:
+            sums[gen] -= n * exp
+        for s in sums:
+            if s % m:
+                break
+        else:
+            candidates.append(x)
     # never more workers than CPUs or candidates, whatever jobs asks for
     workers = min(jobs, os.cpu_count() or 1, len(candidates))
     if workers > 1:

@@ -260,7 +260,18 @@ class PathSample:
 
 
 def free_word_metric(u: Word, v: Word) -> int:
-    return len(u.inverse() * v)
+    """|u^{-1} v|: both lengths less twice their common letter prefix."""
+    if u.alphabet is not v.alphabet:
+        u._require_same_alphabet(v)
+    common = 0
+    for (gen, exp), (other_gen, other_exp) in zip(u.syllables, v.syllables):
+        if gen != other_gen or (exp > 0) != (other_exp > 0):
+            break
+        if exp != other_exp:
+            common += min(abs(exp), abs(other_exp))
+            break
+        common += abs(exp)
+    return len(u) + len(v) - 2 * common
 
 
 @dataclass(frozen=True)

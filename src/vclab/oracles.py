@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
-from .words import Alphabet, Word, WordError
+from .words import Alphabet, Syllable, Word, WordError
 
 
 class ConjugacyWitness(NamedTuple):
@@ -60,19 +60,38 @@ def is_conjugate(u: Word, v: Word) -> Optional[ConjugacyWitness]:
 
 
 def root(w: Word) -> RootData:
-    """Write w = r^e with e maximal; r is then not a proper power."""
+    """Write w = r^e with e maximal; r is then not a proper power.
+
+    The root of the cyclic core is its shortest period that divides its
+    length, read off the KMP prefix function in linear time.
+    """
     if w.is_identity():
         raise WordError("identity has no well-defined root")
     core, conj = w.cyclic_reduce()
     letters = _signed_letters(core)
     n = len(letters)
-    for period in range(1, n + 1):
-        if n % period:
-            continue
-        if all(letters[i] == letters[i % period] for i in range(n)):
-            piece = Word.from_letters(w.alphabet, letters[:period])
-            return RootData(conj * piece * conj.inverse(), n // period)
-    raise AssertionError("unreachable: period n always matches")
+    # prefix[i]: length of the longest proper border of letters[:i + 1]
+    prefix = [0] * n
+    k = 0
+    for i in range(1, n):
+        while k and letters[i] != letters[k]:
+            k = prefix[k - 1]
+        if letters[i] == letters[k]:
+            k += 1
+        prefix[i] = k
+    period = n - prefix[-1]
+    if n % period or period == n:
+        return RootData(w, 1)
+    # the first `period` letters of a reduced word: cut the syllables there
+    piece, left = [], period
+    for gen, exp in core.syllables:
+        if left <= abs(exp):
+            piece.append(Syllable(gen, left if exp > 0 else -left))
+            break
+        piece.append(Syllable(gen, exp))
+        left -= abs(exp)
+    r = Word._reduced(w.alphabet, tuple(piece))
+    return RootData(conj * r * conj.inverse(), n // period)
 
 
 def is_commensurable(u: Word, v: Word) -> Optional[CommensurabilityWitness]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .words import Alphabet, Word, WordError, enumerate_reduced, format_word, substitute
 from .oracles import is_special_tuple

@@ -351,18 +351,24 @@ def enumerate_reduced(alph: Alphabet, max_len: int) -> Iterator[Word]:
     if max_len < 0:
         raise WordError("max_len must be >= 0")
     yield alph.identity()
-    # letters as (gen, sign), ordered; a letter may not follow its inverse
-    letters = [(g, s) for g in range(alph.rank) for s in (1, -1)]
-    frontier: list[list[tuple[int, int]]] = [[]]
+    # letters in order; one letter extends a reduced word by bumping its last
+    # syllable (same generator and sign), is refused (the inverse letter), or
+    # opens a new syllable, so every extension is reduced by construction
+    letters = [Syllable(g, s) for g in range(alph.rank) for s in (1, -1)]
+    frontier: list[tuple[Syllable, ...]] = [()]
     for _ in range(max_len):
-        extended: list[list[tuple[int, int]]] = []
+        extended: list[tuple[Syllable, ...]] = []
         for prefix in frontier:
-            for gen, sign in letters:
-                if prefix and prefix[-1] == (gen, -sign):
-                    continue
-                ext = prefix + [(gen, sign)]
+            last = prefix[-1] if prefix else None
+            for letter in letters:
+                if last is not None and last.gen == letter.gen:
+                    if (last.exp > 0) != (letter.exp > 0):
+                        continue
+                    ext = prefix[:-1] + (Syllable(last.gen, last.exp + letter.exp),)
+                else:
+                    ext = prefix + (letter,)
                 extended.append(ext)
-                yield Word.from_syllables(alph, ext)
+                yield Word._reduced(alph, ext)
         frontier = extended
 
 

@@ -20,7 +20,7 @@ from vclab.equations import (
     power_exponent_of,
     verify_perfect,
 )
-from vclab.oracles import is_conjugate
+from vclab.oracles import is_conjugate, root
 
 F2 = Alphabet(2)
 
@@ -194,6 +194,8 @@ def test_brute_force_caps_workers(monkeypatch):
         def map(self, fn, items):
             items = list(items)
             pools.append((self.max_workers, len(items)))
+            for a, b, n, m, xs, bound in items:
+                assert all(passes_abelian_test(EquationInstance(a, b, n, m), x) for x in xs)
             return [fn(item) for item in items]
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
@@ -207,6 +209,56 @@ def test_brute_force_caps_workers(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert brute_force_solutions(inst23(), 3, jobs=8) == expected
     assert pools == [(4, 4), (3, 3)]
+
+
+def passes_abelian_test(inst, x):
+    """n*sigma_i(x) = sigma_i(g) modulo m for every generator i."""
+    rank = inst.alphabet.rank
+    return all((inst.g.exponent_sum(i) - inst.n * x.exponent_sum(i)) % inst.m == 0 for i in range(rank))
+
+
+def unpruned_solutions(inst, bound):
+    """A root for every candidate x, nothing skipped, in shortlex order of x."""
+    found = []
+    for x in enumerate_reduced(inst.alphabet, bound):
+        rem = (x ** inst.n).inverse() * inst.g
+        if rem.is_identity():
+            y = inst.alphabet.identity()
+        else:
+            r, e = root(rem)
+            if e % inst.m:
+                continue
+            y = r ** (e // inst.m)
+        if len(y) <= bound:
+            found.append(SolutionPair(x, y))
+    return found
+
+
+@pytest.mark.parametrize("a, b, rank", [("a", "b", 2), ("ab", "aB", 2), ("a", "bc", 3)])
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 3), (3, 3), (3, 2), (4, 6)])
+def test_brute_force_equals_unpruned_search(a, b, rank, n, m):
+    alph = Alphabet(rank)
+    inst = EquationInstance(parse_word(a, alph), parse_word(b, alph), n, m)
+    got = brute_force_solutions(inst, 4)
+    assert got == unpruned_solutions(inst, 4)
+    assert all(passes_abelian_test(inst, p.x) and is_solution(inst, p) for p in got)
+
+
+def test_brute_force_takes_roots_of_survivors_only(monkeypatch):
+    import vclab.equations
+
+    calls = []
+
+    def counting_root(word):
+        calls.append(word)
+        return root(word)
+
+    monkeypatch.setattr(vclab.equations, "root", counting_root)
+    inst = inst23()
+    xs = list(enumerate_reduced(F2, 5))
+    survivors = [x for x in xs if passes_abelian_test(inst, x)]
+    assert brute_force_solutions(inst, 5) == unpruned_solutions(inst, 5)
+    assert 0 < len(calls) <= len(survivors) < len(xs) // 4
 
 
 def test_brute_force_deterministic_order():

@@ -373,3 +373,16 @@ def test_split_reverifies_and_is_minimal():
             if len(cand) < len(x):
                 middle = cand * w * cand.inverse()
                 assert len(middle) > bound
+
+
+@pytest.mark.parametrize("alph, max_len", [(F2, 4), (F3, 3)])
+def test_free_word_metric_equals_length_of_quotient(alph, max_len):
+    words = list(enumerate_reduced(alph, max_len))
+    for u in words:
+        for v in words:
+            assert free_word_metric(u, v) == len(u.inverse() * v)
+
+
+def test_free_word_metric_rejects_mixed_alphabets():
+    with pytest.raises(WordError):
+        free_word_metric(p("ab"), p("ab", F3))

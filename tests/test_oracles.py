@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from vclab.words import Alphabet, WordError, enumerate_reduced, parse_word, reduce
+from vclab.words import Alphabet, Word, WordError, enumerate_reduced, parse_word, reduce
 from vclab.oracles import (
     elementary_generator,
     elementary_subgroup,
@@ -278,3 +278,24 @@ def test_folded_graph_is_deterministic():
     graph = fold([w("a^2"), w("b^2"), w("abab")])
     for (state, label), target in graph.edges.items():
         assert graph.edges[(target, -label)] == state
+
+
+def scan_root(word):
+    """Root by trying every divisor of the cyclic core's length in turn."""
+    core, conj = word.cyclic_reduce()
+    letters = list(core.letters())
+    n = len(letters)
+    for period in range(1, n + 1):
+        if n % period == 0 and all(letters[i] == letters[i % period] for i in range(n)):
+            piece = Word.from_letters(word.alphabet, letters[:period])
+            return conj * piece * conj.inverse(), n // period
+
+
+@pytest.mark.parametrize("rank, max_len", [(2, 8), (3, 5)])
+def test_root_matches_divisor_scan(rank, max_len):
+    for word in enumerate_reduced(Alphabet(rank), max_len):
+        if word.is_identity():
+            continue
+        got = root(word)
+        assert got == scan_root(word)
+        assert Word(word.alphabet, got.root.syllables) == got.root

@@ -329,3 +329,28 @@ def test_enumeration_matches_closed_form(rank, max_len):
 def test_enumeration_shortest_first():
     lengths = [len(word) for word in enumerate_reduced(F2, 4)]
     assert lengths == sorted(lengths)
+
+
+def letter_list_enumeration(alph, max_len):
+    """The enumeration as letter lists, each word rebuilt with full validation."""
+    yield alph.identity()
+    letters = [(g, s) for g in range(alph.rank) for s in (1, -1)]
+    frontier = [[]]
+    for _ in range(max_len):
+        extended = []
+        for prefix in frontier:
+            for gen, sign in letters:
+                if prefix and prefix[-1] == (gen, -sign):
+                    continue
+                ext = prefix + [(gen, sign)]
+                extended.append(ext)
+                yield Word.from_syllables(alph, ext)
+        frontier = extended
+
+
+@pytest.mark.parametrize("rank, max_len", [(1, 7), (2, 6), (3, 4)])
+def test_enumeration_matches_letter_list_construction(rank, max_len):
+    alph = Alphabet(rank)
+    words = list(enumerate_reduced(alph, max_len))
+    assert words == list(letter_list_enumeration(alph, max_len))
+    assert all(Word(alph, word.syllables) == word for word in words)
