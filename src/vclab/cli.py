@@ -1,8 +1,9 @@
 """Command-line driver: one subcommand per experiment, JSON/CSV reports.
 
-Exit codes: 0 success, 1 error, 2 findings (a run that succeeded but
-discovered hypothesis violations: perfectness exceptions, test-word
-violations, failed suite claims, failed retraction checks).
+Exit codes: 0 success, 1 error (usage errors included), 2 findings (a run
+that succeeded but discovered hypothesis violations: perfectness
+exceptions, test-word violations, failed suite claims, failed retraction
+checks).
 
 Reports are byte-deterministic for fixed flags and seed: canonical JSON
 with sorted keys, no timestamps.  Reports never contain timing.
@@ -12,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -30,10 +30,6 @@ def _infer_rank(texts: Sequence[str], rank: Optional[int]) -> Alphabet:
         return Alphabet(rank)
     used = max((gen for text in texts for gen, _ in word_tokens(text)), default=-1)
     return Alphabet(max(used + 1, 1))
-
-
-def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
 
 
 def _split_words(text: str) -> list[str]:
@@ -58,43 +54,30 @@ def _json_payload(data: dict) -> str:
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
-def _jobs(args) -> int:
-    env = os.environ.get("VCL_JOBS")
-    if env is not None:
-        return max(1, int(env))
-    return max(1, args.jobs)
-
-
 # -- subcommand implementations ----------------------------------------------
 
 
-def _cmd_solve_eq(args) -> tuple[int, str]:
+def _equation_instance(args) -> equations.EquationInstance:
     alph = _infer_rank([args.a, args.b], args.rank)
-    inst = equations.EquationInstance(
-        parse_word(args.a, alph), parse_word(args.b, alph), args.n, args.m
-    )
-    pairs = equations.brute_force_solutions(
-        inst, args.bound, max_candidates=args.max_candidates, jobs=_jobs(args)
-    )
-    tagged = [(pair, equations.classify_solution(inst, pair)) for pair in pairs]
-    findings = [t for t in tagged if t[1].tag is not equations.Tag.CONJUGATE_FAMILY]
-    data = equations.solutions_json_dict(inst, args.bound, tagged)
-    data["non_conjugate_family_count"] = len(findings)
-    return (EXIT_FINDING if findings else EXIT_OK), _json_payload(data)
+    return equations.EquationInstance(parse_word(args.a, alph), parse_word(args.b, alph), args.n, args.m)
+
+
+def _cmd_solve_eq(args) -> tuple[int, str]:
+    inst = _equation_instance(args)
+    report = equations.verify_perfect(inst, args.bound, max_candidates=args.max_candidates, jobs=args.jobs)
+    data = equations.solutions_json_dict(inst, args.bound, report.solutions)
+    data["non_conjugate_family_count"] = len(report.exceptions())
+    return (EXIT_OK if report.perfect_at_bound else EXIT_FINDING), _json_payload(data)
 
 
 def _cmd_verify_perfect(args) -> tuple[int, str]:
-    alph = _infer_rank([args.a, args.b], args.rank)
-    inst = equations.EquationInstance(
-        parse_word(args.a, alph), parse_word(args.b, alph), args.n, args.m
-    )
     report = equations.verify_perfect(
-        inst,
+        _equation_instance(args),
         args.bound,
         ell=args.ell,
         threshold=args.threshold,
         max_candidates=args.max_candidates,
-        jobs=_jobs(args),
+        jobs=args.jobs,
     )
     code = EXIT_OK if report.perfect_at_bound else EXIT_FINDING
     return code, _json_payload(report.to_json_dict())
@@ -176,10 +159,9 @@ def _cmd_qm_homogenize(args) -> tuple[int, str]:
     alph = _infer_rank(texts, args.rank)
     qm = _make_qm(args, alph)
     word = parse_word(args.word, alph)
-    defect = _parse_fraction(args.defect)
     table = []
     for m in (int(x) for x in args.truncations.split(",")):
-        res = quasimorphisms.homogenize(qm, word, m, defect)
+        res = quasimorphisms.homogenize(qm, word, m, args.defect)
         table.append(res.to_json_dict())
     data = {"qm": qm.describe(), "word": format_word(word), "homogenization_table": table}
     return EXIT_OK, _json_payload(data)
@@ -194,7 +176,7 @@ def _cmd_qm_invariance(args) -> tuple[int, str]:
         parse_word(args.word, alph),
         parse_word(args.conjugator, alph),
         args.truncation,
-        _parse_fraction(args.defect),
+        args.defect,
     )
     data = {"qm": qm.describe(), "invariance": check.to_json_dict()}
     code = EXIT_OK if check.within_bound else EXIT_FINDING
@@ -202,8 +184,7 @@ def _cmd_qm_invariance(args) -> tuple[int, str]:
 
 
 def _standard_ball(args) -> hypgeom.FiniteMetricSpace:
-    alph = Alphabet(args.rank if args.rank else 2)
-    return hypgeom.cayley_ball(alph.generators(), args.radius)
+    return hypgeom.cayley_ball(Alphabet(args.rank).generators(), args.radius)
 
 
 def _cmd_cayley_delta(args) -> tuple[int, str]:
@@ -219,7 +200,6 @@ def _cmd_midpoint_check(args) -> tuple[int, str]:
 
     ball = _standard_ball(args)
     rng = _random.Random(args.seed)
-    delta = _parse_fraction(args.delta)
     failures = 0
     for _ in range(args.samples):
         a, b, c = (ball.points[rng.randrange(len(ball.points))] for _ in range(3))
@@ -227,13 +207,13 @@ def _cmd_midpoint_check(args) -> tuple[int, str]:
             ball, a, b, c,
             hypgeom.free_tree_geodesic(a, c),
             hypgeom.free_tree_geodesic(b, c),
-            delta,
+            args.delta,
         )
         failures += 0 if ok else 1
     data = {
         "ball": {"radius": args.radius, "points": len(ball)},
         "samples": args.samples,
-        "delta": str(delta),
+        "delta": str(args.delta),
         "failures": failures,
     }
     return (EXIT_OK if failures == 0 else EXIT_FINDING), _json_payload(data)
@@ -246,10 +226,8 @@ def _cmd_concat_check(args) -> tuple[int, str]:
     for seg in args.paths.split(";"):
         vertices = [parse_word(t.strip(), alph) for t in seg.split(",")]
         paths.append(hypgeom.PathSample.from_vertices(vertices))
-    constants = hypgeom.QGConstants(_parse_fraction(args.kappa), _parse_fraction(args.epsilon))
-    report = hypgeom.check_concatenation_quasigeodesic(
-        paths, _parse_fraction(args.delta), constants, _parse_fraction(args.alpha)
-    )
+    constants = hypgeom.QGConstants(args.kappa, args.epsilon)
+    report = hypgeom.check_concatenation_quasigeodesic(paths, args.delta, constants, args.alpha)
     return EXIT_OK, _json_payload(report.to_json_dict())
 
 
@@ -318,153 +296,142 @@ def _cmd_verify_retraction(args) -> tuple[int, str]:
 # -- parser -------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 like any other error, since 2 means findings."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vclab",
         description="Exact free-group workbench: equations, test words, "
         "quasimorphisms, geometry validators, finite suites.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--out", help="report file (default: stdout)")
-        p.add_argument("--rank", type=int, help="alphabet rank (default: inferred)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=1, help="worker count (VCL_JOBS overrides)")
+    # flag sets shared by several subcommands, copied in through ``parents``
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--out", help="report file (default: stdout)")
 
-    p = sub.add_parser("solve-eq", help="bounded solving of x^n y^m = a^n b^m")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--max-candidates", type=int)
-    common(p)
+    words = argparse.ArgumentParser(add_help=False, parents=[report])
+    words.add_argument("--rank", type=int, help="alphabet rank (default: inferred)")
+
+    equation = argparse.ArgumentParser(add_help=False, parents=[words])
+    equation.add_argument("--a", required=True)
+    equation.add_argument("--b", required=True)
+    equation.add_argument("--n", type=int, required=True)
+    equation.add_argument("--m", type=int, required=True)
+    equation.add_argument("--bound", type=int, required=True)
+    equation.add_argument("--max-candidates", type=int)
+    equation.add_argument("--jobs", type=int, default=1, help="worker count")
+
+    qm = argparse.ArgumentParser(add_help=False, parents=[words])
+    which = qm.add_mutually_exclusive_group(required=True)
+    which.add_argument("--pattern", help="counting quasimorphism of this word")
+    which.add_argument("--gen", type=int, help="exponent sum of this generator")
+    qm.add_argument("--word", required=True)
+    qm.add_argument("--defect", type=Fraction, default=Fraction(0), help="defect bound (rational)")
+
+    ball = argparse.ArgumentParser(add_help=False, parents=[report])
+    ball.add_argument("--rank", type=int, default=2, help="alphabet rank")
+    ball.add_argument("--radius", type=int, default=5)
+    ball.add_argument("--samples", type=int, default=1000)
+    ball.add_argument("--seed", type=int, default=0)
+
+    presentation = argparse.ArgumentParser(add_help=False, parents=[report])
+    presentation.add_argument("--file", help="presentation file: 'gens: <n>' then one relator per line")
+    presentation.add_argument("--gens", type=int)
+    presentation.add_argument("--relators", help="semicolon-separated relator words")
+
+    p = sub.add_parser("solve-eq", parents=[equation], help="bounded solving of x^n y^m = a^n b^m")
     p.set_defaults(func=_cmd_solve_eq)
 
-    p = sub.add_parser("verify-perfect", help="bounded perfectness check")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--bound", type=int, required=True)
+    p = sub.add_parser("verify-perfect", parents=[equation], help="bounded perfectness check")
     p.add_argument("--ell", type=int, default=1, help="divisor hypothesis parameter")
     p.add_argument("--threshold", type=int, default=0, help="size hypothesis parameter")
-    p.add_argument("--max-candidates", type=int)
-    common(p)
     p.set_defaults(func=_cmd_verify_perfect)
 
-    p = sub.add_parser("build-testword", help="expand a test word from exponent tuples")
+    p = sub.add_parser("build-testword", parents=[report], help="expand a test word from exponent tuples")
     p.add_argument("--level", type=int)
     p.add_argument("--exponents", required=True, help="semicolon-separated rows of 10 integers")
-    common(p)
     p.set_defaults(func=_cmd_build_testword)
 
-    p = sub.add_parser("verify-testword", help="bounded search for non-canonical solutions")
+    p = sub.add_parser("verify-testword", parents=[words], help="bounded search for non-canonical solutions")
     p.add_argument("--level", type=int)
     p.add_argument("--exponents", required=True)
     p.add_argument("--targets", required=True, help="semicolon-separated target words")
     p.add_argument("--bound", type=int, required=True)
     p.add_argument("--max-assignments", type=int)
-    common(p)
     p.set_defaults(func=_cmd_verify_testword)
 
-    p = sub.add_parser("certificates", help="exponent-sum certificate matrices")
+    p = sub.add_parser("certificates", parents=[report], help="exponent-sum certificate matrices")
     p.add_argument("--exponents", required=True)
     p.add_argument("--modulus", type=int, required=True)
-    common(p)
     p.set_defaults(func=_cmd_certificates)
 
-    p = sub.add_parser("qm-defect", help="sampled defect of a counting quasimorphism")
+    p = sub.add_parser("qm-defect", parents=[words], help="sampled defect of a counting quasimorphism")
     p.add_argument("--pattern", required=True)
     p.add_argument("--pairs", type=int, default=10000)
     p.add_argument("--max-len", type=int, default=10)
-    common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_qm_defect)
 
-    p = sub.add_parser("qm-homogenize", help="truncated homogenization table")
-    p.add_argument("--pattern")
-    p.add_argument("--gen", type=int)
-    p.add_argument("--word", required=True)
+    p = sub.add_parser("qm-homogenize", parents=[qm], help="truncated homogenization table")
     p.add_argument("--truncations", default="1,2,4,8,16,32,64")
-    p.add_argument("--defect", default="0", help="defect bound (rational)")
-    common(p)
     p.set_defaults(func=_cmd_qm_homogenize)
 
-    p = sub.add_parser("qm-invariance", help="conjugacy invariance residual")
-    p.add_argument("--pattern")
-    p.add_argument("--gen", type=int)
-    p.add_argument("--word", required=True)
+    p = sub.add_parser("qm-invariance", parents=[qm], help="conjugacy invariance residual")
     p.add_argument("--conjugator", required=True)
     p.add_argument("--truncation", type=int, default=64)
-    p.add_argument("--defect", default="0")
-    common(p)
     p.set_defaults(func=_cmd_qm_invariance)
 
-    p = sub.add_parser("cayley-delta", help="thin-triangle estimate on a Cayley ball")
-    p.add_argument("--radius", type=int, default=5)
-    p.add_argument("--samples", type=int, default=1000)
-    common(p)
+    p = sub.add_parser("cayley-delta", parents=[ball], help="thin-triangle estimate on a Cayley ball")
     p.set_defaults(func=_cmd_cayley_delta)
 
-    p = sub.add_parser("midpoint-check", help="midpoint inequality on random triangles")
-    p.add_argument("--radius", type=int, default=5)
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--delta", default="0")
-    common(p)
+    p = sub.add_parser("midpoint-check", parents=[ball], help="midpoint inequality on random triangles")
+    p.add_argument("--delta", type=Fraction, default=Fraction(0))
     p.set_defaults(func=_cmd_midpoint_check)
 
-    p = sub.add_parser("concat-check", help="quasi-geodesic concatenation hypotheses")
+    p = sub.add_parser("concat-check", parents=[words], help="quasi-geodesic concatenation hypotheses")
     p.add_argument("--paths", required=True, help="segments as 'w1,w2;w2,w3' vertex lists")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--delta", default="0")
-    p.add_argument("--kappa", default="1")
-    p.add_argument("--epsilon", default="0")
-    common(p)
+    p.add_argument("--alpha", type=Fraction, required=True)
+    p.add_argument("--delta", type=Fraction, default=Fraction(0))
+    p.add_argument("--kappa", type=Fraction, default=Fraction(1))
+    p.add_argument("--epsilon", type=Fraction, default=Fraction(0))
     p.set_defaults(func=_cmd_concat_check)
 
-    p = sub.add_parser("divergence", help="table of |c^n d^m| lengths")
+    p = sub.add_parser("divergence", parents=[words], help="table of |c^n d^m| lengths")
     p.add_argument("--c", required=True)
     p.add_argument("--d", required=True)
     p.add_argument("--n-max", type=int, default=20)
     p.add_argument("--m-max", type=int, default=20)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    common(p)
     p.set_defaults(func=_cmd_divergence)
 
     p = sub.add_parser(
         "dihedral-counterexample",
+        parents=[report],
         help="verbal closedness without retraction: the dihedral central product suite",
     )
-    common(p)
     p.set_defaults(func=_cmd_dihedral_counterexample)
 
-    p = sub.add_parser("snf", help="Smith normal form with transforms")
+    p = sub.add_parser("snf", parents=[report], help="Smith normal form with transforms")
     p.add_argument("--matrix", required=True, help="rows separated by ';', entries by spaces")
-    common(p)
     p.set_defaults(func=_cmd_snf)
 
-    def presentation_flags(p):
-        p.add_argument("--file", help="presentation file: 'gens: <n>' then one relator per line")
-        p.add_argument("--gens", type=int)
-        p.add_argument("--relators", help="semicolon-separated relator words")
-
-    p = sub.add_parser("abelianize", help="invariant factors and free rank")
-    presentation_flags(p)
-    common(p)
+    p = sub.add_parser("abelianize", parents=[presentation], help="invariant factors and free rank")
     p.set_defaults(func=_cmd_abelianize)
 
-    p = sub.add_parser("cyclic-retract", help="primitive-image retraction criterion")
-    presentation_flags(p)
+    p = sub.add_parser("cyclic-retract", parents=[presentation], help="primitive-image retraction criterion")
     p.add_argument("--element", required=True)
-    common(p)
     p.set_defaults(func=_cmd_cyclic_retract)
 
-    p = sub.add_parser("verify-retraction", help="check relator kill and subgroup fixation")
-    presentation_flags(p)
+    p = sub.add_parser("verify-retraction", parents=[presentation], help="check relator kill and subgroup fixation")
     p.add_argument("--subgroup", required=True, help="semicolon-separated subgroup words")
     p.add_argument("--images", required=True, help="semicolon-separated generator images")
-    common(p)
     p.set_defaults(func=_cmd_verify_retraction)
 
     return parser

@@ -14,6 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from .presentations import Presentation
 from .words import Alphabet, Word, WordError, enumerate_reduced, format_word
 
 
@@ -216,18 +217,7 @@ class FGHom:
     mapping: Optional[tuple[int, ...]] = None
 
 
-@dataclass(frozen=True)
-class GroupPresentation:
-    num_gens: int
-    relators: tuple[Word, ...]
-
-    def __post_init__(self) -> None:
-        for r in self.relators:
-            if r.alphabet.rank != self.num_gens:
-                raise WordError("relator alphabet does not match generator count")
-
-
-def enumerate_homs(src: GroupPresentation, dst: FiniteGroup, budget: int = 10**7) -> list[FGHom]:
+def enumerate_homs(src: Presentation, dst: FiniteGroup, budget: int = 10**7) -> list[FGHom]:
     """All generator-image tuples killing every relator; complete by
     exhaustion over dst^num_gens."""
     total = dst.order ** src.num_gens

@@ -382,16 +382,7 @@ def check_concatenation_quasigeodesic(
     for piece in paths[1:]:
         vertices.extend(piece.vertices[1:])
     joined = PathSample.from_vertices(vertices, dist)
-    measured = Fraction(0)
-    n = len(joined.vertices)
-    prefix = [0]
-    for s in joined.steps:
-        prefix.append(prefix[-1] + s)
-    for i in range(n):
-        for j in range(i + 1, n):
-            need = Fraction(prefix[j] - prefix[i]) / c.kappa - Fraction(dist(joined.vertices[i], joined.vertices[j]))
-            if need > measured:
-                measured = need
+    measured = max(Fraction(0), -is_quasigeodesic(joined, QGConstants(c.kappa, Fraction(0))).worst_slack)
     return ConcatenationReport(product_ok and length_ok, product_ok, length_ok, measured)
 
 

@@ -122,13 +122,41 @@ def test_jobs_flag_gives_same_result(capsys):
     assert (code1, out1) == (code2, out2)
 
 
-def test_vcl_jobs_env_overrides(monkeypatch, capsys):
-    monkeypatch.setenv("VCL_JOBS", "2")
-    code, out = run(capsys, "solve-eq", "--a", "a", "--b", "b", "--n", "2", "--m", "3",
-                    "--bound", "3", "--jobs", "1")
-    assert code == 0
-    data = json.loads(out)
-    assert data["solutions"][0]["x"] == "a"
+def usage_exit(capsys, *argv):
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    return info.value.code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("snf", "--matrix", "1", "--seed", "5"),  # a flag snf does not read
+    ("solve-eq", "--a", "a"),  # required flags missing
+])
+def test_usage_errors_exit_1(capsys, argv):
+    code, err = usage_exit(capsys, *argv)
+    assert code == 1
+    assert err.startswith("usage: vclab")
+
+
+def test_help_exits_0(capsys):
+    assert usage_exit(capsys, "snf", "--help")[0] == 0
+
+
+@pytest.mark.parametrize("command", [
+    ("qm-homogenize", "--word", "ab"),
+    ("qm-invariance", "--word", "ab", "--conjugator", "a"),
+])
+@pytest.mark.parametrize("choice", [(), ("--pattern", "ab", "--gen", "0")])
+def test_qm_takes_exactly_one_of_pattern_and_gen(capsys, command, choice):
+    code, err = usage_exit(capsys, *command, *choice)
+    assert code == 1
+    assert "--pattern" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["cayley-delta", "midpoint-check"])
+def test_ball_rank_zero_is_an_error(capsys, command):
+    assert main([command, "--rank", "0", "--radius", "1"]) == 1
+    assert "alphabet rank must be >= 1" in capsys.readouterr().err
 
 
 def test_rank_is_inferred_from_generator_indices(capsys):

@@ -5,7 +5,6 @@ import pytest
 from vclab.words import Alphabet, WordError, parse_word
 from vclab.finitegroups import (
     FiniteGroup,
-    GroupPresentation,
     central_product,
     default_corpus,
     dihedral4,
@@ -16,6 +15,7 @@ from vclab.finitegroups import (
     is_retract,
     verbally_closed_check,
 )
+from vclab.presentations import Presentation
 
 V1 = Alphabet(1)
 V2 = Alphabet(2)
@@ -30,7 +30,7 @@ def z2():
 
 
 def d4_presentation():
-    return GroupPresentation(2, (sym("a^4"), sym("b^2"), sym("Baba")))
+    return Presentation(2, (sym("a^4"), sym("b^2"), sym("Baba")))
 
 
 # -- tables ------------------------------------------------------------------
@@ -122,7 +122,7 @@ def test_identity_assignment_is_a_hom():
 
 
 def test_relator_violations_excluded():
-    bad = GroupPresentation(2, (sym("b"),))
+    bad = Presentation(2, (sym("b"),))
     homs = enumerate_homs(bad, z2())
     assert all(h.images[1] == 0 for h in homs)
 

@@ -1,11 +1,15 @@
-"""Source hygiene of the package: every imported name is used."""
+"""Source hygiene of the package: every imported name is used, and every
+CLI flag is read by the subcommand that accepts it."""
 
 from __future__ import annotations
 
+import argparse
 import ast
 from pathlib import Path
 
 import pytest
+
+from vclab import cli
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "vclab"
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -60,3 +64,51 @@ def test_package_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def args_reads(source: str) -> dict[str, set[str]]:
+    """For each top-level function, the ``args.<name>`` attributes it reads,
+    itself or through module functions it passes ``args`` to."""
+    tree = ast.parse(source)
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    direct, callees = {}, {}
+    for name, fn in funcs.items():
+        nodes = list(ast.walk(fn))
+        direct[name] = {
+            n.attr for n in nodes
+            if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "args"
+        }
+        callees[name] = {
+            n.func.id for n in nodes
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id in funcs
+            and any(isinstance(a, ast.Name) and a.id == "args" for a in n.args)
+        }
+    reads = {}
+    for name in funcs:
+        seen, todo = set(), [name]
+        while todo:
+            current = todo.pop()
+            if current not in seen:
+                seen.add(current)
+                todo.extend(callees[current])
+        reads[name] = set().union(*(direct[f] for f in seen))
+    return reads
+
+
+def test_args_scan_follows_helpers():
+    source = "def _h(args):\n    return args.x\n\ndef _cmd(args):\n    return _h(args) + args.y\n"
+    assert args_reads(source) == {"_h": {"x"}, "_cmd": {"x", "y"}}
+
+
+def test_every_cli_flag_is_read_by_its_handler():
+    reads = args_reads((PACKAGE / "cli.py").read_text())
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    unread = [
+        f"{command} {action.option_strings[0]}"
+        for command, sub in commands.items()
+        for action in sub._actions
+        if action.option_strings and action.dest not in ("help", "out")
+        and action.dest not in reads[sub.get_default("func").__name__]
+    ]
+    assert unread == []

@@ -302,6 +302,33 @@ def test_concatenation_three_segments():
     assert rep.measured_epsilon0 == 0
 
 
+def _epsilon0_by_pairs(vertices, kappa):
+    """Smallest epsilon making the joined vertex path a (kappa, epsilon)-quasi-geodesic."""
+    worst = Fraction(0)
+    for i in range(len(vertices)):
+        for j in range(i + 1, len(vertices)):
+            length = sum(free_word_metric(vertices[k], vertices[k + 1]) for k in range(i, j))
+            worst = max(worst, Fraction(length) / kappa - free_word_metric(vertices[i], vertices[j]))
+    return worst
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_concatenation_epsilon0_matches_pair_scan(seed):
+    rng = random.Random(seed)
+    kappa = rng.choice((Fraction(1), Fraction(3, 2), Fraction(2)))
+    joints = [random_word(rng, 4) for _ in range(rng.randint(3, 4))]
+    paths = [
+        [u] + [random_word(rng, 4) for _ in range(rng.randint(0, 2))] + [v]
+        for u, v in zip(joints, joints[1:])
+    ]
+    rep = check_concatenation_quasigeodesic(
+        [PathSample.from_vertices(path) for path in paths],
+        Fraction(0), QGConstants(kappa, Fraction(0)), Fraction(1),
+    )
+    joined = paths[0] + [w for path in paths[1:] for w in path[1:]]
+    assert rep.measured_epsilon0 == _epsilon0_by_pairs(joined, kappa)
+
+
 def test_concatenation_endpoint_mismatch():
     with pytest.raises(WordError):
         check_concatenation_quasigeodesic(
