@@ -32,6 +32,14 @@ def _infer_rank(texts: Sequence[str], rank: Optional[int]) -> Alphabet:
     return Alphabet(max(used + 1, 1))
 
 
+def _count(text: str) -> int:
+    """argparse type of a count flag: an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _split_words(text: str) -> list[str]:
     # every segment counts; write the identity as '1' or an empty segment
     return [part.strip() for part in text.split(";")]
@@ -151,6 +159,8 @@ def _cmd_qm_defect(args) -> tuple[int, str]:
 def _make_qm(args, alph: Alphabet):
     if args.pattern is not None:
         return quasimorphisms.counting_qm(parse_word(args.pattern, alph))
+    if args.gen >= alph.rank:
+        raise WordError(f"--gen {args.gen} out of range for rank {alph.rank}")
     return quasimorphisms.exponent_sum_qm(args.gen)
 
 
@@ -338,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     ball = argparse.ArgumentParser(add_help=False, parents=[report])
     ball.add_argument("--rank", type=int, default=2, help="alphabet rank")
     ball.add_argument("--radius", type=int, default=5)
-    ball.add_argument("--samples", type=int, default=1000)
+    ball.add_argument("--samples", type=_count, default=1000)
     ball.add_argument("--seed", type=int, default=0)
 
     presentation = argparse.ArgumentParser(add_help=False, parents=[report])
@@ -364,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exponents", required=True)
     p.add_argument("--targets", required=True, help="semicolon-separated target words")
     p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--max-assignments", type=int)
+    p.add_argument("--max-assignments", type=_count)
     p.set_defaults(func=_cmd_verify_testword)
 
     p = sub.add_parser("certificates", parents=[report], help="exponent-sum certificate matrices")
@@ -374,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("qm-defect", parents=[words], help="sampled defect of a counting quasimorphism")
     p.add_argument("--pattern", required=True)
-    p.add_argument("--pairs", type=int, default=10000)
+    p.add_argument("--pairs", type=_count, default=10000)
     p.add_argument("--max-len", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_qm_defect)

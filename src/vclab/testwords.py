@@ -296,6 +296,18 @@ def verify_testword(
     bounded non-refutation, not a proof.  The special-tuple hypothesis on
     the targets is recorded, not enforced, so hypothesis-violating control
     runs can demonstrate genuine violations.
+
+    Assignments are walked in ``itertools.product`` order over the
+    candidate images, so the last variable (y_n) varies fastest.  When it
+    occurs in exactly one syllable of W, with exponent +-1, as in every
+    built word whose top tuple has q*t = 1, it is solved rather than
+    enumerated: W = P y^e S = U gives y = (P^-1 U S^-1)^e, the one image
+    that can complete the other variables, kept only if it is a candidate.
+    Each assignment of the other variables then stands for the block of
+    consecutive product assignments that differ in y alone, so
+    ``explored``, the ``max_assignments`` cut (which may fall inside a
+    block) and the order of the violations are those of the full walk.
+    Any other W enumerates y as well, in blocks of one.
     """
     special_ok = bool(is_special_tuple(targets))
     u = base_value(w, targets)
@@ -309,29 +321,68 @@ def verify_testword(
         for alpha in range(-alpha_window, alpha_window + 1):
             canonical.append(canonical_solutions(w, targets, alpha))
 
-    candidates = list(enumerate_reduced(targets[0].alphabet, bound))
+    alph = targets[0].alphabet
+    candidates = list(enumerate_reduced(alph, bound))
     total = len(candidates) ** nvars
     budget = total if max_assignments is None else min(total, max_assignments)
 
-    # cheap prune: running prefix length minus what the suffix could cancel
-    suffix_weight = [0] * (len(w.word.syllables) + 1)
-    for i in range(len(w.word.syllables) - 1, -1, -1):
-        suffix_weight[i] = suffix_weight[i + 1] + abs(w.word.syllables[i].exp) * bound
+    syllables = w.word.syllables
+    n = len(syllables)
+    spots = [pos for pos, syl in enumerate(syllables) if syl.gen == nvars - 1]
+    solved = len(spots) == 1 and abs(syllables[spots[0]].exp) == 1
+    if solved:
+        # y_n sits at syllable `cut`; the product walk covers the rest
+        cut, sign = spots[0], syllables[spots[0]].exp
+        free, block = nvars - 1, len(candidates)
+        index = {word: i for i, word in enumerate(candidates)}
+    else:
+        cut, sign = n, 1
+        free, block = nvars, 1
+
+    # cheap prune: slack[pos] is |U| plus what the syllables after pos
+    # could cancel; a partial product of W longer than that cannot reach U
+    slack = [0] * n
+    room = len(u)
+    for pos in range(n - 1, -1, -1):
+        slack[pos] = room
+        room += abs(syllables[pos].exp) * bound
+    identity = alph.identity()
+
+    def product(head: tuple, lo: int, hi: int, extra: int) -> Optional[Word]:
+        """Syllables lo..hi-1 of W under head, or None once pruned."""
+        value = identity
+        for pos in range(lo, hi):
+            gen, exp = syllables[pos]
+            value = value * head[gen] ** exp
+            if len(value) > extra + slack[pos]:
+                return None
+        return value
 
     violations: list[Violation] = []
     explored = 0
-    for images in itertools.product(candidates, repeat=nvars):
+    for head in itertools.product(candidates, repeat=free):
         if explored >= budget:
             break
-        explored += 1
-        value = images[0].alphabet.identity()
-        ok = True
-        for pos, (gen, exp) in enumerate(w.word.syllables):
-            value = value * images[gen] ** exp
-            if len(value) - suffix_weight[pos + 1] > len(u):
-                ok = False
-                break
-        if not ok or value != u:
+        covered = min(block, budget - explored)
+        explored += covered
+        value = product(head, 0, cut, 0)
+        if value is None:
+            continue
+        if solved:
+            # S = (P y^e)^-1 U R^-1 for the rest R of W after a partial S,
+            # so that partial S may outgrow the slack by |P| + |y|
+            tail = product(head, cut + 1, n, len(value) + bound)
+            if tail is None:
+                continue
+            y = value.inverse() * u * tail.inverse()
+            found = index.get(y if sign == 1 else y.inverse())
+            # a block cut by the budget holds only its first `covered` images
+            if found is None or found >= covered:
+                continue
+            images = head + (candidates[found],)
+        elif value == u:
+            images = head
+        else:
             continue
         assignment = dict(zip(var_names, images))
         if any(assignment == c for c in canonical):

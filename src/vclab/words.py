@@ -187,9 +187,6 @@ class Word:
         self._require_same_alphabet(g)
         return g.inverse() * self * g
 
-    def commutator(self, other: "Word") -> "Word":
-        return self.inverse() * other.inverse() * self * other
-
     # -- normal forms ----------------------------------------------------
 
     def cyclic_reduce(self) -> tuple["Word", "Word"]:

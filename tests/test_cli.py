@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from vclab import hypgeom
+from vclab import hypgeom, testwords
 from vclab.cli import main
+from vclab.words import Alphabet, parse_word
 
 
 def run(capsys, *argv):
@@ -60,6 +61,21 @@ def test_verify_testword_control_finds_violation(capsys):
                     "--targets", "a;a;a", "--bound", "1")
     assert code == 2
     assert json.loads(out)["violations"]
+
+
+def test_verify_testword_exhaustive_bound_two(capsys):
+    ones = "1 1 1 1 1 1 1 1 1 1"
+    code, out = run(capsys, "verify-testword", "--exponents", ones, "--targets", "a;b;c", "--bound", "2")
+    assert code == 2
+    data = json.loads(out)
+    assert data["explored"] == data["total"] == 1874161 and data["exhausted"]
+    assert len(data["violations"]) == 25
+    word = testwords.TestWordSpec(3, (testwords.ExponentTuple.uniform(1),)).build()
+    alph = Alphabet(3)
+    common = parse_word(data["common_value"], alph)
+    for violation in data["violations"]:
+        assignment = {name: parse_word(text, alph) for name, text in violation.items()}
+        assert testwords.evaluate(word, assignment) == common
 
 
 def test_divergence_csv(capsys):
@@ -186,3 +202,34 @@ def test_cayley_delta_cap_is_checked_before_enumerating(monkeypatch, capsys):
     # radius 11 at rank 2 holds 354,293 points, above the default cap
     assert main(["cayley-delta", "--radius", "11"]) == 1
     assert "ball exceeds cap of 200000 elements" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify-testword", "--exponents", "1 1 1 1 1 1 1 1 1 1", "--targets", "a;b;c", "--bound", "1",
+     "--max-assignments", "-5"),
+    ("midpoint-check", "--radius", "1", "--samples", "-5"),
+    ("cayley-delta", "--radius", "1", "--samples", "-2"),
+    ("qm-defect", "--pattern", "ab", "--pairs", "-3"),
+])
+def test_negative_counts_are_usage_errors(capsys, argv):
+    code, err = usage_exit(capsys, *argv)
+    assert code == 1
+    assert f"must be >= 0, got {argv[-1]}" in err
+
+
+def test_zero_max_assignments_explores_nothing(capsys):
+    code, out = run(capsys, "verify-testword", "--exponents", "1 1 1 1 1 1 1 1 1 1", "--targets", "a;b;c",
+                    "--bound", "1", "--max-assignments", "0")
+    assert code == 0
+    data = json.loads(out)
+    assert data["explored"] == 0 and not data["exhausted"]
+
+
+@pytest.mark.parametrize("command", [
+    ("qm-homogenize", "--word", "ab"),
+    ("qm-invariance", "--word", "ab", "--conjugator", "a"),
+])
+def test_gen_must_be_below_the_rank(capsys, command):
+    assert main([*command, "--gen", "5"]) == 1
+    assert "--gen 5 out of range for rank 2" in capsys.readouterr().err
+    assert main([*command, "--gen", "5", "--rank", "6"]) == 0

@@ -1,8 +1,9 @@
+import itertools
 import random
 
 import pytest
 
-from vclab.words import Alphabet, WordError, parse_word, reduce, substitute
+from vclab.words import Alphabet, WordError, enumerate_reduced, parse_word, reduce, substitute
 from vclab.testwords import (
     CertificateResult,
     ExponentTuple,
@@ -16,6 +17,7 @@ from vclab.testwords import (
     exponent_sum_certificates,
     lift,
     variable_count,
+    variable_name,
     verify_testword,
 )
 
@@ -234,6 +236,67 @@ def test_verifier_budget_is_partial():
     report = verify_testword(w3, ABC, 1, max_assignments=50)
     assert report.explored == 50 and not report.exhausted
     assert 0 < report.to_json_dict()["explored_fraction"] < 1
+
+
+def product_walk(w, targets, bound, max_assignments=None):
+    """Reference: every assignment in product order, W evaluated whole."""
+    u = base_value(w, targets)
+    window = bound // max(1, len(u)) + 1
+    canonical = [canonical_solutions(w, targets, alpha) for alpha in range(-window, window + 1)]
+    nvars = variable_count(w.level)
+    names = [variable_name(w.level, i) for i in range(nvars)]
+    candidates = list(enumerate_reduced(targets[0].alphabet, bound))
+    total = len(candidates) ** nvars
+    budget = total if max_assignments is None else min(total, max_assignments)
+    violations, explored = [], 0
+    for images in itertools.islice(itertools.product(candidates, repeat=nvars), budget):
+        explored += 1
+        assignment = dict(zip(names, images))
+        if substitute(w.word, images) == u and assignment not in canonical:
+            violations.append(assignment)
+    return violations, explored, total, explored == total
+
+
+ONES = ExponentTuple.uniform(1)
+Q2 = ExponentTuple(1, 1, 1, 1, 1, 1, 1, 1, 2, 1)
+
+
+# (exponent tuples, rank, targets, bound, max_assignments); in `a;a;b` at
+# bound 2 (17 candidates) the violation at product index 887 is image 3 of
+# its block, and at level 4 the one at index 4223 is image 3 of its block
+@pytest.mark.parametrize("tuples,rank,targets,bound,cap", [
+    ((ONES,), 3, "a;b;c", 1, None),
+    ((ONES,), 1, "a;a;a", 2, None),
+    ((ONES,), 2, "a;b;aB", 1, None),
+    ((Q2,), 1, "a;a;a", 2, None),  # y3 occurs twice, so it is enumerated
+    ((ONES, ONES), 2, "a;a;b;b", 1, 4223),
+    ((ONES,), 2, "a;a;b", 2, 1),
+    ((ONES,), 2, "a;a;b", 2, 17),
+    ((ONES,), 2, "a;a;b", 2, 50),
+    ((ONES,), 2, "a;a;b", 2, 887),
+    ((ONES,), 2, "a;a;b", 2, 888),
+    ((ONES,), 2, "a;a;b", 2, 1000),
+])
+def test_solved_walk_matches_product_walk(tuples, rank, targets, bound, cap):
+    w = TestWordSpec(len(tuples) + 2, tuples).build()
+    targets = [parse_word(t, Alphabet(rank)) for t in targets.split(";")]
+    report = verify_testword(w, targets, bound, max_assignments=cap)
+    violations, explored, total, exhausted = product_walk(w, targets, bound, cap)
+    assert [v.assignment for v in report.violations] == violations
+    assert (report.explored, report.total, report.exhausted) == (explored, total, exhausted)
+
+
+@pytest.mark.parametrize("cap", [None, 1000])
+def test_solved_walk_handles_an_inner_inverse_occurrence(cap):
+    # y3^-1 between syllables: solved from both a prefix and a suffix
+    x1, x2, x3, y3 = Alphabet(4).generators()
+    w = SymbolicWord(3, x1 * x3 * y3 ** -1 * x2 * x3 ** 2)
+    targets = [parse_word(t, Alphabet(2)) for t in ("a", "a", "b")]
+    report = verify_testword(w, targets, 1, max_assignments=cap)
+    violations, explored, total, exhausted = product_walk(w, targets, 1, cap)
+    assert violations
+    assert [v.assignment for v in report.violations] == violations
+    assert (report.explored, report.total, report.exhausted) == (explored, total, exhausted)
 
 
 # -- certificates -----------------------------------------------------------------------------
