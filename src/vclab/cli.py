@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .words import Alphabet, WordError, format_word, parse_word, reduce, word_tokens
+from .words import Alphabet, Word, WordError, format_word, parse_word, word_tokens
 from . import equations, finitegroups, hypgeom, presentations, quasimorphisms, testwords
 
 EXIT_OK = 0
@@ -143,7 +143,7 @@ def _random_pairs(alph: Alphabet, count: int, max_len: int, seed: int):
 
     def rand_word():
         letters = [(rng.randrange(alph.rank), rng.choice((1, -1))) for _ in range(rng.randint(0, max_len))]
-        return reduce(letters, alph)
+        return Word.from_syllables(alph, letters)
 
     return [(rand_word(), rand_word()) for _ in range(count)]
 
@@ -334,8 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     equation.add_argument("--b", required=True)
     equation.add_argument("--n", type=int, required=True)
     equation.add_argument("--m", type=int, required=True)
-    equation.add_argument("--bound", type=int, required=True)
-    equation.add_argument("--max-candidates", type=int)
+    equation.add_argument("--bound", type=_count, required=True)
+    equation.add_argument("--max-candidates", type=_count)
     equation.add_argument("--jobs", type=int, default=1, help="worker count")
 
     qm = argparse.ArgumentParser(add_help=False, parents=[words])
@@ -373,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=int)
     p.add_argument("--exponents", required=True)
     p.add_argument("--targets", required=True, help="semicolon-separated target words")
-    p.add_argument("--bound", type=int, required=True)
+    p.add_argument("--bound", type=_count, required=True)
     p.add_argument("--max-assignments", type=_count)
     p.set_defaults(func=_cmd_verify_testword)
 
@@ -385,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("qm-defect", parents=[words], help="sampled defect of a counting quasimorphism")
     p.add_argument("--pattern", required=True)
     p.add_argument("--pairs", type=_count, default=10000)
-    p.add_argument("--max-len", type=int, default=10)
+    p.add_argument("--max-len", type=_count, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_qm_defect)
 

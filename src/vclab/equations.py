@@ -1,23 +1,23 @@
 """The equation family x^n y^m = a^n b^m in free groups.
 
-Structural solution families (conjugation orbit of the base solution,
-Bezout powers of the right-hand side), exhaustive bounded solving with an
-abelianization prune and a root-based solve for y, classification of
-solutions, and bounded perfectness verification.  A report can only
-refute perfectness or fail to refute it at a bound; no finite run
-certifies the unbounded statement.
+The conjugation orbit of the base solution, exhaustive bounded solving
+with an abelianization prune and a root-based solve for y, classification
+of each solution into a structural family (the orbit, Bezout powers of
+the right-hand side, swapped conjugates, a shared maximal cyclic
+subgroup), and bounded perfectness verification.  A report
+can only refute perfectness or fail to refute it at a bound; no finite
+run certifies the unbounded statement.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 import os
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .words import Alphabet, Word, WordError, count_reduced, enumerate_reduced, format_word
-from .oracles import is_conjugate, root, same_elementary_subgroup, elementary_generator
+from .oracles import is_conjugate, root, same_elementary_subgroup
 
 
 class BudgetExceeded(RuntimeError):
@@ -83,15 +83,6 @@ def conjugate_family(inst: EquationInstance, alpha: int) -> SolutionPair:
     """The solution (a, b) conjugated by g^alpha; solves for every alpha."""
     h = inst.g ** alpha
     return SolutionPair(inst.a.conjugate(h), inst.b.conjugate(h))
-
-
-def gcd_family(inst: EquationInstance, s: int, t: int) -> SolutionPair:
-    """Bezout solution (g^s, g^t), defined when n s + m t = 1."""
-    if math.gcd(inst.n, inst.m) != 1:
-        raise WordError(f"gcd({inst.n}, {inst.m}) != 1: no Bezout solutions")
-    if inst.n * s + inst.m * t != 1:
-        raise WordError(f"Bezout condition fails: {inst.n}*{s} + {inst.m}*{t} != 1")
-    return SolutionPair(inst.g ** s, inst.g ** t)
 
 
 def power_exponent_of(base: Word, x: Word) -> Optional[int]:
@@ -204,11 +195,11 @@ def classify_solution(inst: EquationInstance, p: SolutionPair) -> Classification
         )
     if not p.x.is_identity() and not p.y.is_identity():
         if same_elementary_subgroup(p.x, p.y):
-            return Classification(Tag.COMMON_E, {"e_generator": elementary_generator(p.x)})
-        xe = power_exponent_of(elementary_generator(p.y), p.x ** inst.n)
+            return Classification(Tag.COMMON_E, {"e_generator": root(p.x).root})
+        xe = power_exponent_of(root(p.y).root, p.x ** inst.n)
         if xe is not None:
             return Classification(Tag.POWER_IN_E, {"which": "x^n in E(y)", "exponent": xe})
-        ye = power_exponent_of(elementary_generator(p.x), p.y ** inst.m)
+        ye = power_exponent_of(root(p.x).root, p.y ** inst.m)
         if ye is not None:
             return Classification(Tag.POWER_IN_E, {"which": "y^m in E(x)", "exponent": ye})
     return Classification(Tag.UNCLASSIFIED, {})
@@ -288,22 +279,3 @@ def verify_perfect(
     }
     perfect = all(c.tag is Tag.CONJUGATE_FAMILY for _, c in tagged)
     return PerfectnessReport(inst, bound, tagged, perfect, flags)
-
-
-def conjugator_normal_form(inst: EquationInstance, u: Word, v: Word) -> Optional[int]:
-    """Find r with u in <a> g^r and v in <b> g^r, searching |r| <= |u|+|v|.
-
-    Requires (u^{-1} a^n u)(v^{-1} b^m v) = a^n b^m; raises otherwise.
-    Returns None when no r lies in the window (distinct from an error).
-    """
-    lhs = (inst.a ** inst.n).conjugate(u) * (inst.b ** inst.m).conjugate(v)
-    if lhs != inst.g:
-        raise WordError("inputs do not conjugate the equation onto itself")
-    window = len(u) + len(v)
-    for r in range(0, window + 1):
-        for sign in ((1,) if r == 0 else (1, -1)):
-            cand = sign * r
-            shift = inst.g ** (-cand)
-            if power_exponent_of(inst.a, u * shift) is not None and power_exponent_of(inst.b, v * shift) is not None:
-                return cand
-    return None

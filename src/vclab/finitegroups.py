@@ -1,9 +1,9 @@
 """Finite groups as multiplication tables, with exhaustive searches.
 
 Provides the dihedral group of order 8, central products, homomorphism
-enumeration from presentations and from table groups, retraction search,
-and exhaustive verbal-closedness checking.  The headline suite builds the
-central product of two dihedral groups amalgamated over their centers and
+enumeration between table groups, retraction search, and exhaustive
+verbal-closedness checking.  The headline suite builds the central
+product of two dihedral groups amalgamated over their centers and
 verifies that one factor is verbally closed in it while the center is not
 a retract of the other factor.
 """
@@ -14,7 +14,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .presentations import Presentation
 from .words import Alphabet, Word, WordError, enumerate_reduced, format_word
 
 
@@ -201,33 +200,16 @@ def central_product(a: FiniteGroup, b: FiniteGroup, za: int, zb: int) -> Central
     return CentralProduct(group, embed_left, embed_right)
 
 
-def direct_product(a: FiniteGroup, b: FiniteGroup) -> CentralProduct:
-    return central_product(a, b, a.identity, b.identity)
-
-
 # -- homomorphisms -----------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class FGHom:
-    """A homomorphism given by generator images, with the full element map
-    when the source is a table group."""
+    """A homomorphism of table groups: the images of the source's
+    generating set and the full element map."""
 
     images: tuple[int, ...]
-    mapping: Optional[tuple[int, ...]] = None
-
-
-def enumerate_homs(src: Presentation, dst: FiniteGroup, budget: int = 10**7) -> list[FGHom]:
-    """All generator-image tuples killing every relator; complete by
-    exhaustion over dst^num_gens."""
-    total = dst.order ** src.num_gens
-    if total > budget:
-        raise SearchBudgetExceeded(f"{total} assignments exceed budget {budget}")
-    out = []
-    for images in itertools.product(range(dst.order), repeat=src.num_gens):
-        if all(dst.evaluate_word(r, images) == dst.identity for r in src.relators):
-            out.append(FGHom(images))
-    return out
+    mapping: tuple[int, ...]
 
 
 def _generating_set(g: FiniteGroup) -> list[int]:

@@ -65,16 +65,6 @@ class FiniteMetricSpace:
             return free_word_metric(u, v)
         return self.dist_matrix[i][j]
 
-    def check_triangle_inequality(self, samples: int, seed: int = 0) -> bool:
-        rng = random.Random(seed)
-        pts, d = self.points, self.dist
-        n = len(pts)
-        for _ in range(samples):
-            u, v, w = (pts[rng.randrange(n)] for _ in range(3))
-            if d(u, w) > d(u, v) + d(v, w):
-                return False
-        return True
-
 
 def cayley_ball(gens: Sequence[Word], radius: int, cap: int = 200_000) -> FiniteMetricSpace:
     """Ball of the word metric over ``gens`` in the free group.
@@ -210,16 +200,6 @@ def delta_thin_report(
     return DeltaReport(best, witness, samples)
 
 
-def estimate_delta_thin(
-    sp: FiniteMetricSpace,
-    geodesic_oracle: GeodesicOracle,
-    samples: int,
-    seed: int = 0,
-) -> Fraction:
-    """Lower bound for the thinness constant; see delta_thin_report."""
-    return delta_thin_report(sp, geodesic_oracle, samples, seed).lower_bound
-
-
 @dataclass(frozen=True)
 class QGConstants:
     kappa: Fraction
@@ -246,9 +226,6 @@ class PathSample:
             dist = free_word_metric
         steps = tuple(dist(vertices[i], vertices[i + 1]) for i in range(len(vertices) - 1))
         return PathSample(tuple(vertices), steps, dist)
-
-    def length(self) -> int:
-        return sum(self.steps)
 
     @property
     def start(self) -> Word:
@@ -445,26 +422,3 @@ def divergence_experiment(c: Word, d: Word, n_max: int, m_max: int) -> Divergenc
             if ratio > best:
                 best = ratio
     return DivergenceReport(c, d, tuple(rows), best, growth_ok)
-
-
-def minimal_conjugation_split(w: Word, bound: int) -> tuple[Word, Word]:
-    """Shortest x with w = x^{-1} y x and |y| <= bound.
-
-    Candidates come from trimming the cyclic-reduction conjugator letter
-    by letter; each trimmed letter shortens x by one and lengthens y by
-    two, exactly (the assembled word is reduced as written).
-    """
-    core, conj = w.cyclic_reduce()
-    if bound < len(core):
-        raise WordError(f"bound {bound} below cyclic core length {len(core)}")
-    # w = conj * core * conj^{-1}; with x = conj^{-1} (k letters) the
-    # split j keeps the last j letters of x: |y_j| = |core| + 2(k - j)
-    k = len(conj)
-    slack = (bound - len(core)) // 2
-    j = max(0, k - slack)
-    prefix = Word.from_letters(w.alphabet, list(conj.letters())[:j])
-    x = prefix.inverse()
-    y = prefix.inverse() * w * prefix  # w = x^{-1} y x with x = prefix^{-1}
-    assert x.inverse() * y * x == w
-    assert len(y) <= bound
-    return y, x

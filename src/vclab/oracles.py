@@ -1,9 +1,8 @@
 """Decision procedures in free groups.
 
 Conjugacy via cyclic normal forms, maximal roots, commensurability,
-elementary (maximal cyclic) subgroups, special tuples, and Stallings
-folding for subgroup membership and rank.  Every positive answer carries
-a witness that re-verifies by plain word arithmetic.
+elementary (maximal cyclic) subgroups and special tuples.  Every positive
+answer carries a witness that re-verifies by plain word arithmetic.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
-from .words import Alphabet, Syllable, Word, WordError
+from .words import Syllable, Word, WordError
 
 
 class ConjugacyWitness(NamedTuple):
@@ -33,16 +32,12 @@ class CommensurabilityWitness(NamedTuple):
     t: int
 
 
-def _signed_letters(w: Word) -> list[int]:
-    return list(w.letters())
-
-
 def is_conjugate(u: Word, v: Word) -> Optional[ConjugacyWitness]:
     """Decide conjugacy; exact via rotation of cyclic normal forms."""
     u._require_same_alphabet(v)
     cu, pu = u.cyclic_reduce()
     cv, pv = v.cyclic_reduce()
-    lu, lv = _signed_letters(cu), _signed_letters(cv)
+    lu, lv = list(cu.letters()), list(cv.letters())
     if len(lu) != len(lv):
         return None
     if not lu:
@@ -68,7 +63,7 @@ def root(w: Word) -> RootData:
     if w.is_identity():
         raise WordError("identity has no well-defined root")
     core, conj = w.cyclic_reduce()
-    letters = _signed_letters(core)
+    letters = list(core.letters())
     n = len(letters)
     # prefix[i]: length of the longest proper border of letters[:i + 1]
     prefix = [0] * n
@@ -115,26 +110,10 @@ def is_commensurable(u: Word, v: Word) -> Optional[CommensurabilityWitness]:
     return None
 
 
-def elementary_subgroup(w: Word) -> tuple[Word, Word]:
-    """Data (r, u) with E(w) = u <r> u^{-1}, r primitive.
-
-    Here E(w) is the maximal cyclic subgroup containing w: the set of f
-    with f^{-1} w^k f = w^m for nonzero k, m.
-    """
-    if w.is_identity():
-        raise WordError("elementary subgroup undefined for the identity")
-    core, conj = w.cyclic_reduce()
-    return root(core).root, conj
-
-
-def elementary_generator(w: Word) -> Word:
-    """Single-word generator of E(w): u * r * u^{-1}."""
-    r, u = elementary_subgroup(w)
-    return u * r * u.inverse()
-
-
 def same_elementary_subgroup(w1: Word, w2: Word) -> bool:
-    g1, g2 = elementary_generator(w1), elementary_generator(w2)
+    """Whether E(w1) = E(w2), E(w) being the maximal cyclic subgroup
+    containing w, which ``root(w).root`` generates."""
+    g1, g2 = root(w1).root, root(w2).root
     return g1 == g2 or g1 == g2.inverse()
 
 
@@ -165,131 +144,3 @@ def is_special_tuple(ws: Sequence[Word]) -> SpecialTupleVerdict:
             if is_commensurable(ws[i], ws[j]) is not None:
                 return SpecialTupleVerdict(False, f"commensurable pair ({ws[i]}, {ws[j]})")
     return SpecialTupleVerdict(True)
-
-
-# -- Stallings folding ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SubgroupGraph:
-    """Folded labeled graph of a finitely generated subgroup.
-
-    Deterministic: at most one edge with a given generator label leaves
-    each state.  ``edges`` maps (state, signed label) -> state where the
-    signed label is +-(gen+1) as in Word.letters().
-    """
-
-    alphabet: Alphabet
-    num_states: int
-    base: int
-    edges: dict[tuple[int, int], int]
-
-    def accepts(self, w: Word) -> bool:
-        state = self.base
-        for letter in w.letters():
-            nxt = self.edges.get((state, letter))
-            if nxt is None:
-                return False
-            state = nxt
-        return state == self.base
-
-    def geometric_edges(self) -> set[tuple[int, int, int]]:
-        return {(s, lab, t) for (s, lab), t in self.edges.items() if lab > 0}
-
-    def betti_number(self) -> int:
-        return len(self.geometric_edges()) - self.num_states + 1
-
-
-def fold(gens: Sequence[Word], alph: Alphabet | None = None) -> SubgroupGraph:
-    """Build the folded subgroup graph for the given generators.
-
-    Starts from a wedge of loops at the base state and identifies clashing
-    edges to a fixed point, always folding the lexicographically least
-    clashing pair (state, label, target, target).
-    """
-    if alph is None:
-        if not gens:
-            raise WordError("need an alphabet when the generator list is empty")
-        alph = gens[0].alphabet
-    for g in gens:
-        if g.alphabet != alph:
-            raise WordError("subgroup generators use mixed alphabets")
-
-    # raw edge list: each geometric edge stored once with positive label
-    edges: list[list[int]] = []  # [src, label>0, dst]
-    next_state = 1
-    for g in gens:
-        state = 0
-        letters = list(g.letters())
-        for i, letter in enumerate(letters):
-            target = 0 if i == len(letters) - 1 else next_state
-            if target == next_state:
-                next_state += 1
-            if letter > 0:
-                edges.append([state, letter, target])
-            else:
-                edges.append([target, -letter, state])
-            state = target
-
-    parent = list(range(next_state))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    while True:
-        canon = sorted({(find(s), lab, find(t)) for s, lab, t in edges})
-        clash = None
-        seen: dict[tuple[int, int], int] = {}
-        for s, lab, t in canon:
-            # an s-clash: two distinct targets for the same out-label; a
-            # t-clash: two distinct sources for the same in-label
-            if (s, lab) in seen and seen[(s, lab)] != t:
-                clash = (min(seen[(s, lab)], t), max(seen[(s, lab)], t))
-                break
-            seen[(s, lab)] = t
-        if clash is None:
-            seen_rev: dict[tuple[int, int], int] = {}
-            for s, lab, t in canon:
-                if (t, lab) in seen_rev and seen_rev[(t, lab)] != s:
-                    clash = (min(seen_rev[(t, lab)], s), max(seen_rev[(t, lab)], s))
-                    break
-                seen_rev[(t, lab)] = s
-        if clash is None:
-            edges = [list(e) for e in canon]
-            break
-        a, b = clash
-        parent[find(b)] = find(a)
-
-    # compact state indices, base first
-    reachable = {0}
-    for s, _, t in edges:
-        reachable.add(s)
-        reachable.add(t)
-    order = sorted(reachable)
-    index = {old: new for new, old in enumerate(order)}
-    edge_map: dict[tuple[int, int], int] = {}
-    for s, lab, t in edges:
-        edge_map[(index[s], lab)] = index[t]
-        edge_map[(index[t], -lab)] = index[s]
-    return SubgroupGraph(alph, len(order), index[0], edge_map)
-
-
-def subgroup_membership(gens: Sequence[Word], w: Word) -> bool:
-    """Exact membership of w in <gens> via the folded graph."""
-    if w.is_identity():
-        return True
-    graph = fold(gens, w.alphabet)
-    return graph.accepts(w)
-
-
-def verify_free_of_rank(ws: Sequence[Word], alph: Alphabet | None = None) -> bool:
-    """True iff ws is a basis of a free subgroup of rank len(ws).
-
-    The folded graph's first Betti number is the rank of <ws>; it equals
-    len(ws) exactly when the given words are independent generators.
-    """
-    graph = fold(ws, alph)
-    return graph.betti_number() == len(ws)

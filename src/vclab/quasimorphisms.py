@@ -4,7 +4,8 @@ Two kinds are provided: exponent-sum homomorphisms (defect exactly zero)
 and counting quasimorphisms (signed occurrences of a fixed pattern in the
 reduced word).  Defect estimation is sampling-based and yields lower
 bounds only; homogenization is by truncation q(g^M)/M with the standard
-subadditivity error D/M.
+subadditivity error D/M, and conjugacy invariance is measured by the
+truncated residual against its bound.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .words import Word, WordError, format_word
-from .equations import EquationInstance, SolutionPair, is_solution
 
 
 class QMKind(enum.Enum):
@@ -145,89 +145,3 @@ def conjugacy_invariance_check(
     residual = abs(q(g ** m) / m - q(h ** m) / m)
     bound = 2 * (abs(q(u)) + Fraction(defect)) / m
     return InvarianceCheck(residual, bound)
-
-
-# -- separation identities for the equation family ---------------------------
-
-
-@dataclass(frozen=True)
-class SeparationReport:
-    """Exponent-sum identities satisfied by a solution of x^n y^m = a^n b^m.
-
-    With a and b distinct standard generators, the exponent-sum
-    homomorphisms q_a and q_b have defect zero, so the quasimorphism
-    bounds collapse to exact equalities:
-
-        q_a(x) n + q_a(y) m = n        q_b(x) n + q_b(y) m = m
-
-    The pattern flags say which commensurability pattern the observed
-    values are consistent with: aligned (x with a, y with b; forces both
-    conjugating powers to be 1), swapped (x with b, y with a; forces
-    n = t m and m = s n), or vanishing (a component pair with both
-    exponent sums zero, impossible for positive n, m).
-    """
-
-    qa_x: int
-    qa_y: int
-    qb_x: int
-    qb_y: int
-    identity_a: bool
-    identity_b: bool
-    aligned_consistent: bool
-    swapped_consistent: bool
-    swapped_constraints: Optional[dict]
-    vanishing_consistent: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "qa_x": self.qa_x,
-            "qa_y": self.qa_y,
-            "qb_x": self.qb_x,
-            "qb_y": self.qb_y,
-            "identity_a": self.identity_a,
-            "identity_b": self.identity_b,
-            "aligned_consistent": self.aligned_consistent,
-            "swapped_consistent": self.swapped_consistent,
-            "swapped_constraints": self.swapped_constraints,
-            "vanishing_consistent": self.vanishing_consistent,
-        }
-
-
-def separation_report(inst: EquationInstance, p: SolutionPair) -> SeparationReport:
-    if not is_solution(inst, p):
-        raise WordError("separation analysis requires a genuine solution")
-    a_syl, b_syl = inst.a.syllables, inst.b.syllables
-    if (
-        len(a_syl) != 1 or a_syl[0].exp != 1
-        or len(b_syl) != 1 or b_syl[0].exp != 1
-        or a_syl[0].gen == b_syl[0].gen
-    ):
-        raise WordError("a and b must be distinct standard generators")
-    qa = exponent_sum_qm(a_syl[0].gen)
-    qb = exponent_sum_qm(b_syl[0].gen)
-    n, m = inst.n, inst.m
-    qa_x, qa_y = int(qa(p.x)), int(qa(p.y))
-    qb_x, qb_y = int(qb(p.x)), int(qb(p.y))
-    identity_a = qa_x * n + qa_y * m == n
-    identity_b = qb_x * n + qb_y * m == m
-    # aligned: x a power-conjugate of a (q_b vanishes), y of b (q_a vanishes);
-    # the identities then force both powers s = q_a(x), t = q_b(y) to be 1
-    aligned = qb_x == 0 and qa_y == 0 and qa_x == 1 and qb_y == 1
-    # swapped: x carries b, y carries a; defect zero forces n = t m, m = s n
-    swapped = qa_x == 0 and qb_y == 0 and n == qa_y * m and m == qb_x * n
-    constraints = None
-    if qa_x == 0 and qb_y == 0:
-        constraints = {"t": qa_y, "s": qb_x, "n_eq_t_m": n == qa_y * m, "m_eq_s_n": m == qb_x * n}
-    vanishing = (qa_x == 0 and qa_y == 0) or (qb_x == 0 and qb_y == 0)
-    return SeparationReport(
-        qa_x=qa_x,
-        qa_y=qa_y,
-        qb_x=qb_x,
-        qb_y=qb_y,
-        identity_a=identity_a,
-        identity_b=identity_b,
-        aligned_consistent=aligned,
-        swapped_consistent=swapped,
-        swapped_constraints=constraints,
-        vanishing_consistent=vanishing,
-    )

@@ -164,10 +164,6 @@ class TestWordSpec:
     def to_json_dict(self) -> dict:
         return {"level": self.level, "tuples": [list(t.as_dict().values()) for t in self.tuples]}
 
-    @staticmethod
-    def from_json_dict(data: dict) -> "TestWordSpec":
-        return TestWordSpec(data["level"], tuple(ExponentTuple.from_list(t) for t in data["tuples"]))
-
 
 def evaluate(w: SymbolicWord, assignment: Mapping[str, Word]) -> Word:
     """Homomorphic image under variable name -> word, reduced.

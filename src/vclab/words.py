@@ -234,11 +234,6 @@ class Word:
         return f"Word({format_word(self)!r}, rank={self.alphabet.rank})"
 
 
-def reduce(letters: Iterable[tuple[int, int]], alph: Alphabet) -> Word:
-    """Reduce a stream of (generator, exponent) pairs to a Word."""
-    return Word.from_syllables(alph, letters)
-
-
 def substitute(w: Word, images: Sequence[Word]) -> Word:
     """Homomorphic image of w under generator i -> images[i]."""
     if len(images) < w.alphabet.rank:

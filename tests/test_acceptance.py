@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from vclab.words import Alphabet, enumerate_reduced, parse_word, reduce
+from vclab.words import Alphabet, Word, enumerate_reduced, parse_word
 from vclab import equations, finitegroups, hypgeom, oracles, presentations, quasimorphisms, testwords
 
 F2 = Alphabet(2)
@@ -27,7 +27,7 @@ def p3(text):
 
 def rand_word(rng, alph, max_len):
     letters = [(rng.randrange(alph.rank), rng.choice((1, -1))) for _ in range(rng.randint(0, max_len))]
-    return reduce(letters, alph)
+    return Word.from_syllables(alph, letters)
 
 
 def announce(number, name, elapsed=None):
@@ -39,7 +39,7 @@ def announce(number, name, elapsed=None):
 
 def test_acceptance_01_conjugacy_oracle_equivalence():
     start = time.time()
-    singles = [reduce([(g, s)], F2) for g in range(2) for s in (1, -1)]
+    singles = [Word.from_syllables(F2, [(g, s)]) for g in range(2) for s in (1, -1)]
 
     def closure(word, depth):
         # all conjugates g^{-1} w g with |g| <= depth; single-letter BFS
@@ -174,7 +174,7 @@ def test_acceptance_06_quasimorphism_numerics():
 def test_acceptance_07_geometry():
     start = time.time()
     ball = hypgeom.cayley_ball([p2("a"), p2("b")], 5)
-    delta = hypgeom.estimate_delta_thin(ball, hypgeom.free_tree_geodesic, 1000, seed=7)
+    delta = hypgeom.delta_thin_report(ball, hypgeom.free_tree_geodesic, 1000, seed=7).lower_bound
     assert delta == 0
     rng = random.Random(77)
     for _ in range(1000):

@@ -210,6 +210,10 @@ def test_cayley_delta_cap_is_checked_before_enumerating(monkeypatch, capsys):
     ("midpoint-check", "--radius", "1", "--samples", "-5"),
     ("cayley-delta", "--radius", "1", "--samples", "-2"),
     ("qm-defect", "--pattern", "ab", "--pairs", "-3"),
+    ("qm-defect", "--pattern", "ab", "--pairs", "3", "--max-len", "-3"),
+    ("verify-testword", "--exponents", "1 1 1 1 1 1 1 1 1 1", "--targets", "a;b;c", "--bound", "-1"),
+    ("solve-eq", "--a", "a", "--b", "b", "--n", "2", "--m", "3", "--bound", "-1"),
+    ("verify-perfect", "--a", "a", "--b", "b", "--n", "2", "--m", "3", "--bound", "1", "--max-candidates", "-4"),
 ])
 def test_negative_counts_are_usage_errors(capsys, argv):
     code, err = usage_exit(capsys, *argv)

@@ -1,11 +1,13 @@
-"""Source hygiene of the package: every imported name is used, and every
-CLI flag is read by the subcommand that accepts it."""
+"""Source hygiene of the package: every imported name is used, every
+module-level definition is reached, and every CLI flag is read by the
+subcommand that accepts it."""
 
 from __future__ import annotations
 
 import argparse
 import ast
 from pathlib import Path
+from typing import Iterable, Sequence
 
 import pytest
 
@@ -64,6 +66,52 @@ def test_package_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def loaded_names(nodes: Iterable[ast.AST]) -> set[str]:
+    """Names read as a name expression or as an attribute."""
+    out = set()
+    for node in nodes:
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+    return out
+
+
+def unread_definitions(sources: dict[str, str], readers: Sequence[str] = ()) -> list[str]:
+    """Module-level functions and classes that no code reads.
+
+    A definition counts as read when its name is read in another module,
+    in one of the ``readers``, or in its own module outside its own
+    definition.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    reads = {module: loaded_names(ast.walk(tree)) for module, tree in trees.items()}
+    outside = set().union(*(loaded_names(ast.walk(ast.parse(source))) for source in readers))
+    unread = []
+    for module, tree in trees.items():
+        elsewhere = outside.union(*(names for other, names in reads.items() if other != module))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.name not in elsewhere:
+                inside = set(map(id, ast.walk(node)))
+                if node.name not in loaded_names(n for n in ast.walk(tree) if id(n) not in inside):
+                    unread.append(f"{module}.{node.name}")
+    return sorted(unread)
+
+
+def test_definition_scan_ignores_reads_inside_the_definition():
+    sources = {
+        "m": "def used():\n    return 1\n\ndef loop(n):\n    return loop(n - 1) + used()\n\nclass Box:\n    pass\n",
+        "n": "def caller(x):\n    return x.Box\n",
+    }
+    assert unread_definitions(sources, ["caller(1)"]) == ["m.loop"]
+
+
+def test_every_definition_is_read_outside_itself():
+    sources = {path.stem: path.read_text() for path in MODULES}
+    acceptance = (Path(__file__).resolve().parent / "test_acceptance.py").read_text()
+    assert unread_definitions(sources, [acceptance]) == []
 
 
 def args_reads(source: str) -> dict[str, set[str]]:

@@ -3,18 +3,13 @@ import random
 
 import pytest
 
-from vclab.words import Alphabet, Word, WordError, enumerate_reduced, parse_word, reduce
+from vclab.words import Alphabet, Word, WordError, enumerate_reduced, parse_word
 from vclab.oracles import (
-    elementary_generator,
-    elementary_subgroup,
-    fold,
     is_commensurable,
     is_conjugate,
     is_special_tuple,
     root,
     same_elementary_subgroup,
-    subgroup_membership,
-    verify_free_of_rank,
 )
 
 F2 = Alphabet(2)
@@ -26,13 +21,13 @@ def w(text, alph=F2):
 
 def random_word(rng, alph, max_len):
     letters = [(rng.randrange(alph.rank), rng.choice((1, -1))) for _ in range(rng.randint(0, max_len))]
-    return reduce(letters, alph)
+    return Word.from_syllables(alph, letters)
 
 
 def conjugate_closure(word, depth):
     """All g^{-1} w g with |g| <= depth, by single-letter conjugation BFS."""
     alph = word.alphabet
-    singles = [reduce([(g, s)], alph) for g in range(alph.rank) for s in (1, -1)]
+    singles = [Word.from_syllables(alph, [(g, s)]) for g in range(alph.rank) for s in (1, -1)]
     seen = {word}
     frontier = [word]
     for _ in range(depth):
@@ -176,9 +171,10 @@ def test_commensurability_symmetric_and_power_invariant():
 # -- elementary subgroups ------------------------------------------------------------
 
 def test_elementary_subgroup_examples():
-    assert elementary_subgroup(w("a^2")) == (w("a"), w(""))
-    assert elementary_subgroup(w("Ba^3b")) == (w("a"), w("B"))
-    assert elementary_subgroup(w("ab")) == (w("ab"), w(""))
+    # E(w) is generated by the root of w
+    assert root(w("a^2")).root == w("a")
+    assert root(w("Ba^3b")).root == w("Bab")
+    assert root(w("ab")).root == w("ab")
 
 
 def test_elementary_subgroup_equality_criterion():
@@ -187,18 +183,6 @@ def test_elementary_subgroup_equality_criterion():
     assert same_elementary_subgroup(w("Bab"), w("Ba^2b"))
     assert not same_elementary_subgroup(w("a"), w("b"))
     assert not same_elementary_subgroup(w("a"), w("Bab"))
-
-
-def test_elementary_generator_contains_word():
-    rng = random.Random(67)
-    for _ in range(100):
-        word = random_word(rng, F2, 6)
-        if word.is_identity():
-            continue
-        gen = elementary_generator(word)
-        # word is a power of the generator of E(word)
-        rd = root(word)
-        assert gen in (rd.root, rd.root.inverse())
 
 
 # -- special tuples --------------------------------------------------------------------
@@ -214,70 +198,6 @@ def test_special_tuple_examples():
 def test_special_tuple_rejects_identity():
     with pytest.raises(WordError):
         is_special_tuple([w("a"), w("")])
-
-
-# -- folding ------------------------------------------------------------------------------
-
-def test_membership_examples():
-    gens = [w("a^2"), w("b^2")]
-    assert subgroup_membership(gens, w("a^2b^2"))
-    assert not subgroup_membership(gens, w("ab"))
-    assert subgroup_membership(gens, w(""))
-
-
-def test_membership_accepts_all_products():
-    rng = random.Random(71)
-    gens = [w("a^2"), w("ab"), w("b^3")]
-    for _ in range(200):
-        prod = F2.identity()
-        for _ in range(rng.randint(0, 6)):
-            g = rng.choice(gens)
-            prod = prod * (g if rng.random() < 0.5 else g.inverse())
-        assert subgroup_membership(gens, prod)
-
-
-def test_membership_negative_backed_by_bounded_products():
-    gens = [w("a^2"), w("b^2")]
-    target = w("ab")
-    assert not subgroup_membership(gens, target)
-    # no product of up to 4 generator letters hits the target
-    sided = [g for base in gens for g in (base, base.inverse())]
-    for k in range(5):
-        for combo in itertools.product(sided, repeat=k):
-            prod = F2.identity()
-            for factor in combo:
-                prod = prod * factor
-            assert prod != target
-
-
-def test_rank_examples():
-    assert verify_free_of_rank([w("a^3"), w("b^3")])
-    assert not verify_free_of_rank([w("a"), w("a^2")])
-    assert verify_free_of_rank([w("a"), w("b")])
-
-
-def test_rank_invariant_under_nielsen_moves():
-    rng = random.Random(73)
-    for _ in range(60):
-        ws = [random_word(rng, F2, 5) for _ in range(3)]
-        expected = verify_free_of_rank(ws, F2)
-        moved = list(ws)
-        for _ in range(rng.randint(1, 6)):
-            move = rng.randrange(3)
-            i, j = rng.sample(range(len(moved)), 2)
-            if move == 0:
-                moved[i], moved[j] = moved[j], moved[i]
-            elif move == 1:
-                moved[i] = moved[i].inverse()
-            else:
-                moved[i] = moved[i] * moved[j]
-        assert verify_free_of_rank(moved, F2) == expected
-
-
-def test_folded_graph_is_deterministic():
-    graph = fold([w("a^2"), w("b^2"), w("abab")])
-    for (state, label), target in graph.edges.items():
-        assert graph.edges[(target, -label)] == state
 
 
 def scan_root(word):

@@ -3,8 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from vclab.words import Alphabet, WordError, parse_word, reduce
-from vclab.equations import EquationInstance, SolutionPair
+from vclab.words import Alphabet, Word, WordError, parse_word
 from vclab.quasimorphisms import (
     QMKind,
     conjugacy_invariance_check,
@@ -12,7 +11,6 @@ from vclab.quasimorphisms import (
     defect_estimate,
     exponent_sum_qm,
     homogenize,
-    separation_report,
 )
 
 F2 = Alphabet(2)
@@ -24,7 +22,7 @@ def p(text):
 
 def random_word(rng, max_len, alph=F2):
     letters = [(rng.randrange(alph.rank), rng.choice((1, -1))) for _ in range(rng.randint(0, max_len))]
-    return reduce(letters, alph)
+    return Word.from_syllables(alph, letters)
 
 
 def random_pairs(seed, count, max_len):
@@ -172,47 +170,3 @@ def test_invariance_random_conjugators():
         for m in (1, 4, 16, 64):
             check = conjugacy_invariance_check(q, g, u, m, d_hat)
             assert check.within_bound
-
-
-# -- separation identities -----------------------------------------------------------
-
-def test_separation_base_solution_is_aligned():
-    inst = EquationInstance(p("a"), p("b"), 2, 3)
-    rep = separation_report(inst, SolutionPair(p("a"), p("b")))
-    assert rep.identity_a and rep.identity_b
-    assert rep.aligned_consistent
-    assert not rep.swapped_consistent
-    assert not rep.vanishing_consistent
-
-
-def test_separation_bezout_solution():
-    inst = EquationInstance(p("a"), p("b"), 2, 3)
-    g = inst.g
-    rep = separation_report(inst, SolutionPair(g ** -1, g))
-    # components are powers of g, with q_a(g^s) = s n
-    assert rep.qa_x == -1 * inst.n and rep.qa_y == 1 * inst.n
-    assert rep.identity_a and rep.identity_b
-    assert not rep.aligned_consistent
-
-
-def test_separation_swapped_pattern_records_constraints():
-    # n = m = 1 admits the swapped solution (b, B a b)
-    inst = EquationInstance(p("a"), p("b"), 1, 1)
-    rep = separation_report(inst, SolutionPair(p("b"), p("Bab")))
-    assert rep.swapped_constraints == {"t": 1, "s": 1, "n_eq_t_m": True, "m_eq_s_n": True}
-    assert rep.swapped_consistent
-
-
-def test_separation_identities_hold_for_all_bounded_solutions():
-    from vclab.equations import brute_force_solutions
-
-    inst = EquationInstance(p("a"), p("b"), 2, 3)
-    for pair in brute_force_solutions(inst, 5):
-        rep = separation_report(inst, pair)
-        assert rep.identity_a and rep.identity_b
-
-
-def test_separation_requires_generator_coefficients():
-    inst = EquationInstance(p("ab"), p("b"), 2, 3)
-    with pytest.raises(WordError):
-        separation_report(inst, SolutionPair(p("ab"), p("b")))

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from vclab.words import Alphabet, WordError, enumerate_reduced, parse_word, reduce, substitute
+from vclab.words import Alphabet, Word, WordError, enumerate_reduced, parse_word, substitute
 from vclab.testwords import (
     CertificateResult,
     ExponentTuple,
@@ -30,7 +30,7 @@ def p(text, alph=F3):
 
 def random_word(rng, alph, max_len):
     letters = [(rng.randrange(alph.rank), rng.choice((1, -1))) for _ in range(rng.randint(0, max_len))]
-    return reduce(letters, alph)
+    return Word.from_syllables(alph, letters)
 
 
 ABC = [p("a"), p("b"), p("c")]
@@ -120,8 +120,6 @@ def test_spec_builds_tower():
     spec = TestWordSpec(5, tuple(ExponentTuple.uniform(1) for _ in range(3)))
     w5 = spec.build()
     assert w5.level == 5
-    roundtrip = TestWordSpec.from_json_dict(spec.to_json_dict())
-    assert roundtrip == spec
 
 
 # -- evaluation --------------------------------------------------------------------

@@ -13,7 +13,6 @@ from vclab.words import (
     enumerate_reduced,
     format_word,
     parse_word,
-    reduce,
     substitute,
 )
 
@@ -31,7 +30,7 @@ def random_word(rng, alph, max_len):
         gen = rng.randrange(alph.rank)
         sign = rng.choice((1, -1))
         letters.append((gen, sign))
-    return reduce(letters, alph)
+    return Word.from_syllables(alph, letters)
 
 
 # -- parsing and formatting -------------------------------------------------
@@ -71,34 +70,34 @@ def test_parse_rejects_garbage():
 
 @given(st.lists(st.tuples(st.integers(0, 2), st.sampled_from([1, -1])), max_size=30))
 def test_roundtrip_parse_format(letters):
-    word = reduce(letters, F3)
+    word = Word.from_syllables(F3, letters)
     assert parse_word(format_word(word), F3) == word
 
 
 def test_roundtrip_large_rank():
     big = Alphabet(30)
-    word = reduce([(28, 1), (2, -1), (28, 1)], big)
+    word = Word.from_syllables(big, [(28, 1), (2, -1), (28, 1)])
     assert parse_word(format_word(word), big) == word
 
 
 # -- reduction ---------------------------------------------------------------
 
 def test_reduce_cancellation():
-    assert reduce([(0, 1), (1, 1), (1, -1), (0, 1)], F2) == w("a^2")
+    assert Word.from_syllables(F2, [(0, 1), (1, 1), (1, -1), (0, 1)]) == w("a^2")
 
 
 def test_reduce_to_identity():
-    assert reduce([(0, 1), (0, -1)], F2).is_identity()
+    assert Word.from_syllables(F2, [(0, 1), (0, -1)]).is_identity()
 
 
 def test_reduce_merges_syllables():
-    assert reduce([(0, 2), (0, 3)], F2) == w("a^5")
+    assert Word.from_syllables(F2, [(0, 2), (0, 3)]) == w("a^5")
 
 
 @given(st.lists(st.tuples(st.integers(0, 1), st.integers(-3, 3)), max_size=25))
 def test_reduce_idempotent(items):
-    word = reduce(items, F2)
-    assert reduce(list(word.syllables), F2) == word
+    word = Word.from_syllables(F2, items)
+    assert Word.from_syllables(F2, list(word.syllables)) == word
 
 
 # -- group operations ---------------------------------------------------------
@@ -158,7 +157,7 @@ def test_power_agrees_with_repeated_multiplication():
 # shares no code with the syllable kernel.
 
 syllable_words = st.lists(st.tuples(st.integers(0, 2), st.integers(-3, 3)), max_size=12).map(
-    lambda items: reduce(items, F3)
+    lambda items: Word.from_syllables(F3, items)
 )
 
 
