@@ -32,22 +32,42 @@ def _infer_rank(texts: Sequence[str], rank: Optional[int]) -> Alphabet:
     return Alphabet(max(used + 1, 1))
 
 
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+
+
 def _count(text: str) -> int:
     """argparse type of a count flag: an integer >= 0."""
-    value = int(text)
+    value = _integer(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
 
 
+def _int_list(text: str) -> list[int]:
+    """argparse type of a list flag: comma-separated integers."""
+    return [_integer(x) for x in text.split(",")]
+
+
+def _matrix(text: str) -> list[list[int]]:
+    """argparse type of a matrix flag: rows separated by ';', integers by spaces."""
+    return [[_integer(x) for x in row.split()] for row in text.split(";") if row.strip()]
+
+
+def _exponent_rows(text: str) -> list[testwords.ExponentTuple]:
+    """argparse type of ``--exponents``: matrix rows of ten exponents each."""
+    try:
+        return [testwords.ExponentTuple.from_list(row) for row in _matrix(text)]
+    except WordError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
+
+
 def _split_words(text: str) -> list[str]:
     # every segment counts; write the identity as '1' or an empty segment
     return [part.strip() for part in text.split(";")]
-
-
-def _parse_matrix(text: str) -> list[list[int]]:
-    rows = [row.strip() for row in text.split(";") if row.strip()]
-    return [[int(x) for x in row.split()] for row in rows]
 
 
 def _write_report(payload: str, out: Optional[str]) -> None:
@@ -91,15 +111,9 @@ def _cmd_verify_perfect(args) -> tuple[int, str]:
     return code, _json_payload(report.to_json_dict())
 
 
-def _parse_exponent_rows(text: str) -> list[testwords.ExponentTuple]:
-    rows = [row.strip() for row in text.split(";") if row.strip()]
-    return [testwords.ExponentTuple.from_list([int(x) for x in row.split()]) for row in rows]
-
-
 def _build_spec(args) -> testwords.TestWordSpec:
-    tuples = _parse_exponent_rows(args.exponents)
-    level = args.level if args.level is not None else len(tuples) + 2
-    return testwords.TestWordSpec(level, tuple(tuples))
+    level = args.level if args.level is not None else len(args.exponents) + 2
+    return testwords.TestWordSpec(level, tuple(args.exponents))
 
 
 def _cmd_build_testword(args) -> tuple[int, str]:
@@ -128,10 +142,9 @@ def _cmd_verify_testword(args) -> tuple[int, str]:
 
 
 def _cmd_certificates(args) -> tuple[int, str]:
-    rows = _parse_exponent_rows(args.exponents)
-    if len(rows) != 1:
+    if len(args.exponents) != 1:
         raise WordError("certificates expect exactly one exponent tuple")
-    cert = testwords.exponent_sum_certificates(rows[0], args.modulus)
+    cert = testwords.exponent_sum_certificates(args.exponents[0], args.modulus)
     code = EXIT_OK if cert.ok else EXIT_FINDING
     return code, _json_payload(cert.to_json_dict())
 
@@ -170,7 +183,7 @@ def _cmd_qm_homogenize(args) -> tuple[int, str]:
     qm = _make_qm(args, alph)
     word = parse_word(args.word, alph)
     table = []
-    for m in (int(x) for x in args.truncations.split(",")):
+    for m in args.truncations:
         res = quasimorphisms.homogenize(qm, word, m, args.defect)
         table.append(res.to_json_dict())
     data = {"qm": qm.describe(), "word": format_word(word), "homogenization_table": table}
@@ -230,14 +243,10 @@ def _cmd_midpoint_check(args) -> tuple[int, str]:
 
 
 def _cmd_concat_check(args) -> tuple[int, str]:
-    all_texts = [w for seg in args.paths.split(";") for w in seg.split(",")]
-    alph = _infer_rank(all_texts, args.rank)
-    paths = []
-    for seg in args.paths.split(";"):
-        vertices = [parse_word(t.strip(), alph) for t in seg.split(",")]
-        paths.append(hypgeom.PathSample.from_vertices(vertices))
-    constants = hypgeom.QGConstants(args.kappa, args.epsilon)
-    report = hypgeom.check_concatenation_quasigeodesic(paths, args.delta, constants, args.alpha)
+    segments = [seg.split(",") for seg in args.paths.split(";")]
+    alph = _infer_rank([t for seg in segments for t in seg], args.rank)
+    paths = [[parse_word(t.strip(), alph) for t in seg] for seg in segments]
+    report = hypgeom.check_concatenation_quasigeodesic(paths, args.delta, args.kappa, args.alpha)
     return EXIT_OK, _json_payload(report.to_json_dict())
 
 
@@ -257,8 +266,7 @@ def _cmd_dihedral_counterexample(args) -> tuple[int, str]:
 
 
 def _cmd_snf(args) -> tuple[int, str]:
-    m = _parse_matrix(args.matrix)
-    snf = presentations.smith_normal_form(m)
+    snf = presentations.smith_normal_form(args.matrix)
     return EXIT_OK, _json_payload(snf.to_json_dict())
 
 
@@ -366,19 +374,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build-testword", parents=[report], help="expand a test word from exponent tuples")
     p.add_argument("--level", type=int)
-    p.add_argument("--exponents", required=True, help="semicolon-separated rows of 10 integers")
+    p.add_argument("--exponents", type=_exponent_rows, required=True, help="semicolon-separated rows of 10 integers")
     p.set_defaults(func=_cmd_build_testword)
 
     p = sub.add_parser("verify-testword", parents=[words], help="bounded search for non-canonical solutions")
     p.add_argument("--level", type=int)
-    p.add_argument("--exponents", required=True)
+    p.add_argument("--exponents", type=_exponent_rows, required=True)
     p.add_argument("--targets", required=True, help="semicolon-separated target words")
     p.add_argument("--bound", type=_count, required=True)
     p.add_argument("--max-assignments", type=_count)
     p.set_defaults(func=_cmd_verify_testword)
 
     p = sub.add_parser("certificates", parents=[report], help="exponent-sum certificate matrices")
-    p.add_argument("--exponents", required=True)
+    p.add_argument("--exponents", type=_exponent_rows, required=True)
     p.add_argument("--modulus", type=int, required=True)
     p.set_defaults(func=_cmd_certificates)
 
@@ -390,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_qm_defect)
 
     p = sub.add_parser("qm-homogenize", parents=[qm], help="truncated homogenization table")
-    p.add_argument("--truncations", default="1,2,4,8,16,32,64")
+    p.add_argument("--truncations", type=_int_list, default="1,2,4,8,16,32,64")
     p.set_defaults(func=_cmd_qm_homogenize)
 
     p = sub.add_parser("qm-invariance", parents=[qm], help="conjugacy invariance residual")
@@ -410,7 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=Fraction, required=True)
     p.add_argument("--delta", type=Fraction, default=Fraction(0))
     p.add_argument("--kappa", type=Fraction, default=Fraction(1))
-    p.add_argument("--epsilon", type=Fraction, default=Fraction(0))
     p.set_defaults(func=_cmd_concat_check)
 
     p = sub.add_parser("divergence", parents=[words], help="table of |c^n d^m| lengths")
@@ -429,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_dihedral_counterexample)
 
     p = sub.add_parser("snf", parents=[report], help="Smith normal form with transforms")
-    p.add_argument("--matrix", required=True, help="rows separated by ';', entries by spaces")
+    p.add_argument("--matrix", type=_matrix, required=True, help="rows separated by ';', entries by spaces")
     p.set_defaults(func=_cmd_snf)
 
     p = sub.add_parser("abelianize", parents=[presentation], help="invariant factors and free rank")

@@ -6,6 +6,9 @@ verbal-closedness checking.  The headline suite builds the central
 product of two dihedral groups amalgamated over their centers and
 verifies that one factor is verbally closed in it while the center is not
 a retract of the other factor.
+
+Words in group elements are ``Word`` values evaluated by
+``FiniteGroup.evaluate_word``; a homomorphism is its tuple of images.
 """
 
 from __future__ import annotations
@@ -14,7 +17,10 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .words import Alphabet, Word, WordError, enumerate_reduced, format_word
+from .words import Alphabet, Word, WordError, enumerate_reduced
+
+# assignments an exhaustive search may try before it refuses
+SEARCH_BUDGET = 10**7
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -32,7 +38,6 @@ class FiniteGroup:
     mult: tuple[tuple[int, ...], ...]
     identity: int
     inverse: tuple[int, ...] = field(init=False)
-    labels: tuple[str, ...] = ()
     gens: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
@@ -59,8 +64,6 @@ class FiniteGroup:
                     for k in range(n):
                         if self.mult[ij][k] != self.mult[i][self.mult[j][k]]:
                             raise WordError("associativity fails")
-        if self.labels and len(self.labels) != n:
-            raise WordError("label count mismatch")
 
     @property
     def order(self) -> int:
@@ -87,28 +90,11 @@ class FiniteGroup:
             k += 1
         return k
 
-    def label(self, i: int) -> str:
-        return self.labels[i] if self.labels else str(i)
-
     def closure(self, gens: Sequence[int]) -> list[int]:
-        seen = {self.identity}
-        frontier = [self.identity]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    for y in (self.mul(x, g), self.mul(x, self.inv(g))):
-                        if y not in seen:
-                            seen.add(y)
-                            nxt.append(y)
-            frontier = nxt
-        return sorted(seen)
-
-    def centralizer(self, elems: Sequence[int]) -> list[int]:
-        return [z for z in range(self.order) if all(self.mul(z, x) == self.mul(x, z) for x in elems)]
+        return sorted(_spanning_words(self, gens))
 
     def center(self) -> list[int]:
-        return self.centralizer(list(range(self.order)))
+        return [z for z in range(self.order) if self.is_central(z)]
 
     def is_central(self, z: int) -> bool:
         return all(self.mul(z, x) == self.mul(x, z) for x in range(self.order))
@@ -135,12 +121,8 @@ def dihedral4() -> FiniteGroup:
         # (a^i b^j)(a^k b^l) = a^(i + k or i - k) b^(j + l)
         shift = (i + k) if j == 0 else (i - k)
         table[idx(i, j)][idx(k, l)] = idx(shift, j + l)
-    labels = tuple(
-        ("a" if i == 1 else f"a^{i}" if i else "") + ("b" if j else "") or "1"
-        for j in range(2) for i in range(4)
-    )
     return FiniteGroup(
-        tuple(tuple(r) for r in table), 0, labels=labels, gens={"a": idx(1, 0), "b": idx(0, 1)}
+        tuple(tuple(r) for r in table), 0, gens={"a": idx(1, 0), "b": idx(0, 1)}
     )
 
 
@@ -191,9 +173,8 @@ def central_product(a: FiniteGroup, b: FiniteGroup, za: int, zb: int) -> Central
         [index[rep[(a.mul(p1, p2), b.mul(q1, q2))]] for (p2, q2) in reps]
         for (p1, q1) in reps
     ]
-    labels = tuple(f"{a.label(p)}|{b.label(q)}" for p, q in reps)
     group = FiniteGroup(
-        tuple(tuple(r) for r in table), index[rep[(a.identity, b.identity)]], labels=labels
+        tuple(tuple(r) for r in table), index[rep[(a.identity, b.identity)]]
     )
     embed_left = tuple(index[rep[(p, b.identity)]] for p in range(a.order))
     embed_right = tuple(index[rep[(a.identity, q)]] for q in range(b.order))
@@ -201,15 +182,6 @@ def central_product(a: FiniteGroup, b: FiniteGroup, za: int, zb: int) -> Central
 
 
 # -- homomorphisms -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FGHom:
-    """A homomorphism of table groups: the images of the source's
-    generating set and the full element map."""
-
-    images: tuple[int, ...]
-    mapping: tuple[int, ...]
 
 
 def _generating_set(g: FiniteGroup) -> list[int]:
@@ -230,65 +202,63 @@ def _generating_set(g: FiniteGroup) -> list[int]:
     return gens
 
 
-def _expression_words(g: FiniteGroup, gens: Sequence[int]) -> list[list[int]]:
-    """Each element as a product of generators (indices into gens),
-    negative index meaning the inverse, found breadth-first."""
-    words: dict[int, list[int]] = {g.identity: []}
+def _spanning_words(g: FiniteGroup, gens: Sequence[int]) -> dict[int, Word]:
+    """Each element of <gens> as a shortest word whose generator i stands
+    for gens[i], found breadth-first."""
+    alph = Alphabet(max(len(gens), 1))
+    moves = []
+    for i, gen in enumerate(gens):
+        moves += [(gen, alph.generator(i)), (g.inv(gen), alph.generator(i).inverse())]
+    words = {g.identity: alph.identity()}
     frontier = [g.identity]
     while frontier:
         nxt = []
         for x in frontier:
-            for i, gen in enumerate(gens):
-                for tag, y in ((i + 1, g.mul(x, gen)), (-(i + 1), g.mul(x, g.inv(gen)))):
-                    if y not in words:
-                        words[y] = words[x] + [tag]
-                        nxt.append(y)
+            for element, letter in moves:
+                y = g.mul(x, element)
+                if y not in words:
+                    words[y] = words[x] * letter
+                    nxt.append(y)
         frontier = nxt
-    if len(words) != g.order:
-        raise WordError("generating set does not generate")
-    return [words[x] for x in range(g.order)]
+    return words
 
 
 def enumerate_table_homs(
-    src: FiniteGroup, dst_elements: Sequence[int], inside: FiniteGroup, budget: int = 10**7
-) -> list[FGHom]:
-    """All homomorphisms src -> <dst_elements> viewed inside ``inside``.
+    src: FiniteGroup, dst_elements: Sequence[int], inside: FiniteGroup
+) -> list[tuple[int, ...]]:
+    """All homomorphisms src -> <dst_elements> viewed inside ``inside``,
+    as element maps.
 
-    Candidate generator images are extended along expression words and
+    Candidate generator images are extended along spanning words and
     kept only when the full map is multiplicative on every pair, which is
     sound and complete.  When src is a subgroup of ``inside`` the element
     indices of src and the target agree.
     """
     gens = _generating_set(src)
-    expressions = _expression_words(src, gens)
+    words = _spanning_words(src, gens)
     target = sorted(set(dst_elements))
     total = len(target) ** len(gens)
-    if total > budget:
-        raise SearchBudgetExceeded(f"{total} assignments exceed budget {budget}")
+    if total > SEARCH_BUDGET:
+        raise SearchBudgetExceeded(f"{total} assignments exceed budget {SEARCH_BUDGET}")
     homs = []
     for images in itertools.product(target, repeat=len(gens)):
-        mapping = []
-        for expr in expressions:
-            val = inside.identity
-            for tag in expr:
-                img = images[abs(tag) - 1]
-                val = inside.mul(val, img if tag > 0 else inside.inv(img))
-            mapping.append(val)
+        mapping = tuple(inside.evaluate_word(words[x], images) for x in range(src.order))
         if all(
             mapping[src.mul(x, y)] == inside.mul(mapping[x], mapping[y])
             for x in range(src.order)
             for y in range(src.order)
         ):
-            homs.append(FGHom(images, tuple(mapping)))
+            homs.append(mapping)
     return homs
 
 
-def is_retract(g: FiniteGroup, subgroup_gens: Sequence[int]) -> Optional[FGHom]:
+def is_retract(g: FiniteGroup, subgroup_gens: Sequence[int]) -> Optional[tuple[int, ...]]:
     """Search all homomorphisms g -> <subgroup_gens> for one fixing the
-    subgroup pointwise; None when exhaustion finds nothing."""
+    subgroup pointwise; its element map, or None when exhaustion finds
+    nothing."""
     subgroup = g.closure(subgroup_gens)
     for hom in enumerate_table_homs(g, subgroup, g):
-        if all(hom.mapping[h] == h for h in subgroup):
+        if all(hom[h] == h for h in subgroup):
             return hom
     return None
 
@@ -309,15 +279,6 @@ class WordEquationReport:
     def disagreement(self) -> bool:
         return self.solvable_in_group and not self.solvable_in_subgroup
 
-    def to_json_dict(self) -> dict:
-        return {
-            "word": format_word(self.word),
-            "rhs": self.rhs,
-            "solvable_in_group": self.solvable_in_group,
-            "solvable_in_subgroup": self.solvable_in_subgroup,
-            "disagreement": self.disagreement,
-        }
-
 
 def _value_witnesses(g: FiniteGroup, word: Word, domain: Sequence[int]) -> dict[int, tuple[int, ...]]:
     """value -> first witness tuple over assignments from the domain."""
@@ -335,7 +296,6 @@ def verbally_closed_check(
     subgroup_gens: Sequence[int],
     corpus: Sequence[Word],
     targets: Sequence[int],
-    budget: int = 10**7,
 ) -> list[WordEquationReport]:
     """Exhaustive solvability of W(x) = h in g versus in the subgroup.
 
@@ -350,8 +310,8 @@ def verbally_closed_check(
     reports = []
     for word in corpus:
         nvars = word.alphabet.rank
-        if g.order ** nvars > budget:
-            raise SearchBudgetExceeded(f"|G|^{nvars} exceeds budget {budget}")
+        if g.order ** nvars > SEARCH_BUDGET:
+            raise SearchBudgetExceeded(f"|G|^{nvars} exceeds budget {SEARCH_BUDGET}")
         in_group = _value_witnesses(g, word, range(g.order))
         in_sub = _value_witnesses(g, word, subgroup)
         for h in targets:
@@ -429,7 +389,7 @@ class DihedralSuiteReport:
         }
 
 
-def dihedral_counterexample_suite(corpus: Optional[Sequence[Word]] = None) -> DihedralSuiteReport:
+def dihedral_counterexample_suite() -> DihedralSuiteReport:
     """Two order-8 dihedral groups glued over their centers.
 
     Verifies exhaustively that the left factor is verbally closed in the
@@ -445,8 +405,7 @@ def dihedral_counterexample_suite(corpus: Optional[Sequence[Word]] = None) -> Di
     product = central_product(left, right, za, zb)
     g = product.group
 
-    if corpus is None:
-        corpus = default_corpus(2, 4)
+    corpus = default_corpus(2, 4)
     sub_gens = [product.embed_left[left.gens["a"]], product.embed_left[left.gens["b"]]]
     targets = [product.embed_left[x] for x in range(left.order)]
     reports = verbally_closed_check(g, sub_gens, corpus, targets)
@@ -458,7 +417,7 @@ def dihedral_counterexample_suite(corpus: Optional[Sequence[Word]] = None) -> Di
     a_squared = left.closure([za])
     center_ok = sorted(center) == sorted(a_squared)
     homs_center = enumerate_table_homs(right, center, left)
-    lands = all(set(h.mapping).issubset(set(a_squared)) for h in homs_center)
+    lands = all(set(h).issubset(set(a_squared)) for h in homs_center)
     center_ok = center_ok and lands
 
     retract = is_retract(right, [zb])

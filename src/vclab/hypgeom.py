@@ -6,7 +6,9 @@ for.  A ball over any other finite generating set is built breadth-first,
 with the word metric computed exactly inside a window of twice the
 radius.  The validators (thin triangles, midpoints, quasi-geodesic
 concatenation) measure quantities on finite data; a delta estimate is a
-lower bound for the ambient space, never a certification.
+lower bound for the ambient space, never a certification.  Quasi-geodesic
+checks take plain vertex sequences and measure them in the standard-basis
+word metric.
 """
 
 from __future__ import annotations
@@ -200,42 +202,6 @@ def delta_thin_report(
     return DeltaReport(best, witness, samples)
 
 
-@dataclass(frozen=True)
-class QGConstants:
-    kappa: Fraction
-    epsilon: Fraction
-
-    def __post_init__(self) -> None:
-        if self.kappa < 1 or self.epsilon < 0:
-            raise WordError("need kappa >= 1 and epsilon >= 0")
-
-
-@dataclass(frozen=True)
-class PathSample:
-    """A vertex path with its step lengths under an ambient metric."""
-
-    vertices: tuple[Word, ...]
-    steps: tuple[int, ...]
-    dist: Callable[[Word, Word], int] = field(compare=False)
-
-    @staticmethod
-    def from_vertices(vertices: Sequence[Word], dist: Optional[Callable[[Word, Word], int]] = None) -> "PathSample":
-        if not vertices:
-            raise WordError("path needs at least one vertex")
-        if dist is None:
-            dist = free_word_metric
-        steps = tuple(dist(vertices[i], vertices[i + 1]) for i in range(len(vertices) - 1))
-        return PathSample(tuple(vertices), steps, dist)
-
-    @property
-    def start(self) -> Word:
-        return self.vertices[0]
-
-    @property
-    def end(self) -> Word:
-        return self.vertices[-1]
-
-
 def free_word_metric(u: Word, v: Word) -> int:
     """|u^{-1} v|: both lengths less twice their common letter prefix."""
     if u.alphabet is not v.alphabet:
@@ -262,30 +228,26 @@ class QuasigeodesicVerdict:
         return self.ok
 
 
-def is_quasigeodesic(path: PathSample, c: QGConstants) -> QuasigeodesicVerdict:
-    """Check d(ends) >= length/kappa - epsilon on every contiguous subpath.
+def is_quasigeodesic(path: Sequence[Word], kappa: Fraction) -> QuasigeodesicVerdict:
+    """Check d(ends) >= length/kappa on every contiguous subpath of a
+    vertex path, with lengths in the standard-basis word metric.
 
-    Returns the subpath minimizing the slack; on failure that is the
-    witnessing violation.
+    Returns the subpath minimizing the slack, the first in (start, end)
+    order among ties; on failure that is the witnessing violation.
     """
-    n = len(path.vertices)
+    if kappa < 1:
+        raise WordError(f"need kappa >= 1, got {kappa}")
+    if not path:
+        raise WordError("path needs at least one vertex")
     prefix = [0]
-    for s in path.steps:
-        prefix.append(prefix[-1] + s)
-    worst = (Fraction(0), 0, 0)
-    found = False
-    for i in range(n):
-        for j in range(i + 1, n):
-            sub_len = prefix[j] - prefix[i]
-            slack = Fraction(path.dist(path.vertices[i], path.vertices[j])) - (
-                Fraction(sub_len) / c.kappa - c.epsilon
-            )
-            if not found or slack < worst[0]:
-                worst = (slack, i, j)
-                found = True
-    if not found:
-        return QuasigeodesicVerdict(True, 0, 0, Fraction(0))
-    return QuasigeodesicVerdict(worst[0] >= 0, worst[1], worst[2], worst[0])
+    for u, v in zip(path, path[1:]):
+        prefix.append(prefix[-1] + free_word_metric(u, v))
+    pairs = ((i, j) for i in range(len(path)) for j in range(i + 1, len(path)))
+    slack, start, end = min(
+        ((free_word_metric(path[i], path[j]) - Fraction(prefix[j] - prefix[i]) / kappa, i, j) for i, j in pairs),
+        default=(Fraction(0), 0, 0),
+    )
+    return QuasigeodesicVerdict(slack >= 0, start, end, slack)
 
 
 def check_midpoint_inequality(
@@ -326,13 +288,14 @@ class ConcatenationReport:
 
 
 def check_concatenation_quasigeodesic(
-    paths: Sequence[PathSample],
+    paths: Sequence[Sequence[Word]],
     delta: Fraction,
-    c: QGConstants,
+    kappa: Fraction,
     alpha: Fraction,
 ) -> ConcatenationReport:
     """Evaluate the chaining hypotheses and measure the actual constant.
 
+    Each path is a vertex sequence in the standard-basis word metric.
     Hypotheses on a chain q_0 .. q_{m+1}: each joint has Gromov product
     below alpha, and every interior piece has endpoint distance at least
     2 alpha + 2 m^2 delta.  The measured epsilon is the smallest value
@@ -340,26 +303,25 @@ def check_concatenation_quasigeodesic(
     """
     if len(paths) < 2:
         raise WordError("need at least two paths")
+    if not all(paths):
+        raise WordError("path needs at least one vertex")
     for left, right in zip(paths, paths[1:]):
-        if left.end != right.start:
+        if left[-1] != right[0]:
             raise WordError("consecutive paths do not share endpoints")
-    dist = paths[0].dist
+    dist = free_word_metric
     m = len(paths) - 2
-    product_ok = True
-    for i in range(len(paths) - 1):
-        p, q = paths[i], paths[i + 1]
-        product = Fraction(dist(p.end, p.start) + dist(p.end, q.end) - dist(p.start, q.end), 2)
-        if product >= alpha:
-            product_ok = False
-    length_ok = all(
-        Fraction(dist(paths[i].start, paths[i].end)) >= 2 * alpha + 2 * m * m * delta
-        for i in range(1, len(paths) - 1)
+    product_ok = all(
+        Fraction(dist(p[-1], p[0]) + dist(p[-1], q[-1]) - dist(p[0], q[-1]), 2) < alpha
+        for p, q in zip(paths, paths[1:])
     )
-    vertices = list(paths[0].vertices)
+    length_ok = all(
+        Fraction(dist(path[0], path[-1])) >= 2 * alpha + 2 * m * m * delta
+        for path in paths[1:-1]
+    )
+    joined = list(paths[0])
     for piece in paths[1:]:
-        vertices.extend(piece.vertices[1:])
-    joined = PathSample.from_vertices(vertices, dist)
-    measured = max(Fraction(0), -is_quasigeodesic(joined, QGConstants(c.kappa, Fraction(0))).worst_slack)
+        joined.extend(piece[1:])
+    measured = max(Fraction(0), -is_quasigeodesic(joined, kappa).worst_slack)
     return ConcatenationReport(product_ok and length_ok, product_ok, length_ok, measured)
 
 

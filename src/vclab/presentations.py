@@ -340,9 +340,6 @@ class RetractionResult:
     images: tuple[Word, ...]
     verified: bool
 
-    def to_json_dict(self) -> dict:
-        return {"images": [format_word(w) for w in self.images], "verified": self.verified}
-
 
 def retraction_from_solution(
     pres: Presentation,

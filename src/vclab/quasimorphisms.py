@@ -28,7 +28,6 @@ class QuasiMorphism:
     kind: QMKind
     gen: Optional[int] = None
     pattern: Optional[Word] = None
-    defect_bound: Optional[Fraction] = None
 
     def __call__(self, w: Word) -> Fraction:
         if self.kind is QMKind.HOMOMORPHISM:
@@ -52,7 +51,7 @@ def exponent_sum_qm(gen: int) -> QuasiMorphism:
     """The homomorphism w -> exponent sum of w on one generator."""
     if gen < 0:
         raise WordError("generator index must be >= 0")
-    return QuasiMorphism(QMKind.HOMOMORPHISM, gen=gen, defect_bound=Fraction(0))
+    return QuasiMorphism(QMKind.HOMOMORPHISM, gen=gen)
 
 
 def counting_qm(pattern: Word) -> QuasiMorphism:

@@ -110,27 +110,15 @@ class SymbolicWord:
         return " ".join(parts) if parts else "1"
 
 
-def base_test_word(e: ExponentTuple) -> SymbolicWord:
-    """The level-3 word ((x1^k1 x3^l1)^m1 (x2^k2 x3^l2)^m2)^s (x2^p (x3 y3)^q)^t."""
-    alph = Alphabet(variable_count(3))
-    x1, x2, x3, y3 = (alph.generator(i) for i in range(4))
-    head = ((x1 ** e.k1 * x3 ** e.l1) ** e.m1 * (x2 ** e.k2 * x3 ** e.l2) ** e.m2) ** e.s
-    tail = (x2 ** e.p * (x3 * y3) ** e.q) ** e.t
-    return SymbolicWord(3, head * tail)
-
-
-def lift(w: SymbolicWord, e: ExponentTuple) -> SymbolicWord:
-    """Wrap a level-n word in the shell, producing the level-(n+1) word.
-
-    The shell is ((X^k1 x_{n+1}^l1)^m1 (x_n^k2 x_{n+1}^l2)^m2)^s
-    (x_n^p (x_{n+1} y_{n+1})^q)^t with X the lifted word.
-    """
-    n = w.level
+def _shell(word: Word, n: int, e: ExponentTuple) -> SymbolicWord:
+    """The level-(n+1) word ((X^k1 x_{n+1}^l1)^m1 (x_n^k2 x_{n+1}^l2)^m2)^s
+    (x_n^p (x_{n+1} y_{n+1})^q)^t around X, a word in the variables of
+    level n."""
     target = Alphabet(variable_count(n + 1))
     # re-embed: x-indices are stable, y-indices shift up by one
     embedded = Word.from_syllables(
         target,
-        [(g if g < n else g + 1, exp) for g, exp in w.word.syllables],
+        [(g if g < n else g + 1, exp) for g, exp in word.syllables],
     )
     xn = target.generator(x_index(n + 1, n))
     xn1 = target.generator(x_index(n + 1, n + 1))
@@ -138,6 +126,17 @@ def lift(w: SymbolicWord, e: ExponentTuple) -> SymbolicWord:
     head = ((embedded ** e.k1 * xn1 ** e.l1) ** e.m1 * (xn ** e.k2 * xn1 ** e.l2) ** e.m2) ** e.s
     tail = (xn ** e.p * (xn1 * yn1) ** e.q) ** e.t
     return SymbolicWord(n + 1, head * tail)
+
+
+def base_test_word(e: ExponentTuple) -> SymbolicWord:
+    """The level-3 word ((x1^k1 x3^l1)^m1 (x2^k2 x3^l2)^m2)^s (x2^p (x3 y3)^q)^t,
+    the shell around the level-2 word x1."""
+    return _shell(Alphabet(variable_count(2)).generator(0), 2, e)
+
+
+def lift(w: SymbolicWord, e: ExponentTuple) -> SymbolicWord:
+    """Wrap a level-n word in the shell, producing the level-(n+1) word."""
+    return _shell(w.word, w.level, e)
 
 
 @dataclass(frozen=True)

@@ -62,7 +62,7 @@ def _merge_runs(items: Iterable[tuple[int, int]]) -> tuple[Syllable, ...]:
 class Word:
     """A reduced word over a fixed alphabet.
 
-    Supports ``u * v``, ``u ** k``, ``~u`` (inverse) and the usual
+    Supports ``u * v``, ``u ** k``, ``u.inverse()`` and the usual
     free-group operations.  The empty word is the group identity.
 
     Construction through ``Word(...)`` validates its input.  Kernel
@@ -154,9 +154,6 @@ class Word:
     def inverse(self) -> "Word":
         return Word._reduced(self.alphabet, tuple([Syllable(g, -e) for g, e in reversed(self.syllables)]))
 
-    def __invert__(self) -> "Word":
-        return self.inverse()
-
     def __pow__(self, k: int) -> "Word":
         if k == 1:
             return self
@@ -238,14 +235,12 @@ def substitute(w: Word, images: Sequence[Word]) -> Word:
     """Homomorphic image of w under generator i -> images[i]."""
     if len(images) < w.alphabet.rank:
         raise WordError(f"need {w.alphabet.rank} images, got {len(images)}")
-    if images:
-        target = images[0].alphabet
-        for img in images:
-            if img.alphabet != target:
-                raise WordError("images use mixed alphabets")
-    elif w.alphabet.rank == 0:  # pragma: no cover - rank >= 1 always
-        raise WordError("empty image list")
-    result = images[0].alphabet.identity()
+    # rank >= 1, so there is at least one image
+    target = images[0].alphabet
+    for img in images:
+        if img.alphabet != target:
+            raise WordError("images use mixed alphabets")
+    result = target.identity()
     for gen, exp in w.syllables:
         result = result * images[gen] ** exp
     return result

@@ -1,9 +1,11 @@
+import argparse
 import json
 
 import pytest
 
+from test_golden import CASES
 from vclab import hypgeom, testwords
-from vclab.cli import main
+from vclab.cli import build_parser, main
 from vclab.words import Alphabet, parse_word
 
 
@@ -237,3 +239,51 @@ def test_gen_must_be_below_the_rank(capsys, command):
     assert main([*command, "--gen", "5"]) == 1
     assert "--gen 5 out of range for rank 2" in capsys.readouterr().err
     assert main([*command, "--gen", "5", "--rank", "6"]) == 0
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("qm-homogenize", "--pattern", "ab", "--word", "ab", "--truncations", "1,x"),
+     "argument --truncations: not an integer: 'x'"),
+    (("snf", "--matrix", "4 0; 0 x"), "argument --matrix: not an integer: 'x'"),
+    (("build-testword", "--exponents", "1 2 3"), "argument --exponents: need 10 exponents, got 3"),
+], ids=["truncations", "matrix", "exponents"])
+def test_bad_list_entries_are_usage_errors(capsys, argv, message):
+    code, err = usage_exit(capsys, *argv)
+    assert code == 1
+    assert message in err and "invalid literal" not in err
+
+
+def test_concat_check_has_no_epsilon(capsys):
+    code, err = usage_exit(capsys, "concat-check", "--paths", "A^2,A,1;1,b,b^2", "--alpha", "1", "--epsilon", "1")
+    assert code == 1
+    assert "unrecognized arguments: --epsilon 1" in err
+
+
+def test_concat_check_rejects_kappa_below_one(capsys):
+    assert main(["concat-check", "--paths", "A^2,A,1;1,b,b^2", "--alpha", "1", "--kappa", "1/2"]) == 1
+    assert "need kappa >= 1" in capsys.readouterr().err
+
+
+def declared_flags(command: str) -> list[str]:
+    """The flags a subcommand accepts, except --out and --help."""
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    return [
+        action.option_strings[0]
+        for action in commands[command]._actions
+        if action.option_strings and action.dest not in ("help", "out")
+    ]
+
+
+FLAG_CASES = [(argv, flag) for _, _, argv in CASES for flag in declared_flags(argv[0])]
+
+
+@pytest.mark.parametrize("argv,flag", FLAG_CASES, ids=[f"{argv[0]} {flag}" for argv, flag in FLAG_CASES])
+def test_every_flag_rejects_garbage(capsys, argv, flag):
+    try:
+        code = main([*argv, flag, "?"])
+    except SystemExit as stop:
+        code = stop.code
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error:" in err and "Traceback" not in err

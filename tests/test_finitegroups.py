@@ -106,14 +106,112 @@ def test_identity_assignment_is_a_hom():
     g = dihedral4()
     homs = enumerate_table_homs(g, range(8), g)
     idmap = tuple(range(8))
-    assert any(h.mapping == idmap for h in homs)
+    assert any(h == idmap for h in homs)
 
 
 def test_table_homs_are_multiplicative():
     g = dihedral4()
     for hom in enumerate_table_homs(g, g.center(), g):
         for x, y in itertools.product(range(8), repeat=2):
-            assert hom.mapping[g.mul(x, y)] == g.mul(hom.mapping[x], hom.mapping[y])
+            assert hom[g.mul(x, y)] == g.mul(hom[x], hom[y])
+
+
+# the signed-index ("tag list") evaluation that spanning words replaced, kept
+# here as a reference: generator i + 1 stands for gens[i], -(i + 1) for its inverse
+
+def _tag_closure(g, gens):
+    seen = {g.identity}
+    frontier = [g.identity]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for gen in gens:
+                for y in (g.mul(x, gen), g.mul(x, g.inv(gen))):
+                    if y not in seen:
+                        seen.add(y)
+                        nxt.append(y)
+        frontier = nxt
+    return sorted(seen)
+
+
+def _tag_generating_set(g):
+    if g.gens:
+        marked = sorted(g.gens.values())
+        if len(_tag_closure(g, marked)) == g.order:
+            return marked
+    gens, covered = [], {g.identity}
+    for x in range(g.order):
+        if x not in covered:
+            gens.append(x)
+            covered = set(_tag_closure(g, gens))
+            if len(covered) == g.order:
+                break
+    return gens
+
+
+def _tag_list_homs(src, dst_elements, inside):
+    gens = _tag_generating_set(src)
+    tags = {src.identity: []}
+    frontier = [src.identity]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for i, gen in enumerate(gens):
+                for tag, y in ((i + 1, src.mul(x, gen)), (-(i + 1), src.mul(x, src.inv(gen)))):
+                    if y not in tags:
+                        tags[y] = tags[x] + [tag]
+                        nxt.append(y)
+        frontier = nxt
+    homs = []
+    for images in itertools.product(sorted(set(dst_elements)), repeat=len(gens)):
+        mapping = []
+        for x in range(src.order):
+            val = inside.identity
+            for tag in tags[x]:
+                img = images[abs(tag) - 1]
+                val = inside.mul(val, img if tag > 0 else inside.inv(img))
+            mapping.append(val)
+        if all(
+            mapping[src.mul(x, y)] == inside.mul(mapping[x], mapping[y])
+            for x in range(src.order)
+            for y in range(src.order)
+        ):
+            homs.append(tuple(mapping))
+    return homs
+
+
+def _left_factor_of_direct_product():
+    left = dihedral4()
+    dp = central_product(left, z2(), left.identity, 0)
+    return dp.group, [dp.embed_left[x] for x in range(left.order)]
+
+
+def _hom_cases():
+    g = dihedral4()
+    dp, factor = _left_factor_of_direct_product()
+    return [
+        (g, _tag_closure(g, [g.power(g.gens["a"], 2)]), 4),
+        (g, list(range(8)), 36),
+        (dp, _tag_closure(dp, factor), 136),
+    ]
+
+
+@pytest.mark.parametrize("case", range(3), ids=["dihedral4 into its center", "dihedral4 into itself",
+                                                "central product onto its left factor"])
+def test_table_homs_match_tag_list_evaluation(case):
+    src, target, count = _hom_cases()[case]
+    homs = enumerate_table_homs(src, target, src)
+    assert homs == _tag_list_homs(src, target, src)
+    assert len(homs) == count
+
+
+def test_is_retract_matches_tag_list_evaluation():
+    g = dihedral4()
+    dp, factor = _left_factor_of_direct_product()
+    for group, gens in ((g, [g.power(g.gens["a"], 2)]), (g, list(range(8))), (dp, factor)):
+        subgroup = _tag_closure(group, gens)
+        first = next((h for h in _tag_list_homs(group, subgroup, group) if all(h[x] == x for x in subgroup)), None)
+        assert is_retract(group, gens) == first
 
 
 # -- retracts ---------------------------------------------------------------------------
@@ -131,13 +229,13 @@ def test_factor_is_retract_of_direct_product():
     hom = is_retract(dp.group, sub)
     assert hom is not None
     for h in dp.group.closure(sub):
-        assert hom.mapping[h] == h
+        assert hom[h] == h
 
 
 def test_group_is_retract_of_itself():
     g = dihedral4()
     hom = is_retract(g, list(range(8)))
-    assert hom is not None and hom.mapping == tuple(range(8))
+    assert hom is not None and hom == tuple(range(8))
 
 
 # -- verbal closedness --------------------------------------------------------------------

@@ -8,8 +8,6 @@ from vclab.words import Alphabet, Word, WordError, enumerate_reduced, parse_word
 from vclab.hypgeom import (
     BallCapExceeded,
     FiniteMetricSpace,
-    PathSample,
-    QGConstants,
     cayley_ball,
     check_concatenation_quasigeodesic,
     check_midpoint_inequality,
@@ -193,38 +191,38 @@ def test_delta_report_on_tree_ball_matches_quadratic_reference(ball4):
 # -- quasi-geodesics -----------------------------------------------------------------
 
 def test_geodesic_segment_is_one_zero_quasigeodesic():
-    path = PathSample.from_vertices(free_tree_geodesic(p(""), p("a^3b^2")))
-    assert is_quasigeodesic(path, QGConstants(Fraction(1), Fraction(0)))
+    path = free_tree_geodesic(p(""), p("a^3b^2"))
+    assert is_quasigeodesic(path, Fraction(1))
 
 
 def test_backtracking_path_fails():
-    path = PathSample.from_vertices([p("a"), p("ab"), p("a")])
-    verdict = is_quasigeodesic(path, QGConstants(Fraction(1), Fraction(0)))
+    path = [p("a"), p("ab"), p("a")]
+    verdict = is_quasigeodesic(path, Fraction(1))
     assert not verdict
     assert (verdict.worst_start, verdict.worst_end) == (0, 2)
 
 
 def test_power_sequence_is_geodesic_for_cyclically_reduced():
     rng = random.Random(13)
-    constants = QGConstants(Fraction(1), Fraction(0))
+    kappa = Fraction(1)
     for _ in range(30):
         g = random_word(rng, 5)
         core, _ = g.cyclic_reduce()
         if core.is_identity():
             continue
         vertices = [core ** i for i in range(6)]
-        assert is_quasigeodesic(PathSample.from_vertices(vertices), constants)
+        assert is_quasigeodesic(vertices, kappa)
 
 
 def test_quasigeodesic_one_zero_iff_geodesic(ball4):
     rng = random.Random(17)
-    constants = QGConstants(Fraction(1), Fraction(0))
+    kappa = Fraction(1)
     pts = ball4.points
     for _ in range(100):
         u, v, x = rng.choice(pts), rng.choice(pts), rng.choice(pts)
-        path = PathSample.from_vertices([u, x, v])
+        path = [u, x, v]
         geodesic = free_word_metric(u, x) + free_word_metric(x, v) == free_word_metric(u, v)
-        assert bool(is_quasigeodesic(path, constants)) == geodesic
+        assert bool(is_quasigeodesic(path, kappa)) == geodesic
 
 
 # -- midpoint inequality -------------------------------------------------------------
@@ -259,13 +257,13 @@ def test_midpoint_random_tree_triangles(ball4):
 # -- concatenation -----------------------------------------------------------------------
 
 def _seg(u, v):
-    return PathSample.from_vertices(free_tree_geodesic(u, v))
+    return free_tree_geodesic(u, v)
 
 
 def test_concatenation_clean_joint():
     rep = check_concatenation_quasigeodesic(
         [_seg(p("A^2"), p("")), _seg(p(""), p("b^2"))],
-        Fraction(0), QGConstants(Fraction(1), Fraction(0)), Fraction(1),
+        Fraction(0), Fraction(1), Fraction(1),
     )
     assert rep.hypotheses_ok
     assert rep.measured_epsilon0 == 0
@@ -274,7 +272,7 @@ def test_concatenation_clean_joint():
 def test_concatenation_backtracking_joint():
     rep = check_concatenation_quasigeodesic(
         [_seg(p("a^2"), p("")), _seg(p(""), p("ab"))],
-        Fraction(0), QGConstants(Fraction(1), Fraction(0)), Fraction(1),
+        Fraction(0), Fraction(1), Fraction(1),
     )
     # Gromov product at the joint is 1, not below alpha = 1
     assert not rep.product_hypothesis_ok
@@ -284,7 +282,7 @@ def test_concatenation_backtracking_joint():
 def test_concatenation_three_segments():
     rep = check_concatenation_quasigeodesic(
         [_seg(p("a^2"), p("")), _seg(p(""), p("b^2")), _seg(p("b^2"), p("b^2a^2"))],
-        Fraction(0), QGConstants(Fraction(1), Fraction(0)), Fraction(1),
+        Fraction(0), Fraction(1), Fraction(1),
     )
     assert rep.hypotheses_ok
     assert rep.measured_epsilon0 == 0
@@ -310,8 +308,7 @@ def test_concatenation_epsilon0_matches_pair_scan(seed):
         for u, v in zip(joints, joints[1:])
     ]
     rep = check_concatenation_quasigeodesic(
-        [PathSample.from_vertices(path) for path in paths],
-        Fraction(0), QGConstants(kappa, Fraction(0)), Fraction(1),
+        paths, Fraction(0), kappa, Fraction(1),
     )
     joined = paths[0] + [w for path in paths[1:] for w in path[1:]]
     assert rep.measured_epsilon0 == _epsilon0_by_pairs(joined, kappa)
@@ -321,7 +318,7 @@ def test_concatenation_endpoint_mismatch():
     with pytest.raises(WordError):
         check_concatenation_quasigeodesic(
             [_seg(p(""), p("a")), _seg(p("b"), p("b^2"))],
-            Fraction(0), QGConstants(Fraction(1), Fraction(0)), Fraction(1),
+            Fraction(0), Fraction(1), Fraction(1),
         )
 
 
