@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .words import Alphabet, Word, WordError, count_reduced, enumerate_reduced, format_word
-from .oracles import is_conjugate, root, same_elementary_subgroup
+from .oracles import is_conjugate, root
 
 
 class BudgetExceeded(RuntimeError):
@@ -194,12 +194,14 @@ def classify_solution(inst: EquationInstance, p: SolutionPair) -> Classification
             {"x_to_b": swap_x.conjugator, "y_to_a": swap_y.conjugator},
         )
     if not p.x.is_identity() and not p.y.is_identity():
-        if same_elementary_subgroup(p.x, p.y):
-            return Classification(Tag.COMMON_E, {"e_generator": root(p.x).root})
-        xe = power_exponent_of(root(p.y).root, p.x ** inst.n)
+        # E(w) is the maximal cyclic subgroup containing w, generated by its root
+        ex, ey = root(p.x).root, root(p.y).root
+        if ex == ey or ex == ey.inverse():
+            return Classification(Tag.COMMON_E, {"e_generator": ex})
+        xe = power_exponent_of(ey, p.x ** inst.n)
         if xe is not None:
             return Classification(Tag.POWER_IN_E, {"which": "x^n in E(y)", "exponent": xe})
-        ye = power_exponent_of(root(p.x).root, p.y ** inst.m)
+        ye = power_exponent_of(ex, p.y ** inst.m)
         if ye is not None:
             return Classification(Tag.POWER_IN_E, {"which": "y^m in E(x)", "exponent": ye})
     return Classification(Tag.UNCLASSIFIED, {})

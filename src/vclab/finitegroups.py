@@ -8,7 +8,9 @@ verifies that one factor is verbally closed in it while the center is not
 a retract of the other factor.
 
 Words in group elements are ``Word`` values evaluated by
-``FiniteGroup.evaluate_word``; a homomorphism is its tuple of images.
+``FiniteGroup.evaluate_word``, which reads each syllable's power from the
+cyclic power table every group builds once; a homomorphism is its tuple of
+images.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ class SearchBudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class FiniteGroup:
-    """Multiplication table with identity and inverse tables.
+    """Multiplication table with identity, inverse and power tables.
 
     Construction checks the identity and inverse laws always, and full
     associativity for orders up to 64.
@@ -39,6 +41,8 @@ class FiniteGroup:
     identity: int
     inverse: tuple[int, ...] = field(init=False)
     gens: dict = field(default_factory=dict, compare=False)
+    # powers[x] = (e, x, x^2, ..., x^(order(x) - 1)), the cyclic powers of x
+    powers: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         n = len(self.mult)
@@ -64,6 +68,16 @@ class FiniteGroup:
                     for k in range(n):
                         if self.mult[ij][k] != self.mult[i][self.mult[j][k]]:
                             raise WordError("associativity fails")
+        powers = []
+        for x in range(n):
+            row, y = [e], x
+            while y != e:
+                if len(row) == n:
+                    raise WordError(f"powers of element {x} never reach the identity")
+                row.append(y)
+                y = self.mult[y][x]
+            powers.append(tuple(row))
+        object.__setattr__(self, "powers", tuple(powers))
 
     @property
     def order(self) -> int:
@@ -76,19 +90,11 @@ class FiniteGroup:
         return self.inverse[i]
 
     def power(self, i: int, k: int) -> int:
-        if k < 0:
-            return self.power(self.inv(i), -k)
-        out = self.identity
-        for _ in range(k):
-            out = self.mul(out, i)
-        return out
+        row = self.powers[i]
+        return row[k % len(row)]
 
     def element_order(self, i: int) -> int:
-        out, k = i, 1
-        while out != self.identity:
-            out = self.mul(out, i)
-            k += 1
-        return k
+        return len(self.powers[i])
 
     def closure(self, gens: Sequence[int]) -> list[int]:
         return sorted(_spanning_words(self, gens))
@@ -101,10 +107,10 @@ class FiniteGroup:
 
     def evaluate_word(self, word: Word, images: Sequence[int]) -> int:
         """Image of a symbolic word under generator index -> element."""
-        out = self.identity
+        out, mult, powers = self.identity, self.mult, self.powers
         for gen, exp in word.syllables:
-            base = images[gen]
-            out = self.mul(out, self.power(base, exp % self.element_order(base)))
+            row = powers[images[gen]]
+            out = mult[out][row[exp % len(row)]]
         return out
 
 

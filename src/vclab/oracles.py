@@ -1,8 +1,10 @@
 """Decision procedures in free groups.
 
-Conjugacy via cyclic normal forms, maximal roots, commensurability,
-elementary (maximal cyclic) subgroups and special tuples.  Every positive
-answer carries a witness that re-verifies by plain word arithmetic.
+Conjugacy via cyclic normal forms, maximal roots, commensurability and
+special tuples; ``root(w).root`` generates the elementary (maximal cyclic)
+subgroup E(w).  Conjugacy and roots share one Knuth-Morris-Pratt prefix
+function, so both take linear time.  Every positive answer carries a
+witness that re-verifies by plain word arithmetic.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ class CommensurabilityWitness(NamedTuple):
 
 
 def is_conjugate(u: Word, v: Word) -> Optional[ConjugacyWitness]:
-    """Decide conjugacy; exact via rotation of cyclic normal forms."""
+    """Decide conjugacy; exact via rotation of cyclic normal forms, the
+    rotation found by string matching in linear time."""
     u._require_same_alphabet(v)
     cu, pu = u.cyclic_reduce()
     cv, pv = v.cyclic_reduce()
@@ -42,16 +45,33 @@ def is_conjugate(u: Word, v: Word) -> Optional[ConjugacyWitness]:
         return None
     if not lu:
         return ConjugacyWitness(u.alphabet.identity())
-    doubled = lu + lu
     n = len(lu)
-    for shift in range(n):
-        if doubled[shift:shift + n] == lv:
+    # the first rotation of lu equal to lv is the first match of lv in
+    # lu + lu; 0 is no letter, so no border crosses it
+    prefix = _prefix_function(lv + [0] + lu + lu)
+    for end in range(2 * n, 3 * n):
+        if prefix[end] == n:
+            shift = end - 2 * n
             # cu = x y and cv = y x with x the first `shift` letters,
             # so cv = x^{-1} cu x and g = pu x pv^{-1} conjugates u to v
             x = Word.from_letters(u.alphabet, lu[:shift])
             g = pu * x * pv.inverse()
             return ConjugacyWitness(g)
     return None
+
+
+def _prefix_function(seq: Sequence[int]) -> list[int]:
+    """prefix[i]: length of the longest proper border of seq[:i + 1]
+    (Knuth-Morris-Pratt), in linear time."""
+    prefix = [0] * len(seq)
+    k = 0
+    for i in range(1, len(seq)):
+        while k and seq[i] != seq[k]:
+            k = prefix[k - 1]
+        if seq[i] == seq[k]:
+            k += 1
+        prefix[i] = k
+    return prefix
 
 
 def root(w: Word) -> RootData:
@@ -65,16 +85,7 @@ def root(w: Word) -> RootData:
     core, conj = w.cyclic_reduce()
     letters = list(core.letters())
     n = len(letters)
-    # prefix[i]: length of the longest proper border of letters[:i + 1]
-    prefix = [0] * n
-    k = 0
-    for i in range(1, n):
-        while k and letters[i] != letters[k]:
-            k = prefix[k - 1]
-        if letters[i] == letters[k]:
-            k += 1
-        prefix[i] = k
-    period = n - prefix[-1]
+    period = n - _prefix_function(letters)[-1]
     if n % period or period == n:
         return RootData(w, 1)
     # the first `period` letters of a reduced word: cut the syllables there
@@ -108,13 +119,6 @@ def is_commensurable(u: Word, v: Word) -> Optional[CommensurabilityWitness]:
     if flipped is not None:
         return CommensurabilityWitness(flipped.conjugator, ev, -eu)
     return None
-
-
-def same_elementary_subgroup(w1: Word, w2: Word) -> bool:
-    """Whether E(w1) = E(w2), E(w) being the maximal cyclic subgroup
-    containing w, which ``root(w).root`` generates."""
-    g1, g2 = root(w1).root, root(w2).root
-    return g1 == g2 or g1 == g2.inverse()
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import argparse
 import json
+import time
 
 import pytest
 
@@ -186,6 +187,14 @@ def test_rank_is_inferred_from_generator_indices(capsys):
     code, out = run(capsys, "qm-invariance", "--pattern", "ab", "--word", "cC", "--conjugator", "a",
                     "--truncation", "4")
     assert code == 0
+
+
+def test_qm_homogenize_huge_truncation_is_fast(capsys):
+    start = time.perf_counter()
+    code, out = run(capsys, "qm-homogenize", "--pattern", "ab", "--word", "ab", "--truncations", "100000000")
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert json.loads(out)["homogenization_table"] == [{"value": "1", "truncation": 100000000, "error_bound": "0"}]
 
 
 def test_cayley_delta_radius_six_succeeds(capsys):

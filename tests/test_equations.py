@@ -259,9 +259,7 @@ def test_classify_bezout_solution():
     assert got.tag is Tag.GCD_FAMILY
     assert (got.witness["s"], got.witness["t"]) == (-1, 1)
     # both components are powers of g, so they share a maximal cyclic subgroup
-    from vclab.oracles import same_elementary_subgroup
-
-    assert same_elementary_subgroup(inst.g.inverse(), inst.g)
+    assert root(inst.g.inverse()).root == root(inst.g).root.inverse()
 
 
 def test_classify_constructed_conjugate():
@@ -289,6 +287,31 @@ def test_classify_witnesses_reverify():
         elif got.tag is Tag.SWAPPED:
             assert pair.x.conjugate(got.witness["x_to_b"]) == inst.b
             assert pair.y.conjugate(got.witness["y_to_a"]) == inst.a
+
+
+def test_classify_takes_each_root_once(monkeypatch):
+    import vclab.equations
+    import vclab.oracles
+
+    cases = []
+    for a, b, n, m, bound in (("a", "b", 1, 1, 4), ("a", "a", 2, 3, 6), ("a", "b", 2, 2, 5)):
+        inst = EquationInstance(w(a), w(b), n, m)
+        cases += [(inst, pair) for pair in brute_force_solutions(inst, bound)]
+    calls = []
+
+    def counting_root(word):
+        calls.append(word)
+        return root(word)
+
+    # every root call, whichever module makes it
+    monkeypatch.setattr(vclab.equations, "root", counting_root)
+    monkeypatch.setattr(vclab.oracles, "root", counting_root)
+    tags = set()
+    for inst, pair in cases:
+        calls.clear()
+        tags.add(classify_solution(inst, pair).tag)
+        assert len(calls) == len(set(calls)) <= 2
+    assert {Tag.COMMON_E, Tag.UNCLASSIFIED} <= tags
 
 
 def test_swapped_classification_on_synthetic_pair():

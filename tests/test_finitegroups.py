@@ -55,6 +55,48 @@ def test_center_of_dihedral():
     assert g.center() == sorted([g.identity, a2])
 
 
+def loop_power(g, x, k):
+    """x^k by repeated multiplication, k reduced modulo the order of x found
+    by another loop."""
+    order, y = 1, x
+    while y != g.identity:
+        y = g.mul(y, x)
+        order += 1
+    out = g.identity
+    for _ in range(k % order):
+        out = g.mul(out, x)
+    return out
+
+
+def loop_evaluate(g, word, images):
+    out = g.identity
+    for gen, exp in word.syllables:
+        out = g.mul(out, loop_power(g, images[gen], exp))
+    return out
+
+
+def _dihedral_product():
+    left, right = dihedral4(), dihedral4()
+    za = left.power(left.gens["a"], 2)
+    return central_product(left, right, za, za).group
+
+
+def test_power_table_matches_loops():
+    for g in (dihedral4(), _dihedral_product()):
+        for x in range(g.order):
+            for k in range(-20, 21):
+                assert g.power(x, k) == loop_power(g, x, k)
+
+
+@pytest.mark.parametrize("group", [dihedral4, _dihedral_product], ids=["dihedral4", "central_product"])
+def test_tabled_evaluation_matches_power_loop(group):
+    g = group()
+    words = default_corpus(2, 4) + [V2.identity(), sym("a^-7b^5"), sym("A^3b^-9a^12"), sym("b^-1000001")]
+    for word in words:
+        for images in itertools.product(range(g.order), repeat=2):
+            assert g.evaluate_word(word, images) == loop_evaluate(g, word, images)
+
+
 # -- central products -----------------------------------------------------------
 
 def test_central_product_order():

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vclab.words import Alphabet, Word, WordError, parse_word
 from vclab.quasimorphisms import (
@@ -14,6 +16,7 @@ from vclab.quasimorphisms import (
 )
 
 F2 = Alphabet(2)
+F3 = Alphabet(3)
 
 
 def p(text):
@@ -100,6 +103,73 @@ def test_counting_defect_stays_under_pattern_bound():
     assert est.sample_count == 10_000
 
 
+def recount_gap(q, f, g):
+    return q(f * g) - q(f) - q(g)
+
+
+def words_of(alph, max_len):
+    letters = st.tuples(st.integers(0, alph.rank - 1), st.sampled_from((1, -1)))
+    return st.lists(letters, max_size=max_len).map(lambda items: Word.from_syllables(alph, items))
+
+
+def patterns_of(alph, max_len):
+    return words_of(alph, max_len).filter(lambda word: word and word.is_cyclically_reduced())
+
+
+@st.composite
+def gap_cases(draw):
+    alph = draw(st.sampled_from((F2, F3)))
+    pattern = draw(patterns_of(alph, 7))
+    f = draw(words_of(alph, 10))
+    # g = c^{-1} g' with c a suffix of f, so cancellations of every length occur
+    cut = draw(st.integers(0, len(f)))
+    suffix = list(f.letters())[cut:]
+    g = Word.from_letters(alph, [-l for l in reversed(suffix)]) * draw(words_of(alph, 10))
+    return pattern, f, g
+
+
+@settings(max_examples=400, deadline=None)
+@given(gap_cases())
+@example((parse_word("b", F2), parse_word("aBa", F2), parse_word("Ab", F2)))  # k = 1
+@example((parse_word("abAB", F2), parse_word("a", F2), parse_word("b", F2)))  # k > |f| + |g|
+@example((parse_word("ab", F2), parse_word("abaB", F2), parse_word("bABA", F2)))  # g = f^-1
+@example((parse_word("aCb", F3), parse_word("caC^2", F3), parse_word("c^3b", F3)))  # rank 3
+def test_seam_gap_equals_full_recount(case):
+    pattern, f, g = case
+    q = counting_qm(pattern)
+    assert q.gap(f, g) == recount_gap(q, f, g)
+
+
+def test_seam_gap_on_long_syllables():
+    # partial cancellation inside long syllables, from either side
+    q = counting_qm(p("a^2B"))
+    rng = random.Random(71)
+    for _ in range(2000):
+        f = Word.from_syllables(F2, [(rng.randrange(2), rng.randint(-6, 6)) for _ in range(rng.randint(0, 4))])
+        g = Word.from_syllables(F2, [(rng.randrange(2), rng.randint(-6, 6)) for _ in range(rng.randint(0, 4))])
+        for right in (g, f.inverse() * g, g * f.inverse()):
+            assert q.gap(f, right) == recount_gap(q, f, right)
+
+
+def test_full_cancellation_gives_zero_gap():
+    q = counting_qm(p("ab"))
+    rng = random.Random(73)
+    for _ in range(200):
+        f = random_word(rng, 10)
+        assert q.gap(f, f.inverse()) == 0
+
+
+def test_homomorphism_gap_is_zero():
+    qa = exponent_sum_qm(1)
+    assert qa.gap(p("abab"), p("BA")) == 0
+
+
+@pytest.mark.parametrize("q", [counting_qm(p("ab")), exponent_sum_qm(0)], ids=["counting", "homomorphism"])
+def test_defect_rejects_mixed_alphabets(q):
+    with pytest.raises(WordError):
+        defect_estimate(q, [(p("ab"), parse_word("c", F3))])
+
+
 # -- homogenization ------------------------------------------------------------
 
 def test_homogenize_homomorphism_fixed_point():
@@ -170,3 +240,40 @@ def test_invariance_random_conjugators():
         for m in (1, 4, 16, 64):
             check = conjugacy_invariance_check(q, g, u, m, d_hat)
             assert check.within_bound
+
+
+# -- q(g^M) without building g^M ---------------------------------------------------
+
+def test_closed_form_powers_match_direct_evaluation():
+    rng = random.Random(79)
+    for alph in (F2, F3):
+        for _ in range(60):
+            pattern = random_word(rng, 5, alph)
+            if not pattern or not pattern.is_cyclically_reduced():
+                continue
+            q = counting_qm(pattern)
+            g, u = random_word(rng, 8, alph), random_word(rng, 4, alph)
+            h = g.conjugate(u)
+            for m in range(1, 41):
+                assert homogenize(q, g, m, Fraction(3)).value == q(g ** m) / m
+                residual = abs(q(g ** m) / m - q(h ** m) / m)
+                assert conjugacy_invariance_check(q, g, u, m, Fraction(3)).residual == residual
+
+
+def test_closed_form_powers_for_homomorphisms():
+    qb = exponent_sum_qm(1)
+    rng = random.Random(83)
+    for _ in range(50):
+        g = random_word(rng, 8)
+        for m in (1, 7, 40):
+            assert homogenize(qb, g, m, Fraction(0)).value * m == qb(g ** m)
+
+
+def test_huge_truncation_is_exact():
+    q = counting_qm(p("ab"))
+    res = homogenize(q, p("ab"), 10**8, Fraction(3))
+    assert res.value == 1 and res.error_bound == Fraction(3, 10**8)
+    # (aab)^M holds M occurrences of ab and none of BA
+    assert homogenize(q, p("a^2b"), 10**12, Fraction(0)).value == 1
+    check = conjugacy_invariance_check(q, p("ab"), p("aB"), 10**9, Fraction(3))
+    assert check.within_bound
