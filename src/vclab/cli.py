@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .words import Alphabet, Word, WordError, format_word, parse_word, word_tokens
+from .words import Alphabet, BudgetExceeded, Word, WordError, format_word, parse_word, word_tokens
 from . import equations, finitegroups, hypgeom, presentations, quasimorphisms, testwords
 
 EXIT_OK = 0
@@ -112,8 +112,8 @@ def _cmd_verify_perfect(args) -> tuple[int, str]:
 
 
 def _build_spec(args) -> testwords.TestWordSpec:
-    level = args.level if args.level is not None else len(args.exponents) + 2
-    return testwords.TestWordSpec(level, tuple(args.exponents))
+    # each exponent tuple adds one level above the level-2 word x1
+    return testwords.TestWordSpec(len(args.exponents) + 2, tuple(args.exponents))
 
 
 def _cmd_build_testword(args) -> tuple[int, str]:
@@ -161,39 +161,46 @@ def _random_pairs(alph: Alphabet, count: int, max_len: int, seed: int):
     return [(rand_word(), rand_word()) for _ in range(count)]
 
 
+def _counting_qm(text: str, alph: Alphabet) -> tuple[quasimorphisms.QuasiMorphism, dict]:
+    """The counting quasimorphism of a pattern literal, with its report entry."""
+    pattern = parse_word(text, alph)
+    return quasimorphisms.counting_qm(pattern), {"kind": "counting", "pattern": format_word(pattern)}
+
+
 def _cmd_qm_defect(args) -> tuple[int, str]:
     alph = _infer_rank([args.pattern], args.rank)
-    qm = quasimorphisms.counting_qm(parse_word(args.pattern, alph))
+    qm, entry = _counting_qm(args.pattern, alph)
     est = quasimorphisms.defect_estimate(qm, _random_pairs(alph, args.pairs, args.max_len, args.seed))
-    data = {"qm": qm.describe(), "defect_estimate": est.to_json_dict(), "seed": args.seed}
+    data = {"qm": entry, "defect_estimate": est.to_json_dict(), "seed": args.seed}
     return EXIT_OK, _json_payload(data)
 
 
-def _make_qm(args, alph: Alphabet):
+def _make_qm(args, alph: Alphabet) -> tuple[quasimorphisms.QuasiMorphism, dict]:
+    """The quasimorphism of ``--pattern``, or of ``--gen i``: the exponent
+    sum on x_i, which is the counting quasimorphism of the letter x_i."""
     if args.pattern is not None:
-        return quasimorphisms.counting_qm(parse_word(args.pattern, alph))
-    if args.gen >= alph.rank:
+        return _counting_qm(args.pattern, alph)
+    if not 0 <= args.gen < alph.rank:
         raise WordError(f"--gen {args.gen} out of range for rank {alph.rank}")
-    return quasimorphisms.exponent_sum_qm(args.gen)
+    return quasimorphisms.counting_qm(alph.generator(args.gen)), {"kind": "homomorphism", "generator": args.gen}
 
 
 def _cmd_qm_homogenize(args) -> tuple[int, str]:
     texts = [args.word] + ([args.pattern] if args.pattern else [])
     alph = _infer_rank(texts, args.rank)
-    qm = _make_qm(args, alph)
+    qm, entry = _make_qm(args, alph)
     word = parse_word(args.word, alph)
-    table = []
-    for m in args.truncations:
-        res = quasimorphisms.homogenize(qm, word, m, args.defect)
-        table.append(res.to_json_dict())
-    data = {"qm": qm.describe(), "word": format_word(word), "homogenization_table": table}
+    # a homomorphism's defect is exactly 0, whatever --defect says
+    defect = args.defect if args.pattern is not None else Fraction(0)
+    table = [quasimorphisms.homogenize(qm, word, m, defect).to_json_dict() for m in args.truncations]
+    data = {"qm": entry, "word": format_word(word), "homogenization_table": table}
     return EXIT_OK, _json_payload(data)
 
 
 def _cmd_qm_invariance(args) -> tuple[int, str]:
     texts = [args.word, args.conjugator] + ([args.pattern] if args.pattern else [])
     alph = _infer_rank(texts, args.rank)
-    qm = _make_qm(args, alph)
+    qm, entry = _make_qm(args, alph)
     check = quasimorphisms.conjugacy_invariance_check(
         qm,
         parse_word(args.word, alph),
@@ -201,7 +208,7 @@ def _cmd_qm_invariance(args) -> tuple[int, str]:
         args.truncation,
         args.defect,
     )
-    data = {"qm": qm.describe(), "invariance": check.to_json_dict()}
+    data = {"qm": entry, "invariance": check.to_json_dict()}
     code = EXIT_OK if check.within_bound else EXIT_FINDING
     return code, _json_payload(data)
 
@@ -373,12 +380,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify_perfect)
 
     p = sub.add_parser("build-testword", parents=[report], help="expand a test word from exponent tuples")
-    p.add_argument("--level", type=int)
     p.add_argument("--exponents", type=_exponent_rows, required=True, help="semicolon-separated rows of 10 integers")
     p.set_defaults(func=_cmd_build_testword)
 
     p = sub.add_parser("verify-testword", parents=[words], help="bounded search for non-canonical solutions")
-    p.add_argument("--level", type=int)
     p.add_argument("--exponents", type=_exponent_rows, required=True)
     p.add_argument("--targets", required=True, help="semicolon-separated target words")
     p.add_argument("--bound", type=_count, required=True)
@@ -459,8 +464,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         code, payload = args.func(args)
-    except (WordError, equations.BudgetExceeded, finitegroups.SearchBudgetExceeded,
-            hypgeom.BallCapExceeded, hypgeom.GeodesicOracleError, OSError, ValueError) as err:
+    except (ValueError, BudgetExceeded, hypgeom.GeodesicOracleError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
     _write_report(payload, args.out)

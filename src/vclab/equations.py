@@ -16,12 +16,8 @@ import os
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .words import Alphabet, Word, WordError, count_reduced, enumerate_reduced, format_word
+from .words import Alphabet, BudgetExceeded, Word, WordError, count_reduced, enumerate_reduced, format_word
 from .oracles import is_conjugate, root
-
-
-class BudgetExceeded(RuntimeError):
-    """Raised when a search would exceed the configured candidate cap."""
 
 
 @dataclass(frozen=True)

@@ -19,14 +19,10 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .words import Alphabet, Word, WordError, enumerate_reduced
+from .words import Alphabet, BudgetExceeded, Word, WordError, enumerate_reduced
 
 # assignments an exhaustive search may try before it refuses
 SEARCH_BUDGET = 10**7
-
-
-class SearchBudgetExceeded(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -245,7 +241,7 @@ def enumerate_table_homs(
     target = sorted(set(dst_elements))
     total = len(target) ** len(gens)
     if total > SEARCH_BUDGET:
-        raise SearchBudgetExceeded(f"{total} assignments exceed budget {SEARCH_BUDGET}")
+        raise BudgetExceeded(f"{total} assignments exceed budget {SEARCH_BUDGET}")
     homs = []
     for images in itertools.product(target, repeat=len(gens)):
         mapping = tuple(inside.evaluate_word(words[x], images) for x in range(src.order))
@@ -317,7 +313,7 @@ def verbally_closed_check(
     for word in corpus:
         nvars = word.alphabet.rank
         if g.order ** nvars > SEARCH_BUDGET:
-            raise SearchBudgetExceeded(f"|G|^{nvars} exceeds budget {SEARCH_BUDGET}")
+            raise BudgetExceeded(f"|G|^{nvars} exceeds budget {SEARCH_BUDGET}")
         in_group = _value_witnesses(g, word, range(g.order))
         in_sub = _value_witnesses(g, word, subgroup)
         for h in targets:

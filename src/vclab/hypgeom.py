@@ -18,12 +18,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .words import Word, WordError, count_reduced, enumerate_reduced, format_word
+from .words import BudgetExceeded, Word, WordError, count_reduced, enumerate_reduced, format_word
 from .oracles import is_commensurable
-
-
-class BallCapExceeded(RuntimeError):
-    pass
 
 
 class GeodesicOracleError(RuntimeError):
@@ -89,7 +85,7 @@ def cayley_ball(gens: Sequence[Word], radius: int, cap: int = 200_000) -> Finite
             raise WordError("generators use mixed alphabets")
     if set(gens) == set(alph.generators()):
         if count_reduced(alph.rank, radius) > cap:
-            raise BallCapExceeded(f"ball exceeds cap of {cap} elements")
+            raise BudgetExceeded(f"ball exceeds cap of {cap} elements")
         return FiniteMetricSpace(tuple(enumerate_reduced(alph, radius)))
     return _bfs_ball(gens, radius, cap)
 
@@ -109,7 +105,7 @@ def _bfs_ball(gens: Sequence[Word], radius: int, cap: int) -> FiniteMetricSpace:
                     distances[img] = step
                     nxt.append(img)
                     if len(distances) > cap:
-                        raise BallCapExceeded(f"ball exceeds cap of {cap} elements")
+                        raise BudgetExceeded(f"ball exceeds cap of {cap} elements")
         frontier = nxt
     points = tuple(sorted((w for w, d in distances.items() if d <= radius), key=lambda w: (distances[w], w.lex_key())))
     matrix = tuple(

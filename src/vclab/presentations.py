@@ -176,8 +176,6 @@ def smith_normal_form(m: Matrix, cols: Optional[int] = None) -> SNFResult:
                         reduced = False
             if not reduced:
                 continue
-            if any(d[i][k] for i in range(k + 1, rows)) or any(d[k][j] for j in range(k + 1, cols)):
-                continue
             # divisibility: pull any non-divisible entry into row k
             culprit = None
             for i in range(k + 1, rows):

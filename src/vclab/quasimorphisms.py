@@ -1,47 +1,37 @@
-"""Concrete quasimorphisms on free groups, with exact rational arithmetic.
+"""Counting quasimorphisms on free groups, with exact rational arithmetic.
 
-Two kinds are provided: exponent-sum homomorphisms (defect exactly zero)
-and counting quasimorphisms (signed occurrences of a fixed pattern in the
-reduced word).  Defect estimation is sampling-based and yields lower
-bounds only; each sampled gap q(fg) - q(f) - q(g) is read off the letters
-next to the cancellation between f and g, never from a recount of fg.
-Homogenization is by truncation q(g^M)/M with the standard subadditivity
-error D/M, and conjugacy invariance is measured by the truncated residual
-against its bound; q(g^M) is exact and affine in M past a threshold, so
-any truncation costs O(|g| + |pattern|).
+A counting quasimorphism takes the signed occurrences of a fixed pattern
+in the reduced word; the pattern of one letter x_i gives the exponent-sum
+homomorphism on x_i, whose defect is exactly zero.  Defect estimation is
+sampling-based and yields lower bounds only; each sampled gap
+q(fg) - q(f) - q(g) is read off the letters next to the cancellation
+between f and g, never from a recount of fg.  Homogenization is by
+truncation q(g^M)/M with the standard subadditivity error D/M, and
+conjugacy invariance is measured by the truncated residual against its
+bound; q(g^M) is exact and affine in M past a threshold, so any
+truncation costs O(|g| + |pattern|).
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .words import Word, WordError, format_word
-
-
-class QMKind(enum.Enum):
-    HOMOMORPHISM = "homomorphism"
-    COUNTING = "counting"
+from .words import Word, WordError
 
 
 @dataclass(frozen=True)
 class QuasiMorphism:
-    kind: QMKind
-    gen: Optional[int] = None
-    pattern: Optional[Word] = None
-    # signed letters of the pattern and of its inverse, for counting kinds
-    probes: tuple = field(init=False, default=(), compare=False, repr=False)
+    pattern: Word
+    # signed letters of the pattern and of its inverse
+    probes: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.pattern is not None:
-            letters = tuple(self.pattern.letters())
-            object.__setattr__(self, "probes", (letters, tuple(-l for l in reversed(letters))))
+        letters = tuple(self.pattern.letters())
+        object.__setattr__(self, "probes", (letters, tuple(-l for l in reversed(letters))))
 
     def __call__(self, w: Word) -> Fraction:
-        if self.kind is QMKind.HOMOMORPHISM:
-            return Fraction(w.exponent_sum(self.gen))
         return Fraction(self._signed_count(tuple(w.letters())))
 
     def _signed_count(self, text: tuple[int, ...]) -> int:
@@ -71,8 +61,6 @@ class QuasiMorphism:
         """
         if f.alphabet is not g.alphabet:
             f._require_same_alphabet(g)
-        if self.kind is QMKind.HOMOMORPHISM:
-            return 0
         left, right = f.syllables, g.syllables
         i, j, n = len(left), 0, len(right)
         while i and j < n and left[i - 1].gen == right[j].gen and left[i - 1].exp == -right[j].exp:
@@ -95,11 +83,6 @@ class QuasiMorphism:
             - self._signed_count(f_end + c_start)
             - self._signed_count(c_inverse_end + g_start)
         )
-
-    def describe(self) -> dict:
-        if self.kind is QMKind.HOMOMORPHISM:
-            return {"kind": self.kind.value, "generator": self.gen}
-        return {"kind": self.kind.value, "pattern": format_word(self.pattern)}
 
 
 def _letter(gen: int, exp: int) -> int:
@@ -128,13 +111,6 @@ def _letters_before(syllables: tuple, index: int, drop: int, count: int) -> tupl
     return tuple(reversed(out))
 
 
-def exponent_sum_qm(gen: int) -> QuasiMorphism:
-    """The homomorphism w -> exponent sum of w on one generator."""
-    if gen < 0:
-        raise WordError("generator index must be >= 0")
-    return QuasiMorphism(QMKind.HOMOMORPHISM, gen=gen)
-
-
 def counting_qm(pattern: Word) -> QuasiMorphism:
     """Signed subword counting: occurrences of the pattern minus occurrences
     of its inverse, over the reduced word only (no cyclic counting)."""
@@ -142,7 +118,7 @@ def counting_qm(pattern: Word) -> QuasiMorphism:
         raise WordError("pattern must be nonidentity")
     if not pattern.is_cyclically_reduced():
         raise WordError("pattern must be cyclically reduced")
-    return QuasiMorphism(QMKind.COUNTING, pattern=pattern)
+    return QuasiMorphism(pattern)
 
 
 @dataclass(frozen=True)
@@ -156,7 +132,7 @@ class DefectEstimate:
 
 def defect_estimate(q: QuasiMorphism, sample_pairs: Sequence[tuple[Word, Word]]) -> DefectEstimate:
     """max |q(fg) - q(f) - q(g)| over the given pairs; a lower bound for
-    the true defect, never an upper bound for counting kinds."""
+    the true defect, never an upper bound."""
     best = 0
     for f, g in sample_pairs:
         gap = abs(q.gap(f, g))
@@ -168,10 +144,9 @@ def defect_estimate(q: QuasiMorphism, sample_pairs: Sequence[tuple[Word, Word]])
 def _power_value(q: QuasiMorphism, g: Word, m: int) -> Fraction:
     """q(g^m) for m >= 1 without building g^m when m is large.
 
-    Homomorphisms give m q(g).  For a counting quasimorphism with pattern
-    length k, write g = t c t^{-1} with c cyclically reduced and n = |c| > 0.
-    For m >= 1 the letters of g^m are T C^m T^{-1} with no cancellation
-    (T, C the letters of t, c).  Suppose k - 1 <= m n, and compare the
+    For a pattern of length k, write g = t c t^{-1} with c cyclically
+    reduced and n = |c| > 0.  For m >= 1 the letters of g^m are
+    T C^m T^{-1} with no cancellation (T, C the letters of t, c).  Suppose k - 1 <= m n, and compare the
     windows of length k in T C^{m+1} T^{-1} with those in T C^m T^{-1}:
       - a window starting inside T ends within T C^m, since
         |T| - 1 + k <= |T| + m n, and reads the same in both words;
@@ -185,8 +160,6 @@ def _power_value(q: QuasiMorphism, g: Word, m: int) -> Fraction:
     in m from m0 on, and the two short powers g^m0 and g^(m0+1) give it
     exactly.
     """
-    if q.kind is QMKind.HOMOMORPHISM:
-        return m * q(g)
     core, _ = g.cyclic_reduce()
     n = len(core)
     if not n:
@@ -216,14 +189,12 @@ class HomogenizationResult:
 def homogenize(q: QuasiMorphism, g: Word, truncation: int, defect: Fraction) -> HomogenizationResult:
     """Truncated homogenization q(g^M)/M with error bound D/M.
 
-    The caller supplies D, a bound for the defect; for homomorphisms the
-    defect is exactly zero and the value equals q(g) with zero error.
+    The caller supplies D, a bound for the defect; a one-letter pattern is
+    a homomorphism, whose defect is exactly zero.
     """
     if truncation < 1:
         raise WordError("truncation must be >= 1")
     value = _power_value(q, g, truncation) / truncation
-    if q.kind is QMKind.HOMOMORPHISM:
-        return HomogenizationResult(value, truncation, Fraction(0))
     return HomogenizationResult(value, truncation, Fraction(defect) / truncation)
 
 

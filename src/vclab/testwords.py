@@ -188,9 +188,9 @@ def evaluate(w: SymbolicWord, assignment: Mapping[str, Word]) -> Word:
 
 def _parse_variable(level: int, name: str) -> int:
     kind, num = name[0], name[1:]
-    if kind == "x" and num.isdigit():
+    if kind == "x" and num.isdecimal():
         return x_index(level, int(num))
-    if kind == "y" and num.isdigit():
+    if kind == "y" and num.isdecimal():
         return y_index(level, int(num))
     raise WordError(f"bad variable name {name!r}")
 

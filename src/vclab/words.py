@@ -17,6 +17,10 @@ class WordError(ValueError):
     """Malformed word data: bad literal, bad index, alphabet mismatch."""
 
 
+class BudgetExceeded(RuntimeError):
+    """A search or a ball would exceed its configured cap."""
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """A ranked basis x_0, ..., x_{rank-1} of a free group."""
@@ -34,7 +38,7 @@ class Alphabet:
         return [self.generator(i) for i in range(self.rank)]
 
     def identity(self) -> "Word":
-        return Word.from_syllables(self, [])
+        return Word._reduced(self, ())
 
 
 class Syllable(NamedTuple):
@@ -42,10 +46,16 @@ class Syllable(NamedTuple):
     exp: int
 
 
-def _merge_runs(items: Iterable[tuple[int, int]]) -> tuple[Syllable, ...]:
-    """Free reduction of a syllable stream via a cancellation stack."""
+def _merge_runs(items: Iterable[tuple[int, int]], rank: int) -> tuple[Syllable, ...]:
+    """Free reduction of a syllable stream via a cancellation stack.
+
+    Each generator is checked against the rank as it arrives, before any
+    merging, so an out-of-range pair that would cancel is still refused.
+    """
     stack: list[list[int]] = []
     for gen, exp in items:
+        if not 0 <= gen < rank:
+            raise WordError(f"generator index {gen} out of range for rank {rank}")
         if exp == 0:
             continue
         if stack and stack[-1][0] == gen:
@@ -86,7 +96,8 @@ class Word:
 
     @staticmethod
     def from_syllables(alph: Alphabet, items: Iterable[tuple[int, int]]) -> "Word":
-        return Word(alph, _merge_runs(items))
+        """The reduced word of a syllable stream, merged and cancelled."""
+        return Word._reduced(alph, _merge_runs(items, alph.rank))
 
     @staticmethod
     def from_letters(alph: Alphabet, letters: Iterable[int]) -> "Word":
@@ -266,10 +277,10 @@ def word_tokens(text: str) -> Iterator[tuple[int, int]]:
             i += 1
             continue
         inverted = False
-        if ch == "g" and i + 1 < n and text[i + 1].isdigit():
+        if ch == "g" and i + 1 < n and text[i + 1].isdecimal():
             i += 1
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             gen = int(text[i:j])
             i = j
@@ -292,9 +303,9 @@ def word_tokens(text: str) -> Iterator[tuple[int, int]]:
             j = i
             if j < n and text[j] in "+-":
                 j += 1
-            if j >= n or not text[j].isdigit():
+            if j >= n or not text[j].isdecimal():
                 raise WordError(f"malformed exponent at position {i} in {text!r}")
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             exp = int(text[i:j])
             i = j
@@ -302,12 +313,7 @@ def word_tokens(text: str) -> Iterator[tuple[int, int]]:
 
 
 def parse_word(text: str, alph: Alphabet) -> Word:
-    items: list[tuple[int, int]] = []
-    for gen, exp in word_tokens(text):
-        if gen >= alph.rank:
-            raise WordError(f"generator index {gen} out of range for rank {alph.rank}")
-        items.append((gen, exp))
-    return Word.from_syllables(alph, items)
+    return Word.from_syllables(alph, word_tokens(text))
 
 
 def format_word(w: Word) -> str:

@@ -250,6 +250,61 @@ def test_gen_must_be_below_the_rank(capsys, command):
     assert main([*command, "--gen", "5", "--rank", "6"]) == 0
 
 
+def test_gen_below_zero_is_out_of_range(capsys):
+    assert main(["qm-homogenize", "--word", "ab", "--gen", "-1"]) == 1
+    assert "error: --gen -1 out of range for rank 2" in capsys.readouterr().err
+
+
+def test_qm_homogenize_gen_reports_a_homomorphism_with_zero_error(capsys):
+    code, out = run(capsys, "qm-homogenize", "--gen", "0", "--word", "a^2b", "--defect", "3")
+    assert code == 0
+    data = json.loads(out)
+    assert data["qm"] == {"kind": "homomorphism", "generator": 0}
+    assert data["homogenization_table"] and all(row["error_bound"] == "0" for row in data["homogenization_table"])
+
+
+def test_qm_invariance_gen_bound_reads_the_defect(capsys):
+    # bound 2(|q(u)| + D)/M with q(a) = 1, D = 3 and the default M = 64
+    code, out = run(capsys, "qm-invariance", "--gen", "0", "--word", "ab", "--conjugator", "a", "--defect", "3")
+    assert code == 0
+    data = json.loads(out)
+    assert data["qm"] == {"kind": "homomorphism", "generator": 0}
+    assert data["invariance"]["bound"] == "1/8"
+
+
+def test_gen_and_one_letter_pattern_give_equal_values(capsys):
+    tables = []
+    for choice in (("--gen", "0"), ("--pattern", "a")):
+        code, out = run(capsys, "qm-homogenize", *choice, "--word", "a^3bAb", "--truncations", "1,3,100000000")
+        assert code == 0
+        tables.append([row["value"] for row in json.loads(out)["homogenization_table"]])
+    assert tables[0] == tables[1] == ["2", "2", "2"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("build-testword", "--exponents", "1 1 1 1 1 1 1 1 1 1"),
+    ("verify-testword", "--exponents", "1 1 1 1 1 1 1 1 1 1", "--targets", "a;b;c", "--bound", "1"),
+], ids=["build-testword", "verify-testword"])
+def test_level_is_not_a_flag(capsys, argv):
+    code, err = usage_exit(capsys, *argv, "--level", "3")
+    assert code == 1
+    assert "unrecognized arguments: --level 3" in err
+
+
+def test_solve_eq_candidate_cap_is_an_error(capsys):
+    assert main(["solve-eq", "--a", "a", "--b", "b", "--n", "2", "--m", "3", "--bound", "3",
+                 "--max-candidates", "10"]) == 1
+    assert "error: 53 x-candidates exceed cap 10" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("literal,position", [("a^\u00b2", 2), ("g\u00b2", 1)], ids=["exponent", "index"])
+def test_non_ascii_digit_in_a_word_is_an_error(capsys, literal, position):
+    assert main(["solve-eq", "--a", literal, "--b", "b", "--n", "2", "--m", "3", "--bound", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"at position {position} in" in err
+    assert "int()" not in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv,message", [
     (("qm-homogenize", "--pattern", "ab", "--word", "ab", "--truncations", "1,x"),
      "argument --truncations: not an integer: 'x'"),

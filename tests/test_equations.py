@@ -3,9 +3,8 @@ import random
 
 import pytest
 
-from vclab.words import Alphabet, Word, WordError, enumerate_reduced, parse_word
+from vclab.words import Alphabet, BudgetExceeded, Word, WordError, enumerate_reduced, parse_word
 from vclab.equations import (
-    BudgetExceeded,
     Classification,
     EquationInstance,
     SolutionPair,

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from vclab.words import Alphabet, WordError, parse_word
+from vclab.words import Alphabet, BudgetExceeded, WordError, parse_word
 from vclab.finitegroups import (
     FiniteGroup,
     central_product,
@@ -311,6 +311,13 @@ def test_identity_word_never_disagrees():
     a2 = g.power(g.gens["a"], 2)
     reports = verbally_closed_check(g, [a2], [sym("a", V1)], [g.identity, a2])
     assert all(not r.disagreement for r in reports)
+
+
+def test_verbal_check_refuses_searches_over_budget():
+    # 8^8 assignments of eight variables in a group of order 8 exceed 10^7
+    g = dihedral4()
+    with pytest.raises(BudgetExceeded, match=r"\|G\|\^8 exceeds budget 10000000"):
+        verbally_closed_check(g, [g.identity], [sym("abcdefgh", Alphabet(8))], [g.identity])
 
 
 def test_witnesses_resubstitute():

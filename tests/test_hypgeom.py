@@ -4,9 +4,8 @@ from fractions import Fraction
 import pytest
 
 from vclab import hypgeom
-from vclab.words import Alphabet, Word, WordError, enumerate_reduced, parse_word
+from vclab.words import Alphabet, BudgetExceeded, Word, WordError, enumerate_reduced, parse_word
 from vclab.hypgeom import (
-    BallCapExceeded,
     FiniteMetricSpace,
     cayley_ball,
     check_concatenation_quasigeodesic,
@@ -47,11 +46,11 @@ def test_ball_sizes():
 
 
 def test_ball_cap():
-    with pytest.raises(BallCapExceeded):
+    with pytest.raises(BudgetExceeded):
         cayley_ball([p("a"), p("b")], 4, cap=50)
     # over the standard basis the cap bounds the ball's point count
     assert len(cayley_ball([p("a"), p("b")], 4, cap=161)) == 161
-    with pytest.raises(BallCapExceeded, match="ball exceeds cap of 160 elements"):
+    with pytest.raises(BudgetExceeded, match="ball exceeds cap of 160 elements"):
         cayley_ball([p("a"), p("b")], 4, cap=160)
 
 

@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 
 from vclab.words import Alphabet, Word, WordError, parse_word
 from vclab.quasimorphisms import (
-    QMKind,
     conjugacy_invariance_check,
     counting_qm,
     defect_estimate,
-    exponent_sum_qm,
     homogenize,
 )
 
@@ -33,17 +31,35 @@ def random_pairs(seed, count, max_len):
     return [(random_word(rng, max_len), random_word(rng, max_len)) for _ in range(count)]
 
 
+def exponent_sum(i, alph=F2):
+    """The exponent-sum homomorphism on x_i: the counting quasimorphism of the letter x_i."""
+    return counting_qm(alph.generator(i))
+
+
 # -- evaluators ---------------------------------------------------------------
 
 def test_exponent_sum_examples():
-    qa = exponent_sum_qm(0)
+    qa = exponent_sum(0)
     assert qa(p("a^2b^3")) == 2
     assert qa(p("b")) == 0
     assert qa(p("")) == 0
 
 
+def test_one_letter_pattern_counts_the_exponent_sum():
+    rng = random.Random(29)
+    for alph in (Alphabet(1), F2, F3):
+        for i in range(alph.rank):
+            q = exponent_sum(i, alph)
+            for _ in range(50):
+                g, u = random_word(rng, 10, alph), random_word(rng, 6, alph)
+                assert q(g) == g.exponent_sum(i)
+                for m in (1, 5, 10**8):
+                    assert homogenize(q, g, m, Fraction(0)).value == g.exponent_sum(i)
+                assert conjugacy_invariance_check(q, g, u, 7, Fraction(0)).residual == 0
+
+
 def test_exponent_sum_is_homogeneous():
-    qa = exponent_sum_qm(0)
+    qa = exponent_sum(0)
     rng = random.Random(31)
     for _ in range(100):
         g = random_word(rng, 8)
@@ -77,7 +93,7 @@ def test_counting_antisymmetry():
 # -- defect -------------------------------------------------------------------
 
 def test_defect_zero_for_homomorphisms():
-    qa = exponent_sum_qm(0)
+    qa = exponent_sum(0)
     est = defect_estimate(qa, random_pairs(41, 500, 10))
     assert est.lower_bound == 0
 
@@ -160,11 +176,11 @@ def test_full_cancellation_gives_zero_gap():
 
 
 def test_homomorphism_gap_is_zero():
-    qa = exponent_sum_qm(1)
+    qa = exponent_sum(1)
     assert qa.gap(p("abab"), p("BA")) == 0
 
 
-@pytest.mark.parametrize("q", [counting_qm(p("ab")), exponent_sum_qm(0)], ids=["counting", "homomorphism"])
+@pytest.mark.parametrize("q", [counting_qm(p("ab")), exponent_sum(0)], ids=["counting", "homomorphism"])
 def test_defect_rejects_mixed_alphabets(q):
     with pytest.raises(WordError):
         defect_estimate(q, [(p("ab"), parse_word("c", F3))])
@@ -173,7 +189,7 @@ def test_defect_rejects_mixed_alphabets(q):
 # -- homogenization ------------------------------------------------------------
 
 def test_homogenize_homomorphism_fixed_point():
-    qa = exponent_sum_qm(0)
+    qa = exponent_sum(0)
     for m in (1, 2, 4, 64):
         res = homogenize(qa, p("a^2b"), m, Fraction(0))
         assert res.value == 2 and res.error_bound == 0
@@ -208,7 +224,7 @@ def test_doubling_cauchy_property():
 # -- conjugacy invariance ---------------------------------------------------------
 
 def test_invariance_exact_for_homomorphisms():
-    qa = exponent_sum_qm(0)
+    qa = exponent_sum(0)
     rng = random.Random(59)
     for _ in range(100):
         g, u = random_word(rng, 8), random_word(rng, 6)
@@ -261,7 +277,7 @@ def test_closed_form_powers_match_direct_evaluation():
 
 
 def test_closed_form_powers_for_homomorphisms():
-    qb = exponent_sum_qm(1)
+    qb = exponent_sum(1)
     rng = random.Random(83)
     for _ in range(50):
         g = random_word(rng, 8)

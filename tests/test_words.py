@@ -68,6 +68,30 @@ def test_parse_rejects_garbage():
         parse_word("?", F2)
 
 
+def test_parse_checks_indices_before_cancelling():
+    # z and Z would cancel, but z is generator 25
+    with pytest.raises(WordError, match="generator index 25 out of range for rank 2"):
+        parse_word("zZ", F2)
+
+
+def test_from_syllables_checks_indices_before_merging():
+    with pytest.raises(WordError, match="generator index 5 out of range for rank 2"):
+        Word.from_syllables(F2, [(5, 1), (5, -1)])
+    with pytest.raises(WordError, match="generator index -1 out of range for rank 2"):
+        Word.from_syllables(F2, [(-1, 2)])
+
+
+@pytest.mark.parametrize("text,message", [
+    ("a^\u00b2", "malformed exponent at position 2 in 'a^\u00b2'"),
+    ("g\u00b2", "unexpected character '\u00b2' at position 1 in 'g\u00b2'"),
+], ids=["exponent", "index"])
+def test_non_ascii_digits_are_malformed(text, message):
+    # a superscript two passes str.isdigit but int() rejects it
+    with pytest.raises(WordError) as info:
+        parse_word(text, Alphabet(7))
+    assert str(info.value) == message
+
+
 @given(st.lists(st.tuples(st.integers(0, 2), st.sampled_from([1, -1])), max_size=30))
 def test_roundtrip_parse_format(letters):
     word = Word.from_syllables(F3, letters)
@@ -98,6 +122,8 @@ def test_reduce_merges_syllables():
 def test_reduce_idempotent(items):
     word = Word.from_syllables(F2, items)
     assert Word.from_syllables(F2, list(word.syllables)) == word
+    # the merge output passes the checking constructor it no longer runs
+    assert Word(F2, word.syllables) == word
 
 
 # -- group operations ---------------------------------------------------------
