@@ -39,12 +39,19 @@ def _integer(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
 
 
-def _count(text: str) -> int:
-    """argparse type of a count flag: an integer >= 0."""
-    value = _integer(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _at_least(low: int):
+    """argparse type of an integer flag with a floor."""
+
+    def parse(text: str) -> int:
+        value = _integer(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+_count = _at_least(0)
 
 
 def _int_list(text: str) -> list[int]:
@@ -186,13 +193,14 @@ def _make_qm(args, alph: Alphabet) -> tuple[quasimorphisms.QuasiMorphism, dict]:
 
 
 def _cmd_qm_homogenize(args) -> tuple[int, str]:
+    if args.gen is not None and args.defect is not None:
+        # a homomorphism's defect is exactly 0: a bound for it would be ignored
+        args.usage_error("argument --defect: not allowed with argument --gen")
     texts = [args.word] + ([args.pattern] if args.pattern else [])
     alph = _infer_rank(texts, args.rank)
     qm, entry = _make_qm(args, alph)
     word = parse_word(args.word, alph)
-    # a homomorphism's defect is exactly 0, whatever --defect says
-    defect = args.defect if args.pattern is not None else Fraction(0)
-    table = [quasimorphisms.homogenize(qm, word, m, defect).to_json_dict() for m in args.truncations]
+    table = [quasimorphisms.homogenize(qm, word, m, args.defect or Fraction(0)).to_json_dict() for m in args.truncations]
     data = {"qm": entry, "word": format_word(word), "homogenization_table": table}
     return EXIT_OK, _json_payload(data)
 
@@ -206,7 +214,7 @@ def _cmd_qm_invariance(args) -> tuple[int, str]:
         parse_word(args.word, alph),
         parse_word(args.conjugator, alph),
         args.truncation,
-        args.defect,
+        args.defect or Fraction(0),
     )
     data = {"qm": entry, "invariance": check.to_json_dict()}
     code = EXIT_OK if check.within_bound else EXIT_FINDING
@@ -351,14 +359,14 @@ def build_parser() -> argparse.ArgumentParser:
     equation.add_argument("--m", type=int, required=True)
     equation.add_argument("--bound", type=_count, required=True)
     equation.add_argument("--max-candidates", type=_count)
-    equation.add_argument("--jobs", type=int, default=1, help="worker count")
+    equation.add_argument("--jobs", type=_at_least(1), default=1, help="worker count")
 
     qm = argparse.ArgumentParser(add_help=False, parents=[words])
     which = qm.add_mutually_exclusive_group(required=True)
     which.add_argument("--pattern", help="counting quasimorphism of this word")
     which.add_argument("--gen", type=int, help="exponent sum of this generator")
     qm.add_argument("--word", required=True)
-    qm.add_argument("--defect", type=Fraction, default=Fraction(0), help="defect bound (rational)")
+    qm.add_argument("--defect", type=Fraction, help="defect bound (rational, default 0; not with --gen on qm-homogenize)")
 
     ball = argparse.ArgumentParser(add_help=False, parents=[report])
     ball.add_argument("--rank", type=int, default=2, help="alphabet rank")
@@ -404,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("qm-homogenize", parents=[qm], help="truncated homogenization table")
     p.add_argument("--truncations", type=_int_list, default="1,2,4,8,16,32,64")
-    p.set_defaults(func=_cmd_qm_homogenize)
+    p.set_defaults(func=_cmd_qm_homogenize, usage_error=p.error)
 
     p = sub.add_parser("qm-invariance", parents=[qm], help="conjugacy invariance residual")
     p.add_argument("--conjugator", required=True)

@@ -12,11 +12,12 @@ run certifies the unbounded statement.
 from __future__ import annotations
 
 import enum
+import functools
 import os
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .words import Alphabet, BudgetExceeded, Word, WordError, count_reduced, enumerate_reduced, format_word
+from .words import Alphabet, BudgetExceeded, Syllable, Word, WordError, count_reduced, format_word
 from .oracles import is_conjugate, root
 
 
@@ -108,54 +109,61 @@ def brute_force_solutions(
     """All solution pairs with both components of length <= bound.
 
     Enumerates x only: y is forced, since in a free group x^{-n} g is an
-    m-th power in at most one way.  Before any root is taken, x is dropped
-    unless the abelianized equation n*sigma(x) + m*sigma(y) = sigma(g) has
-    an integer solution sigma(y), sigma being the vector of exponent sums:
-    every solution passes this test.  ``max_candidates`` still caps all
-    reduced x, since all of them are enumerated.  Deterministic shortlex
-    order.
+    m-th power in at most one way.  The reduced x are walked depth first,
+    carrying the exponent sums sigma(x); x is dropped unless the
+    abelianized equation n*sigma(x) + m*sigma(y) = sigma(g) has an integer
+    solution sigma(y), which every solution passes, and a subtree is left
+    unwalked once too few letters remain to reach that.  Only survivors
+    become Words.  Before ``root`` is taken, x is also dropped when the
+    length of x^{-n} g rules out an m-th root of length <= bound.
+
+    The search is split into one shard per first letter; the parent
+    handles x = 1.  ``jobs`` > 1 runs the shards in a process pool of
+    ``min(jobs, cpu_count, 2 * rank)`` workers, each returning only its
+    solutions.  ``max_candidates`` still caps all reduced x, the
+    ``count_reduced`` total.  Sorted by length, then letters, of x, then y.
     """
     if bound < 0:
         raise WordError("bound must be >= 0")
-    total = count_reduced(inst.alphabet.rank, bound)
+    rank = inst.alphabet.rank
+    total = count_reduced(rank, bound)
     if max_candidates is not None and total > max_candidates:
         raise BudgetExceeded(f"{total} x-candidates exceed cap {max_candidates}")
     n, m = inst.n, inst.m
-    target = [inst.g.exponent_sum(i) for i in range(inst.alphabet.rank)]
-    candidates = []
-    for x in enumerate_reduced(inst.alphabet, bound):
-        sums = target[:]  # sigma(g) - n*sigma(x), which m must divide
-        for gen, exp in x.syllables:
-            sums[gen] -= n * exp
-        for s in sums:
-            if s % m:
-                break
-        else:
-            candidates.append(x)
-    # never more workers than CPUs or candidates, whatever jobs asks for
-    workers = min(jobs, os.cpu_count() or 1, len(candidates))
+    found = _solve_candidates([inst.alphabet.identity()], n, m, inst.g, bound)
+    shards = [Syllable(gen, sign) for gen in range(rank) for sign in (1, -1)] if bound else []
+    solve = functools.partial(_solve_shard, inst.a, inst.b, n, m, bound)
+    # never more workers than CPUs or shards, whatever jobs asks for
+    workers = min(jobs, os.cpu_count() or 1, len(shards))
     if workers > 1:
-        chunks = [candidates[i::workers] for i in range(workers)]
         import concurrent.futures
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(_solve_chunk, [(inst.a, inst.b, inst.n, inst.m, chunk, bound) for chunk in chunks])
-        found = [pair for part in parts for pair in part]
+            parts = list(pool.map(solve, shards))
     else:
-        found = _solve_chunk((inst.a, inst.b, inst.n, inst.m, candidates, bound))
+        parts = [solve(first) for first in shards]
+    found += [pair for part in parts for pair in part]
     found.sort(key=lambda p: (len(p.x), p.x.lex_key(), len(p.y), p.y.lex_key()))
     return found
 
 
-def _solve_chunk(args: tuple) -> list[SolutionPair]:
-    a, b, n, m, xs, bound = args
-    inst_g = a ** n * b ** m
+def _solve_shard(a: Word, b: Word, n: int, m: int, bound: int, first: Syllable) -> list[SolutionPair]:
+    """The solutions whose x starts with the letter ``first``."""
+    g = a ** n * b ** m
+    return _solve_candidates(_abelian_survivors(g, n, m, bound, first), n, m, g, bound)
+
+
+def _solve_candidates(xs: Iterable[Word], n: int, m: int, g: Word, bound: int) -> list[SolutionPair]:
+    """The pairs (x, y) with x^n y^m = g and |y| <= bound, x taken from ``xs``."""
     out = []
     for x in xs:
-        rem = (x ** n).inverse() * inst_g
+        rem = (x ** n).inverse() * g
         if rem.is_identity():
             y = x.alphabet.identity()
         else:
+            size = _root_length(rem, m)
+            if size is None or size > bound:
+                continue
             rd = root(rem)
             if rd.exponent % m:
                 continue
@@ -163,6 +171,72 @@ def _solve_chunk(args: tuple) -> list[SolutionPair]:
         if len(y) <= bound:
             out.append(SolutionPair(x, y))
     return out
+
+
+def _root_length(w: Word, m: int) -> Optional[int]:
+    """|y| if w = y^m for some y, read off lengths alone; None when the
+    lengths rule every y out.
+
+    Write y = t c t^{-1}, reduced as written, with c cyclically reduced.
+    Then y^m = t c^m t^{-1} is reduced as written and c^m is cyclically
+    reduced, so the cyclic core of w is c^m, of length L = m|c|, and
+    |y| = 2|t| + |c| = |w| - L + L/m.  So m divides L, or w is no m-th power.
+    """
+    core, _ = w.cyclic_reduce()
+    size = len(core)
+    if size % m:
+        return None
+    return len(w) - size + size // m
+
+
+def _abelian_survivors(g: Word, n: int, m: int, bound: int, first: Syllable) -> Iterator[Word]:
+    """Each reduced x with 1 <= |x| <= bound that starts with the letter
+    ``first`` and has n*sigma(x) = sigma(g) mod m, once, depth first.
+
+    One letter extends a reduced word by bumping its last syllable (same
+    generator and sign), is refused (the inverse letter), or opens a new
+    syllable, as in ``enumerate_reduced``; each step moves one exponent sum.
+    """
+    if not bound:
+        return
+    alph = g.alphabet
+    # signed tables: entry s for s in -bound..bound, negative s from the end
+    signed = list(range(bound + 1)) + list(range(-bound, 0))
+    syllable = [[Syllable(gen, s) if s else None for s in signed] for gen in range(alph.rank)]
+    # lack[i][s]: the fewest letters on generator i that take sigma_i(x) = s
+    # to n*sigma_i(x) = sigma_i(g) mod m; a suffix of x has at least
+    # |sigma_i(suffix)| of them.  bound + 1 means none within the bound.
+    lack = []
+    for i in range(alph.rank):
+        r = g.exponent_sum(i)
+        lack.append(
+            [next((t for t in range(bound + 1) if (r - n * (s + t)) % m == 0 or (r - n * (s - t)) % m == 0), bound + 1)
+             for s in signed]
+        )
+    letters = [(gen, sign, syllable[gen][sign]) for gen in range(alph.rank) for sign in (1, -1)]
+    sums = tuple(first.exp if i == first.gen else 0 for i in range(alph.rank))
+    need = sum(lack[i][s] for i, s in enumerate(sums))
+    stack = [((first,), sums, need, bound - 1)] if need < bound else []
+    while stack:
+        syllables, sums, need, left = stack.pop()
+        if not need:
+            yield Word._reduced(alph, syllables)
+        if not left:
+            continue
+        left -= 1
+        last_gen, last_exp = syllables[-1]
+        for gen, sign, letter in letters:
+            old = sums[gen]
+            after = need - lack[gen][old] + lack[gen][old + sign]
+            if after > left:
+                continue
+            if gen != last_gen:
+                ext = syllables + (letter,)
+            elif (last_exp > 0) == (sign > 0):
+                ext = syllables[:-1] + (syllable[gen][last_exp + sign],)
+            else:
+                continue
+            stack.append((ext, sums[:gen] + (old + sign,) + sums[gen + 1:], after, left))
 
 
 def classify_solution(inst: EquationInstance, p: SolutionPair) -> Classification:

@@ -187,10 +187,11 @@ def evaluate(w: SymbolicWord, assignment: Mapping[str, Word]) -> Word:
 
 
 def _parse_variable(level: int, name: str) -> int:
-    kind, num = name[0], name[1:]
-    if kind == "x" and num.isdecimal():
+    kind, num = name[:1], name[1:]
+    digits = num.isascii() and num.isdecimal()
+    if kind == "x" and digits:
         return x_index(level, int(num))
-    if kind == "y" and num.isdecimal():
+    if kind == "y" and digits:
         return y_index(level, int(num))
     raise WordError(f"bad variable name {name!r}")
 

@@ -277,10 +277,10 @@ def word_tokens(text: str) -> Iterator[tuple[int, int]]:
             i += 1
             continue
         inverted = False
-        if ch == "g" and i + 1 < n and text[i + 1].isdecimal():
+        if ch == "g" and i + 1 < n and text[i + 1] in string.digits:
             i += 1
             j = i
-            while j < n and text[j].isdecimal():
+            while j < n and text[j] in string.digits:
                 j += 1
             gen = int(text[i:j])
             i = j
@@ -303,9 +303,9 @@ def word_tokens(text: str) -> Iterator[tuple[int, int]]:
             j = i
             if j < n and text[j] in "+-":
                 j += 1
-            if j >= n or not text[j].isdecimal():
+            if j >= n or text[j] not in string.digits:
                 raise WordError(f"malformed exponent at position {i} in {text!r}")
-            while j < n and text[j].isdecimal():
+            while j < n and text[j] in string.digits:
                 j += 1
             exp = int(text[i:j])
             i = j

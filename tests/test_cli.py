@@ -225,11 +225,14 @@ def test_cayley_delta_cap_is_checked_before_enumerating(monkeypatch, capsys):
     ("verify-testword", "--exponents", "1 1 1 1 1 1 1 1 1 1", "--targets", "a;b;c", "--bound", "-1"),
     ("solve-eq", "--a", "a", "--b", "b", "--n", "2", "--m", "3", "--bound", "-1"),
     ("verify-perfect", "--a", "a", "--b", "b", "--n", "2", "--m", "3", "--bound", "1", "--max-candidates", "-4"),
+    ("solve-eq", "--a", "a", "--b", "b", "--n", "2", "--m", "3", "--bound", "1", "--jobs", "-1"),
+    ("verify-perfect", "--a", "a", "--b", "b", "--n", "2", "--m", "3", "--bound", "1", "--jobs", "0"),
 ])
 def test_negative_counts_are_usage_errors(capsys, argv):
     code, err = usage_exit(capsys, *argv)
     assert code == 1
-    assert f"must be >= 0, got {argv[-1]}" in err
+    floor = 1 if argv[-2] == "--jobs" else 0
+    assert f"must be >= {floor}, got {argv[-1]}" in err
 
 
 def test_zero_max_assignments_explores_nothing(capsys):
@@ -256,11 +259,22 @@ def test_gen_below_zero_is_out_of_range(capsys):
 
 
 def test_qm_homogenize_gen_reports_a_homomorphism_with_zero_error(capsys):
-    code, out = run(capsys, "qm-homogenize", "--gen", "0", "--word", "a^2b", "--defect", "3")
+    code, out = run(capsys, "qm-homogenize", "--gen", "0", "--word", "a^2b")
     assert code == 0
     data = json.loads(out)
     assert data["qm"] == {"kind": "homomorphism", "generator": 0}
     assert data["homogenization_table"] and all(row["error_bound"] == "0" for row in data["homogenization_table"])
+
+
+def test_qm_homogenize_gen_refuses_a_defect(capsys):
+    # the defect of a homomorphism is 0, so --defect would have no effect
+    for defect in ("3", "0"):
+        code, err = usage_exit(capsys, "qm-homogenize", "--gen", "0", "--word", "a^2b", "--defect", defect)
+        assert code == 1
+        assert "argument --defect: not allowed with argument --gen" in err
+    code, out = run(capsys, "qm-homogenize", "--pattern", "a", "--word", "a^2b", "--defect", "3", "--truncations", "1")
+    assert code == 0
+    assert json.loads(out)["homogenization_table"][0]["error_bound"] == "3"
 
 
 def test_qm_invariance_gen_bound_reads_the_defect(capsys):

@@ -2,8 +2,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from vclab.words import Alphabet, BudgetExceeded, Word, WordError, enumerate_reduced, parse_word
+from vclab.words import Alphabet, BudgetExceeded, Syllable, Word, WordError, enumerate_reduced, parse_word
 from vclab.equations import (
     Classification,
     EquationInstance,
@@ -15,6 +17,8 @@ from vclab.equations import (
     is_solution,
     power_exponent_of,
     verify_perfect,
+    _abelian_survivors,
+    _root_length,
 )
 from vclab.oracles import is_conjugate, root
 
@@ -156,9 +160,11 @@ def test_brute_force_caps_workers(monkeypatch):
     import os
 
     pools = []
+    inst = inst23()
+    letters = [Syllable(0, 1), Syllable(0, -1), Syllable(1, 1), Syllable(1, -1)]
 
     class InlinePool:
-        """Records the pool size and the chunk count, and maps in process."""
+        """Records the pool size and the shard count, and maps in process."""
 
         def __init__(self, max_workers):
             self.max_workers = max_workers
@@ -169,24 +175,28 @@ def test_brute_force_caps_workers(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            items = list(items)
-            pools.append((self.max_workers, len(items)))
-            for a, b, n, m, xs, bound in items:
-                assert all(passes_abelian_test(EquationInstance(a, b, n, m), x) for x in xs)
-            return [fn(item) for item in items]
+        def map(self, fn, shards):
+            shards = list(shards)
+            pools.append((self.max_workers, len(shards)))
+            # a task is the instance data, the bound and one first letter:
+            # no candidate list travels to a worker
+            assert fn.args == (inst.a, inst.b, inst.n, inst.m, 3) and not fn.keywords
+            assert shards == letters
+            return [fn(first) for first in shards]
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    expected = brute_force_solutions(inst23(), 3)
-    assert brute_force_solutions(inst23(), 3, jobs=10**6) == expected
-    assert brute_force_solutions(inst23(), 3, jobs=3) == expected
-    # one candidate: no pool at all
-    assert brute_force_solutions(inst23(), 0, jobs=8) == []
-    assert pools == [(4, 4), (3, 3)]
+    expected = brute_force_solutions(inst, 3)
+    assert pools == []
+    assert brute_force_solutions(inst, 3, jobs=10**6) == expected
+    assert brute_force_solutions(inst, 3, jobs=3) == expected
+    # bound 0 has no shard, and one worker needs no pool
+    assert brute_force_solutions(inst, 0, jobs=8) == []
+    assert brute_force_solutions(inst, 3, jobs=1) == expected
+    assert pools == [(4, 4), (3, 4)]
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert brute_force_solutions(inst23(), 3, jobs=8) == expected
-    assert pools == [(4, 4), (3, 3)]
+    assert brute_force_solutions(inst, 3, jobs=8) == expected
+    assert pools == [(4, 4), (3, 4)]
 
 
 def passes_abelian_test(inst, x):
@@ -217,9 +227,40 @@ def unpruned_solutions(inst, bound):
 def test_brute_force_equals_unpruned_search(a, b, rank, n, m):
     alph = Alphabet(rank)
     inst = EquationInstance(parse_word(a, alph), parse_word(b, alph), n, m)
-    got = brute_force_solutions(inst, 4)
-    assert got == unpruned_solutions(inst, 4)
+    got = brute_force_solutions(inst, 5)
+    assert got == unpruned_solutions(inst, 5)
     assert all(passes_abelian_test(inst, p.x) and is_solution(inst, p) for p in got)
+
+
+@pytest.mark.parametrize("a, b, rank", [("a", "a^2", 1), ("a", "b", 2), ("aB", "b^2", 2), ("a", "bc", 3)])
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 3), (3, 3), (4, 6), (5, 1)])
+def test_residue_walk_yields_the_abelian_survivors(a, b, rank, n, m):
+    alph = Alphabet(rank)
+    inst = EquationInstance(parse_word(a, alph), parse_word(b, alph), n, m)
+    letters = [Syllable(gen, sign) for gen in range(rank) for sign in (1, -1)]
+    for bound in range(6):
+        got = [x for first in letters for x in _abelian_survivors(inst.g, n, m, bound, first)]
+        expected = {x for x in enumerate_reduced(alph, bound) if x and passes_abelian_test(inst, x)}
+        assert len(got) == len(set(got))
+        assert set(got) == expected
+        # each survivor is a valid reduced word: the checking constructor accepts it
+        assert all(Word(alph, x.syllables) == x for x in got)
+
+
+@given(st.lists(st.tuples(st.integers(0, 2), st.sampled_from([1, -1])), max_size=6), st.integers(1, 4))
+def test_root_length_passes_every_power(letters, m):
+    y = Word.from_syllables(Alphabet(3), letters)
+    assert _root_length(y ** m, m) == len(y)
+
+
+def test_root_length_refuses_lengths_without_a_root():
+    # a cyclic core of length 3 is no square, and one of length 2 no cube
+    assert _root_length(w("aba"), 2) is None
+    assert _root_length(w("a^3"), 2) is None
+    assert _root_length(w("Ba^2b"), 3) is None
+    assert _root_length(w("Ba^2b"), 2) == len(w("Bab"))
+    # a necessary condition only: a^3 b^3 is no square, yet its lengths allow one
+    assert _root_length(w("a^3b^3"), 2) == 3
 
 
 def test_brute_force_takes_roots_of_survivors_only(monkeypatch):

@@ -163,6 +163,14 @@ def test_evaluate_matches_letter_oracle():
         assert evaluate(w4, dict(zip(names, images))) == _letter_evaluate(w4, images)
 
 
+@pytest.mark.parametrize("name", ["", "x", "y", "z1", "x\u0663", "y\u0663", "x-1"])
+def test_evaluate_rejects_bad_variable_names(name):
+    word = SymbolicWord(3, Alphabet(4).generator(0))
+    with pytest.raises(WordError) as info:
+        evaluate(word, {"x1": p("a"), name: p("b")})
+    assert str(info.value) == f"bad variable name {name!r}"
+
+
 def test_evaluate_rejects_mixed_alphabets_and_empty_assignments():
     alph = Alphabet(4)
     word = SymbolicWord(3, alph.generator(0))

@@ -92,6 +92,19 @@ def test_non_ascii_digits_are_malformed(text, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("text,message", [
+    ("a^\u0663", "malformed exponent at position 2 in 'a^\u0663'"),
+    ("a^-\u0663", "malformed exponent at position 2 in 'a^-\u0663'"),
+    ("g\u0663", "unexpected character '\u0663' at position 1 in 'g\u0663'"),
+    ("g1\u0663", "unexpected character '\u0663' at position 2 in 'g1\u0663'"),
+], ids=["exponent", "signed-exponent", "index", "index-tail"])
+def test_decimal_digits_outside_ascii_are_malformed(text, message):
+    # an Arabic-Indic three passes str.isdecimal, and int() reads it as 3
+    with pytest.raises(WordError) as info:
+        parse_word(text, Alphabet(7))
+    assert str(info.value) == message
+
+
 @given(st.lists(st.tuples(st.integers(0, 2), st.sampled_from([1, -1])), max_size=30))
 def test_roundtrip_parse_format(letters):
     word = Word.from_syllables(F3, letters)
