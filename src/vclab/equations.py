@@ -17,7 +17,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .words import Alphabet, BudgetExceeded, Syllable, Word, WordError, count_reduced, format_word
+from .words import Alphabet, BudgetExceeded, Syllable, Word, WordError, count_reduced, enumerate_reduced, format_word
 from .oracles import is_conjugate, root
 
 
@@ -109,19 +109,19 @@ def brute_force_solutions(
     """All solution pairs with both components of length <= bound.
 
     Enumerates x only: y is forced, since in a free group x^{-n} g is an
-    m-th power in at most one way.  The reduced x are walked depth first,
-    carrying the exponent sums sigma(x); x is dropped unless the
-    abelianized equation n*sigma(x) + m*sigma(y) = sigma(g) has an integer
-    solution sigma(y), which every solution passes, and a subtree is left
-    unwalked once too few letters remain to reach that.  Only survivors
-    become Words.  Before ``root`` is taken, x is also dropped when the
-    length of x^{-n} g rules out an m-th root of length <= bound.
+    m-th power in at most one way.  Every reduced x comes from
+    ``enumerate_reduced``; x is dropped unless the abelianized equation
+    n*sigma(x) + m*sigma(y) = sigma(g) has an integer solution sigma(y),
+    sigma being the vector of exponent sums: every solution passes this
+    test.  Before ``root`` is taken, x is also dropped when the length of
+    x^{-n} g rules out an m-th root of length <= bound.
 
     The search is split into one shard per first letter; the parent
     handles x = 1.  ``jobs`` > 1 runs the shards in a process pool of
-    ``min(jobs, cpu_count, 2 * rank)`` workers, each returning only its
-    solutions.  ``max_candidates`` still caps all reduced x, the
-    ``count_reduced`` total.  Sorted by length, then letters, of x, then y.
+    ``min(jobs, cpu_count, 2 * rank)`` workers, each enumerating its own
+    shard and returning only its solutions.  ``max_candidates`` caps all
+    reduced x, the ``count_reduced`` total.  Sorted by length, then
+    letters, of x, then y.
     """
     if bound < 0:
         raise WordError("bound must be >= 0")
@@ -130,7 +130,8 @@ def brute_force_solutions(
     if max_candidates is not None and total > max_candidates:
         raise BudgetExceeded(f"{total} x-candidates exceed cap {max_candidates}")
     n, m = inst.n, inst.m
-    found = _solve_candidates([inst.alphabet.identity()], n, m, inst.g, bound)
+    # x = 1, the one word of length 0
+    found = _solve_candidates(enumerate_reduced(inst.alphabet, 0), n, m, inst.g, bound)
     shards = [Syllable(gen, sign) for gen in range(rank) for sign in (1, -1)] if bound else []
     solve = functools.partial(_solve_shard, inst.a, inst.b, n, m, bound)
     # never more workers than CPUs or shards, whatever jobs asks for
@@ -150,14 +151,37 @@ def brute_force_solutions(
 def _solve_shard(a: Word, b: Word, n: int, m: int, bound: int, first: Syllable) -> list[SolutionPair]:
     """The solutions whose x starts with the letter ``first``."""
     g = a ** n * b ** m
-    return _solve_candidates(_abelian_survivors(g, n, m, bound, first), n, m, g, bound)
+    xs = enumerate_reduced(g.alphabet, bound, first)
+    return _solve_candidates(_abelian_survivors(xs, g, n, m, bound), n, m, g, bound)
+
+
+def _abelian_survivors(xs: Iterable[Word], g: Word, n: int, m: int, bound: int) -> Iterator[Word]:
+    """The x in ``xs``, each of length <= bound, with n*sigma(x) = sigma(g)
+    modulo m, in order."""
+    rank = g.alphabet.rank
+    target = [g.exponent_sum(i) for i in range(rank)]
+    # sigma(x) as one integer whose digit i in base 2*bound + 1 is
+    # sigma_i(x) + bound, within 0..2*bound as |x| <= bound; the test is
+    # decided once per digit vector
+    base = 2 * bound + 1
+    weight = {Syllable(gen, exp): exp * base ** gen for gen in range(rank) for exp in range(-bound, bound + 1) if exp}
+    offset = sum(bound * base ** gen for gen in range(rank))
+    passes: dict[int, bool] = {}
+    weigh, verdict = weight.__getitem__, passes.get
+    for x in xs:
+        key = sum(map(weigh, x.syllables), offset)
+        ok = verdict(key)
+        if ok is None:
+            ok = passes[key] = all((target[i] - n * x.exponent_sum(i)) % m == 0 for i in range(rank))
+        if ok:
+            yield x
 
 
 def _solve_candidates(xs: Iterable[Word], n: int, m: int, g: Word, bound: int) -> list[SolutionPair]:
     """The pairs (x, y) with x^n y^m = g and |y| <= bound, x taken from ``xs``."""
     out = []
     for x in xs:
-        rem = (x ** n).inverse() * g
+        rem = x ** -n * g
         if rem.is_identity():
             y = x.alphabet.identity()
         else:
@@ -181,62 +205,13 @@ def _root_length(w: Word, m: int) -> Optional[int]:
     Then y^m = t c^m t^{-1} is reduced as written and c^m is cyclically
     reduced, so the cyclic core of w is c^m, of length L = m|c|, and
     |y| = 2|t| + |c| = |w| - L + L/m.  So m divides L, or w is no m-th power.
+    With w = u core u^{-1} reduced as written, |w| - L = 2|u|.
     """
-    core, _ = w.cyclic_reduce()
+    core, conj = w.cyclic_reduce()
     size = len(core)
     if size % m:
         return None
-    return len(w) - size + size // m
-
-
-def _abelian_survivors(g: Word, n: int, m: int, bound: int, first: Syllable) -> Iterator[Word]:
-    """Each reduced x with 1 <= |x| <= bound that starts with the letter
-    ``first`` and has n*sigma(x) = sigma(g) mod m, once, depth first.
-
-    One letter extends a reduced word by bumping its last syllable (same
-    generator and sign), is refused (the inverse letter), or opens a new
-    syllable, as in ``enumerate_reduced``; each step moves one exponent sum.
-    """
-    if not bound:
-        return
-    alph = g.alphabet
-    # signed tables: entry s for s in -bound..bound, negative s from the end
-    signed = list(range(bound + 1)) + list(range(-bound, 0))
-    syllable = [[Syllable(gen, s) if s else None for s in signed] for gen in range(alph.rank)]
-    # lack[i][s]: the fewest letters on generator i that take sigma_i(x) = s
-    # to n*sigma_i(x) = sigma_i(g) mod m; a suffix of x has at least
-    # |sigma_i(suffix)| of them.  bound + 1 means none within the bound.
-    lack = []
-    for i in range(alph.rank):
-        r = g.exponent_sum(i)
-        lack.append(
-            [next((t for t in range(bound + 1) if (r - n * (s + t)) % m == 0 or (r - n * (s - t)) % m == 0), bound + 1)
-             for s in signed]
-        )
-    letters = [(gen, sign, syllable[gen][sign]) for gen in range(alph.rank) for sign in (1, -1)]
-    sums = tuple(first.exp if i == first.gen else 0 for i in range(alph.rank))
-    need = sum(lack[i][s] for i, s in enumerate(sums))
-    stack = [((first,), sums, need, bound - 1)] if need < bound else []
-    while stack:
-        syllables, sums, need, left = stack.pop()
-        if not need:
-            yield Word._reduced(alph, syllables)
-        if not left:
-            continue
-        left -= 1
-        last_gen, last_exp = syllables[-1]
-        for gen, sign, letter in letters:
-            old = sums[gen]
-            after = need - lack[gen][old] + lack[gen][old + sign]
-            if after > left:
-                continue
-            if gen != last_gen:
-                ext = syllables + (letter,)
-            elif (last_exp > 0) == (sign > 0):
-                ext = syllables[:-1] + (syllable[gen][last_exp + sign],)
-            else:
-                continue
-            stack.append((ext, sums[:gen] + (old + sign,) + sums[gen + 1:], after, left))
+    return 2 * len(conj) + size // m
 
 
 def classify_solution(inst: EquationInstance, p: SolutionPair) -> Classification:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 
 class WordError(ValueError):
@@ -67,6 +67,13 @@ def _merge_runs(items: Iterable[tuple[int, int]], rank: int) -> tuple[Syllable, 
     return tuple(Syllable(g, e) for g, e in stack)
 
 
+# bound once: ``Word._reduced`` and ``Word.inverse`` run for nearly every
+# word built, and tuple.__new__ skips the Python-level Syllable constructor
+_new_object = object.__new__
+_set_attribute = object.__setattr__
+_new_tuple = tuple.__new__
+
+
 # slotted: searches and Cayley balls hold hundreds of thousands of words
 @dataclass(frozen=True, slots=True)
 class Word:
@@ -107,16 +114,20 @@ class Word:
     @staticmethod
     def _reduced(alph: Alphabet, syllables: tuple[Syllable, ...]) -> "Word":
         """Trusted constructor: ``syllables`` must already be a valid reduced word."""
-        word = object.__new__(Word)
-        object.__setattr__(word, "alphabet", alph)
-        object.__setattr__(word, "syllables", syllables)
+        word = _new_object(Word)
+        _set_attribute(word, "alphabet", alph)
+        _set_attribute(word, "syllables", syllables)
         return word
 
     # -- basic structure -------------------------------------------------
 
     def __len__(self) -> int:
         """Letter length |w| over the standard basis."""
-        return sum(abs(e) for _, e in self.syllables)
+        # a plain loop: the hottest accessor, and a generator costs twice as much
+        total = 0
+        for _, exp in self.syllables:
+            total += abs(exp)
+        return total
 
     def __bool__(self) -> bool:
         return bool(self.syllables)
@@ -163,7 +174,7 @@ class Word:
         return Word._reduced(self.alphabet, left[:i] + right[j:])
 
     def inverse(self) -> "Word":
-        return Word._reduced(self.alphabet, tuple([Syllable(g, -e) for g, e in reversed(self.syllables)]))
+        return Word._reduced(self.alphabet, tuple([_new_tuple(Syllable, (g, -e)) for g, e in reversed(self.syllables)]))
 
     def __pow__(self, k: int) -> "Word":
         if k == 1:
@@ -174,6 +185,9 @@ class Word:
             return self.alphabet.identity()
         base = self if k > 0 else self.inverse()
         k = abs(k)
+        if k == 2:
+            # one product, cheaper than splitting off the cyclic core
+            return base * base
         core, conj = base.cyclic_reduce()
         syl = core.syllables
         if not syl:
@@ -334,34 +348,50 @@ def format_word(w: Word) -> str:
     return " ".join(parts)
 
 
-def enumerate_reduced(alph: Alphabet, max_len: int) -> Iterator[Word]:
+def enumerate_reduced(alph: Alphabet, max_len: int, first: Optional[Syllable] = None) -> Iterator[Word]:
     """All reduced words of letter length <= max_len, shortest first.
 
     Within a length class the order is lexicographic on letter sequences,
     letters ordered a < a^-1 < b < b^-1 < ...  Yields each word exactly once;
-    the count is 1 + sum_{n=1..max_len} 2k(2k-1)^{n-1} for rank k.
+    the count is 1 + sum_{n=1..max_len} 2k(2k-1)^{n-1} for rank k.  Given a
+    letter ``first`` (exponent +-1), only the words that begin with it, in
+    the same order; the identity is not one of them.
     """
     if max_len < 0:
         raise WordError("max_len must be >= 0")
-    yield alph.identity()
-    # letters in order; one letter extends a reduced word by bumping its last
-    # syllable (same generator and sign), is refused (the inverse letter), or
-    # opens a new syllable, so every extension is reduced by construction
     letters = [Syllable(g, s) for g in range(alph.rank) for s in (1, -1)]
-    frontier: list[tuple[Syllable, ...]] = [()]
-    for _ in range(max_len):
-        extended: list[tuple[Syllable, ...]] = []
+    if first is None:
+        yield alph.identity()
+        starts = letters
+    elif first in letters:
+        starts = [Syllable(*first)]
+    else:
+        raise WordError(f"first must be a letter of rank {alph.rank}, got {tuple(first)}")
+    frontier = [(letter,) for letter in starts] if max_len else []
+    for prefix in frontier:
+        yield Word._reduced(alph, prefix)
+    # one letter extends a reduced word by bumping its last syllable (same
+    # generator and sign), is refused (the inverse letter), or opens a new
+    # syllable, so every extension is reduced by construction; the steps
+    # after a last syllable are (bumps it, one-syllable tail), in letter order
+    steps: dict[Syllable, list[tuple[bool, tuple[Syllable]]]] = {}
+    reduced = Word._reduced
+    for _ in range(max_len - 1):
+        extended = []
         for prefix in frontier:
-            last = prefix[-1] if prefix else None
-            for letter in letters:
-                if last is not None and last.gen == letter.gen:
-                    if (last.exp > 0) != (letter.exp > 0):
-                        continue
-                    ext = prefix[:-1] + (Syllable(last.gen, last.exp + letter.exp),)
-                else:
-                    ext = prefix + (letter,)
+            last = prefix[-1]
+            after = steps.get(last)
+            if after is None:
+                after = steps[last] = [
+                    (True, (Syllable(last.gen, last.exp + letter.exp),)) if letter.gen == last.gen else (False, (letter,))
+                    for letter in letters
+                    if letter.gen != last.gen or (letter.exp > 0) == (last.exp > 0)
+                ]
+            head = prefix[:-1]
+            for bumps, tail in after:
+                ext = (head if bumps else prefix) + tail
                 extended.append(ext)
-                yield Word._reduced(alph, ext)
+                yield reduced(alph, ext)
         frontier = extended
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from vclab.words import Alphabet, BudgetExceeded, Syllable, Word, WordError, enumerate_reduced, parse_word
+from vclab.words import Alphabet, BudgetExceeded, Syllable, Word, WordError, count_reduced, enumerate_reduced, parse_word
 from vclab.equations import (
     Classification,
     EquationInstance,
@@ -234,17 +234,47 @@ def test_brute_force_equals_unpruned_search(a, b, rank, n, m):
 
 @pytest.mark.parametrize("a, b, rank", [("a", "a^2", 1), ("a", "b", 2), ("aB", "b^2", 2), ("a", "bc", 3)])
 @pytest.mark.parametrize("n, m", [(1, 1), (2, 3), (3, 3), (4, 6), (5, 1)])
-def test_residue_walk_yields_the_abelian_survivors(a, b, rank, n, m):
+def test_abelian_filter_keeps_exactly_the_survivors(a, b, rank, n, m):
     alph = Alphabet(rank)
     inst = EquationInstance(parse_word(a, alph), parse_word(b, alph), n, m)
-    letters = [Syllable(gen, sign) for gen in range(rank) for sign in (1, -1)]
     for bound in range(6):
-        got = [x for first in letters for x in _abelian_survivors(inst.g, n, m, bound, first)]
-        expected = {x for x in enumerate_reduced(alph, bound) if x and passes_abelian_test(inst, x)}
-        assert len(got) == len(set(got))
-        assert set(got) == expected
-        # each survivor is a valid reduced word: the checking constructor accepts it
-        assert all(Word(alph, x.syllables) == x for x in got)
+        xs = list(enumerate_reduced(alph, bound))
+        got = list(_abelian_survivors(xs, inst.g, n, m, bound))
+        assert got == [x for x in xs if passes_abelian_test(inst, x)]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_brute_force_enumerates_each_x_once(monkeypatch, jobs):
+    import concurrent.futures
+    import vclab.equations
+
+    seen = []
+
+    def recording(alph, max_len, first=None):
+        for x in enumerate_reduced(alph, max_len, first):
+            seen.append(x)
+            yield x
+
+    class InlinePool:
+        """Maps in process, so the recording enumerator sees every shard."""
+
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, shards):
+            return [fn(first) for first in shards]
+
+    monkeypatch.setattr(vclab.equations, "enumerate_reduced", recording)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    assert brute_force_solutions(inst23(), 4, jobs=jobs) == unpruned_solutions(inst23(), 4)
+    assert sorted(seen, key=lambda x: (len(x), x.lex_key())) == list(enumerate_reduced(F2, 4))
+    assert len(seen) == count_reduced(2, 4) == 161
 
 
 @given(st.lists(st.tuples(st.integers(0, 2), st.sampled_from([1, -1])), max_size=6), st.integers(1, 4))

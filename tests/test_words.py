@@ -364,6 +364,23 @@ def test_enumeration_matches_closed_form(rank, max_len):
     assert all(len(word) <= max_len for word in words)
 
 
+@pytest.mark.parametrize("rank, max_len", [(1, 5), (2, 4), (3, 3)])
+def test_first_letter_shards_split_the_enumeration(rank, max_len):
+    alph = Alphabet(rank)
+    words = list(enumerate_reduced(alph, max_len))
+    for first in [Syllable(gen, sign) for gen in range(rank) for sign in (1, -1)]:
+        shard = list(enumerate_reduced(alph, max_len, first))
+        assert shard == [word for word in words if word and word.syllables[0][0] == first.gen
+                         and (word.syllables[0][1] > 0) == (first.exp > 0)]
+        assert list(enumerate_reduced(alph, 0, first)) == []
+
+
+def test_first_letter_must_be_a_letter():
+    for first in [(0, 2), (0, 0), (2, 1), (-1, 1)]:
+        with pytest.raises(WordError, match="first must be a letter"):
+            list(enumerate_reduced(F2, 3, first))
+
+
 def test_enumeration_shortest_first():
     lengths = [len(word) for word in enumerate_reduced(F2, 4)]
     assert lengths == sorted(lengths)
