@@ -30,20 +30,25 @@ class GeodesicOracleError(RuntimeError):
 class FiniteMetricSpace:
     """Finitely many points with an exact integer metric.
 
-    ``dist_matrix`` holds every pairwise distance.  Without it the points
-    are reduced words and the distance is the standard-basis word metric,
-    computed on demand.
+    ``dist_matrix`` holds every pairwise distance, and ``index`` maps each
+    point to its row.  Without a matrix the space is the ball of ``radius``
+    over the standard basis: its points are ``enumerate_reduced(alphabet,
+    radius)``, so a word is a point iff it has their alphabet and length at
+    most ``radius``, and the distance is the word metric, computed on demand.
     """
 
     points: tuple[Word, ...]
     dist_matrix: Optional[tuple[tuple[int, ...], ...]] = None
+    radius: Optional[int] = None
     index: dict = field(repr=False, hash=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
-        n = len(self.points)
-        object.__setattr__(self, "index", {pt: i for i, pt in enumerate(self.points)})
+        if (self.dist_matrix is None) == (self.radius is None):
+            raise WordError("a space takes exactly one of a distance matrix and a radius")
         if self.dist_matrix is None:
             return
+        n = len(self.points)
+        object.__setattr__(self, "index", {pt: i for i, pt in enumerate(self.points)})
         for i in range(n):
             if self.dist_matrix[i][i] != 0:
                 raise WordError("nonzero self-distance")
@@ -55,12 +60,17 @@ class FiniteMetricSpace:
         return len(self.points)
 
     def dist(self, u: Word, v: Word) -> int:
+        if self.dist_matrix is None:
+            # points[0] is the identity, which carries the ball's alphabet
+            alph, radius = self.points[0].alphabet, self.radius
+            for w in (u, v):
+                if (w.alphabet is not alph and w.alphabet != alph) or len(w) > radius:
+                    raise WordError(f"point {w} not in space")
+            return free_word_metric(u, v)
         try:
             i, j = self.index[u], self.index[v]
         except KeyError as missing:
             raise WordError(f"point {missing.args[0]} not in space") from None
-        if self.dist_matrix is None:
-            return free_word_metric(u, v)
         return self.dist_matrix[i][j]
 
 
@@ -86,7 +96,7 @@ def cayley_ball(gens: Sequence[Word], radius: int, cap: int = 200_000) -> Finite
     if set(gens) == set(alph.generators()):
         if count_reduced(alph.rank, radius) > cap:
             raise BudgetExceeded(f"ball exceeds cap of {cap} elements")
-        return FiniteMetricSpace(tuple(enumerate_reduced(alph, radius)))
+        return FiniteMetricSpace(tuple(enumerate_reduced(alph, radius)), radius=radius)
     return _bfs_ball(gens, radius, cap)
 
 
@@ -122,9 +132,12 @@ def gromov_product(sp: FiniteMetricSpace, a: Word, b: Word, c: Word) -> Fraction
 
 def free_tree_geodesic(u: Word, v: Word) -> list[Word]:
     """The unique geodesic between u and v over the standard basis."""
+    # the 2 * rank one-letter words, built once, keyed by signed letter
+    alph = u.alphabet
+    steps = {sign * (gen + 1): Word.from_syllables(alph, [(gen, sign)]) for gen in range(alph.rank) for sign in (1, -1)}
     path = [u]
     for letter in (u.inverse() * v).letters():
-        path.append(path[-1] * Word.from_letters(u.alphabet, [letter]))
+        path.append(path[-1] * steps[letter])
     return path
 
 
@@ -351,7 +364,8 @@ def divergence_experiment(c: Word, d: Word, n_max: int, m_max: int) -> Divergenc
 
     Requires c and d non-commensurable, which also rules out c^n d^m = 1.
     Inside the table the tree fact |w^n| >= n for cyclically reduced w is
-    asserted for both inputs.
+    asserted for both inputs.  Each row is |c^n d^m| = d(c^-n, d^m), read
+    at the seam by ``free_word_metric`` without building the product.
     """
     if c.is_identity() or d.is_identity():
         raise WordError("divergence needs nonidentity elements")
@@ -359,24 +373,29 @@ def divergence_experiment(c: Word, d: Word, n_max: int, m_max: int) -> Divergenc
         raise WordError("inputs are commensurable; divergence undefined")
     if n_max < 1 or m_max < 1:
         raise WordError("ranges must be >= 1")
+    c_pows = _powers(c.inverse(), n_max)
+    d_pows = _powers(d, m_max)
     growth_ok = True
-    c_pows = [c.alphabet.identity()]
-    for n in range(1, n_max + 1):
-        c_pows.append(c_pows[-1] * c)
-        if c.is_cyclically_reduced() and len(c_pows[-1]) < n:
-            growth_ok = False
-    d_pows = [d.alphabet.identity()]
-    for m in range(1, m_max + 1):
-        d_pows.append(d_pows[-1] * d)
-        if d.is_cyclically_reduced() and len(d_pows[-1]) < m:
+    for w, pows in ((c, c_pows), (d, d_pows)):
+        if w.is_cyclically_reduced() and any(len(pows[k]) < k for k in range(1, len(pows))):
             growth_ok = False
     rows = []
-    best = Fraction(0)
+    # the largest min(n, m) / |c^n d^m| so far, as a pair compared by
+    # cross-multiplication; no length is 0, as c^n d^m = 1 is ruled out
+    best_num, best_den = 0, 1
     for n in range(1, n_max + 1):
+        c_inv_n = c_pows[n]
         for m in range(1, m_max + 1):
-            length = len(c_pows[n] * d_pows[m])
+            length = free_word_metric(c_inv_n, d_pows[m])
             rows.append((n, m, length))
-            ratio = Fraction(min(n, m), length)
-            if ratio > best:
-                best = ratio
-    return DivergenceReport(c, d, tuple(rows), best, growth_ok)
+            if min(n, m) * best_den > best_num * length:
+                best_num, best_den = min(n, m), length
+    return DivergenceReport(c, d, tuple(rows), Fraction(best_num, best_den), growth_ok)
+
+
+def _powers(w: Word, k_max: int) -> list[Word]:
+    """w^0, w^1, ..., w^k_max, one product each."""
+    pows = [w.alphabet.identity()]
+    for _ in range(k_max):
+        pows.append(pows[-1] * w)
+    return pows

@@ -96,7 +96,7 @@ def root(w: Word) -> RootData:
             break
         piece.append(Syllable(gen, exp))
         left -= abs(exp)
-    r = Word._reduced(w.alphabet, tuple(piece))
+    r = Word._reduced(w.alphabet, tuple(piece), period)
     return RootData(conj * r * conj.inverse(), n // period)
 
 

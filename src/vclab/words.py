@@ -4,12 +4,17 @@ Words are stored fully reduced, as runs of syllables ``(generator, exponent)``
 with nonzero arbitrary-precision integer exponents.  Two words are equal in
 the free group iff their syllable sequences are equal, so structural equality
 is the word problem.  All values are immutable and hashable.
+
+Words carry their letter length: every constructor knows it when it builds
+the word, so ``len(w)`` is a field read and never re-sums the syllables.  A
+power of a compound word is refused past ``POWER_BUDGET`` letters.
 """
 
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 
@@ -19,6 +24,11 @@ class WordError(ValueError):
 
 class BudgetExceeded(RuntimeError):
     """A search or a ball would exceed its configured cap."""
+
+
+# letters a power of a core with two or more syllables may spell out;
+# one-syllable powers such as a^1000000000000 are a single syllable and free
+POWER_BUDGET = 10**6
 
 
 @dataclass(frozen=True)
@@ -38,7 +48,7 @@ class Alphabet:
         return [self.generator(i) for i in range(self.rank)]
 
     def identity(self) -> "Word":
-        return Word._reduced(self, ())
+        return Word._reduced(self, (), 0)
 
 
 class Syllable(NamedTuple):
@@ -64,14 +74,14 @@ def _merge_runs(items: Iterable[tuple[int, int]], rank: int) -> tuple[Syllable, 
                 stack.pop()
         else:
             stack.append([gen, exp])
-    return tuple(Syllable(g, e) for g, e in stack)
+    return tuple([_new_tuple(Syllable, (g, e)) for g, e in stack])
 
 
 # bound once: ``Word._reduced`` and ``Word.inverse`` run for nearly every
 # word built, and tuple.__new__ skips the Python-level Syllable constructor
 _new_object = object.__new__
-_set_attribute = object.__setattr__
 _new_tuple = tuple.__new__
+_exponent = itemgetter(1)
 
 
 # slotted: searches and Cayley balls hold hundreds of thousands of words
@@ -84,11 +94,14 @@ class Word:
 
     Construction through ``Word(...)`` validates its input.  Kernel
     operations whose output is reduced by construction build it with
-    ``Word._reduced``, which skips the check.
+    ``Word._reduced``, which skips the check and takes the letter length
+    from its caller.
     """
 
     alphabet: Alphabet
     syllables: tuple[Syllable, ...]
+    # the letter length, a cache of the syllables: outside ==, hash and repr
+    length: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         prev = None
@@ -100,11 +113,13 @@ class Word:
             if prev is not None and prev == syl.gen:
                 raise WordError("adjacent syllables share a generator (word not reduced)")
             prev = syl.gen
+        _set_length(self, sum(map(abs, map(_exponent, self.syllables))))
 
     @staticmethod
     def from_syllables(alph: Alphabet, items: Iterable[tuple[int, int]]) -> "Word":
         """The reduced word of a syllable stream, merged and cancelled."""
-        return Word._reduced(alph, _merge_runs(items, alph.rank))
+        syl = _merge_runs(items, alph.rank)
+        return Word._reduced(alph, syl, sum(map(abs, map(_exponent, syl))))
 
     @staticmethod
     def from_letters(alph: Alphabet, letters: Iterable[int]) -> "Word":
@@ -112,22 +127,20 @@ class Word:
         return Word.from_syllables(alph, ((abs(l) - 1, 1 if l > 0 else -1) for l in letters))
 
     @staticmethod
-    def _reduced(alph: Alphabet, syllables: tuple[Syllable, ...]) -> "Word":
-        """Trusted constructor: ``syllables`` must already be a valid reduced word."""
+    def _reduced(alph: Alphabet, syllables: tuple[Syllable, ...], length: int) -> "Word":
+        """Trusted constructor: ``syllables`` must already be a valid reduced
+        word, and ``length`` the sum of its absolute exponents."""
         word = _new_object(Word)
-        _set_attribute(word, "alphabet", alph)
-        _set_attribute(word, "syllables", syllables)
+        _set_alphabet(word, alph)
+        _set_syllables(word, syllables)
+        _set_length(word, length)
         return word
 
     # -- basic structure -------------------------------------------------
 
     def __len__(self) -> int:
         """Letter length |w| over the standard basis."""
-        # a plain loop: the hottest accessor, and a generator costs twice as much
-        total = 0
-        for _, exp in self.syllables:
-            total += abs(exp)
-        return total
+        return self.length
 
     def __bool__(self) -> bool:
         return bool(self.syllables)
@@ -162,19 +175,25 @@ class Word:
             return other
         # both factors are reduced, so cancellation happens only at the seam
         i, j, n = len(left), 0, len(right)
+        length = self.length + other.length
         while i and j < n:
             gen, exp = left[i - 1]
-            if gen != right[j][0]:
+            other_gen, other_exp = right[j]
+            if gen != other_gen:
                 break
-            total = exp + right[j][1]
+            total = exp + other_exp
             if total:
-                return Word._reduced(self.alphabet, left[:i - 1] + (Syllable(gen, total),) + right[j + 1:])
+                length += abs(total) - abs(exp) - abs(other_exp)
+                return Word._reduced(self.alphabet, left[:i - 1] + (Syllable(gen, total),) + right[j + 1:], length)
+            length -= 2 * abs(exp)
             i -= 1
             j += 1
-        return Word._reduced(self.alphabet, left[:i] + right[j:])
+        return Word._reduced(self.alphabet, left[:i] + right[j:], length)
 
     def inverse(self) -> "Word":
-        return Word._reduced(self.alphabet, tuple([_new_tuple(Syllable, (g, -e)) for g, e in reversed(self.syllables)]))
+        return Word._reduced(
+            self.alphabet, tuple([_new_tuple(Syllable, (g, -e)) for g, e in reversed(self.syllables)]), self.length
+        )
 
     def __pow__(self, k: int) -> "Word":
         if k == 1:
@@ -185,15 +204,18 @@ class Word:
             return self.alphabet.identity()
         base = self if k > 0 else self.inverse()
         k = abs(k)
-        if k == 2:
+        if k == 2 and base.length <= POWER_BUDGET // 2:
             # one product, cheaper than splitting off the cyclic core
             return base * base
         core, conj = base.cyclic_reduce()
         syl = core.syllables
         if not syl:
             return self.alphabet.identity()
+        length = k * core.length
         if len(syl) == 1:
             powered: tuple[Syllable, ...] = (Syllable(syl[0].gen, syl[0].exp * k),)
+        elif length > POWER_BUDGET:
+            raise BudgetExceeded(f"power of {length} letters exceeds the budget of {POWER_BUDGET} letters")
         elif syl[0].gen != syl[-1].gen:
             powered = syl * k
         else:
@@ -202,7 +224,7 @@ class Word:
             seam = Syllable(syl[0].gen, syl[0].exp + syl[-1].exp)
             middle = syl[1:-1]
             powered = (syl[0],) + (middle + (seam,)) * (k - 1) + middle + (syl[-1],)
-        return conj * Word._reduced(self.alphabet, powered) * conj.inverse()
+        return conj * Word._reduced(self.alphabet, powered, length) * conj.inverse()
 
     def conjugate(self, g: "Word") -> "Word":
         """g^{-1} * self * g."""
@@ -218,6 +240,7 @@ class Word:
         """
         syl, alph = self.syllables, self.alphabet
         i, j = 0, len(syl) - 1
+        trim = 0  # letters of u, whose inverse the end of self spells
         while i < j:
             gen, first = syl[i]
             last_gen, last = syl[j]
@@ -233,12 +256,14 @@ class Word:
                 else:
                     core = syl[i + 1:j] + (Syllable(gen, rest),)
                     trimmed = Syllable(gen, first)
-                return Word._reduced(alph, core), Word._reduced(alph, syl[:i] + (trimmed,))
+                trim += abs(trimmed.exp)
+                return Word._reduced(alph, core, self.length - 2 * trim), Word._reduced(alph, syl[:i] + (trimmed,), trim)
+            trim += abs(first)
             i += 1
             j -= 1
         if not i:
-            return self, Word._reduced(alph, ())
-        return Word._reduced(alph, syl[i:j + 1]), Word._reduced(alph, syl[:i])
+            return self, Word._reduced(alph, (), 0)
+        return Word._reduced(alph, syl[i:j + 1], self.length - 2 * trim), Word._reduced(alph, syl[:i], trim)
 
     def is_cyclically_reduced(self) -> bool:
         core, _ = self.cyclic_reduce()
@@ -254,6 +279,13 @@ class Word:
 
     def __repr__(self) -> str:
         return f"Word({format_word(self)!r}, rank={self.alphabet.rank})"
+
+
+# the slot descriptors' setters, bound once like object.__new__ above: they
+# skip the frozen __setattr__ and its attribute-name lookup
+_set_alphabet = Word.__dict__["alphabet"].__set__
+_set_syllables = Word.__dict__["syllables"].__set__
+_set_length = Word.__dict__["length"].__set__
 
 
 def substitute(w: Word, images: Sequence[Word]) -> Word:
@@ -369,14 +401,14 @@ def enumerate_reduced(alph: Alphabet, max_len: int, first: Optional[Syllable] = 
         raise WordError(f"first must be a letter of rank {alph.rank}, got {tuple(first)}")
     frontier = [(letter,) for letter in starts] if max_len else []
     for prefix in frontier:
-        yield Word._reduced(alph, prefix)
+        yield Word._reduced(alph, prefix, 1)
     # one letter extends a reduced word by bumping its last syllable (same
     # generator and sign), is refused (the inverse letter), or opens a new
     # syllable, so every extension is reduced by construction; the steps
     # after a last syllable are (bumps it, one-syllable tail), in letter order
     steps: dict[Syllable, list[tuple[bool, tuple[Syllable]]]] = {}
     reduced = Word._reduced
-    for _ in range(max_len - 1):
+    for level in range(2, max_len + 1):
         extended = []
         for prefix in frontier:
             last = prefix[-1]
@@ -391,7 +423,7 @@ def enumerate_reduced(alph: Alphabet, max_len: int, first: Optional[Syllable] = 
             for bumps, tail in after:
                 ext = (head if bumps else prefix) + tail
                 extended.append(ext)
-                yield reduced(alph, ext)
+                yield reduced(alph, ext, level)
         frontier = extended
 
 

@@ -311,6 +311,22 @@ def test_solve_eq_candidate_cap_is_an_error(capsys):
     assert "error: 53 x-candidates exceed cap 10" in capsys.readouterr().err
 
 
+def test_compound_power_past_the_budget_is_an_error(capsys):
+    # g = (ab)^1000000 b^3 would spell 2,000,003 letters
+    start = time.perf_counter()
+    assert main(["solve-eq", "--a", "ab", "--b", "b", "--n", "1000000", "--m", "3", "--bound", "2"]) == 1
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: power of 2000000 letters exceeds the budget of 1000000 letters")
+    assert "Traceback" not in err
+
+
+def test_one_syllable_power_is_free(capsys):
+    code, out = run(capsys, "solve-eq", "--a", "a", "--b", "b", "--n", "1000000000000", "--m", "3", "--bound", "2")
+    assert code == 0
+    assert json.loads(out)["instance"]["g"] == "a^1000000000000b^3"
+
+
 @pytest.mark.parametrize("literal,position", [("a^\u00b2", 2), ("g\u00b2", 1)], ids=["exponent", "index"])
 def test_non_ascii_digit_in_a_word_is_an_error(capsys, literal, position):
     assert main(["solve-eq", "--a", literal, "--b", "b", "--n", "2", "--m", "3", "--bound", "1"]) == 1

@@ -96,6 +96,54 @@ def test_on_demand_dist_rejects_points_outside_the_ball(ball4):
         ball4.dist(p(""), p("ab^4"))
 
 
+def _index_dist(points, u, v):
+    """On-demand ``dist`` as it was with an index of the points: both words
+    looked up by hash, the first one missing named in the error."""
+    index = {pt: i for i, pt in enumerate(points)}
+    try:
+        index[u], index[v]
+    except KeyError as missing:
+        raise WordError(f"point {missing.args[0]} not in space") from None
+    return free_word_metric(u, v)
+
+
+def _outcome(dist, u, v):
+    try:
+        return dist(u, v)
+    except WordError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("rank, radius", [(2, r) for r in range(5)] + [(3, r) for r in range(3)])
+def test_on_demand_membership_matches_an_index_of_the_points(rank, radius):
+    alph = Alphabet(rank)
+    ball = cayley_ball(alph.generators(), radius)
+    assert ball.radius == radius and ball.index == {}
+    one = alph.identity()
+    outside = p("a" * (radius + 1), alph)
+    for x in enumerate_reduced(alph, radius + 1):
+        for u, v in ((x, one), (one, x), (x, x), (x, outside), (outside, x)):
+            assert _outcome(ball.dist, u, v) == _outcome(lambda *uv: _index_dist(ball.points, *uv), u, v)
+
+
+def test_on_demand_dist_reads_alphabets_by_equality(ball4):
+    same_rank = Alphabet(2)
+    assert same_rank is not F2
+    assert ball4.dist(p("ab", same_rank), p("B^3", F2)) == 5
+    for word in (p("c", F3), p("", F3), p("ab", F3)):
+        with pytest.raises(WordError, match=f"^point {word} not in space$"):
+            ball4.dist(word, p(""))
+        with pytest.raises(WordError, match=f"^point {word} not in space$"):
+            ball4.dist(p("a"), word)
+
+
+def test_a_space_takes_a_matrix_or_a_radius():
+    pts = (p(""), p("a"))
+    for args in ({}, {"dist_matrix": ((0, 1), (1, 0)), "radius": 1}):
+        with pytest.raises(WordError, match="exactly one of a distance matrix and a radius"):
+            FiniteMetricSpace(pts, **args)
+
+
 # -- Gromov products --------------------------------------------------------------
 
 def test_gromov_product_examples(ball4):
@@ -188,6 +236,17 @@ def test_delta_report_on_tree_ball_matches_quadratic_reference(ball4):
 
 
 # -- quasi-geodesics -----------------------------------------------------------------
+
+@pytest.mark.parametrize("alph, radius", [(F2, 2), (F3, 2), (Alphabet(1), 4)])
+def test_geodesic_matches_letter_by_letter_construction(alph, radius):
+    points = list(enumerate_reduced(alph, radius))
+    for u in points:
+        for v in points:
+            path = [u]
+            for letter in (u.inverse() * v).letters():
+                path.append(path[-1] * Word.from_letters(alph, [letter]))
+            assert free_tree_geodesic(u, v) == path
+
 
 def test_geodesic_segment_is_one_zero_quasigeodesic():
     path = free_tree_geodesic(p(""), p("a^3b^2"))
@@ -339,6 +398,46 @@ def test_divergence_seam_cancellation():
     for (n, m), length in table.items():
         assert length == len(c ** n * d ** m)
     assert table[(1, 1)] == 2  # ab * b^-1 a = a^2
+
+
+def _divergence_by_products(c, d, n_max, m_max):
+    """The divergence table built the direct way: every c^n d^m as a product,
+    its length summed over its syllables, the ratio kept as a Fraction."""
+    def letters(word):
+        return sum(abs(exp) for _, exp in word.syllables)
+
+    c_pows, d_pows = [c.alphabet.identity()], [d.alphabet.identity()]
+    growth_ok = True
+    for w, pows, k_max in ((c, c_pows, n_max), (d, d_pows, m_max)):
+        for k in range(1, k_max + 1):
+            pows.append(pows[-1] * w)
+            if w.is_cyclically_reduced() and letters(pows[-1]) < k:
+                growth_ok = False
+    rows, best = [], Fraction(0)
+    for n in range(1, n_max + 1):
+        for m in range(1, m_max + 1):
+            length = letters(c_pows[n] * d_pows[m])
+            rows.append((n, m, length))
+            best = max(best, Fraction(min(n, m), length))
+    return tuple(rows), best, growth_ok
+
+
+@pytest.mark.parametrize("c, d, alph", [
+    ("ab", "aB", F2),
+    ("abA", "a", F2),  # not cyclically reduced, and a^-1 cancels at the seam
+    ("ab", "Ba^2b", F2),  # b^-1 cancels at the seam
+    ("ab", "Ba", F2),
+    ("a", "b", F2),
+    ("a^2bA", "ab^-3", F2),
+    ("abc", "CBa", F3),
+])
+def test_divergence_matches_products(c, d, alph):
+    c, d = p(c, alph), p(d, alph)
+    for n_max, m_max in ((30, 30), (1, 7), (9, 2)):
+        report = divergence_experiment(c, d, n_max, m_max)
+        assert (report.rows, report.observed_ratio_bound, report.power_growth_ok) == _divergence_by_products(
+            c, d, n_max, m_max
+        )
 
 
 def test_divergence_rejects_commensurable():

@@ -1,11 +1,16 @@
+import dataclasses
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vclab.oracles import root
 from vclab.words import (
+    POWER_BUDGET,
     Alphabet,
+    BudgetExceeded,
     Syllable,
     Word,
     WordError,
@@ -221,6 +226,7 @@ def inverse_letters(letters):
 def checked(word):
     """The letters of a kernel output that also passes the public validation."""
     assert Word(word.alphabet, word.syllables) == word
+    assert has_its_length(word)
     assert all(type(syl) is Syllable for syl in word.syllables)
     return letters_of(word)
 
@@ -253,6 +259,119 @@ def test_cyclic_reduce_matches_letter_trimming(u, g):
     core, conj = word.cyclic_reduce()
     assert checked(core) == letters[k:len(letters) - k]
     assert checked(conj) == letters[:k]
+
+
+# -- the stored letter length ---------------------------------------------------
+
+
+def has_its_length(word):
+    return len(word) == word.length == sum(abs(exp) for _, exp in word.syllables)
+
+
+# long syllables too, so seams cancel whole syllables and merge partial ones
+long_syllable_words = st.lists(st.tuples(st.integers(0, 2), st.integers(-40, 40)), max_size=10).map(
+    lambda items: Word.from_syllables(F3, items)
+)
+any_words = st.one_of(syllable_words, long_syllable_words)
+
+
+@given(any_words, any_words)
+def test_product_carries_its_length(u, v):
+    assert has_its_length(u * v)
+    assert has_its_length(u * (u.inverse() * v))
+    assert has_its_length(u * u.inverse())
+
+
+@given(any_words, st.integers(-5, 5))
+def test_power_carries_its_length(u, k):
+    assert has_its_length(u ** k)
+
+
+@given(any_words, any_words)
+def test_inverse_and_cyclic_reduce_carry_their_lengths(u, g):
+    assert has_its_length(u.inverse())
+    core, conj = (g * u * g.inverse()).cyclic_reduce()
+    assert has_its_length(core) and has_its_length(conj)
+
+
+@given(any_words, st.integers(1, 6))
+def test_root_carries_its_length(u, k):
+    if u:
+        got = root(u ** k)
+        assert has_its_length(got.root)
+
+
+@given(st.lists(st.tuples(st.integers(0, 2), st.integers(-5, 5)), max_size=15))
+def test_constructors_carry_their_lengths(items):
+    word = Word.from_syllables(F3, items)
+    assert has_its_length(word)
+    assert has_its_length(Word.from_letters(F3, word.letters()))
+    assert has_its_length(parse_word(format_word(word), F3))
+    assert has_its_length(Word(F3, word.syllables))
+
+
+@pytest.mark.parametrize("rank, max_len", [(1, 6), (2, 5), (3, 3)])
+def test_enumeration_carries_lengths(rank, max_len):
+    alph = Alphabet(rank)
+    assert all(has_its_length(word) for word in enumerate_reduced(alph, max_len))
+    for first in [Syllable(gen, sign) for gen in range(rank) for sign in (1, -1)]:
+        assert all(has_its_length(word) for word in enumerate_reduced(alph, max_len, first))
+
+
+@given(any_words)
+def test_pickle_and_replace_keep_the_length(word):
+    for copy in (pickle.loads(pickle.dumps(word)), dataclasses.replace(word)):
+        assert copy == word and hash(copy) == hash(word)
+        assert has_its_length(copy)
+
+
+@given(any_words, any_words)
+def test_equal_words_from_different_histories_are_equal(u, v):
+    built = [
+        u * v,
+        Word.from_syllables(F3, list(u.syllables) + list(v.syllables)),
+        Word.from_letters(F3, list(u.letters()) + list(v.letters())),
+        parse_word(format_word(u) + format_word(v), F3),
+        (u * v * u) * u.inverse(),
+        Word(F3, (u * v).syllables),
+    ]
+    for word in built:
+        assert word == built[0] and hash(word) == hash(built[0])
+        assert len(word) == len(built[0])
+    assert repr(built[0]) == repr(built[-1])
+
+
+def test_length_is_not_a_constructor_argument():
+    with pytest.raises(TypeError):
+        Word(F2, (), 0)
+    with pytest.raises(ValueError):
+        dataclasses.replace(w("ab"), length=5)
+
+
+# -- the power budget -------------------------------------------------------------
+
+
+def test_compound_power_within_the_budget_is_built():
+    assert len(w("ab") ** (POWER_BUDGET // 2)) == POWER_BUDGET
+    assert len(w("ab") ** -(POWER_BUDGET // 2)) == POWER_BUDGET
+
+
+@pytest.mark.parametrize("text, k", [
+    ("ab", POWER_BUDGET // 2 + 1),
+    ("ab", -(POWER_BUDGET // 2 + 1)),
+    ("ba^3BA^2", POWER_BUDGET // 3),  # cyclically reduced, 7 letters
+    (f"a^{POWER_BUDGET}b", 2),
+])
+def test_compound_power_past_the_budget_raises(text, k):
+    with pytest.raises(BudgetExceeded, match=f"exceeds the budget of {POWER_BUDGET} letters"):
+        w(text) ** k
+
+
+def test_one_syllable_powers_are_free():
+    assert (w("a") ** 10**12).syllables == ((0, 10**12),)
+    # a conjugated one-syllable core is free too
+    assert w("ba^5B") ** -10**12 == w(f"ba^{-5 * 10**12}B")
+    assert len(w(f"a^{POWER_BUDGET}") ** 2) == 2 * POWER_BUDGET
 
 
 def test_checking_constructor_rejects_bad_syllables():
