@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .words import BudgetExceeded, Word, WordError, count_reduced, enumerate_reduced, format_word
+from .words import BudgetExceeded, Word, WordError, count_reduced, enumerate_reduced, format_word, free_word_metric
 from .oracles import is_commensurable
 
 
@@ -209,21 +209,6 @@ def delta_thin_report(
                     best = gap
                     witness = (a, b, c)
     return DeltaReport(best, witness, samples)
-
-
-def free_word_metric(u: Word, v: Word) -> int:
-    """|u^{-1} v|: both lengths less twice their common letter prefix."""
-    if u.alphabet is not v.alphabet:
-        u._require_same_alphabet(v)
-    common = 0
-    for (gen, exp), (other_gen, other_exp) in zip(u.syllables, v.syllables):
-        if gen != other_gen or (exp > 0) != (other_exp > 0):
-            break
-        if exp != other_exp:
-            common += min(abs(exp), abs(other_exp))
-            break
-        common += abs(exp)
-    return len(u) + len(v) - 2 * common
 
 
 @dataclass(frozen=True)

@@ -13,11 +13,10 @@ its consequences, never claimed to yield a genuine test word outright.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .words import Alphabet, Word, WordError, enumerate_reduced, format_word, substitute
+from .words import Alphabet, BudgetExceeded, Word, WordError, count_reduced, enumerate_reduced, format_word, free_word_metric, substitute
 from .oracles import is_special_tuple
 
 
@@ -230,6 +229,9 @@ def canonical_solutions(w: SymbolicWord, targets: Sequence[Word], alpha: int) ->
 
 # -- bounded verification ----------------------------------------------------
 
+# candidate images a search may hold: 118,097 words of length <= 10 at rank 2
+CANDIDATE_CAP = 200_000
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -291,22 +293,37 @@ def verify_testword(
     canonical solution for any alpha in the window.  An empty report is
     bounded non-refutation, not a proof.  The special-tuple hypothesis on
     the targets is recorded, not enforced, so hypothesis-violating control
-    runs can demonstrate genuine violations.
+    runs can demonstrate genuine violations.  The candidate images, the
+    reduced words of length <= bound, are refused past ``CANDIDATE_CAP``
+    before one is built.
 
-    Assignments are walked in ``itertools.product`` order over the
-    candidate images, so the last variable (y_n) varies fastest.  When it
-    occurs in exactly one syllable of W, with exponent +-1, as in every
-    built word whose top tuple has q*t = 1, it is solved rather than
+    Assignments are walked depth first in ``itertools.product`` order over
+    the candidate images, so the last variable (y_n) varies fastest.  The
+    walk keeps one partial product per depth, the leading syllables of W
+    whose variables are all assigned, and each assignment extends it by the
+    syllables it completes.  A partial product P whose distance to U
+    exceeds the most letters the later syllables can spell (sum of
+    |exp| * bound) is dropped: W = P R = U with |R| <= s gives
+    d(P, U) = |P^-1 U| = |R| <= s.  A dropped node is counted as every
+    assignment below it.
+
+    When y_n occurs in exactly one syllable of W, with exponent +-1, as in
+    every built word whose top tuple has q*t = 1, it is solved rather than
     enumerated: W = P y^e S = U gives y = (P^-1 U S^-1)^e, the one image
     that can complete the other variables, kept only if it is a candidate.
     Each assignment of the other variables then stands for the block of
-    consecutive product assignments that differ in y alone, so
+    consecutive product assignments that differ in y alone.  So
     ``explored``, the ``max_assignments`` cut (which may fall inside a
-    block) and the order of the violations are those of the full walk.
-    Any other W enumerates y as well, in blocks of one.
+    block or a dropped node) and the order of the violations are those of
+    the full walk.  Any other W enumerates y as well, in blocks of one.
     """
     special_ok = bool(is_special_tuple(targets))
     u = base_value(w, targets)
+    alph = targets[0].alphabet
+    # the count grows with the bound and passes the cap by bound = cap, so
+    # min() keeps the check cheap for any bound
+    if count_reduced(alph.rank, min(bound, CANDIDATE_CAP)) > CANDIDATE_CAP:
+        raise BudgetExceeded(f"candidate images of length <= {bound} exceed the cap of {CANDIDATE_CAP} words")
     nvars = variable_count(w.level)
     var_names = [variable_name(w.level, i) for i in range(nvars)]
     alpha_window = bound // max(1, len(u)) + 1
@@ -317,7 +334,6 @@ def verify_testword(
         for alpha in range(-alpha_window, alpha_window + 1):
             canonical.append(canonical_solutions(w, targets, alpha))
 
-    alph = targets[0].alphabet
     candidates = list(enumerate_reduced(alph, bound))
     total = len(candidates) ** nvars
     budget = total if max_assignments is None else min(total, max_assignments)
@@ -327,66 +343,101 @@ def verify_testword(
     spots = [pos for pos, syl in enumerate(syllables) if syl.gen == nvars - 1]
     solved = len(spots) == 1 and abs(syllables[spots[0]].exp) == 1
     if solved:
-        # y_n sits at syllable `cut`; the product walk covers the rest
+        # y_n sits at syllable `cut`; the walk covers the rest
         cut, sign = spots[0], syllables[spots[0]].exp
         free, block = nvars - 1, len(candidates)
         index = {word: i for i, word in enumerate(candidates)}
     else:
         cut, sign = n, 1
         free, block = nvars, 1
-
-    # cheap prune: slack[pos] is |U| plus what the syllables after pos
-    # could cancel; a partial product of W longer than that cannot reach U
-    slack = [0] * n
-    room = len(u)
+    # stop[d]: the end of the leading syllables whose variables are among
+    # the first d; weight[d]: the assignments below a node at depth d
+    stop = [next((pos for pos, syl in enumerate(syllables) if syl.gen >= d), n) for d in range(free + 1)]
+    weight = [len(candidates) ** (free - d) * block for d in range(free + 1)]
+    # reach[pos]: the most letters syllables pos.. can spell, y_n included
+    reach = [0] * (n + 1)
     for pos in range(n - 1, -1, -1):
-        slack[pos] = room
-        room += abs(syllables[pos].exp) * bound
+        reach[pos] = reach[pos + 1] + abs(syllables[pos].exp) * bound
+    # slack[pos]: |U| plus what the syllables after pos could cancel
+    slack = [len(u) + room for room in reach[1:]]
     identity = alph.identity()
+    size_u = len(u)
+    # the images of the variables the walk has assigned, y_n last
+    images: list = [None] * nvars
+    violations: list[Violation] = []
+    explored = 0
 
-    def product(head: tuple, lo: int, hi: int, extra: int) -> Optional[Word]:
-        """Syllables lo..hi-1 of W under head, or None once pruned."""
+    def far(value: Word, pos: int) -> bool:
+        """Whether the partial product ``value`` of syllables ..pos-1 lies
+        beyond the reach of U; the distance lies between |P| - |U| and
+        |P| + |U|, so lengths settle most cases."""
+        room, size = reach[pos], len(value)
+        if size + size_u <= room:
+            return False
+        return abs(size - size_u) > room or free_word_metric(value, u) > room
+
+    def tail_product(extra: int) -> Optional[Word]:
+        """Syllables cut+1.. of W under the images, or None once pruned."""
         value = identity
-        for pos in range(lo, hi):
+        for pos in range(cut + 1, n):
             gen, exp = syllables[pos]
-            value = value * head[gen] ** exp
+            value = value * images[gen] ** exp
             if len(value) > extra + slack[pos]:
                 return None
         return value
 
-    violations: list[Violation] = []
-    explored = 0
-    for head in itertools.product(candidates, repeat=free):
-        if explored >= budget:
-            break
+    def leaf(value: Word) -> None:
+        """The block under ``value``, the syllables ..cut-1 of W (all of W
+        unless y_n is solved): count it and record its violation, if any."""
+        nonlocal explored
         covered = min(block, budget - explored)
         explored += covered
-        value = product(head, 0, cut, 0)
-        if value is None:
-            continue
         if solved:
             # S = (P y^e)^-1 U R^-1 for the rest R of W after a partial S,
             # so that partial S may outgrow the slack by |P| + |y|
-            tail = product(head, cut + 1, n, len(value) + bound)
+            tail = tail_product(len(value) + bound)
             if tail is None:
-                continue
+                return
             y = value.inverse() * u * tail.inverse()
             found = index.get(y if sign == 1 else y.inverse())
             # a block cut by the budget holds only its first `covered` images
             if found is None or found >= covered:
-                continue
-            images = head + (candidates[found],)
-        elif value == u:
-            images = head
-        else:
-            continue
+                return
+            images[free] = candidates[found]
+        elif value != u:
+            return
         assignment = dict(zip(var_names, images))
         if any(assignment == c for c in canonical):
-            continue
+            return
         # re-verify through the independent letter-level evaluator
         if _letter_evaluate(w, images) != u:
             raise AssertionError("search and letter oracle disagree")
         violations.append(Violation(assignment))
+
+    def walk(depth: int, value: Word) -> None:
+        """Every assignment of variable ``depth`` under the partial product
+        ``value`` of syllables ..stop[depth]-1."""
+        nonlocal explored
+        lo, hi = stop[depth], stop[depth + 1]
+        below = weight[depth + 1]
+        for image in candidates:
+            if explored >= budget:
+                return
+            images[depth] = image
+            partial = value
+            for pos in range(lo, hi):
+                gen, exp = syllables[pos]
+                partial = partial * images[gen] ** exp
+                if far(partial, pos + 1):
+                    explored += min(below, budget - explored)
+                    break
+            else:
+                if depth + 1 == free:
+                    leaf(partial)
+                else:
+                    walk(depth + 1, partial)
+
+    walk(0, identity)
     return TestWordReport(
         violations=violations,
         explored=explored,

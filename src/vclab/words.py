@@ -303,6 +303,21 @@ def substitute(w: Word, images: Sequence[Word]) -> Word:
     return result
 
 
+def free_word_metric(u: Word, v: Word) -> int:
+    """|u^{-1} v|: both lengths less twice their common letter prefix."""
+    if u.alphabet is not v.alphabet:
+        u._require_same_alphabet(v)
+    common = 0
+    for (gen, exp), (other_gen, other_exp) in zip(u.syllables, v.syllables):
+        if gen != other_gen or (exp > 0) != (other_exp > 0):
+            break
+        if exp != other_exp:
+            common += min(abs(exp), abs(other_exp))
+            break
+        common += abs(exp)
+    return len(u) + len(v) - 2 * common
+
+
 # -- word literals --------------------------------------------------------
 #
 # Grammar: a token is a lowercase letter a..z (generator 0..25), an
@@ -428,5 +443,10 @@ def enumerate_reduced(alph: Alphabet, max_len: int, first: Optional[Syllable] = 
 
 
 def count_reduced(rank: int, max_len: int) -> int:
-    """Closed-form count of reduced words of length <= max_len."""
-    return 1 + sum(2 * rank * (2 * rank - 1) ** (n - 1) for n in range(1, max_len + 1))
+    """Closed-form count of reduced words of length <= max_len: the
+    geometric sum 1 + sum_{n=1..max_len} 2k(2k-1)^{n-1} for rank k."""
+    if max_len <= 0:
+        return 1
+    if rank == 1:
+        return 1 + 2 * max_len
+    return 1 + rank * ((2 * rank - 1) ** max_len - 1) // (rank - 1)

@@ -321,6 +321,17 @@ def test_compound_power_past_the_budget_is_an_error(capsys):
     assert "Traceback" not in err
 
 
+def test_testword_candidates_past_the_cap_are_an_error(capsys):
+    # bound 15 at rank 2 would hold 28,697,813 candidate images
+    start = time.perf_counter()
+    assert main(["verify-testword", "--exponents", "1 1 1 1 1 1 1 1 1 1", "--targets", "a;b;aB",
+                 "--bound", "15", "--max-assignments", "1"]) == 1
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: candidate images of length <= 15 exceed the cap of 200000 words")
+    assert "Traceback" not in err
+
+
 def test_one_syllable_power_is_free(capsys):
     code, out = run(capsys, "solve-eq", "--a", "a", "--b", "b", "--n", "1000000000000", "--m", "3", "--bound", "2")
     assert code == 0

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from vclab import hypgeom
-from vclab.words import Alphabet, BudgetExceeded, Word, WordError, enumerate_reduced, parse_word
+from vclab.words import Alphabet, BudgetExceeded, Word, WordError, enumerate_reduced, free_word_metric, parse_word
 from vclab.hypgeom import (
     FiniteMetricSpace,
     cayley_ball,
@@ -13,7 +13,6 @@ from vclab.hypgeom import (
     delta_thin_report,
     divergence_experiment,
     free_tree_geodesic,
-    free_word_metric,
     gromov_product,
     is_quasigeodesic,
 )

@@ -2,8 +2,11 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from vclab.words import Alphabet, Word, WordError, enumerate_reduced, parse_word, substitute
+from vclab import testwords
+from vclab.words import Alphabet, BudgetExceeded, Word, WordError, count_reduced, enumerate_reduced, free_word_metric, parse_word, substitute
 from vclab.testwords import (
     CertificateResult,
     ExponentTuple,
@@ -264,12 +267,17 @@ def product_walk(w, targets, bound, max_assignments=None):
 
 
 ONES = ExponentTuple.uniform(1)
+TWOS = ExponentTuple.uniform(2)
 Q2 = ExponentTuple(1, 1, 1, 1, 1, 1, 1, 1, 2, 1)
 
 
 # (exponent tuples, rank, targets, bound, max_assignments); in `a;a;b` at
 # bound 2 (17 candidates) the violation at product index 887 is image 3 of
-# its block, and at level 4 the one at index 4223 is image 3 of its block
+# its block, and at level 4 the one at index 4223 is image 3 of its block.
+# Under TWOS, y3 occurs four times, so it is enumerated; in `a;b;aB` at
+# bound 1 every x1 is dropped, so each cap falls inside a dropped block of
+# 125 assignments, and at level 4 in `a;a;b;b` the (x1, x2, x3) node that
+# starts at index 125 is dropped with its 125 assignments
 @pytest.mark.parametrize("tuples,rank,targets,bound,cap", [
     ((ONES,), 3, "a;b;c", 1, None),
     ((ONES,), 1, "a;a;a", 2, None),
@@ -282,6 +290,18 @@ Q2 = ExponentTuple(1, 1, 1, 1, 1, 1, 1, 1, 2, 1)
     ((ONES,), 2, "a;a;b", 2, 887),
     ((ONES,), 2, "a;a;b", 2, 888),
     ((ONES,), 2, "a;a;b", 2, 1000),
+    ((Q2,), 1, "a;a;a", 2, 131),  # the violation at index 131 is cut off
+    ((TWOS,), 1, "a;a;a", 2, None),
+    ((TWOS,), 1, "a;a;a", 2, 15),  # and here the one at index 15
+    ((TWOS,), 2, "a;a;b", 1, None),
+    ((TWOS,), 2, "a;a;b", 1, 100),
+    ((TWOS,), 2, "a;b;aB", 1, None),
+    ((TWOS,), 2, "a;b;aB", 1, 60),
+    ((TWOS,), 2, "a;b;aB", 1, 126),
+    ((TWOS,), 2, "a;b;aB", 1, 624),
+    ((ONES, ONES), 2, "a;a;b;b", 1, None),
+    ((ONES, ONES), 2, "a;a;b;b", 1, 130),
+    ((ONES, Q2), 1, "a;a;a;a", 1, None),  # y4 enumerated at level 4
 ])
 def test_solved_walk_matches_product_walk(tuples, rank, targets, bound, cap):
     w = TestWordSpec(len(tuples) + 2, tuples).build()
@@ -303,6 +323,82 @@ def test_solved_walk_handles_an_inner_inverse_occurrence(cap):
     assert violations
     assert [v.assignment for v in report.violations] == violations
     assert (report.explored, report.total, report.exhausted) == (explored, total, exhausted)
+
+
+def test_walk_extends_each_prefix_once_and_drops_far_products(monkeypatch):
+    # the benchmark's test-word case; 33,152 products when each assignment
+    # evaluated W's prefix from the start and was pruned on lengths only
+    calls = 0
+    mul = Word.__mul__
+
+    def counting(self, other):
+        nonlocal calls
+        calls += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(Word, "__mul__", counting)
+    targets = [parse_word(t, Alphabet(2)) for t in ("a", "b", "aB")]
+    report = verify_testword(base_test_word(ONES), targets, 2)
+    assert report.exhausted and len(report.violations) == 36
+    assert calls == 13131
+
+
+def test_enumerated_walk_pins_the_all_two_report():
+    # y3 occurs four times, so it is enumerated: 20,000 of the 37^4 assignments
+    w = TestWordSpec(3, (TWOS,)).build()
+    report = verify_testword(w, ABC, 2, max_assignments=20000)
+    violations, explored, total, exhausted = product_walk(w, ABC, 2, 20000)
+    assert [v.assignment for v in report.violations] == violations == []
+    assert (report.explored, report.total, report.exhausted) == (explored, total, exhausted) == (20000, 37**4, False)
+
+
+letters = st.tuples(st.integers(0, 2), st.sampled_from([1, -1]))
+
+
+@settings(max_examples=40, deadline=2000)
+@given(
+    st.lists(st.integers(1, 2), min_size=10, max_size=10),
+    st.integers(1, 3),
+    st.integers(0, 2),
+    st.lists(st.lists(letters, min_size=1, max_size=2), min_size=3, max_size=3),
+    st.one_of(st.none(), st.integers(0, 1000)),
+)
+def test_walk_matches_product_walk_on_random_cases(exponents, rank, bound, target_syllables, cap):
+    alph = Alphabet(rank)
+    targets = [Word.from_syllables(alph, [(gen % rank, exp) for gen, exp in syl]) for syl in target_syllables]
+    w = base_test_word(ExponentTuple.from_list(exponents))
+    assume(all(targets) and not base_value(w, targets).is_identity())
+    # an uncapped reference walk stays small: at most 7^4 assignments
+    assume(cap is not None or count_reduced(rank, bound) <= 7)
+    report = verify_testword(w, targets, bound, max_assignments=cap)
+    violations, explored, total, exhausted = product_walk(w, targets, bound, cap)
+    assert [v.assignment for v in report.violations] == violations
+    assert (report.explored, report.total, report.exhausted) == (explored, total, exhausted)
+
+
+@given(st.lists(letters, max_size=12), st.lists(letters, max_size=12))
+def test_distance_to_a_longer_product_is_the_added_factor(prefix, rest):
+    # the walk's prune: W = P R = U with |R| <= s puts P within s of U
+    p_word, r_word = Word.from_syllables(F3, prefix), Word.from_syllables(F3, rest)
+    assert free_word_metric(p_word, p_word * r_word) == len(r_word)
+
+
+def test_candidates_past_the_cap_are_refused_before_enumeration(monkeypatch):
+    w = base_test_word(ONES)
+    targets = [parse_word(t, Alphabet(2)) for t in ("a", "b", "aB")]
+    with monkeypatch.context() as patch:
+        patch.setattr(testwords, "enumerate_reduced", None)  # never reached
+        with pytest.raises(BudgetExceeded, match="^candidate images of length <= 15 exceed the cap of 200000 words$"):
+            verify_testword(w, targets, 15, max_assignments=1)
+        # the count grows with the bound, so a huge bound is refused as fast
+        with pytest.raises(BudgetExceeded, match="^candidate images of length <= 1000000000 exceed"):
+            verify_testword(w, targets, 10**9, max_assignments=1)
+    # bound 2 holds 17 candidates, and 28,697,813 at bound 15
+    monkeypatch.setattr(testwords, "CANDIDATE_CAP", 17)
+    assert verify_testword(w, targets, 2, max_assignments=1).explored == 1
+    monkeypatch.setattr(testwords, "CANDIDATE_CAP", 16)
+    with pytest.raises(BudgetExceeded, match="^candidate images of length <= 2 exceed the cap of 16 words$"):
+        verify_testword(w, targets, 2, max_assignments=1)
 
 
 # -- certificates -----------------------------------------------------------------------------

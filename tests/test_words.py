@@ -483,6 +483,12 @@ def test_enumeration_matches_closed_form(rank, max_len):
     assert all(len(word) <= max_len for word in words)
 
 
+def test_count_is_the_sum_over_lengths():
+    for rank in range(1, 5):
+        for max_len in range(-1, 40):
+            assert count_reduced(rank, max_len) == 1 + sum(2 * rank * (2 * rank - 1) ** (n - 1) for n in range(1, max_len + 1))
+
+
 @pytest.mark.parametrize("rank, max_len", [(1, 5), (2, 4), (3, 3)])
 def test_first_letter_shards_split_the_enumeration(rank, max_len):
     alph = Alphabet(rank)
