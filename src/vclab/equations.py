@@ -126,9 +126,11 @@ def brute_force_solutions(
     if bound < 0:
         raise WordError("bound must be >= 0")
     rank = inst.alphabet.rank
-    total = count_reduced(rank, bound)
-    if max_candidates is not None and total > max_candidates:
-        raise BudgetExceeded(f"{total} x-candidates exceed cap {max_candidates}")
+    # count_reduced(rank, L) > L, and > 2^L past rank 1: exact at this clamp, and small
+    if max_candidates is not None:
+        clamp = max_candidates if rank == 1 else max_candidates.bit_length()
+        if count_reduced(rank, min(bound, clamp)) > max_candidates:
+            raise BudgetExceeded(f"x-candidates of length <= {bound} exceed cap {max_candidates}")
     n, m = inst.n, inst.m
     # x = 1, the one word of length 0
     found = _solve_candidates(enumerate_reduced(inst.alphabet, 0), n, m, inst.g, bound)

@@ -1,128 +1,100 @@
 """Finite-sample hyperbolic geometry over free-group Cayley balls.
 
-A ball over the standard basis is the set of reduced words of length at
-most the radius, and its distances are word lengths computed when asked
-for.  A ball over any other finite generating set is built breadth-first,
-with the word metric computed exactly inside a window of twice the
-radius.  The validators (thin triangles, midpoints, quasi-geodesic
-concatenation) measure quantities on finite data; a delta estimate is a
-lower bound for the ambient space, never a certification.  Quasi-geodesic
-checks take plain vertex sequences and measure them in the standard-basis
-word metric.
+A ball is the set of reduced words of length at most its radius over the
+standard basis, the vertices of the free group's Cayley tree near the
+identity.  It stores no points: a sampled point is unranked from its index
+in shortlex order, distances are word lengths computed when asked for, and
+the geodesic between two points is the unique path in the tree.  The
+validators (thin triangles, midpoints, quasi-geodesic concatenation)
+measure quantities on finite data; a delta estimate is a lower bound for
+the ambient space, never a certification.  Quasi-geodesic checks take
+plain vertex sequences and measure them in the standard-basis word metric.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .words import BudgetExceeded, Word, WordError, count_reduced, enumerate_reduced, format_word, free_word_metric
+from .words import Alphabet, BudgetExceeded, Word, WordError, count_reduced, format_word, free_word_metric
 from .oracles import is_commensurable
 
-
-class GeodesicOracleError(RuntimeError):
-    pass
+# points a ball may hold: radius 10 at rank 2 (118,097 points) fits
+BALL_CAP = 200_000
+# rows n_max * m_max a divergence table may hold
+ROW_BUDGET = 10**6
 
 
 @dataclass(frozen=True)
 class FiniteMetricSpace:
-    """Finitely many points with an exact integer metric.
+    """The ball of ``radius`` over the standard basis of ``alphabet``.
 
-    ``dist_matrix`` holds every pairwise distance, and ``index`` maps each
-    point to its row.  Without a matrix the space is the ball of ``radius``
-    over the standard basis: its points are ``enumerate_reduced(alphabet,
-    radius)``, so a word is a point iff it has their alphabet and length at
-    most ``radius``, and the distance is the word metric, computed on demand.
+    Its points are the reduced words of length at most ``radius``, in the
+    order of ``enumerate_reduced``, and none of them is stored: ``point(i)``
+    builds the i-th.  A word is a point iff it has the ball's alphabet and
+    length at most ``radius``; the distance is the word metric, computed on
+    demand.
     """
 
-    points: tuple[Word, ...]
-    dist_matrix: Optional[tuple[tuple[int, ...], ...]] = None
-    radius: Optional[int] = None
-    index: dict = field(repr=False, hash=False, compare=False, default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if (self.dist_matrix is None) == (self.radius is None):
-            raise WordError("a space takes exactly one of a distance matrix and a radius")
-        if self.dist_matrix is None:
-            return
-        n = len(self.points)
-        object.__setattr__(self, "index", {pt: i for i, pt in enumerate(self.points)})
-        for i in range(n):
-            if self.dist_matrix[i][i] != 0:
-                raise WordError("nonzero self-distance")
-            for j in range(n):
-                if self.dist_matrix[i][j] != self.dist_matrix[j][i]:
-                    raise WordError("metric not symmetric")
+    alphabet: Alphabet
+    radius: int
 
     def __len__(self) -> int:
-        return len(self.points)
+        return count_reduced(self.alphabet.rank, self.radius)
+
+    def point(self, i: int) -> Word:
+        """The i-th point, built in O(radius) steps (O(1) at rank 1) and
+        without building any other."""
+        if not 0 <= i < len(self):
+            raise IndexError(f"point index {i} out of range for a ball of {len(self)} points")
+        alph, branch = self.alphabet, 2 * self.alphabet.rank - 1
+        if branch == 1:
+            # the words of length n are a^n, then a^-n
+            n = (i + 1) // 2
+            return Word.from_syllables(alph, [(0, n if i % 2 else -n)])
+        # skip the shorter words: 1 of length 0, 2k (2k - 1)^(n-1) of length n
+        length, size = 0, 1
+        while i >= size:
+            i, length, size = i - size, length + 1, (branch + 1) * branch**length
+        # i spells a first letter of 2k, then each later letter one of the
+        # 2k - 1 that do not cancel the one before, in letter order; letter c
+        # is generator c // 2, inverted when c is odd
+        letters = []
+        for place in reversed(range(length)):
+            digit, i = divmod(i, branch**place)
+            if letters and digit >= letters[-1] ^ 1:
+                digit += 1
+            letters.append(digit)
+        return Word.from_letters(alph, [-(c // 2 + 1) if c & 1 else c // 2 + 1 for c in letters])
+
+    def _require_points(self, u: Word, v: Word) -> None:
+        alph, radius = self.alphabet, self.radius
+        for w in (u, v):
+            if (w.alphabet is not alph and w.alphabet != alph) or len(w) > radius:
+                raise WordError(f"point {w} not in space")
 
     def dist(self, u: Word, v: Word) -> int:
-        if self.dist_matrix is None:
-            # points[0] is the identity, which carries the ball's alphabet
-            alph, radius = self.points[0].alphabet, self.radius
-            for w in (u, v):
-                if (w.alphabet is not alph and w.alphabet != alph) or len(w) > radius:
-                    raise WordError(f"point {w} not in space")
-            return free_word_metric(u, v)
-        try:
-            i, j = self.index[u], self.index[v]
-        except KeyError as missing:
-            raise WordError(f"point {missing.args[0]} not in space") from None
-        return self.dist_matrix[i][j]
+        self._require_points(u, v)
+        return free_word_metric(u, v)
+
+    def geodesic(self, u: Word, v: Word) -> list[Word]:
+        """The vertices of the geodesic from u to v, both ends included."""
+        self._require_points(u, v)
+        return free_tree_geodesic(u, v)
 
 
-def cayley_ball(gens: Sequence[Word], radius: int, cap: int = 200_000) -> FiniteMetricSpace:
-    """Ball of the word metric over ``gens`` in the free group.
-
-    Points are group elements (reduced words) within distance ``radius``
-    of the identity, ordered by distance and then by ``Word.lex_key``.
-    Over the standard basis they are the reduced words of length at most
-    ``radius`` and distances are computed on demand; ``cap`` bounds their
-    count.  Over any other generating set, distances come from a
-    breadth-first search out to 2 * radius, which covers every pair inside
-    the ball, and ``cap`` bounds the elements that search reaches.
-    """
+def cayley_ball(alph: Alphabet, radius: int) -> FiniteMetricSpace:
+    """The ball of ``radius`` over the standard basis of ``alph``, refused
+    past ``BALL_CAP`` points.  A ball of radius r holds more than r points,
+    so counting at ``min(radius, BALL_CAP)`` decides the cap exactly and
+    costs one small power whatever the radius."""
     if radius < 0:
         raise WordError("radius must be >= 0")
-    if not gens:
-        raise WordError("need at least one generator")
-    alph = gens[0].alphabet
-    for g in gens:
-        if g.alphabet != alph:
-            raise WordError("generators use mixed alphabets")
-    if set(gens) == set(alph.generators()):
-        if count_reduced(alph.rank, radius) > cap:
-            raise BudgetExceeded(f"ball exceeds cap of {cap} elements")
-        return FiniteMetricSpace(tuple(enumerate_reduced(alph, radius)), radius=radius)
-    return _bfs_ball(gens, radius, cap)
-
-
-def _bfs_ball(gens: Sequence[Word], radius: int, cap: int) -> FiniteMetricSpace:
-    """The ball over ``gens`` with every distance found by breadth-first search."""
-    alph = gens[0].alphabet
-    moves = [m for g in gens for m in (g, g.inverse())]
-    distances = {alph.identity(): 0}
-    frontier = [alph.identity()]
-    for step in range(1, 2 * radius + 1):
-        nxt = []
-        for word in frontier:
-            for mv in moves:
-                img = word * mv
-                if img not in distances:
-                    distances[img] = step
-                    nxt.append(img)
-                    if len(distances) > cap:
-                        raise BudgetExceeded(f"ball exceeds cap of {cap} elements")
-        frontier = nxt
-    points = tuple(sorted((w for w, d in distances.items() if d <= radius), key=lambda w: (distances[w], w.lex_key())))
-    matrix = tuple(
-        tuple(distances[u.inverse() * v] for v in points)
-        for u in points
-    )
-    return FiniteMetricSpace(points, matrix)
+    if count_reduced(alph.rank, min(radius, BALL_CAP)) > BALL_CAP:
+        raise BudgetExceeded(f"ball exceeds cap of {BALL_CAP} elements")
+    return FiniteMetricSpace(alph, radius)
 
 
 def gromov_product(sp: FiniteMetricSpace, a: Word, b: Word, c: Word) -> Fraction:
@@ -138,19 +110,6 @@ def free_tree_geodesic(u: Word, v: Word) -> list[Word]:
     path = [u]
     for letter in (u.inverse() * v).letters():
         path.append(path[-1] * steps[letter])
-    return path
-
-
-GeodesicOracle = Callable[[Word, Word], Sequence[Word]]
-
-
-def _validated_geodesic(sp: FiniteMetricSpace, oracle: GeodesicOracle, a: Word, b: Word) -> list[Word]:
-    path = list(oracle(a, b))
-    if not path or path[0] != a or path[-1] != b:
-        raise GeodesicOracleError("oracle path has wrong endpoints")
-    total = sum(sp.dist(path[i], path[i + 1]) for i in range(len(path) - 1))
-    if total != sp.dist(a, b):
-        raise GeodesicOracleError("oracle path is not geodesic")
     return path
 
 
@@ -170,31 +129,27 @@ class DeltaReport:
         }
 
 
-def delta_thin_report(
-    sp: FiniteMetricSpace,
-    geodesic_oracle: GeodesicOracle,
-    samples: int,
-    seed: int = 0,
-) -> DeltaReport:
+def delta_thin_report(sp: FiniteMetricSpace, samples: int, seed: int = 0) -> DeltaReport:
     """Max deviation of matched points on two triangle sides, with the
     witnessing triangle.
 
-    Samples triangles (A, B, C); on the sides [C,A] and [C,B] every pair
-    of vertices at equal distance from C, up to the Gromov product
-    (A,B)_C, contributes its distance.  The maximum is a lower bound for
-    the thinness constant of the ambient space.
+    Samples triangles (A, B, C) of points ``sp.point(i)``; on the sides
+    [C,A] and [C,B] given by ``sp.geodesic``, every pair of vertices at
+    equal distance from C, up to the Gromov product (A,B)_C, contributes
+    its distance.  The maximum is a lower bound for the thinness constant
+    of the ambient space.
     """
     rng = random.Random(seed)
-    n = len(sp.points)
+    n = len(sp)
     if n < 3:
         return DeltaReport(Fraction(0), None, samples)
     best = Fraction(0)
     witness = None
     for _ in range(samples):
-        a, b, c = (sp.points[rng.randrange(n)] for _ in range(3))
+        a, b, c = (sp.point(rng.randrange(n)) for _ in range(3))
         product = gromov_product(sp, a, b, c)
-        side_a = _validated_geodesic(sp, geodesic_oracle, c, a)
-        side_b = _validated_geodesic(sp, geodesic_oracle, c, b)
+        side_a = sp.geodesic(c, a)
+        side_b = sp.geodesic(c, b)
         # side_b's vertices by their distance from C, in path order
         level: dict[int, list[Word]] = {}
         for pb in side_b:
@@ -249,17 +204,15 @@ def check_midpoint_inequality(
     a: Word,
     b: Word,
     c: Word,
-    geo_ac: Sequence[Word],
-    geo_bc: Sequence[Word],
     delta: Fraction,
 ) -> bool:
-    """d(mid[A,C], mid[B,C]) <= d(A,B) + 2 delta.
+    """d(mid[A,C], mid[B,C]) <= d(A,B) + 2 delta, on the geodesics of ``sp``.
 
     The midpoint of a geodesic with k edges is the vertex at index
     floor(k/2) counted from the first-named endpoint.
     """
-    path_a = _validated_geodesic(sp, lambda *_: geo_ac, a, c)
-    path_b = _validated_geodesic(sp, lambda *_: geo_bc, b, c)
+    path_a = sp.geodesic(a, c)
+    path_b = sp.geodesic(b, c)
     mid_a = path_a[(len(path_a) - 1) // 2]
     mid_b = path_b[(len(path_b) - 1) // 2]
     return Fraction(sp.dist(mid_a, mid_b)) <= Fraction(sp.dist(a, b)) + 2 * delta
@@ -351,6 +304,8 @@ def divergence_experiment(c: Word, d: Word, n_max: int, m_max: int) -> Divergenc
     Inside the table the tree fact |w^n| >= n for cyclically reduced w is
     asserted for both inputs.  Each row is |c^n d^m| = d(c^-n, d^m), read
     at the seam by ``free_word_metric`` without building the product.
+    A table of more than ``ROW_BUDGET`` rows is refused before any power
+    is built.
     """
     if c.is_identity() or d.is_identity():
         raise WordError("divergence needs nonidentity elements")
@@ -358,6 +313,8 @@ def divergence_experiment(c: Word, d: Word, n_max: int, m_max: int) -> Divergenc
         raise WordError("inputs are commensurable; divergence undefined")
     if n_max < 1 or m_max < 1:
         raise WordError("ranges must be >= 1")
+    if n_max * m_max > ROW_BUDGET:
+        raise BudgetExceeded(f"divergence table of {n_max} x {m_max} rows exceeds the budget of {ROW_BUDGET} rows")
     c_pows = _powers(c.inverse(), n_max)
     d_pows = _powers(d, m_max)
     growth_ok = True

@@ -5,7 +5,7 @@ import time
 import pytest
 
 from test_golden import CASES
-from vclab import hypgeom, testwords
+from vclab import testwords
 from vclab.cli import build_parser, main
 from vclab.words import Alphabet, parse_word
 
@@ -205,14 +205,15 @@ def test_cayley_delta_radius_six_succeeds(capsys):
     assert data["delta_lower_bound"] == "0"
 
 
-def test_cayley_delta_cap_is_checked_before_enumerating(monkeypatch, capsys):
-    def refuse(*args):
-        raise AssertionError("enumerated a ball beyond the cap")
-
-    monkeypatch.setattr(hypgeom, "enumerate_reduced", refuse)
-    # radius 11 at rank 2 holds 354,293 points, above the default cap
-    assert main(["cayley-delta", "--radius", "11"]) == 1
-    assert "ball exceeds cap of 200000 elements" in capsys.readouterr().err
+def test_cayley_delta_cap_is_checked_before_enumerating(capsys):
+    # radius 11 at rank 2 holds 354,293 points, above the cap
+    for radius in ("11", "1000000000"):
+        start = time.perf_counter()
+        assert main(["cayley-delta", "--radius", radius]) == 1
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ball exceeds cap of 200000 elements")
+        assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -308,7 +309,31 @@ def test_level_is_not_a_flag(capsys, argv):
 def test_solve_eq_candidate_cap_is_an_error(capsys):
     assert main(["solve-eq", "--a", "a", "--b", "b", "--n", "2", "--m", "3", "--bound", "3",
                  "--max-candidates", "10"]) == 1
-    assert "error: 53 x-candidates exceed cap 10" in capsys.readouterr().err
+    assert "error: x-candidates of length <= 3 exceed cap 10" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bound, cap", [
+    ("10000", "5"),  # the count has 4,772 digits
+    ("1000000000", "5"),
+    ("1000000000", "1000000000"),
+])
+def test_solve_eq_candidate_cap_on_a_huge_bound_is_an_error(capsys, bound, cap):
+    start = time.perf_counter()
+    assert main(["solve-eq", "--a", "a", "--b", "b", "--n", "2", "--m", "3", "--bound", bound,
+                 "--max-candidates", cap]) == 1
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: x-candidates of length <= {bound} exceed cap {cap}")
+    assert "Traceback" not in err
+
+
+def test_divergence_past_the_row_budget_is_an_error(capsys):
+    start = time.perf_counter()
+    assert main(["divergence", "--c", "ab", "--d", "aB", "--n-max", "1001", "--m-max", "1000"]) == 1
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: divergence table of 1001 x 1000 rows exceeds the budget of 1000000 rows")
+    assert "Traceback" not in err
 
 
 def test_compound_power_past_the_budget_is_an_error(capsys):

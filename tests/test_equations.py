@@ -155,6 +155,20 @@ def test_brute_force_budget_cap():
         brute_force_solutions(inst23(), 6, max_candidates=100)
 
 
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_budget_cap_is_exactly_the_candidate_count(rank):
+    alph = Alphabet(rank)
+    inst = EquationInstance(alph.generator(0), alph.generator(rank - 1), 2, 3)
+    for bound in range(7 if rank < 3 else 5):
+        total = count_reduced(rank, bound)
+        brute_force_solutions(inst, bound, max_candidates=total)
+        with pytest.raises(BudgetExceeded, match=f"^x-candidates of length <= {bound} exceed cap {total - 1}$"):
+            brute_force_solutions(inst, bound, max_candidates=total - 1)
+    for cap in (0, 5, 10**9):
+        with pytest.raises(BudgetExceeded):
+            brute_force_solutions(inst, 10**9, max_candidates=cap)
+
+
 def test_brute_force_caps_workers(monkeypatch):
     import concurrent.futures
     import os

@@ -1,12 +1,12 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from vclab import hypgeom
-from vclab.words import Alphabet, BudgetExceeded, Word, WordError, enumerate_reduced, free_word_metric, parse_word
+from vclab.words import Alphabet, BudgetExceeded, Word, WordError, count_reduced, enumerate_reduced, free_word_metric, parse_word
 from vclab.hypgeom import (
-    FiniteMetricSpace,
     cayley_ball,
     check_concatenation_quasigeodesic,
     check_midpoint_inequality,
@@ -30,61 +30,128 @@ def random_word(rng, max_len, alph=F2):
     return Word.from_syllables(alph, letters)
 
 
+def points(sp):
+    return [sp.point(i) for i in range(len(sp))]
+
+
+class MatrixSpace:
+    """A finite metric space given by its points and distance matrix, with a
+    ball's interface: ``len``, ``point``, ``dist`` and ``geodesic``.  Paths
+    not listed in ``geodesics`` are the single edge [u, v]."""
+
+    def __init__(self, pts, matrix, geodesics=None):
+        self.points, self.matrix = tuple(pts), matrix
+        self.index = {pt: i for i, pt in enumerate(self.points)}
+        self.geodesics = geodesics or {}
+
+    def __len__(self):
+        return len(self.points)
+
+    def point(self, i):
+        return self.points[i]
+
+    def dist(self, u, v):
+        return self.matrix[self.index[u]][self.index[v]]
+
+    def geodesic(self, u, v):
+        return self.geodesics.get((u, v), [u, v])
+
+
+def _bfs_ball(gens, radius):
+    """The ball over any generating set, every distance found by a
+    breadth-first search out to 2 * radius, which covers every pair inside
+    the ball; points ordered by distance, then by ``Word.lex_key``."""
+    alph = gens[0].alphabet
+    moves = [m for g in gens for m in (g, g.inverse())]
+    distances = {alph.identity(): 0}
+    frontier = [alph.identity()]
+    for step in range(1, 2 * radius + 1):
+        nxt = []
+        for word in frontier:
+            for mv in moves:
+                img = word * mv
+                if img not in distances:
+                    distances[img] = step
+                    nxt.append(img)
+        frontier = nxt
+    pts = sorted((w for w, d in distances.items() if d <= radius), key=lambda w: (distances[w], w.lex_key()))
+    return MatrixSpace(pts, tuple(tuple(distances[u.inverse() * v] for v in pts) for u in pts))
+
+
 @pytest.fixture(scope="module")
 def ball4():
-    return cayley_ball([p("a"), p("b")], 4)
+    return cayley_ball(F2, 4)
 
 
 # -- balls ---------------------------------------------------------------------
 
 def test_ball_sizes():
-    gens = [p("a"), p("b")]
-    assert len(cayley_ball(gens, 0)) == 1
-    assert len(cayley_ball(gens, 1)) == 5
-    assert len(cayley_ball(gens, 2)) == 17
+    assert len(cayley_ball(F2, 0)) == 1
+    assert len(cayley_ball(F2, 1)) == 5
+    assert len(cayley_ball(F2, 2)) == 17
 
 
-def test_ball_cap():
+def test_ball_cap(monkeypatch):
+    monkeypatch.setattr(hypgeom, "BALL_CAP", 50)
     with pytest.raises(BudgetExceeded):
-        cayley_ball([p("a"), p("b")], 4, cap=50)
-    # over the standard basis the cap bounds the ball's point count
-    assert len(cayley_ball([p("a"), p("b")], 4, cap=161)) == 161
+        cayley_ball(F2, 4)
+    # the cap bounds the ball's point count
+    monkeypatch.setattr(hypgeom, "BALL_CAP", 161)
+    assert len(cayley_ball(F2, 4)) == 161
+    monkeypatch.setattr(hypgeom, "BALL_CAP", 160)
     with pytest.raises(BudgetExceeded, match="ball exceeds cap of 160 elements"):
-        cayley_ball([p("a"), p("b")], 4, cap=160)
+        cayley_ball(F2, 4)
+
+
+def test_ball_cap_is_clamped_for_any_radius():
+    start = time.perf_counter()
+    for alph in (Alphabet(1), F2, F3):
+        with pytest.raises(BudgetExceeded, match="ball exceeds cap of 200000 elements"):
+            cayley_ball(alph, 10**9)
+    assert time.perf_counter() - start < 1
+    assert len(cayley_ball(Alphabet(1), 99_999)) == 199_999
+    with pytest.raises(BudgetExceeded):
+        cayley_ball(Alphabet(1), 100_000)
+
+
+@pytest.mark.parametrize("rank, radius", [(k, r) for k in (1, 2, 3) for r in range(6)])
+def test_points_unrank_the_enumeration(rank, radius):
+    alph = Alphabet(rank)
+    sp = cayley_ball(alph, radius)
+    assert len(sp) == count_reduced(rank, radius)
+    assert points(sp) == list(enumerate_reduced(alph, radius))
+    for i in (-1, len(sp)):
+        with pytest.raises(IndexError):
+            sp.point(i)
+
+
+def test_rank_one_points_at_the_largest_radius():
+    alph = Alphabet(1)
+    sp = cayley_ball(alph, 99_999)
+    last = len(sp) - 1
+    assert [sp.point(i) for i in (0, 1, 2, last)] == [p("", alph), p("a", alph), p("A", alph), p("a^-99999", alph)]
+    assert sp.point(last - 1) == p("a^99999", alph)
 
 
 def test_ball_metric_is_word_metric(ball4):
     rng = random.Random(3)
-    pts = ball4.points
+    pts = points(ball4)
     for _ in range(300):
         u, v = rng.choice(pts), rng.choice(pts)
         assert ball4.dist(u, v) == free_word_metric(u, v)
 
 
-def test_ball_nonstandard_generators():
-    sp = cayley_ball([p("a^2"), p("b^2")], 2)
-    # elements of <a^2, b^2> within distance 2
-    assert p("a^2b^2") in sp.points
-    assert sp.dist(p(""), p("a^2b^2")) == 2
-    assert sp.dist(p(""), p("a^4")) == 2
-
-
 @pytest.mark.parametrize("rank, radius", [(2, r) for r in range(5)] + [(3, r) for r in range(3)])
 def test_standard_ball_matches_breadth_first_ball(rank, radius):
     alph = Alphabet(rank)
-    fast = cayley_ball(alph.generators(), radius)
-    slow = hypgeom._bfs_ball(alph.generators(), radius, cap=10**6)
-    assert fast.dist_matrix is None
-    # enumeration order is the breadth-first order (distance, lex_key)
-    assert fast.points == slow.points
-    assert fast.points == tuple(enumerate_reduced(alph, radius))
-    assert fast.points == tuple(sorted(fast.points, key=lambda w: (len(w), w.lex_key())))
-    assert tuple(tuple(fast.dist(u, v) for v in fast.points) for u in fast.points) == slow.dist_matrix
-
-
-def test_standard_ball_ignores_generator_order_and_repeats():
-    a, b = p("a"), p("b")
-    assert cayley_ball([b, a, b], 3).points == cayley_ball([a, b], 3).points
+    fast = cayley_ball(alph, radius)
+    slow = _bfs_ball(alph.generators(), radius)
+    # the unranked order is the breadth-first order (distance, lex_key)
+    pts = points(fast)
+    assert pts == list(slow.points)
+    assert pts == sorted(pts, key=lambda w: (len(w), w.lex_key()))
+    assert tuple(tuple(fast.dist(u, v) for v in pts) for u in pts) == slow.matrix
+    assert all(fast.geodesic(u, v) == free_tree_geodesic(u, v) for u in pts for v in pts)
 
 
 def test_on_demand_dist_rejects_points_outside_the_ball(ball4):
@@ -116,13 +183,14 @@ def _outcome(dist, u, v):
 @pytest.mark.parametrize("rank, radius", [(2, r) for r in range(5)] + [(3, r) for r in range(3)])
 def test_on_demand_membership_matches_an_index_of_the_points(rank, radius):
     alph = Alphabet(rank)
-    ball = cayley_ball(alph.generators(), radius)
-    assert ball.radius == radius and ball.index == {}
+    ball = cayley_ball(alph, radius)
+    assert (ball.alphabet, ball.radius) == (alph, radius)
+    pts = points(ball)
     one = alph.identity()
     outside = p("a" * (radius + 1), alph)
     for x in enumerate_reduced(alph, radius + 1):
         for u, v in ((x, one), (one, x), (x, x), (x, outside), (outside, x)):
-            assert _outcome(ball.dist, u, v) == _outcome(lambda *uv: _index_dist(ball.points, *uv), u, v)
+            assert _outcome(ball.dist, u, v) == _outcome(lambda *uv: _index_dist(pts, *uv), u, v)
 
 
 def test_on_demand_dist_reads_alphabets_by_equality(ball4):
@@ -136,13 +204,6 @@ def test_on_demand_dist_reads_alphabets_by_equality(ball4):
             ball4.dist(p("a"), word)
 
 
-def test_a_space_takes_a_matrix_or_a_radius():
-    pts = (p(""), p("a"))
-    for args in ({}, {"dist_matrix": ((0, 1), (1, 0)), "radius": 1}):
-        with pytest.raises(WordError, match="exactly one of a distance matrix and a radius"):
-            FiniteMetricSpace(pts, **args)
-
-
 # -- Gromov products --------------------------------------------------------------
 
 def test_gromov_product_examples(ball4):
@@ -154,7 +215,7 @@ def test_gromov_product_examples(ball4):
 
 def test_gromov_product_sum_identity(ball4):
     rng = random.Random(11)
-    pts = ball4.points
+    pts = points(ball4)
     for _ in range(300):
         a, b, c = rng.choice(pts), rng.choice(pts), rng.choice(pts)
         assert gromov_product(ball4, a, b, c) + gromov_product(ball4, a, c, b) == ball4.dist(b, c)
@@ -168,13 +229,12 @@ def test_gromov_product_unknown_point(ball4):
 # -- thin triangles ------------------------------------------------------------------
 
 def test_tree_ball_is_zero_thin(ball4):
-    assert delta_thin_report(ball4, free_tree_geodesic, 300, seed=7).lower_bound == 0
+    assert delta_thin_report(ball4, 300, seed=7).lower_bound == 0
 
 
 def test_two_point_space():
-    pts = (p(""), p("a"))
-    sp = FiniteMetricSpace(pts, ((0, 1), (1, 0)))
-    assert delta_thin_report(sp, lambda u, v: [u, v], 50, seed=1).lower_bound == 0
+    sp = MatrixSpace((p(""), p("a")), ((0, 1), (1, 0)))
+    assert delta_thin_report(sp, 50, seed=1).lower_bound == 0
 
 
 def _perturbed_space():
@@ -191,32 +251,31 @@ def _perturbed_space():
     setd(pp, q, 2); setd(pp, a, 1); setd(pp, b, 2)
     setd(q, a, 2); setd(q, b, 1)
     setd(a, b, 2)  # tree value would be 4; perturbed to open the product
-    sp = FiniteMetricSpace(pts, tuple(tuple(r) for r in d))
     geo = {(c, a): [c, pp, a], (a, c): [a, pp, c], (c, b): [c, q, b], (b, c): [b, q, c]}
-    return sp, lambda u, v: geo.get((u, v), [u, v])
+    return MatrixSpace(pts, tuple(tuple(r) for r in d), geo)
 
 
 def test_perturbed_metric_gives_positive_delta():
-    sp, oracle = _perturbed_space()
-    n = len(sp.points)
+    sp = _perturbed_space()
+    n = len(sp)
     full = all(
-        sp.dist_matrix[i][k] <= sp.dist_matrix[i][j] + sp.dist_matrix[j][k]
+        sp.matrix[i][k] <= sp.matrix[i][j] + sp.matrix[j][k]
         for i in range(n) for j in range(n) for k in range(n)
     )
     assert full
-    assert delta_thin_report(sp, oracle, 1000, seed=5).lower_bound == 2
+    assert delta_thin_report(sp, 1000, seed=5).lower_bound == 2
 
 
-def _quadratic_delta(sp, oracle, samples, seed):
+def _quadratic_delta(sp, samples, seed):
     """Every pair of vertices on the two sides, as the report defines it."""
     rng = random.Random(seed)
-    n = len(sp.points)
+    n = len(sp)
     best, witness = Fraction(0), None
     for _ in range(samples):
-        a, b, c = (sp.points[rng.randrange(n)] for _ in range(3))
+        a, b, c = (sp.point(rng.randrange(n)) for _ in range(3))
         product = Fraction(sp.dist(c, a) + sp.dist(c, b) - sp.dist(a, b), 2)
-        for pa in oracle(c, a):
-            for pb in oracle(c, b):
+        for pa in sp.geodesic(c, a):
+            for pb in sp.geodesic(c, b):
                 if sp.dist(c, pa) == sp.dist(c, pb) <= product and sp.dist(pa, pb) > best:
                     best, witness = Fraction(sp.dist(pa, pb)), (a, b, c)
     return best, witness
@@ -224,14 +283,14 @@ def _quadratic_delta(sp, oracle, samples, seed):
 
 @pytest.mark.parametrize("samples, seed", [(1, 0), (3, 1), (10, 2), (40, 3), (1000, 5)])
 def test_delta_report_matches_quadratic_reference(samples, seed):
-    sp, oracle = _perturbed_space()
-    report = delta_thin_report(sp, oracle, samples, seed=seed)
-    assert (report.lower_bound, report.witness_triangle) == _quadratic_delta(sp, oracle, samples, seed)
+    sp = _perturbed_space()
+    report = delta_thin_report(sp, samples, seed=seed)
+    assert (report.lower_bound, report.witness_triangle) == _quadratic_delta(sp, samples, seed)
 
 
 def test_delta_report_on_tree_ball_matches_quadratic_reference(ball4):
-    report = delta_thin_report(ball4, free_tree_geodesic, 200, seed=4)
-    assert (report.lower_bound, report.witness_triangle) == _quadratic_delta(ball4, free_tree_geodesic, 200, 4)
+    report = delta_thin_report(ball4, 200, seed=4)
+    assert (report.lower_bound, report.witness_triangle) == _quadratic_delta(ball4, 200, 4)
 
 
 # -- quasi-geodesics -----------------------------------------------------------------
@@ -274,7 +333,7 @@ def test_power_sequence_is_geodesic_for_cyclically_reduced():
 def test_quasigeodesic_one_zero_iff_geodesic(ball4):
     rng = random.Random(17)
     kappa = Fraction(1)
-    pts = ball4.points
+    pts = points(ball4)
     for _ in range(100):
         u, v, x = rng.choice(pts), rng.choice(pts), rng.choice(pts)
         path = [u, x, v]
@@ -285,30 +344,39 @@ def test_quasigeodesic_one_zero_iff_geodesic(ball4):
 # -- midpoint inequality -------------------------------------------------------------
 
 def test_midpoint_example(ball4):
-    a2, b2, one = p("a^2"), p("b^2"), p("")
-    assert check_midpoint_inequality(
-        ball4, a2, b2, one,
-        free_tree_geodesic(a2, one), free_tree_geodesic(b2, one), Fraction(0),
-    )
+    assert check_midpoint_inequality(ball4, p("a^2"), p("b^2"), p(""), Fraction(0))
 
 
 def test_midpoint_degenerate(ball4):
-    a2, one = p("a^2"), p("")
-    assert check_midpoint_inequality(
-        ball4, a2, a2, one,
-        free_tree_geodesic(a2, one), free_tree_geodesic(a2, one), Fraction(0),
-    )
+    assert check_midpoint_inequality(ball4, p("a^2"), p("a^2"), p(""), Fraction(0))
 
 
 def test_midpoint_random_tree_triangles(ball4):
     rng = random.Random(19)
-    pts = ball4.points
+    pts = points(ball4)
     for _ in range(1000):
         a, b, c = rng.choice(pts), rng.choice(pts), rng.choice(pts)
-        assert check_midpoint_inequality(
-            ball4, a, b, c,
-            free_tree_geodesic(a, c), free_tree_geodesic(b, c), Fraction(0),
-        )
+        assert check_midpoint_inequality(ball4, a, b, c, Fraction(0))
+
+
+def test_midpoint_rejects_points_outside_the_ball(ball4):
+    # the midpoints a^3 of both sides lie inside the ball, the end a^6 does not
+    with pytest.raises(WordError, match="^point a\\^6 not in space$"):
+        check_midpoint_inequality(ball4, p("a"), p("a"), p("a^6"), Fraction(0))
+    with pytest.raises(WordError, match="^point a\\^6 not in space$"):
+        ball4.geodesic(p(""), p("a^6"))
+
+
+def test_midpoint_reads_the_geodesics_of_the_space():
+    # the sides [a, c] and [b, c] run through the middle vertices ma and mb;
+    # every distance is 1 or 2, so the matrix is a metric
+    c, a, b, ma, mb = p(""), p("a^2"), p("b^2"), p("A"), p("B")
+    matrix = ((0, 2, 2, 1, 1), (2, 0, 1, 1, 1), (2, 1, 0, 1, 1), (1, 1, 1, 0, 2), (1, 1, 1, 2, 0))
+    sp = MatrixSpace((c, a, b, ma, mb), matrix, {(a, c): [a, ma, c], (b, c): [b, mb, c]})
+    # d(ma, mb) = 2 against d(a, b) = 1; a one-edge side would put its
+    # midpoint at distance 1 from the other
+    assert not check_midpoint_inequality(sp, a, b, c, Fraction(0))
+    assert check_midpoint_inequality(sp, a, b, c, Fraction(1, 2))
 
 
 # -- concatenation -----------------------------------------------------------------------
@@ -442,6 +510,22 @@ def test_divergence_matches_products(c, d, alph):
 def test_divergence_rejects_commensurable():
     with pytest.raises(WordError):
         divergence_experiment(p("a"), p("a^2"), 3, 3)
+
+
+def test_divergence_past_the_row_budget_builds_no_power(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built a power past the row budget")
+
+    monkeypatch.setattr(hypgeom, "ROW_BUDGET", 12)
+    assert len(divergence_experiment(p("a"), p("b"), 3, 4).rows) == 12
+    monkeypatch.setattr(hypgeom, "_powers", refuse)
+    with pytest.raises(BudgetExceeded, match="^divergence table of 13 x 1 rows exceeds the budget of 12 rows$"):
+        divergence_experiment(p("a"), p("b"), 13, 1)
+    # the input checks come first
+    with pytest.raises(WordError, match="commensurable"):
+        divergence_experiment(p("a"), p("a^2"), 10**9, 10**9)
+    with pytest.raises(WordError, match="ranges must be >= 1"):
+        divergence_experiment(p("a"), p("b"), 0, 10**9)
 
 
 def test_divergence_csv_shape():
