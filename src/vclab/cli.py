@@ -128,9 +128,9 @@ def _cmd_build_testword(args) -> tuple[int, str]:
     word = spec.build()
     data = {
         "spec": spec.to_json_dict(),
-        "word": str(word),
-        "letter_length": len(word.word),
-        "variables": sorted(word.variables_used()),
+        "word": testwords.format_test_word(word),
+        "letter_length": len(word),
+        "variables": sorted(testwords.variables_used(word)),
     }
     return EXIT_OK, _json_payload(data)
 

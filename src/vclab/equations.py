@@ -20,6 +20,10 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .words import Alphabet, BudgetExceeded, Syllable, Word, WordError, count_reduced, enumerate_reduced, format_word
 from .oracles import is_conjugate, root
 
+# reduced x a search may enumerate, whatever max_candidates asks: bound 14
+# at rank 2 (9,565,937 words), about a minute at 6 us per candidate
+CANDIDATE_CAP = 10**7
+
 
 @dataclass(frozen=True)
 class EquationInstance:
@@ -119,18 +123,19 @@ def brute_force_solutions(
     The search is split into one shard per first letter; the parent
     handles x = 1.  ``jobs`` > 1 runs the shards in a process pool of
     ``min(jobs, cpu_count, 2 * rank)`` workers, each enumerating its own
-    shard and returning only its solutions.  ``max_candidates`` caps all
-    reduced x, the ``count_reduced`` total.  Sorted by length, then
-    letters, of x, then y.
+    shard and returning only its solutions.  All reduced x, the
+    ``count_reduced`` total, are capped at ``max_candidates`` and never
+    more than ``CANDIDATE_CAP``.  Sorted by length, then letters, of x,
+    then y.
     """
     if bound < 0:
         raise WordError("bound must be >= 0")
     rank = inst.alphabet.rank
+    cap = CANDIDATE_CAP if max_candidates is None else min(max_candidates, CANDIDATE_CAP)
     # count_reduced(rank, L) > L, and > 2^L past rank 1: exact at this clamp, and small
-    if max_candidates is not None:
-        clamp = max_candidates if rank == 1 else max_candidates.bit_length()
-        if count_reduced(rank, min(bound, clamp)) > max_candidates:
-            raise BudgetExceeded(f"x-candidates of length <= {bound} exceed cap {max_candidates}")
+    clamp = cap if rank == 1 else cap.bit_length()
+    if count_reduced(rank, min(bound, clamp)) > cap:
+        raise BudgetExceeded(f"x-candidates of length <= {bound} exceed cap {cap}")
     n, m = inst.n, inst.m
     # x = 1, the one word of length 0
     found = _solve_candidates(enumerate_reduced(inst.alphabet, 0), n, m, inst.g, bound)

@@ -166,23 +166,12 @@ def delta_thin_report(sp: FiniteMetricSpace, samples: int, seed: int = 0) -> Del
     return DeltaReport(best, witness, samples)
 
 
-@dataclass(frozen=True)
-class QuasigeodesicVerdict:
-    ok: bool
-    worst_start: int
-    worst_end: int
-    worst_slack: Fraction
+def quasigeodesic_slack(path: Sequence[Word], kappa: Fraction) -> Fraction:
+    """The least slack d(ends) - length/kappa over the contiguous subpaths
+    of a vertex path, with lengths in the standard-basis word metric.
 
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def is_quasigeodesic(path: Sequence[Word], kappa: Fraction) -> QuasigeodesicVerdict:
-    """Check d(ends) >= length/kappa on every contiguous subpath of a
-    vertex path, with lengths in the standard-basis word metric.
-
-    Returns the subpath minimizing the slack, the first in (start, end)
-    order among ties; on failure that is the witnessing violation.
+    The path is a kappa-quasi-geodesic exactly when the slack is >= 0; a
+    single vertex has no subpath and slack 0.
     """
     if kappa < 1:
         raise WordError(f"need kappa >= 1, got {kappa}")
@@ -192,11 +181,10 @@ def is_quasigeodesic(path: Sequence[Word], kappa: Fraction) -> QuasigeodesicVerd
     for u, v in zip(path, path[1:]):
         prefix.append(prefix[-1] + free_word_metric(u, v))
     pairs = ((i, j) for i in range(len(path)) for j in range(i + 1, len(path)))
-    slack, start, end = min(
-        ((free_word_metric(path[i], path[j]) - Fraction(prefix[j] - prefix[i]) / kappa, i, j) for i, j in pairs),
-        default=(Fraction(0), 0, 0),
+    return min(
+        (free_word_metric(path[i], path[j]) - Fraction(prefix[j] - prefix[i]) / kappa for i, j in pairs),
+        default=Fraction(0),
     )
-    return QuasigeodesicVerdict(slack >= 0, start, end, slack)
 
 
 def check_midpoint_inequality(
@@ -268,7 +256,7 @@ def check_concatenation_quasigeodesic(
     joined = list(paths[0])
     for piece in paths[1:]:
         joined.extend(piece[1:])
-    measured = max(Fraction(0), -is_quasigeodesic(joined, kappa).worst_slack)
+    measured = max(Fraction(0), -quasigeodesic_slack(joined, kappa))
     return ConcatenationReport(product_ok and length_ok, product_ok, length_ok, measured)
 
 

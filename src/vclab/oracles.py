@@ -9,7 +9,6 @@ witness that re-verifies by plain word arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 from .words import Syllable, Word, WordError
@@ -121,17 +120,8 @@ def is_commensurable(u: Word, v: Word) -> Optional[CommensurabilityWitness]:
     return None
 
 
-@dataclass(frozen=True)
-class SpecialTupleVerdict:
-    ok: bool
-    reason: Optional[str] = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def is_special_tuple(ws: Sequence[Word]) -> SpecialTupleVerdict:
-    """Check that each word is special and all pairs are non-commensurable.
+def is_special_tuple(ws: Sequence[Word]) -> bool:
+    """Whether each word is special and all pairs are non-commensurable.
 
     Over the standard basis of a free group, special means nonidentity and
     not a proper power, so that E(w) = <w>.
@@ -139,12 +129,11 @@ def is_special_tuple(ws: Sequence[Word]) -> SpecialTupleVerdict:
     for i, w in enumerate(ws):
         if w.is_identity():
             raise WordError(f"tuple entry {i} is the identity")
-    for i, w in enumerate(ws):
-        rd = root(w)
-        if rd.exponent > 1:
-            return SpecialTupleVerdict(False, f"{w} is a proper power ({rd.root})^{rd.exponent}")
+    for w in ws:
+        if root(w).exponent > 1:
+            return False
     for i in range(len(ws)):
         for j in range(i + 1, len(ws)):
             if is_commensurable(ws[i], ws[j]) is not None:
-                return SpecialTupleVerdict(False, f"commensurable pair ({ws[i]}, {ws[j]})")
-    return SpecialTupleVerdict(True)
+                return False
+    return True

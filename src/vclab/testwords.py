@@ -1,11 +1,15 @@
 """Recursive test words and their bounded verification.
 
-A level-n test word lives in the free group on x_1..x_n, y_3..y_n.  The
-level-3 base word is built from a tuple of ten positive exponents; each
+A level-n test word is a plain ``Word`` in the 2n - 2 variables
+x_1..x_n, y_3..y_n, so its rank gives its level.  The level-3 base word is
+the shell of ten positive exponents around the level-2 word x_1; each
 further level wraps the previous word in the same shell with a fresh pair
-of variables.  For a tuple of target elements, the canonical solutions of
-W(targets) = W(vars) are the targets conjugated by powers of the common
-value; the bounded verifier hunts for any other solutions.
+of variables, and puts y_n last with exponent +1 when q*t = 1.  For a tuple
+of target elements, the canonical solutions of W(targets) = W(vars) are the
+targets conjugated by powers of the common value; the bounded verifier
+hunts for any other solutions, and solves y_n instead of enumerating it
+when y_n is the last syllable of W, with exponent +1, and occurs nowhere
+else.
 
 The ten exponents are user parameters: the construction is verified for
 its consequences, never claimed to yield a genuine test word outright.
@@ -13,7 +17,7 @@ its consequences, never claimed to yield a genuine test word outright.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 from typing import Mapping, Optional, Sequence
 
 from .words import Alphabet, BudgetExceeded, Word, WordError, count_reduced, enumerate_reduced, format_word, free_word_metric, substitute
@@ -36,16 +40,9 @@ class ExponentTuple:
     t: int
 
     def __post_init__(self) -> None:
-        for name, value in self.as_dict().items():
+        for name, value in asdict(self).items():
             if value < 1:
                 raise WordError(f"exponent {name} must be >= 1, got {value}")
-
-    def as_dict(self) -> dict:
-        return {
-            "k1": self.k1, "l1": self.l1, "m1": self.m1,
-            "k2": self.k2, "l2": self.l2, "m2": self.m2,
-            "s": self.s, "p": self.p, "q": self.q, "t": self.t,
-        }
 
     @staticmethod
     def uniform(e: int) -> "ExponentTuple":
@@ -82,37 +79,34 @@ def variable_name(level: int, index: int) -> str:
     return f"y{index - level + 3}"
 
 
-@dataclass(frozen=True)
-class SymbolicWord:
-    """A reduced word in the variables of a given level."""
-
-    level: int
-    word: Word
-
-    def __post_init__(self) -> None:
-        if self.level < 3:
-            raise WordError("levels start at 3")
-        if self.word.alphabet.rank != variable_count(self.level):
-            raise WordError(
-                f"level {self.level} needs {variable_count(self.level)} variables, "
-                f"word has rank {self.word.alphabet.rank}"
-            )
-
-    def variables_used(self) -> set[str]:
-        return {variable_name(self.level, s.gen) for s in self.word.syllables}
-
-    def __str__(self) -> str:
-        parts = []
-        for gen, exp in self.word.syllables:
-            name = variable_name(self.level, gen)
-            parts.append(name if exp == 1 else f"{name}^{exp}")
-        return " ".join(parts) if parts else "1"
+def word_level(w: Word) -> int:
+    """The level n of a test word, whose rank is variable_count(n) = 2n - 2."""
+    rank = w.alphabet.rank
+    if rank < 4 or rank % 2:
+        raise WordError(f"a test word has an even rank of at least 4, got rank {rank}")
+    return rank // 2 + 1
 
 
-def _shell(word: Word, n: int, e: ExponentTuple) -> SymbolicWord:
+def variables_used(w: Word) -> set[str]:
+    level = word_level(w)
+    return {variable_name(level, s.gen) for s in w.syllables}
+
+
+def format_test_word(w: Word) -> str:
+    """The syllables by variable name, such as ``x1 x3^2 y3``; ``1`` if none."""
+    level = word_level(w)
+    parts = []
+    for gen, exp in w.syllables:
+        name = variable_name(level, gen)
+        parts.append(name if exp == 1 else f"{name}^{exp}")
+    return " ".join(parts) if parts else "1"
+
+
+def lift(word: Word, e: ExponentTuple) -> Word:
     """The level-(n+1) word ((X^k1 x_{n+1}^l1)^m1 (x_n^k2 x_{n+1}^l2)^m2)^s
-    (x_n^p (x_{n+1} y_{n+1})^q)^t around X, a word in the variables of
-    level n."""
+    (x_n^p (x_{n+1} y_{n+1})^q)^t around X, a word in the 2n - 2 variables
+    of level n (n = 2 for the level-2 word x1)."""
+    n = word.alphabet.rank // 2 + 1
     target = Alphabet(variable_count(n + 1))
     # re-embed: x-indices are stable, y-indices shift up by one
     embedded = Word.from_syllables(
@@ -124,18 +118,13 @@ def _shell(word: Word, n: int, e: ExponentTuple) -> SymbolicWord:
     yn1 = target.generator(y_index(n + 1, n + 1))
     head = ((embedded ** e.k1 * xn1 ** e.l1) ** e.m1 * (xn ** e.k2 * xn1 ** e.l2) ** e.m2) ** e.s
     tail = (xn ** e.p * (xn1 * yn1) ** e.q) ** e.t
-    return SymbolicWord(n + 1, head * tail)
+    return head * tail
 
 
-def base_test_word(e: ExponentTuple) -> SymbolicWord:
+def base_test_word(e: ExponentTuple) -> Word:
     """The level-3 word ((x1^k1 x3^l1)^m1 (x2^k2 x3^l2)^m2)^s (x2^p (x3 y3)^q)^t,
     the shell around the level-2 word x1."""
-    return _shell(Alphabet(variable_count(2)).generator(0), 2, e)
-
-
-def lift(w: SymbolicWord, e: ExponentTuple) -> SymbolicWord:
-    """Wrap a level-n word in the shell, producing the level-(n+1) word."""
-    return _shell(w.word, w.level, e)
+    return lift(Alphabet(variable_count(2)).generator(0), e)
 
 
 @dataclass(frozen=True)
@@ -153,27 +142,28 @@ class TestWordSpec:
         if len(self.tuples) != self.level - 2:
             raise WordError(f"level {self.level} needs {self.level - 2} exponent tuples")
 
-    def build(self) -> SymbolicWord:
+    def build(self) -> Word:
         word = base_test_word(self.tuples[0])
         for e in self.tuples[1:]:
             word = lift(word, e)
         return word
 
     def to_json_dict(self) -> dict:
-        return {"level": self.level, "tuples": [list(t.as_dict().values()) for t in self.tuples]}
+        return {"level": self.level, "tuples": [list(astuple(t)) for t in self.tuples]}
 
 
-def evaluate(w: SymbolicWord, assignment: Mapping[str, Word]) -> Word:
+def evaluate(w: Word, assignment: Mapping[str, Word]) -> Word:
     """Homomorphic image under variable name -> word, reduced.
 
     Variables the word does not use may be left out; they map to the identity.
     """
-    images: list[Optional[Word]] = [None] * variable_count(w.level)
+    level = word_level(w)
+    images: list[Optional[Word]] = [None] * variable_count(level)
     for name, value in assignment.items():
-        index = _parse_variable(w.level, name)
+        index = _parse_variable(level, name)
         images[index] = value
-    used = {s.gen for s in w.word.syllables}
-    missing = [variable_name(w.level, g) for g in sorted(used) if images[g] is None]
+    used = {s.gen for s in w.syllables}
+    missing = [variable_name(level, g) for g in sorted(used) if images[g] is None]
     if missing:
         raise WordError(f"assignment missing variables: {', '.join(missing)}")
     given = [img for img in images if img is not None]
@@ -182,7 +172,7 @@ def evaluate(w: SymbolicWord, assignment: Mapping[str, Word]) -> Word:
     target = given[0].alphabet
     if any(img.alphabet != target for img in given):
         raise WordError("assignment words use mixed alphabets")
-    return substitute(w.word, [target.identity() if img is None else img for img in images])
+    return substitute(w, [target.identity() if img is None else img for img in images])
 
 
 def _parse_variable(level: int, name: str) -> int:
@@ -195,23 +185,24 @@ def _parse_variable(level: int, name: str) -> int:
     raise WordError(f"bad variable name {name!r}")
 
 
-def target_assignment(w: SymbolicWord, targets: Sequence[Word]) -> dict:
+def target_assignment(w: Word, targets: Sequence[Word]) -> dict:
     """x_i -> targets[i-1], every y_j -> identity."""
-    if len(targets) != w.level:
-        raise WordError(f"level {w.level} needs {w.level} target words")
+    level = word_level(w)
+    if len(targets) != level:
+        raise WordError(f"level {level} needs {level} target words")
     alph = targets[0].alphabet
     assignment = {f"x{i + 1}": t for i, t in enumerate(targets)}
-    for j in range(3, w.level + 1):
+    for j in range(3, level + 1):
         assignment[f"y{j}"] = alph.identity()
     return assignment
 
 
-def base_value(w: SymbolicWord, targets: Sequence[Word]) -> Word:
+def base_value(w: Word, targets: Sequence[Word]) -> Word:
     """The common value U = W(targets, 1, ..., 1)."""
     return evaluate(w, target_assignment(w, targets))
 
 
-def canonical_solutions(w: SymbolicWord, targets: Sequence[Word], alpha: int) -> dict:
+def canonical_solutions(w: Word, targets: Sequence[Word], alpha: int) -> dict:
     """The assignment x_i -> targets[i]^{U^alpha}, y_j -> 1.
 
     Conjugation by U fixes U, so this solves W(vars) = U for every alpha.
@@ -266,11 +257,11 @@ class TestWordReport:
         }
 
 
-def _letter_evaluate(w: SymbolicWord, images: Sequence[Word]) -> Word:
+def _letter_evaluate(w: Word, images: Sequence[Word]) -> Word:
     """Independent letter-by-letter evaluation used to re-verify violations."""
     target = images[0].alphabet
     out: list[int] = []
-    for letter in w.word.letters():
+    for letter in w.letters():
         image = images[abs(letter) - 1]
         piece = list(image.letters()) if letter > 0 else [-l for l in reversed(list(image.letters()))]
         for x in piece:
@@ -282,7 +273,7 @@ def _letter_evaluate(w: SymbolicWord, images: Sequence[Word]) -> Word:
 
 
 def verify_testword(
-    w: SymbolicWord,
+    w: Word,
     targets: Sequence[Word],
     bound: int,
     max_assignments: Optional[int] = None,
@@ -307,25 +298,26 @@ def verify_testword(
     d(P, U) = |P^-1 U| = |R| <= s.  A dropped node is counted as every
     assignment below it.
 
-    When y_n occurs in exactly one syllable of W, with exponent +-1, as in
-    every built word whose top tuple has q*t = 1, it is solved rather than
-    enumerated: W = P y^e S = U gives y = (P^-1 U S^-1)^e, the one image
-    that can complete the other variables, kept only if it is a candidate.
-    Each assignment of the other variables then stands for the block of
-    consecutive product assignments that differ in y alone.  So
+    When W ends in y_n with exponent +1 and y_n occurs in no other
+    syllable, as in every built word whose top tuple has q*t = 1, y_n is
+    solved rather than enumerated: W = P y = U gives y = P^-1 U, the one
+    image that can complete the other variables, kept only if it is a
+    candidate.  Each assignment of the other variables then stands for the
+    block of consecutive product assignments that differ in y alone.  So
     ``explored``, the ``max_assignments`` cut (which may fall inside a
     block or a dropped node) and the order of the violations are those of
-    the full walk.  Any other W enumerates y as well, in blocks of one.
+    the full walk.  Any other W enumerates y_n as well, in blocks of one.
     """
-    special_ok = bool(is_special_tuple(targets))
+    special_ok = is_special_tuple(targets)
     u = base_value(w, targets)
     alph = targets[0].alphabet
     # the count grows with the bound and passes the cap by bound = cap, so
     # min() keeps the check cheap for any bound
     if count_reduced(alph.rank, min(bound, CANDIDATE_CAP)) > CANDIDATE_CAP:
         raise BudgetExceeded(f"candidate images of length <= {bound} exceed the cap of {CANDIDATE_CAP} words")
-    nvars = variable_count(w.level)
-    var_names = [variable_name(w.level, i) for i in range(nvars)]
+    level = word_level(w)
+    nvars = variable_count(level)
+    var_names = [variable_name(level, i) for i in range(nvars)]
     alpha_window = bound // max(1, len(u)) + 1
     canonical: list[dict] = []
     if u.is_identity():
@@ -338,29 +330,21 @@ def verify_testword(
     total = len(candidates) ** nvars
     budget = total if max_assignments is None else min(total, max_assignments)
 
-    syllables = w.word.syllables
+    syllables = w.syllables
     n = len(syllables)
-    spots = [pos for pos, syl in enumerate(syllables) if syl.gen == nvars - 1]
-    solved = len(spots) == 1 and abs(syllables[spots[0]].exp) == 1
-    if solved:
-        # y_n sits at syllable `cut`; the walk covers the rest
-        cut, sign = spots[0], syllables[spots[0]].exp
-        free, block = nvars - 1, len(candidates)
-        index = {word: i for i, word in enumerate(candidates)}
-    else:
-        cut, sign = n, 1
-        free, block = nvars, 1
+    # y_n, the last variable, is solved only as W's last syllable y_n^+1
+    solved = [syl.gen for syl in syllables].count(nvars - 1) == 1 and syllables[-1] == (nvars - 1, 1)
+    free, block = (nvars - 1, len(candidates)) if solved else (nvars, 1)
+    index = {word: i for i, word in enumerate(candidates)} if solved else {}
     # stop[d]: the end of the leading syllables whose variables are among
-    # the first d; weight[d]: the assignments below a node at depth d
+    # the first d, all of W but y_n at d = free when y_n is solved;
+    # weight[d]: the assignments below a node at depth d
     stop = [next((pos for pos, syl in enumerate(syllables) if syl.gen >= d), n) for d in range(free + 1)]
     weight = [len(candidates) ** (free - d) * block for d in range(free + 1)]
     # reach[pos]: the most letters syllables pos.. can spell, y_n included
     reach = [0] * (n + 1)
     for pos in range(n - 1, -1, -1):
         reach[pos] = reach[pos + 1] + abs(syllables[pos].exp) * bound
-    # slack[pos]: |U| plus what the syllables after pos could cancel
-    slack = [len(u) + room for room in reach[1:]]
-    identity = alph.identity()
     size_u = len(u)
     # the images of the variables the walk has assigned, y_n last
     images: list = [None] * nvars
@@ -376,30 +360,14 @@ def verify_testword(
             return False
         return abs(size - size_u) > room or free_word_metric(value, u) > room
 
-    def tail_product(extra: int) -> Optional[Word]:
-        """Syllables cut+1.. of W under the images, or None once pruned."""
-        value = identity
-        for pos in range(cut + 1, n):
-            gen, exp = syllables[pos]
-            value = value * images[gen] ** exp
-            if len(value) > extra + slack[pos]:
-                return None
-        return value
-
     def leaf(value: Word) -> None:
-        """The block under ``value``, the syllables ..cut-1 of W (all of W
-        unless y_n is solved): count it and record its violation, if any."""
+        """The block under ``value``, W but a solved y_n: count it and
+        record its violation, if any."""
         nonlocal explored
         covered = min(block, budget - explored)
         explored += covered
         if solved:
-            # S = (P y^e)^-1 U R^-1 for the rest R of W after a partial S,
-            # so that partial S may outgrow the slack by |P| + |y|
-            tail = tail_product(len(value) + bound)
-            if tail is None:
-                return
-            y = value.inverse() * u * tail.inverse()
-            found = index.get(y if sign == 1 else y.inverse())
+            found = index.get(value.inverse() * u)
             # a block cut by the budget holds only its first `covered` images
             if found is None or found >= covered:
                 return
@@ -437,7 +405,7 @@ def verify_testword(
                 else:
                     walk(depth + 1, partial)
 
-    walk(0, identity)
+    walk(0, alph.identity())
     return TestWordReport(
         violations=violations,
         explored=explored,

@@ -44,9 +44,6 @@ class Alphabet:
     def generator(self, index: int) -> "Word":
         return Word.from_syllables(self, [(index, 1)])
 
-    def generators(self) -> list["Word"]:
-        return [self.generator(i) for i in range(self.rank)]
-
     def identity(self) -> "Word":
         return Word._reduced(self, (), 0)
 

@@ -5,7 +5,7 @@ import time
 import pytest
 
 from test_golden import CASES
-from vclab import testwords
+from vclab import equations, testwords
 from vclab.cli import build_parser, main
 from vclab.words import Alphabet, parse_word
 
@@ -315,15 +315,17 @@ def test_solve_eq_candidate_cap_is_an_error(capsys):
 @pytest.mark.parametrize("bound, cap", [
     ("10000", "5"),  # the count has 4,772 digits
     ("1000000000", "5"),
-    ("1000000000", "1000000000"),
+    ("1000000000", "1000000000"),  # past CANDIDATE_CAP, which applies instead
+    ("40", None),  # no --max-candidates: CANDIDATE_CAP applies
 ])
 def test_solve_eq_candidate_cap_on_a_huge_bound_is_an_error(capsys, bound, cap):
     start = time.perf_counter()
-    assert main(["solve-eq", "--a", "a", "--b", "b", "--n", "2", "--m", "3", "--bound", bound,
-                 "--max-candidates", cap]) == 1
+    flags = [] if cap is None else ["--max-candidates", cap]
+    assert main(["solve-eq", "--a", "a", "--b", "b", "--n", "2", "--m", "3", "--bound", bound, *flags]) == 1
     assert time.perf_counter() - start < 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: x-candidates of length <= {bound} exceed cap {cap}")
+    effective = min(int(cap or equations.CANDIDATE_CAP), equations.CANDIDATE_CAP)
+    assert err.startswith(f"error: x-candidates of length <= {bound} exceed cap {effective}")
     assert "Traceback" not in err
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from vclab import equations
 from vclab.words import Alphabet, BudgetExceeded, Syllable, Word, WordError, count_reduced, enumerate_reduced, parse_word
 from vclab.equations import (
     Classification,
@@ -167,6 +168,18 @@ def test_budget_cap_is_exactly_the_candidate_count(rank):
     for cap in (0, 5, 10**9):
         with pytest.raises(BudgetExceeded):
             brute_force_solutions(inst, 10**9, max_candidates=cap)
+
+
+def test_candidate_cap_bounds_every_search(monkeypatch):
+    # CANDIDATE_CAP applies with or without max_candidates, whichever is less
+    inst = inst23()
+    total = count_reduced(2, 4)
+    monkeypatch.setattr(equations, "CANDIDATE_CAP", total)
+    assert brute_force_solutions(inst, 4) == brute_force_solutions(inst, 4, max_candidates=10**9)
+    monkeypatch.setattr(equations, "CANDIDATE_CAP", total - 1)
+    for cap in (None, total, 10**9):
+        with pytest.raises(BudgetExceeded, match=f"^x-candidates of length <= 4 exceed cap {total - 1}$"):
+            brute_force_solutions(inst, 4, max_candidates=cap)
 
 
 def test_brute_force_caps_workers(monkeypatch):

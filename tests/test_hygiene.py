@@ -1,11 +1,12 @@
 """Source hygiene of the package: every imported name is used, every
-module-level definition is reached, and every CLI flag is read by the
-subcommand that accepts it."""
+module-level definition and class member is reached, and every CLI flag is
+read by the subcommand that accepts it."""
 
 from __future__ import annotations
 
 import argparse
 import ast
+from collections import Counter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -112,6 +113,74 @@ def test_every_definition_is_read_outside_itself():
     sources = {path.stem: path.read_text() for path in MODULES}
     acceptance = (Path(__file__).resolve().parent / "test_acceptance.py").read_text()
     assert unread_definitions(sources, [acceptance]) == []
+
+
+def attribute_reads(nodes: Iterable[ast.AST]) -> Counter:
+    """How often each name is read as an attribute."""
+    return Counter(node.attr for node in nodes if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+
+
+def class_members(cls: ast.ClassDef) -> Iterable[tuple[str, ast.AST]]:
+    """The methods, properties and class-level fields of a class, dunder
+    names aside: the interpreter reads those."""
+    for node in cls.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names = [node.name]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        elif isinstance(node, ast.Assign):
+            names = [target.id for target in node.targets if isinstance(target, ast.Name)]
+        else:
+            names = []
+        for name in names:
+            if not (name.startswith("__") and name.endswith("__")):
+                yield name, node
+
+
+def unread_members(sources: dict[str, str], readers: Sequence[str] = ()) -> list[str]:
+    """Class members whose name no code reads as an attribute.
+
+    A member counts as read when its name is read as an attribute in any
+    of the sources or ``readers``, outside the member's own definition.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    reads = attribute_reads(node for tree in [*trees.values(), *map(ast.parse, readers)] for node in ast.walk(tree))
+    unread = []
+    for module, tree in trees.items():
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            for name, node in class_members(cls):
+                if reads[name] <= attribute_reads(ast.walk(node))[name]:
+                    unread.append(f"{module}.{cls.name}.{name}")
+    return sorted(unread)
+
+
+# members no code reads, each kept on purpose
+UNREAD_MEMBERS = {
+    # the witness contract: a solvable word equation carries the assignment
+    # that solves it, and the tests re-evaluate it against the right-hand side
+    "finitegroups.WordEquationReport.rhs",
+    "finitegroups.WordEquationReport.group_witness",
+    "finitegroups.WordEquationReport.subgroup_witness",
+    # the tests check the amalgamation through it
+    "finitegroups.CentralProduct.embed_right",
+}
+
+
+def test_member_scan_ignores_reads_inside_the_member():
+    sources = {
+        "m": "class Box:\n    size: int\n    spare = 0\n\n    def __len__(self):\n        return self.size\n\n"
+             "    def loop(self, n):\n        return self.loop(n - 1)\n\n    def used(self):\n        return 1\n",
+        "n": "def caller(box):\n    return box.used()\n",
+    }
+    assert unread_members(sources) == ["m.Box.loop", "m.Box.spare"]
+    assert unread_members(sources, ["Box().spare"]) == ["m.Box.loop"]
+
+
+def test_every_class_member_is_read():
+    sources = {path.stem: path.read_text() for path in MODULES}
+    acceptance = (Path(__file__).resolve().parent / "test_acceptance.py").read_text()
+    # equality also catches an allowlist entry that code has come to read
+    assert set(unread_members(sources, [acceptance])) == UNREAD_MEMBERS
 
 
 def args_reads(source: str) -> dict[str, set[str]]:

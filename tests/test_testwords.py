@@ -10,7 +10,6 @@ from vclab.words import Alphabet, BudgetExceeded, Word, WordError, count_reduced
 from vclab.testwords import (
     CertificateResult,
     ExponentTuple,
-    SymbolicWord,
     TestWordSpec,
     base_test_word,
     base_value,
@@ -18,10 +17,13 @@ from vclab.testwords import (
     _letter_evaluate,
     evaluate,
     exponent_sum_certificates,
+    format_test_word,
     lift,
     variable_count,
     variable_name,
+    variables_used,
     verify_testword,
+    word_level,
 )
 
 F3 = Alphabet(3)
@@ -43,12 +45,12 @@ ABC = [p("a"), p("b"), p("c")]
 
 def test_base_word_all_ones():
     w3 = base_test_word(ExponentTuple.uniform(1))
-    assert str(w3) == "x1 x3 x2 x3 x2 x3 y3"
+    assert format_test_word(w3) == "x1 x3 x2 x3 x2 x3 y3"
 
 
 def test_base_word_m1_two():
     w3 = base_test_word(ExponentTuple(1, 1, 2, 1, 1, 1, 1, 1, 1, 1))
-    assert str(w3) == "x1 x3 x1 x3 x2 x3 x2 x3 y3"
+    assert format_test_word(w3) == "x1 x3 x1 x3 x2 x3 x2 x3 y3"
 
 
 def test_base_word_length_formula():
@@ -58,7 +60,7 @@ def test_base_word_length_formula():
         w3 = base_test_word(e)
         # positive exponents cannot cross-cancel, so the formula is exact
         expected = e.s * (e.m1 * (e.k1 + e.l1) + e.m2 * (e.k2 + e.l2)) + e.t * (e.p + 2 * e.q)
-        assert len(w3.word) == expected
+        assert len(w3) == expected
 
 
 def test_exponents_must_be_positive():
@@ -72,11 +74,17 @@ def test_lift_variable_counts():
     e = ExponentTuple.uniform(1)
     w3 = base_test_word(e)
     w4 = lift(w3, e)
-    assert w4.level == 4
-    assert w4.word.alphabet.rank == variable_count(4) == 6
-    assert w4.variables_used() == {"x1", "x2", "x3", "x4", "y3", "y4"}
+    assert word_level(w4) == 4
+    assert w4.alphabet.rank == variable_count(4) == 6
+    assert variables_used(w4) == {"x1", "x2", "x3", "x4", "y3", "y4"}
     w5 = lift(w4, e)
-    assert w5.word.alphabet.rank == variable_count(5) == 8
+    assert w5.alphabet.rank == variable_count(5) == 8
+
+
+@pytest.mark.parametrize("rank", [2, 5])
+def test_word_level_needs_an_even_rank_of_at_least_four(rank):
+    with pytest.raises(WordError, match=f"^a test word has an even rank of at least 4, got rank {rank}$"):
+        word_level(Alphabet(rank).generator(0))
 
 
 def test_lift_matches_direct_expansion():
@@ -87,10 +95,10 @@ def test_lift_matches_direct_expansion():
     alph6 = Alphabet(6)
     x = {i: alph6.generator(i - 1) for i in range(1, 5)}  # x1..x4
     y3, y4 = alph6.generator(4), alph6.generator(5)
-    w3_in_6 = substitute(w3.word, [x[1], x[2], x[3], y3])
+    w3_in_6 = substitute(w3, [x[1], x[2], x[3], y3])
     shell = ((w3_in_6 ** e.k1 * x[4] ** e.l1) ** e.m1 * (x[3] ** e.k2 * x[4] ** e.l2) ** e.m2) ** e.s
     shell = shell * (x[3] ** e.p * (x[4] * y4) ** e.q) ** e.t
-    assert w4.word == shell
+    assert w4 == shell
 
 
 def test_lift_collapse_under_trivial_new_variables():
@@ -105,12 +113,12 @@ def test_lift_collapse_under_trivial_new_variables():
         w3 = base_test_word(ExponentTuple.uniform(1))
         w4 = lift(w3, e)
         alph4 = Alphabet(4)
-        gens = alph4.generators()
+        gens = [alph4.generator(i) for i in range(4)]
         collapsed = substitute(
-            w4.word,
+            w4,
             [gens[0], gens[1], gens[2], alph4.identity(), gens[3], alph4.identity()],
         )
-        w3_in_4 = substitute(w3.word, [gens[0], gens[1], gens[2], gens[3]])
+        w3_in_4 = substitute(w3, [gens[0], gens[1], gens[2], gens[3]])
         xn = gens[2]
         expected = (w3_in_4 ** (e.k1 * e.m1) * xn ** (e.k2 * e.m2)) ** e.s * xn ** (e.p * e.t)
         assert collapsed == expected
@@ -122,14 +130,14 @@ def test_lift_collapse_under_trivial_new_variables():
 def test_spec_builds_tower():
     spec = TestWordSpec(5, tuple(ExponentTuple.uniform(1) for _ in range(3)))
     w5 = spec.build()
-    assert w5.level == 5
+    assert word_level(w5) == 5
 
 
 # -- evaluation --------------------------------------------------------------------
 
 def test_evaluate_simple_word():
     alph = Alphabet(4)
-    word = SymbolicWord(3, alph.generator(0) * alph.generator(1))
+    word = alph.generator(0) * alph.generator(1)
     assert evaluate(word, {"x1": p("a"), "x2": p("b")}) == p("ab")
 
 
@@ -153,7 +161,7 @@ def test_evaluate_missing_variable():
 
 def test_evaluate_unused_variables_default_to_identity():
     alph = Alphabet(4)
-    word = SymbolicWord(3, alph.generator(1) ** 2 * alph.generator(3))
+    word = alph.generator(1) ** 2 * alph.generator(3)
     assert evaluate(word, {"x2": p("ab"), "y3": p("C")}) == p("ababC")
 
 
@@ -168,7 +176,7 @@ def test_evaluate_matches_letter_oracle():
 
 @pytest.mark.parametrize("name", ["", "x", "y", "z1", "x\u0663", "y\u0663", "x-1"])
 def test_evaluate_rejects_bad_variable_names(name):
-    word = SymbolicWord(3, Alphabet(4).generator(0))
+    word = Alphabet(4).generator(0)
     with pytest.raises(WordError) as info:
         evaluate(word, {"x1": p("a"), name: p("b")})
     assert str(info.value) == f"bad variable name {name!r}"
@@ -176,11 +184,11 @@ def test_evaluate_rejects_bad_variable_names(name):
 
 def test_evaluate_rejects_mixed_alphabets_and_empty_assignments():
     alph = Alphabet(4)
-    word = SymbolicWord(3, alph.generator(0))
+    word = alph.generator(0)
     with pytest.raises(WordError, match="mixed alphabets"):
         evaluate(word, {"x1": p("a"), "x2": parse_word("a", Alphabet(2))})
     with pytest.raises(WordError, match="names no variables"):
-        evaluate(SymbolicWord(3, alph.identity()), {})
+        evaluate(alph.identity(), {})
 
 
 # -- canonical solutions ---------------------------------------------------------------
@@ -208,7 +216,7 @@ def test_equivariance_under_conjugation():
 
 def test_canonical_rejects_trivial_common_value():
     alph = Alphabet(4)
-    word = SymbolicWord(3, alph.generator(3))  # just y3, so U = 1
+    word = alph.generator(3)  # just y3, so U = 1
     with pytest.raises(WordError):
         canonical_solutions(word, ABC, 1)
 
@@ -252,8 +260,9 @@ def product_walk(w, targets, bound, max_assignments=None):
     u = base_value(w, targets)
     window = bound // max(1, len(u)) + 1
     canonical = [canonical_solutions(w, targets, alpha) for alpha in range(-window, window + 1)]
-    nvars = variable_count(w.level)
-    names = [variable_name(w.level, i) for i in range(nvars)]
+    level = word_level(w)
+    nvars = variable_count(level)
+    names = [variable_name(level, i) for i in range(nvars)]
     candidates = list(enumerate_reduced(targets[0].alphabet, bound))
     total = len(candidates) ** nvars
     budget = total if max_assignments is None else min(total, max_assignments)
@@ -261,7 +270,7 @@ def product_walk(w, targets, bound, max_assignments=None):
     for images in itertools.islice(itertools.product(candidates, repeat=nvars), budget):
         explored += 1
         assignment = dict(zip(names, images))
-        if substitute(w.word, images) == u and assignment not in canonical:
+        if substitute(w, images) == u and assignment not in canonical:
             violations.append(assignment)
     return violations, explored, total, explored == total
 
@@ -312,14 +321,20 @@ def test_solved_walk_matches_product_walk(tuples, rank, targets, bound, cap):
     assert (report.explored, report.total, report.exhausted) == (explored, total, exhausted)
 
 
-@pytest.mark.parametrize("cap", [None, 1000])
-def test_solved_walk_handles_an_inner_inverse_occurrence(cap):
-    # y3^-1 between syllables: solved from both a prefix and a suffix
-    x1, x2, x3, y3 = Alphabet(4).generators()
-    w = SymbolicWord(3, x1 * x3 * y3 ** -1 * x2 * x3 ** 2)
-    targets = [parse_word(t, Alphabet(2)) for t in ("a", "a", "b")]
-    report = verify_testword(w, targets, 1, max_assignments=cap)
-    violations, explored, total, exhausted = product_walk(w, targets, 1, cap)
+X1, X2, X3, Y3 = [Alphabet(4).generator(i) for i in range(4)]
+
+
+@pytest.mark.parametrize("cap", [None, 300])
+@pytest.mark.parametrize("w", [
+    X1 * X3 * Y3 ** -1 * X2 * X3 ** 2,  # y3^-1 between syllables
+    X1 * X3 * X2 * X3 ** 2 * Y3 ** -1,  # y3^-1 last
+], ids=["inner", "last"])
+def test_walk_enumerates_an_inverse_occurrence(w, cap):
+    # y3 is solved only as the last syllable y3^+1, so both words enumerate
+    # it; in `a;a;a` at bound 2 each has 35 violations among 625 assignments
+    targets = [parse_word("a", Alphabet(1))] * 3
+    report = verify_testword(w, targets, 2, max_assignments=cap)
+    violations, explored, total, exhausted = product_walk(w, targets, 2, cap)
     assert violations
     assert [v.assignment for v in report.violations] == violations
     assert (report.explored, report.total, report.exhausted) == (explored, total, exhausted)
@@ -327,7 +342,8 @@ def test_solved_walk_handles_an_inner_inverse_occurrence(cap):
 
 def test_walk_extends_each_prefix_once_and_drops_far_products(monkeypatch):
     # the benchmark's test-word case; 33,152 products when each assignment
-    # evaluated W's prefix from the start and was pruned on lengths only
+    # evaluated W's prefix from the start and was pruned on lengths only, and
+    # 13,131 when a solved leaf formed P^-1 U S^-1 with an empty suffix S
     calls = 0
     mul = Word.__mul__
 
@@ -340,7 +356,7 @@ def test_walk_extends_each_prefix_once_and_drops_far_products(monkeypatch):
     targets = [parse_word(t, Alphabet(2)) for t in ("a", "b", "aB")]
     report = verify_testword(base_test_word(ONES), targets, 2)
     assert report.exhausted and len(report.violations) == 36
-    assert calls == 13131
+    assert calls == 13094
 
 
 def test_enumerated_walk_pins_the_all_two_report():
