@@ -54,6 +54,15 @@ def _at_least(low: int):
 _count = _at_least(0)
 
 
+def _rational(text: str) -> Fraction:
+    """argparse type of a rational flag, read as ``Fraction`` reads it: 'p/q',
+    an integer or a decimal."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+
+
 def _int_list(text: str) -> list[int]:
     """argparse type of a list flag: comma-separated integers."""
     return [_integer(x) for x in text.split(",")]
@@ -86,7 +95,33 @@ def _write_report(payload: str, out: Optional[str]) -> None:
 
 
 def _json_payload(data: dict) -> str:
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(data, sort_keys=True, indent=2)`` and a newline, for
+    str-keyed data, byte for byte.  With an indent, ``json.dumps`` runs its
+    pure-Python encoder; this writer formats the containers itself, joins a
+    list of plain ints with ``str`` and leaves only the other leaves to
+    ``json.dumps``."""
+    return _json_text(data, "\n") + "\n"
+
+
+def _json_text(value, newline: str) -> str:
+    """One value as ``json.dumps`` indents it, ``newline`` being a line break
+    and the indent of the line the value starts on."""
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [json.dumps(key) + ": " + _json_text(item, inner) for key, item in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        # type(), not isinstance(): True is an int, and json writes it as true
+        if all(type(item) is int for item in value):
+            items = map(str, value)
+        else:
+            items = [_json_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    return json.dumps(value)
 
 
 # -- subcommand implementations ----------------------------------------------
@@ -358,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     which.add_argument("--pattern", help="counting quasimorphism of this word")
     which.add_argument("--gen", type=int, help="exponent sum of this generator")
     qm.add_argument("--word", required=True)
-    qm.add_argument("--defect", type=Fraction, help="defect bound (rational, default 0; not with --gen on qm-homogenize)")
+    qm.add_argument("--defect", type=_rational, help="defect bound (rational, default 0; not with --gen on qm-homogenize)")
 
     ball = argparse.ArgumentParser(add_help=False, parents=[report])
     ball.add_argument("--rank", type=int, default=2, help="alphabet rank")
@@ -415,14 +450,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_cayley_delta)
 
     p = sub.add_parser("midpoint-check", parents=[ball], help="midpoint inequality on random triangles")
-    p.add_argument("--delta", type=Fraction, default=Fraction(0))
+    p.add_argument("--delta", type=_rational, default=Fraction(0))
     p.set_defaults(func=_cmd_midpoint_check)
 
     p = sub.add_parser("concat-check", parents=[words], help="quasi-geodesic concatenation hypotheses")
     p.add_argument("--paths", required=True, help="segments as 'w1,w2;w2,w3' vertex lists")
-    p.add_argument("--alpha", type=Fraction, required=True)
-    p.add_argument("--delta", type=Fraction, default=Fraction(0))
-    p.add_argument("--kappa", type=Fraction, default=Fraction(1))
+    p.add_argument("--alpha", type=_rational, required=True)
+    p.add_argument("--delta", type=_rational, default=Fraction(0))
+    p.add_argument("--kappa", type=_rational, default=Fraction(1))
     p.set_defaults(func=_cmd_concat_check)
 
     p = sub.add_parser("divergence", parents=[words], help="table of |c^n d^m| lengths")

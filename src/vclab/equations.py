@@ -17,7 +17,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .words import Alphabet, BudgetExceeded, Syllable, Word, WordError, count_reduced, enumerate_reduced, format_word
+from .words import Alphabet, BudgetExceeded, Syllable, Word, WordError, enumerate_reduced, format_word, reduced_count_exceeds
 from .oracles import is_conjugate, root
 
 # reduced x a search may enumerate, whatever max_candidates asks: bound 14
@@ -132,9 +132,7 @@ def brute_force_solutions(
         raise WordError("bound must be >= 0")
     rank = inst.alphabet.rank
     cap = CANDIDATE_CAP if max_candidates is None else min(max_candidates, CANDIDATE_CAP)
-    # count_reduced(rank, L) > L, and > 2^L past rank 1: exact at this clamp, and small
-    clamp = cap if rank == 1 else cap.bit_length()
-    if count_reduced(rank, min(bound, clamp)) > cap:
+    if reduced_count_exceeds(rank, bound, cap):
         raise BudgetExceeded(f"x-candidates of length <= {bound} exceed cap {cap}")
     n, m = inst.n, inst.m
     # x = 1, the one word of length 0

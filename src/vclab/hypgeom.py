@@ -13,12 +13,13 @@ plain vertex sequences and measure them in the standard-basis word metric.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .words import Alphabet, BudgetExceeded, Word, WordError, count_reduced, format_word, free_word_metric
+from .words import Alphabet, BudgetExceeded, Syllable, Word, WordError, count_reduced, format_word, free_word_metric, reduced_count_exceeds
 from .oracles import is_commensurable
 
 # points a ball may hold: radius 10 at rank 2 (118,097 points) fits
@@ -72,7 +73,7 @@ class FiniteMetricSpace:
     def _require_points(self, u: Word, v: Word) -> None:
         alph, radius = self.alphabet, self.radius
         for w in (u, v):
-            if (w.alphabet is not alph and w.alphabet != alph) or len(w) > radius:
+            if (w.alphabet is not alph and w.alphabet != alph) or w.length > radius:
                 raise WordError(f"point {w} not in space")
 
     def dist(self, u: Word, v: Word) -> int:
@@ -87,12 +88,10 @@ class FiniteMetricSpace:
 
 def cayley_ball(alph: Alphabet, radius: int) -> FiniteMetricSpace:
     """The ball of ``radius`` over the standard basis of ``alph``, refused
-    past ``BALL_CAP`` points.  A ball of radius r holds more than r points,
-    so counting at ``min(radius, BALL_CAP)`` decides the cap exactly and
-    costs one small power whatever the radius."""
+    past ``BALL_CAP`` points, at one small count whatever the radius."""
     if radius < 0:
         raise WordError("radius must be >= 0")
-    if count_reduced(alph.rank, min(radius, BALL_CAP)) > BALL_CAP:
+    if reduced_count_exceeds(alph.rank, radius, BALL_CAP):
         raise BudgetExceeded(f"ball exceeds cap of {BALL_CAP} elements")
     return FiniteMetricSpace(alph, radius)
 
@@ -104,12 +103,13 @@ def gromov_product(sp: FiniteMetricSpace, a: Word, b: Word, c: Word) -> Fraction
 
 def free_tree_geodesic(u: Word, v: Word) -> list[Word]:
     """The unique geodesic between u and v over the standard basis."""
-    # the 2 * rank one-letter words, built once, keyed by signed letter
     alph = u.alphabet
-    steps = {sign * (gen + 1): Word.from_syllables(alph, [(gen, sign)]) for gen in range(alph.rank) for sign in (1, -1)}
     path = [u]
-    for letter in (u.inverse() * v).letters():
-        path.append(path[-1] * steps[letter])
+    for gen, exp in (u.inverse() * v).syllables:
+        # the syllable's one letter, a reduced word by construction
+        step = Word._reduced(alph, (Syllable(gen, 1 if exp > 0 else -1),), 1)
+        for _ in range(abs(exp)):
+            path.append(path[-1] * step)
     return path
 
 
@@ -137,17 +137,18 @@ def delta_thin_report(sp: FiniteMetricSpace, samples: int, seed: int = 0) -> Del
     [C,A] and [C,B] given by ``sp.geodesic``, every pair of vertices at
     equal distance from C, up to the Gromov product (A,B)_C, contributes
     its distance.  The maximum is a lower bound for the thinness constant
-    of the ambient space.
+    of the ambient space.  Distances are integers, as in a graph.
     """
     rng = random.Random(seed)
     n = len(sp)
     if n < 3:
         return DeltaReport(Fraction(0), None, samples)
-    best = Fraction(0)
+    best = 0
     witness = None
     for _ in range(samples):
         a, b, c = (sp.point(rng.randrange(n)) for _ in range(3))
-        product = gromov_product(sp, a, b, c)
+        # an integer distance is at most the product iff it is at most its floor
+        reach = math.floor(gromov_product(sp, a, b, c))
         side_a = sp.geodesic(c, a)
         side_b = sp.geodesic(c, b)
         # side_b's vertices by their distance from C, in path order
@@ -156,14 +157,14 @@ def delta_thin_report(sp: FiniteMetricSpace, samples: int, seed: int = 0) -> Del
             level.setdefault(sp.dist(c, pb), []).append(pb)
         for pa in side_a:
             da = sp.dist(c, pa)
-            if da > product:
+            if da > reach:
                 continue
             for pb in level.get(da, ()):
-                gap = Fraction(sp.dist(pa, pb))
+                gap = sp.dist(pa, pb)
                 if gap > best:
                     best = gap
                     witness = (a, b, c)
-    return DeltaReport(best, witness, samples)
+    return DeltaReport(Fraction(best), witness, samples)
 
 
 def quasigeodesic_slack(path: Sequence[Word], kappa: Fraction) -> Fraction:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import asdict, astuple, dataclass
 from typing import Mapping, Optional, Sequence
 
-from .words import Alphabet, BudgetExceeded, Word, WordError, count_reduced, enumerate_reduced, format_word, free_word_metric, substitute
+from .words import Alphabet, BudgetExceeded, Word, WordError, enumerate_reduced, format_word, free_word_metric, reduced_count_exceeds, substitute
 from .oracles import is_special_tuple
 
 
@@ -311,9 +311,7 @@ def verify_testword(
     special_ok = is_special_tuple(targets)
     u = base_value(w, targets)
     alph = targets[0].alphabet
-    # the count grows with the bound and passes the cap by bound = cap, so
-    # min() keeps the check cheap for any bound
-    if count_reduced(alph.rank, min(bound, CANDIDATE_CAP)) > CANDIDATE_CAP:
+    if reduced_count_exceeds(alph.rank, bound, CANDIDATE_CAP):
         raise BudgetExceeded(f"candidate images of length <= {bound} exceed the cap of {CANDIDATE_CAP} words")
     level = word_level(w)
     nvars = variable_count(level)

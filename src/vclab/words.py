@@ -312,7 +312,7 @@ def free_word_metric(u: Word, v: Word) -> int:
             common += min(abs(exp), abs(other_exp))
             break
         common += abs(exp)
-    return len(u) + len(v) - 2 * common
+    return u.length + v.length - 2 * common
 
 
 # -- word literals --------------------------------------------------------
@@ -437,6 +437,19 @@ def enumerate_reduced(alph: Alphabet, max_len: int, first: Optional[Syllable] = 
                 extended.append(ext)
                 yield reduced(alph, ext, level)
         frontier = extended
+
+
+def reduced_count_exceeds(rank: int, max_len: int, cap: int) -> bool:
+    """Whether more than ``cap`` reduced words of rank ``rank`` have length
+    <= ``max_len``, for a cap >= 0 and whatever the length.
+
+    The count grows with the length and passes it: it exceeds L at rank 1
+    and 2^L past rank 1.  So it exceeds the cap at the clamp ``cap``
+    (rank 1) or ``cap.bit_length()``, and counting at ``min(max_len,
+    clamp)`` decides exactly, with one small power.
+    """
+    clamp = cap if rank == 1 else cap.bit_length()
+    return count_reduced(rank, min(max_len, clamp)) > cap
 
 
 def count_reduced(rank: int, max_len: int) -> int:

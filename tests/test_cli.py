@@ -3,10 +3,12 @@ import json
 import time
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from test_golden import CASES
+from test_golden import CASES, GOLDEN
 from vclab import equations, testwords
-from vclab.cli import build_parser, main
+from vclab.cli import _json_payload, build_parser, main
 from vclab.words import Alphabet, parse_word
 
 
@@ -419,3 +421,54 @@ def test_every_flag_rejects_garbage(capsys, argv, flag):
     err = capsys.readouterr().err
     assert code == 1
     assert "error:" in err and "Traceback" not in err
+
+
+RATIONAL_FLAGS = [
+    ("midpoint-check", "--delta"),
+    ("concat-check", "--alpha"),
+    ("concat-check", "--delta"),
+    ("concat-check", "--kappa"),
+    ("qm-homogenize", "--defect"),
+    ("qm-invariance", "--defect"),
+]
+
+
+@pytest.mark.parametrize("command, flag", RATIONAL_FLAGS, ids=[f"{c} {f}" for c, f in RATIONAL_FLAGS])
+def test_zero_denominator_is_a_usage_error(capsys, command, flag):
+    argv = next(argv for _, _, argv in CASES if argv[0] == command)
+    code, err = usage_exit(capsys, *argv, flag, "1/0")
+    assert code == 1
+    assert f"argument {flag}: not a rational number: '1/0'" in err
+    assert "Traceback" not in err
+
+
+# -- the report writer -----------------------------------------------------------
+
+def dumps(data):
+    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+
+JSON_GOLDEN = [name for name, _, argv in CASES if "csv" not in argv]
+
+
+@pytest.mark.parametrize("name", JSON_GOLDEN)
+def test_writer_reproduces_every_json_golden_report(name):
+    text = (GOLDEN / f"{name}.txt").read_text()
+    data = json.loads(text)
+    assert _json_payload(data) == dumps(data) == text
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(st.text(), inner),
+    max_leaves=40,
+)
+
+
+@given(st.dictionaries(st.text(), json_values))
+@example({"mixed": [1, True], "bools": [True, False], "ints": [0, -7, 10**30]})
+@example({"empty": [], "none": {}, "nested": [[], {}, [[]], {"inner": {}}, ()]})
+@example({})
+@example({"caf\u00e9": "\u00fc\n\u2603", "pair": (1, 2), "float": [1.5, 2], "null": None})
+def test_writer_equals_json_dumps(data):
+    assert _json_payload(data) == dumps(data)

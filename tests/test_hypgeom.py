@@ -103,6 +103,17 @@ def test_ball_cap(monkeypatch):
         cayley_ball(F2, 4)
 
 
+@pytest.mark.parametrize("rank, radius", [(1, 7), (2, 3), (3, 2)])
+def test_ball_cap_admits_exactly_its_count(monkeypatch, rank, radius):
+    alph, total = Alphabet(rank), count_reduced(rank, radius)
+    monkeypatch.setattr(hypgeom, "BALL_CAP", total)
+    assert len(cayley_ball(alph, radius)) == total
+    monkeypatch.setattr(hypgeom, "BALL_CAP", total - 1)
+    for r in (radius, 10**9):
+        with pytest.raises(BudgetExceeded, match=f"^ball exceeds cap of {total - 1} elements$"):
+            cayley_ball(alph, r)
+
+
 def test_ball_cap_is_clamped_for_any_radius():
     start = time.perf_counter()
     for alph in (Alphabet(1), F2, F3):
@@ -288,9 +299,12 @@ def test_delta_report_matches_quadratic_reference(samples, seed):
     assert (report.lower_bound, report.witness_triangle) == _quadratic_delta(sp, samples, seed)
 
 
-def test_delta_report_on_tree_ball_matches_quadratic_reference(ball4):
-    report = delta_thin_report(ball4, 200, seed=4)
-    assert (report.lower_bound, report.witness_triangle) == _quadratic_delta(ball4, 200, 4)
+def test_delta_report_on_tree_ball_matches_quadratic_reference():
+    for rank, radius in [(1, 6), (2, 4), (3, 3)]:
+        sp = cayley_ball(Alphabet(rank), radius)
+        for seed in (0, 4, 9):
+            report = delta_thin_report(sp, 200, seed=seed)
+            assert (report.lower_bound, report.witness_triangle) == _quadratic_delta(sp, 200, seed)
 
 
 # -- quasi-geodesics -----------------------------------------------------------------

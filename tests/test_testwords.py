@@ -417,6 +417,19 @@ def test_candidates_past_the_cap_are_refused_before_enumeration(monkeypatch):
         verify_testword(w, targets, 2, max_assignments=1)
 
 
+@pytest.mark.parametrize("rank, texts, bound", [(1, ("a", "a", "A"), 3), (2, ("a", "b", "aB"), 2), (3, ("a", "b", "c"), 1)])
+def test_candidate_cap_admits_exactly_its_count(monkeypatch, rank, texts, bound):
+    w = base_test_word(ONES)
+    targets = [parse_word(t, Alphabet(rank)) for t in texts]
+    total = count_reduced(rank, bound)
+    monkeypatch.setattr(testwords, "CANDIDATE_CAP", total)
+    assert verify_testword(w, targets, bound, max_assignments=1).explored == 1
+    monkeypatch.setattr(testwords, "CANDIDATE_CAP", total - 1)
+    for b in (bound, 10**9):
+        with pytest.raises(BudgetExceeded, match=f"^candidate images of length <= {b} exceed the cap of {total - 1} words$"):
+            verify_testword(w, targets, b, max_assignments=1)
+
+
 # -- certificates -----------------------------------------------------------------------------
 
 def test_certificates_uniform_tuple():

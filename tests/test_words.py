@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vclab import words
 from vclab.oracles import root
 from vclab.words import (
     POWER_BUDGET,
@@ -18,6 +19,7 @@ from vclab.words import (
     enumerate_reduced,
     format_word,
     parse_word,
+    reduced_count_exceeds,
     substitute,
 )
 
@@ -487,6 +489,19 @@ def test_count_is_the_sum_over_lengths():
     for rank in range(1, 5):
         for max_len in range(-1, 40):
             assert count_reduced(rank, max_len) == 1 + sum(2 * rank * (2 * rank - 1) ** (n - 1) for n in range(1, max_len + 1))
+
+
+def test_count_exceeds_the_cap_exactly_as_the_count_does(monkeypatch):
+    for rank in range(1, 5):
+        for max_len in range(12):
+            total = count_reduced(rank, max_len)
+            for cap in {0, 1, total - 1, total, total + 1}:
+                assert reduced_count_exceeds(rank, max_len, cap) == (total > cap)
+    # a huge length is counted at the clamp, never at its own size
+    lengths = []
+    monkeypatch.setattr(words, "count_reduced", lambda rank, max_len: lengths.append(max_len) or count_reduced(rank, max_len))
+    assert reduced_count_exceeds(2, 10**9, 200_000) and reduced_count_exceeds(1, 10**9, 200_000)
+    assert lengths == [18, 200_000]
 
 
 @pytest.mark.parametrize("rank, max_len", [(1, 5), (2, 4), (3, 3)])
