@@ -56,11 +56,14 @@ _count = _at_least(0)
 
 def _rational(text: str) -> Fraction:
     """argparse type of a rational flag, read as ``Fraction`` reads it: 'p/q',
-    an integer or a decimal."""
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+    an integer or a decimal.  Exponent notation is refused, since ``Fraction``
+    builds the whole power of ten before anything could bound it."""
+    if "e" not in text.lower():
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
 
 
 def _int_list(text: str) -> list[int]:

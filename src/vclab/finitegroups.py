@@ -9,8 +9,9 @@ a retract of the other factor.
 
 Words in group elements are ``Word`` values evaluated by
 ``FiniteGroup.evaluate_word``, which reads each syllable's power from the
-cyclic power table every group builds once; a homomorphism is its tuple of
-images.
+cyclic power table every group builds once.  Subgroups and homomorphisms
+need no words: both walk the Cayley graph of the table, and a homomorphism
+is its element map.
 """
 
 from __future__ import annotations
@@ -82,9 +83,6 @@ class FiniteGroup:
     def mul(self, i: int, j: int) -> int:
         return self.mult[i][j]
 
-    def inv(self, i: int) -> int:
-        return self.inverse[i]
-
     def power(self, i: int, k: int) -> int:
         row = self.powers[i]
         return row[k % len(row)]
@@ -93,7 +91,8 @@ class FiniteGroup:
         return len(self.powers[i])
 
     def closure(self, gens: Sequence[int]) -> list[int]:
-        return sorted(_spanning_words(self, gens))
+        tree, _ = _cayley_edges(self, gens)
+        return sorted([self.identity] + [y for _, _, y in tree])
 
     def center(self) -> list[int]:
         return [z for z in range(self.order) if self.is_central(z)]
@@ -150,107 +149,83 @@ def central_product(a: FiniteGroup, b: FiniteGroup, za: int, zb: int) -> Central
     if k != b.element_order(zb):
         raise WordError("amalgamated elements have different orders")
 
-    def orbit(p: int, q: int):
-        out = []
-        x, y = p, q
-        for _ in range(k):
-            out.append((x, y))
-            x, y = a.mul(x, za), b.mul(y, zb)
-        return out
-
-    rep: dict[tuple[int, int], tuple[int, int]] = {}
-    reps: list[tuple[int, int]] = []
-    for p in range(a.order):
-        for q in range(b.order):
-            if (p, q) in rep:
-                continue
-            cls = orbit(p, q)
-            canon = min(cls)
-            for pair in cls:
-                rep[pair] = canon
-            reps.append(canon)
-    reps.sort()
-    index = {pair: i for i, pair in enumerate(reps)}
-    table = [
-        [index[rep[(a.mul(p1, p2), b.mul(q1, q2))]] for (p2, q2) in reps]
-        for (p1, q1) in reps
-    ]
-    group = FiniteGroup(
-        tuple(tuple(r) for r in table), index[rep[(a.identity, b.identity)]]
-    )
-    embed_left = tuple(index[rep[(p, b.identity)]] for p in range(a.order))
-    embed_right = tuple(index[rep[(a.identity, q)]] for q in range(b.order))
+    # each class is named by the least pair in its orbit under (za, zb)
+    steps = list(zip(a.powers[za], b.powers[zb]))
+    least = {
+        (p, q): min((a.mult[p][z], b.mult[q][w]) for z, w in steps)
+        for p, q in itertools.product(range(a.order), range(b.order))
+    }
+    reps = sorted(set(least.values()))
+    index = {rep: i for i, rep in enumerate(reps)}
+    name = {pair: index[rep] for pair, rep in least.items()}
+    table = [[name[a.mult[p1][p2], b.mult[q1][q2]] for p2, q2 in reps] for p1, q1 in reps]
+    group = FiniteGroup(tuple(tuple(r) for r in table), name[a.identity, b.identity])
+    embed_left = tuple(name[p, b.identity] for p in range(a.order))
+    embed_right = tuple(name[a.identity, q] for q in range(b.order))
     return CentralProduct(group, embed_left, embed_right)
 
 
 # -- homomorphisms -----------------------------------------------------------
 
 
+def _cayley_edges(g: FiniteGroup, gens: Sequence[int]) -> tuple[list, list]:
+    """The edges (x, i, x gens[i]) of the Cayley graph of <gens>, breadth
+    first from the identity: those reaching an element first, which span
+    a tree, and the rest.  Right multiplication alone reaches all of <gens>,
+    since the inverse of an element of a finite group is a power of it."""
+    tree, rest = [], []
+    reached, seen = [g.identity], {g.identity}
+    for x in reached:  # grows as the search reaches new elements
+        for i, s in enumerate(gens):
+            y = g.mult[x][s]
+            if y in seen:
+                rest.append((x, i, y))
+            else:
+                seen.add(y)
+                reached.append(y)
+                tree.append((x, i, y))
+    return tree, rest
+
+
 def _generating_set(g: FiniteGroup) -> list[int]:
-    """Small deterministic generating set: marked generators if they
-    generate, else greedy by index."""
-    if g.gens:
-        marked = sorted(g.gens.values())
-        if len(g.closure(marked)) == g.order:
-            return marked
+    """Small deterministic generating set: greedy by index."""
     gens: list[int] = []
     covered = {g.identity}
     for x in range(g.order):
         if x not in covered:
             gens.append(x)
             covered = set(g.closure(gens))
-            if len(covered) == g.order:
-                break
     return gens
-
-
-def _spanning_words(g: FiniteGroup, gens: Sequence[int]) -> dict[int, Word]:
-    """Each element of <gens> as a shortest word whose generator i stands
-    for gens[i], found breadth-first."""
-    alph = Alphabet(max(len(gens), 1))
-    moves = []
-    for i, gen in enumerate(gens):
-        moves += [(gen, alph.generator(i)), (g.inv(gen), alph.generator(i).inverse())]
-    words = {g.identity: alph.identity()}
-    frontier = [g.identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for element, letter in moves:
-                y = g.mul(x, element)
-                if y not in words:
-                    words[y] = words[x] * letter
-                    nxt.append(y)
-        frontier = nxt
-    return words
 
 
 def enumerate_table_homs(
     src: FiniteGroup, dst_elements: Sequence[int], inside: FiniteGroup
 ) -> list[tuple[int, ...]]:
     """All homomorphisms src -> <dst_elements> viewed inside ``inside``,
-    as element maps.
+    as element maps, in ``itertools.product`` order of generator images.
 
-    Candidate generator images are extended along spanning words and
-    kept only when the full map is multiplicative on every pair, which is
-    sound and complete.  When src is a subgroup of ``inside`` the element
-    indices of src and the target agree.
+    Each tuple of generator images is extended breadth first along the
+    Cayley graph of src by f(x s) = f(x) f(s), and kept only when every
+    edge x -> x s agrees.  That is sound and complete: a map respecting
+    right multiplication by each generator respects it by every element,
+    since in a finite group every element is a positive word in the
+    generators.  When src is a subgroup of ``inside`` the element indices
+    of src and the target agree.
     """
     gens = _generating_set(src)
-    words = _spanning_words(src, gens)
     target = sorted(set(dst_elements))
     total = len(target) ** len(gens)
     if total > SEARCH_BUDGET:
         raise BudgetExceeded(f"{total} assignments exceed budget {SEARCH_BUDGET}")
+    tree, checks = _cayley_edges(src, gens)
+    mult = inside.mult
     homs = []
     for images in itertools.product(target, repeat=len(gens)):
-        mapping = tuple(inside.evaluate_word(words[x], images) for x in range(src.order))
-        if all(
-            mapping[src.mul(x, y)] == inside.mul(mapping[x], mapping[y])
-            for x in range(src.order)
-            for y in range(src.order)
-        ):
-            homs.append(mapping)
+        f = [inside.identity] * src.order
+        for x, i, y in tree:
+            f[y] = mult[f[x]][images[i]]
+        if all(f[y] == mult[f[x]][images[i]] for x, i, y in checks):
+            homs.append(tuple(f))
     return homs
 
 

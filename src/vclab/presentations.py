@@ -11,7 +11,6 @@ of lists.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -215,26 +214,16 @@ def abelianization(pres: Presentation) -> AbelianizationData:
 
 def _extended_gcd_vector(values: Sequence[int]) -> tuple[int, list[int]]:
     """gcd plus Bezout coefficients for a vector of integers."""
-    g = 0
-    coeffs = [0] * len(values)
-    for i, val in enumerate(values):
-        if val == 0:
-            continue
-        if g == 0:
-            g = abs(val)
-            coeffs = [0] * len(values)
-            coeffs[i] = 1 if val > 0 else -1
-            continue
-        old_g = g
-        g = math.gcd(g, val)
-        # g = x * old_g + y * val
-        x, y = _xgcd(old_g, val)
-        coeffs = [c * x for c in coeffs]
-        coeffs[i] += y
+    g, coeffs = 0, []
+    for val in values:
+        # new g = x * old g + y * val
+        g, x, y = _xgcd(g, val)
+        coeffs = [c * x for c in coeffs] + [y]
     return g, coeffs
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int]:
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) >= 0 and s a + t b = g."""
     old_r, r = a, b
     old_s, s = 1, 0
     old_t, t = 0, 1
@@ -243,7 +232,10 @@ def _xgcd(a: int, b: int) -> tuple[int, int]:
         old_r, r = r, old_r - q * r
         old_s, s = s, old_s - q * s
         old_t, t = t, old_t - q * t
-    return old_s, old_t
+    # floor division leaves the last remainder negative when b < 0
+    if old_r < 0:
+        return -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
 
 
 @dataclass(frozen=True)
@@ -277,11 +269,7 @@ def cyclic_retract_test(pres: Presentation, h: Word) -> CyclicRetractResult:
     m = relator_matrix(pres)
     snf = smith_normal_form(m, cols=pres.num_gens)
     diag = snf.diagonal()
-    rows = len(m)
-    free_cols = [
-        j for j in range(pres.num_gens)
-        if j >= min(rows, pres.num_gens) or (j < len(diag) and diag[j] == 0)
-    ]
+    free_cols = [j for j in range(pres.num_gens) if j >= len(diag) or diag[j] == 0]
     e = [h.exponent_sum(j) for j in range(pres.num_gens)]
     # coordinates of h in the changed basis: e . V
     coords = [sum(e[i] * snf.v[i][j] for i in range(pres.num_gens)) for j in range(pres.num_gens)]
@@ -293,9 +281,11 @@ def cyclic_retract_test(pres: Presentation, h: Word) -> CyclicRetractResult:
         sum(bezout[i] * snf.v[row][col] for i, col in enumerate(free_cols))
         for row in range(pres.num_gens)
     )
-    assert sum(c * x for c, x in zip(covector, e)) == 1
+    if sum(c * x for c, x in zip(covector, e)) != 1:
+        raise AssertionError(f"covector {covector} does not send h to 1")
     for relator_row in m:
-        assert sum(c * x for c, x in zip(covector, relator_row)) == 0
+        if sum(c * x for c, x in zip(covector, relator_row)) != 0:
+            raise AssertionError(f"covector {covector} does not kill relator row {relator_row}")
     return CyclicRetractResult(True, 1, free_image, covector)
 
 

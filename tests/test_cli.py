@@ -104,6 +104,16 @@ def test_cyclic_retract_subcommand(capsys):
     assert data["primitive"] and data["retraction_images"][0] == "ab^2"
 
 
+@pytest.mark.parametrize("element, exponent_sums", [("aB", (1, -1)), ("a^2B^3", (2, -3))])
+def test_cyclic_retract_mixed_sign_element(capsys, element, exponent_sums):
+    code, out = run(capsys, "cyclic-retract", "--gens", "2", "--relators", "abAB",
+                    "--element", element)
+    assert code == 0
+    data = json.loads(out)
+    assert data["primitive"] is True
+    assert sum(c * e for c, e in zip(data["covector"], exponent_sums)) == 1
+
+
 def test_verify_retraction_exit_codes(capsys):
     code, _ = run(capsys, "verify-retraction", "--gens", "2", "--relators", "b",
                   "--subgroup", "a", "--images", "a;1")
@@ -439,6 +449,13 @@ def test_zero_denominator_is_a_usage_error(capsys, command, flag):
     code, err = usage_exit(capsys, *argv, flag, "1/0")
     assert code == 1
     assert f"argument {flag}: not a rational number: '1/0'" in err
+    assert "Traceback" not in err
+    # exponent notation is refused before Fraction builds 10^1000000000
+    start = time.perf_counter()
+    code, err = usage_exit(capsys, *argv, flag, "1e1000000000")
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert f"argument {flag}: not a rational number: '1e1000000000'" in err
     assert "Traceback" not in err
 
 

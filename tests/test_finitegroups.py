@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -26,6 +27,11 @@ def z2():
     return FiniteGroup(((0, 1), (1, 0)), 0)
 
 
+def cyclic(n):
+    """Z_n as a table group with no marked generators."""
+    return FiniteGroup(tuple(tuple((i + j) % n for j in range(n)) for i in range(n)), 0)
+
+
 # -- tables ------------------------------------------------------------------
 
 def test_dihedral_relations():
@@ -34,7 +40,7 @@ def test_dihedral_relations():
     assert g.order == 8
     assert g.power(a, 4) == g.identity
     assert g.power(b, 2) == g.identity
-    assert g.mul(g.mul(g.inv(b), a), b) == g.power(a, 3)
+    assert g.mul(g.mul(g.inverse[b], a), b) == g.power(a, 3)
 
 
 def test_table_validation_catches_bad_identity():
@@ -168,7 +174,7 @@ def _tag_closure(g, gens):
         nxt = []
         for x in frontier:
             for gen in gens:
-                for y in (g.mul(x, gen), g.mul(x, g.inv(gen))):
+                for y in (g.mul(x, gen), g.mul(x, g.inverse[gen])):
                     if y not in seen:
                         seen.add(y)
                         nxt.append(y)
@@ -199,7 +205,7 @@ def _tag_list_homs(src, dst_elements, inside):
         nxt = []
         for x in frontier:
             for i, gen in enumerate(gens):
-                for tag, y in ((i + 1, src.mul(x, gen)), (-(i + 1), src.mul(x, src.inv(gen)))):
+                for tag, y in ((i + 1, src.mul(x, gen)), (-(i + 1), src.mul(x, src.inverse[gen]))):
                     if y not in tags:
                         tags[y] = tags[x] + [tag]
                         nxt.append(y)
@@ -211,7 +217,7 @@ def _tag_list_homs(src, dst_elements, inside):
             val = inside.identity
             for tag in tags[x]:
                 img = images[abs(tag) - 1]
-                val = inside.mul(val, img if tag > 0 else inside.inv(img))
+                val = inside.mul(val, img if tag > 0 else inside.inverse[img])
             mapping.append(val)
         if all(
             mapping[src.mul(x, y)] == inside.mul(mapping[x], mapping[y])
@@ -254,6 +260,34 @@ def test_is_retract_matches_tag_list_evaluation():
         subgroup = _tag_closure(group, gens)
         first = next((h for h in _tag_list_homs(group, subgroup, group) if all(h[x] == x for x in subgroup)), None)
         assert is_retract(group, gens) == first
+
+
+# closed forms on cyclic groups, which have no marked generators: there are
+# gcd(n, m) homomorphisms Z_n -> Z_m, and the subgroup of order k is a
+# retract of Z_n exactly when gcd(k, n / k) = 1
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_cyclic_hom_count_is_the_gcd(n):
+    src = cyclic(n)
+    for m in range(1, 13):
+        dst = cyclic(m)
+        homs = enumerate_table_homs(src, range(m), dst)
+        assert len(homs) == len(set(homs)) == math.gcd(n, m)
+        for hom in homs:
+            for x, y in itertools.product(range(n), repeat=2):
+                assert hom[src.mul(x, y)] == dst.mul(hom[x], hom[y])
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_cyclic_retract_exactly_when_orders_are_coprime(n):
+    g = cyclic(n)
+    for d in range(n):
+        k = g.element_order(d)
+        hom = is_retract(g, [d])
+        assert (hom is not None) == (math.gcd(k, n // k) == 1)
+        if hom is not None:
+            assert all(hom[h] == h for h in g.closure([d]))
+            assert set(hom) == set(g.closure([d]))
 
 
 # -- retracts ---------------------------------------------------------------------------

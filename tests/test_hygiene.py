@@ -69,6 +69,22 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def assert_statements(source: str) -> list[int]:
+    """Lines of the ``assert`` statements in a module: ``python -O`` strips
+    them, so a check the program relies on must raise explicitly."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert))
+
+
+def test_assert_scan_finds_nested_asserts():
+    source = "def f(x):\n    if x:\n        assert x > 0, 'x'\n    return x\n\nassert f(1)\nmessage = 'assert x'\n"
+    assert assert_statements(source) == [3, 6]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    assert assert_statements(path.read_text()) == []
+
+
 def loaded_names(nodes: Iterable[ast.AST]) -> set[str]:
     """Names read as a name expression or as an attribute."""
     out = set()

@@ -3,10 +3,13 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from vclab.words import Alphabet, WordError, parse_word
 from vclab.presentations import (
     Presentation,
+    _extended_gcd_vector,
     RetractionConditionError,
     abelianization,
     cyclic_retract_test,
@@ -173,11 +176,24 @@ def test_cyclic_retract_covector_kills_relators():
             for _ in range(rng.randint(0, 3))
         )
         pres = Presentation(2, relators)
-        h = p("ab^2" if rng.random() < 0.5 else "a")
+        h = p("")
+        while h.is_identity():
+            h = p("".join(rng.choice("abAB") for _ in range(rng.randint(1, 6))))
         res = cyclic_retract_test(pres, h)
         if res.primitive:
             images = retraction_images_from_covector(pres, h, res.covector)
             assert verify_retraction(pres, [h], images)
+
+
+@given(st.lists(st.integers(-9, 9), max_size=6))
+@example([1, -1])
+@example([0, 2, -3])
+@example([])
+def test_bezout_coefficients_reach_the_gcd(values):
+    g, coeffs = _extended_gcd_vector(values)
+    assert g == math.gcd(*values)
+    assert len(coeffs) == len(values)
+    assert sum(c * v for c, v in zip(coeffs, values)) == g
 
 
 # -- retraction verification -------------------------------------------------------------------
