@@ -13,16 +13,25 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-from .words import Alphabet, BudgetExceeded, Word, WordError, format_word, parse_word, word_tokens
+from .words import Alphabet, BudgetExceeded, Syllable, Word, WordError, _new_tuple, format_word, parse_word, word_tokens
 from . import equations, finitegroups, hypgeom, presentations, quasimorphisms, testwords
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_FINDING = 2
+
+# --samples times (--radius + 1) for cayley-delta and midpoint-check, in
+# proportion to the geodesic vertices they build: about 12 s at rank 2,
+# radius 10 and 8 s at rank 1, radius 99,999, on a 2-core host
+SAMPLE_BUDGET = 10**6
+# --pairs times (--max-len + 1) for qm-defect, a bound on its random draws:
+# about 14 s at --max-len 9 and 45 s at --max-len 0, on a 2-core host
+PAIR_BUDGET = 10**7
 
 
 def _infer_rank(texts: Sequence[str], rank: Optional[int]) -> Alphabet:
@@ -194,16 +203,50 @@ def _cmd_certificates(args) -> tuple[int, str]:
     return code, _json_payload(cert.to_json_dict())
 
 
-def _random_pairs(alph: Alphabet, count: int, max_len: int, seed: int):
-    import random as _random
+def _random_pairs(alph: Alphabet, count: int, max_len: int, seed: int) -> Iterator[tuple[Word, Word]]:
+    """``count`` seeded pairs of random reduced words, one pair at a time.
 
-    rng = _random.Random(seed)
+    Each word draws a length ``randint(0, max_len)``, then a generator
+    ``randrange(rank)`` and a sign ``choice((1, -1))`` per letter, and is
+    the free reduction of those letters.  Each of those calls takes
+    ``getrandbits(n.bit_length())`` until the value is below n, the
+    ``Random._randbelow`` loop, and this loop draws the same bits itself,
+    so the stream is theirs without the frames around it.  The letters go
+    through a cancellation stack, so each word is reduced when it is built.
+    """
+    bits = random.Random(seed).getrandbits
+    rank = alph.rank
+    length_bits, gen_bits = (max_len + 1).bit_length(), rank.bit_length()
+    reduced = Word._reduced
 
-    def rand_word():
-        letters = [(rng.randrange(alph.rank), rng.choice((1, -1))) for _ in range(rng.randint(0, max_len))]
-        return Word.from_syllables(alph, letters)
+    def rand_word() -> Word:
+        n = bits(length_bits)
+        while n > max_len:
+            n = bits(length_bits)
+        stack: list[list[int]] = []  # the [gen, exp] syllables of the reduced prefix
+        length = 0
+        for _ in range(n):
+            gen = bits(gen_bits)
+            while gen >= rank:
+                gen = bits(gen_bits)
+            sign = bits(2)
+            while sign > 1:
+                sign = bits(2)
+            # choice((1, -1)) picks the entry at index `sign`
+            exp = -1 if sign else 1
+            if stack and stack[-1][0] == gen:
+                top = stack[-1]
+                length += 1 if (top[1] > 0) == (exp > 0) else -1
+                top[1] += exp
+                if not top[1]:
+                    stack.pop()
+            else:
+                stack.append([gen, exp])
+                length += 1
+        return reduced(alph, tuple([_new_tuple(Syllable, (g, e)) for g, e in stack]), length)
 
-    return [(rand_word(), rand_word()) for _ in range(count)]
+    for _ in range(count):
+        yield rand_word(), rand_word()
 
 
 def _counting_qm(text: str, alph: Alphabet) -> tuple[quasimorphisms.QuasiMorphism, dict]:
@@ -215,6 +258,10 @@ def _counting_qm(text: str, alph: Alphabet) -> tuple[quasimorphisms.QuasiMorphis
 def _cmd_qm_defect(args) -> tuple[int, str]:
     alph = _infer_rank([args.pattern], args.rank)
     qm, entry = _counting_qm(args.pattern, alph)
+    if args.pairs * (args.max_len + 1) > PAIR_BUDGET:
+        raise BudgetExceeded(
+            f"--pairs {args.pairs} x (--max-len {args.max_len} + 1) exceeds the budget of {PAIR_BUDGET} draws"
+        )
     est = quasimorphisms.defect_estimate(qm, _random_pairs(alph, args.pairs, args.max_len, args.seed))
     data = {"qm": entry, "defect_estimate": est.to_json_dict(), "seed": args.seed}
     return EXIT_OK, _json_payload(data)
@@ -259,8 +306,19 @@ def _cmd_qm_invariance(args) -> tuple[int, str]:
     return code, _json_payload(data)
 
 
-def _cmd_cayley_delta(args) -> tuple[int, str]:
+def _sampled_ball(args) -> hypgeom.FiniteMetricSpace:
+    """The ball of ``--rank`` and ``--radius``, refused past its cap or when
+    ``--samples`` would build too many geodesic vertices."""
     ball = hypgeom.cayley_ball(Alphabet(args.rank), args.radius)
+    if args.samples * (args.radius + 1) > SAMPLE_BUDGET:
+        raise BudgetExceeded(
+            f"--samples {args.samples} x (--radius {args.radius} + 1) exceeds the budget of {SAMPLE_BUDGET} vertices"
+        )
+    return ball
+
+
+def _cmd_cayley_delta(args) -> tuple[int, str]:
+    ball = _sampled_ball(args)
     report = hypgeom.delta_thin_report(ball, args.samples, seed=args.seed)
     data = report.to_json_dict()
     data["ball"] = {"radius": args.radius, "points": len(ball)}
@@ -268,10 +326,8 @@ def _cmd_cayley_delta(args) -> tuple[int, str]:
 
 
 def _cmd_midpoint_check(args) -> tuple[int, str]:
-    import random as _random
-
-    ball = hypgeom.cayley_ball(Alphabet(args.rank), args.radius)
-    rng = _random.Random(args.seed)
+    ball = _sampled_ball(args)
+    rng = random.Random(args.seed)
     n = len(ball)
     failures = 0
     for _ in range(args.samples):

@@ -3,10 +3,13 @@
 A ball is the set of reduced words of length at most its radius over the
 standard basis, the vertices of the free group's Cayley tree near the
 identity.  It stores no points: a sampled point is unranked from its index
-in shortlex order, distances are word lengths computed when asked for, and
-the geodesic between two points is the unique path in the tree.  The
-validators (thin triangles, midpoints, quasi-geodesic concatenation)
-measure quantities on finite data; a delta estimate is a lower bound for
+in shortlex order straight into run-length syllables, distances are word
+lengths computed when asked for, and the geodesic between two points is the
+unique path in the tree, whose vertices are letter prefixes of its two ends.
+Every word a ball hands out is built once, from slices of syllables, with
+the trusted constructor.  The validators (thin triangles, midpoints,
+quasi-geodesic concatenation) measure quantities on finite data; a delta
+estimate is a lower bound for
 the ambient space, never a certification.  Quasi-geodesic checks take
 plain vertex sequences and measure them in the standard-basis word metric.
 """
@@ -16,10 +19,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .words import Alphabet, BudgetExceeded, Syllable, Word, WordError, count_reduced, format_word, free_word_metric, reduced_count_exceeds
+from .words import Alphabet, BudgetExceeded, Syllable, Word, WordError, _new_tuple, count_reduced, format_word, free_word_metric, reduced_count_exceeds
 from .oracles import is_commensurable
 
 # points a ball may hold: radius 10 at rank 2 (118,097 points) fits
@@ -42,33 +46,55 @@ class FiniteMetricSpace:
     alphabet: Alphabet
     radius: int
 
-    def __len__(self) -> int:
+    @cached_property
+    def _size(self) -> int:
         return count_reduced(self.alphabet.rank, self.radius)
+
+    @cached_property
+    def _place_values(self) -> tuple[int, ...]:
+        """(2k - 1)^p for p < radius: how many reduced words of one length
+        share all but their last p letters, at rank k >= 2."""
+        branch = 2 * self.alphabet.rank - 1
+        return tuple(branch**p for p in range(self.radius))
+
+    def __len__(self) -> int:
+        return self._size
 
     def point(self, i: int) -> Word:
         """The i-th point, built in O(radius) steps (O(1) at rank 1) and
         without building any other."""
-        if not 0 <= i < len(self):
-            raise IndexError(f"point index {i} out of range for a ball of {len(self)} points")
-        alph, branch = self.alphabet, 2 * self.alphabet.rank - 1
-        if branch == 1:
+        if not 0 <= i < self._size:
+            raise IndexError(f"point index {i} out of range for a ball of {self._size} points")
+        alph = self.alphabet
+        if not i:
+            return alph.identity()
+        if alph.rank == 1:
             # the words of length n are a^n, then a^-n
             n = (i + 1) // 2
-            return Word.from_syllables(alph, [(0, n if i % 2 else -n)])
+            return Word._reduced(alph, (_new_tuple(Syllable, (0, n if i % 2 else -n)),), n)
         # skip the shorter words: 1 of length 0, 2k (2k - 1)^(n-1) of length n
-        length, size = 0, 1
-        while i >= size:
-            i, length, size = i - size, length + 1, (branch + 1) * branch**length
+        places, letters = self._place_values, 2 * alph.rank
+        i, length = i - 1, 1
+        while i >= letters * places[length - 1]:
+            i -= letters * places[length - 1]
+            length += 1
         # i spells a first letter of 2k, then each later letter one of the
         # 2k - 1 that do not cancel the one before, in letter order; letter c
-        # is generator c // 2, inverted when c is odd
-        letters = []
-        for place in reversed(range(length)):
-            digit, i = divmod(i, branch**place)
-            if letters and digit >= letters[-1] ^ 1:
+        # is generator c // 2, inverted when c is odd.  A run of equal letters
+        # is one syllable, and no two letters cancel, so the word is reduced.
+        letter, i = divmod(i, places[length - 1])
+        run, syllables = 1, []
+        for place in reversed(places[:length - 1]):
+            digit, i = divmod(i, place)
+            if digit >= letter ^ 1:
                 digit += 1
-            letters.append(digit)
-        return Word.from_letters(alph, [-(c // 2 + 1) if c & 1 else c // 2 + 1 for c in letters])
+            if digit == letter:
+                run += 1
+            else:
+                syllables.append(_new_tuple(Syllable, (letter >> 1, -run if letter & 1 else run)))
+                letter, run = digit, 1
+        syllables.append(_new_tuple(Syllable, (letter >> 1, -run if letter & 1 else run)))
+        return Word._reduced(alph, tuple(syllables), length)
 
     def _require_points(self, u: Word, v: Word) -> None:
         alph, radius = self.alphabet, self.radius
@@ -77,7 +103,10 @@ class FiniteMetricSpace:
                 raise WordError(f"point {w} not in space")
 
     def dist(self, u: Word, v: Word) -> int:
-        self._require_points(u, v)
+        alph, radius = self.alphabet, self.radius
+        # words of the ball's own alphabet object pass without another call
+        if u.alphabet is not alph or v.alphabet is not alph or u.length > radius or v.length > radius:
+            self._require_points(u, v)
         return free_word_metric(u, v)
 
     def geodesic(self, u: Word, v: Word) -> list[Word]:
@@ -102,14 +131,49 @@ def gromov_product(sp: FiniteMetricSpace, a: Word, b: Word, c: Word) -> Fraction
 
 
 def free_tree_geodesic(u: Word, v: Word) -> list[Word]:
-    """The unique geodesic between u and v over the standard basis."""
-    alph = u.alphabet
-    path = [u]
-    for gen, exp in (u.inverse() * v).syllables:
-        # the syllable's one letter, a reduced word by construction
-        step = Word._reduced(alph, (Syllable(gen, 1 if exp > 0 else -1),), 1)
-        for _ in range(abs(exp)):
-            path.append(path[-1] * step)
+    """The unique geodesic between u and v over the standard basis.
+
+    In the tree the path climbs from u to the longest common letter prefix
+    p of u and v, then descends to v: its vertices are the prefixes of u
+    of lengths |u|, |u| - 1, ..., |p|, then those of v of lengths |p| + 1,
+    ..., |v|, where |p| = (|u| + |v| - d(u, v)) / 2.  Each vertex is a slice
+    of the syllables of u or v, built once with the trusted constructor; no
+    vertex is a product.
+    """
+    if u.alphabet is not v.alphabet:
+        u._require_same_alphabet(v)
+    left, right = u.syllables, v.syllables
+    # p is `whole` syllables that u and v share, then `part` letters of the next
+    whole, n = 0, min(len(left), len(right))
+    while whole < n and left[whole] == right[whole]:
+        whole += 1
+    part = 0
+    if whole < n:
+        (gen, exp), (other_gen, other_exp) = left[whole], right[whole]
+        if gen == other_gen and (exp > 0) == (other_exp > 0):
+            part = min(abs(exp), abs(other_exp))
+    path = _climb(u, whole, part)
+    # v's prefixes from |p| + 1 up to |v|: p itself is already on the path
+    path += _climb(v, whole, part)[-2::-1]
+    return path
+
+
+def _climb(w: Word, whole: int, part: int) -> list[Word]:
+    """The prefixes of w, one letter shorter each, from w itself down to the
+    prefix of its first ``whole`` syllables and ``part`` letters of the
+    next one."""
+    alph, syl, length = w.alphabet, w.syllables, w.length
+    path = []
+    for j in range(len(syl) - 1, whole - 1, -1):
+        gen, exp = syl[j]
+        head, step = syl[:j], 1 if exp > 0 else -1
+        # each syllable shrinks to one letter, but syllable `whole` only to
+        # the `part` letters p ends with, if p ends inside it
+        for k in range(abs(exp), part - 1 if j == whole and part else 0, -1):
+            path.append(Word._reduced(alph, head + (_new_tuple(Syllable, (gen, k * step)),), length))
+            length -= 1
+    if not part:
+        path.append(Word._reduced(alph, syl[:whole], length))
     return path
 
 

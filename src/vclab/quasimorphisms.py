@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable
 
 from .words import Word, WordError
 
@@ -130,15 +130,15 @@ class DefectEstimate:
         return {"lower_bound": str(self.lower_bound), "sample_count": self.sample_count}
 
 
-def defect_estimate(q: QuasiMorphism, sample_pairs: Sequence[tuple[Word, Word]]) -> DefectEstimate:
-    """max |q(fg) - q(f) - q(g)| over the given pairs; a lower bound for
-    the true defect, never an upper bound."""
-    best = 0
-    for f, g in sample_pairs:
+def defect_estimate(q: QuasiMorphism, sample_pairs: Iterable[tuple[Word, Word]]) -> DefectEstimate:
+    """max |q(fg) - q(f) - q(g)| over the given pairs, read one at a time;
+    a lower bound for the true defect, never an upper bound."""
+    best = count = 0
+    for count, (f, g) in enumerate(sample_pairs, 1):
         gap = abs(q.gap(f, g))
         if gap > best:
             best = gap
-    return DefectEstimate(Fraction(best), len(sample_pairs))
+    return DefectEstimate(Fraction(best), count)
 
 
 def _power_value(q: QuasiMorphism, g: Word, m: int) -> Fraction:

@@ -1,5 +1,6 @@
 import argparse
 import json
+import random
 import time
 
 import pytest
@@ -7,9 +8,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from test_golden import CASES, GOLDEN
-from vclab import equations, testwords
-from vclab.cli import _json_payload, build_parser, main
-from vclab.words import Alphabet, parse_word
+from vclab import cli, equations, testwords
+from vclab.cli import _json_payload, _random_pairs, build_parser, main
+from vclab.words import Alphabet, Word, parse_word
 
 
 def run(capsys, *argv):
@@ -369,6 +370,70 @@ def test_testword_candidates_past_the_cap_are_an_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: candidate images of length <= 15 exceed the cap of 200000 words")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["cayley-delta", "midpoint-check"])
+@pytest.mark.parametrize("samples, rank, radius", [(10**12, 2, 5), (166_667, 2, 5), (11, 1, 99_999)])
+def test_samples_past_the_budget_are_an_error(capsys, command, samples, rank, radius):
+    start = time.perf_counter()
+    assert main([command, "--samples", str(samples), "--rank", str(rank), "--radius", str(radius)]) == 1
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --samples {samples} x (--radius {radius} + 1) exceeds the budget of 1000000 vertices")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("pairs, max_len", [(1, 30_000_000), (3_000_000, 10), (10**12, 0)])
+def test_qm_defect_draws_past_the_budget_are_an_error(capsys, pairs, max_len):
+    start = time.perf_counter()
+    assert main(["qm-defect", "--pattern", "ab", "--pairs", str(pairs), "--max-len", str(max_len)]) == 1
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --pairs {pairs} x (--max-len {max_len} + 1) exceeds the budget of 10000000 draws")
+    assert "Traceback" not in err
+
+
+def test_sampling_budgets_admit_exactly_their_size(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "SAMPLE_BUDGET", 21)
+    monkeypatch.setattr(cli, "PAIR_BUDGET", 12)
+    for command in ("cayley-delta", "midpoint-check"):
+        assert main([command, "--radius", "2", "--samples", "7"]) == 0
+        assert main([command, "--radius", "2", "--samples", "8"]) == 1
+    assert main(["qm-defect", "--pattern", "ab", "--pairs", "3", "--max-len", "3"]) == 0
+    assert main(["qm-defect", "--pattern", "ab", "--pairs", "2", "--max-len", "5"]) == 0
+    assert main(["qm-defect", "--pattern", "ab", "--pairs", "13", "--max-len", "0"]) == 1
+    assert main(["qm-defect", "--pattern", "ab", "--pairs", "1", "--max-len", "12"]) == 1
+    assert capsys.readouterr().err.count("exceeds the budget") == 4
+
+
+def _reference_pairs(alph, count, max_len, seed):
+    """The pairs as ``randint``, ``randrange`` and ``choice`` draw them."""
+    rng = random.Random(seed)
+
+    def rand_word():
+        letters = [(rng.randrange(alph.rank), rng.choice((1, -1))) for _ in range(rng.randint(0, max_len))]
+        return Word.from_syllables(alph, letters)
+
+    return [(rand_word(), rand_word()) for _ in range(count)]
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@pytest.mark.parametrize("max_len", [0, 1, 10])
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
+def test_random_pairs_draw_the_stream_of_randrange_and_choice(rank, max_len, seed):
+    alph = Alphabet(rank)
+    pairs = list(_random_pairs(alph, 300, max_len, seed))
+    assert pairs == _reference_pairs(alph, 300, max_len, seed)
+    for pair in pairs:
+        for w in pair:
+            # a trusted build: the syllables re-validate, and the length is theirs
+            assert Word(w.alphabet, w.syllables) == w
+            assert w.length == sum(abs(exp) for _, exp in w.syllables) <= max_len
+
+
+def test_random_pairs_are_drawn_one_at_a_time():
+    pairs = _random_pairs(Alphabet(2), 10**9, 10, 3)
+    assert next(pairs) == _reference_pairs(Alphabet(2), 1, 10, 3)[0]
 
 
 def test_one_syllable_power_is_free(capsys):

@@ -320,6 +320,35 @@ def test_geodesic_matches_letter_by_letter_construction(alph, radius):
             assert free_tree_geodesic(u, v) == path
 
 
+def _assert_trusted(w):
+    """A word from the trusted constructor: its syllables re-validate, and
+    its length, which ``==`` ignores, is the sum of its exponents."""
+    assert Word(w.alphabet, w.syllables) == w
+    assert w.length == sum(abs(exp) for _, exp in w.syllables)
+
+
+@pytest.mark.parametrize("alph, radius", [(Alphabet(1), 4), (F2, 3), (F3, 2)])
+def test_points_and_geodesic_vertices_are_valid_words(alph, radius):
+    sp = cayley_ball(alph, radius)
+    pts = points(sp)
+    for u in pts:
+        _assert_trusted(u)
+        for v in pts:
+            path = free_tree_geodesic(u, v)
+            assert len(path) == free_word_metric(u, v) + 1
+            assert (path[0], path[-1]) == (u, v)
+            for k, vertex in enumerate(path):
+                _assert_trusted(vertex)
+                assert free_word_metric(u, vertex) == k
+
+
+def test_geodesic_between_alphabets_of_equal_rank():
+    u, v = p("a^3b", Alphabet(2)), p("a^2B^2")
+    assert free_tree_geodesic(u, v) == [u, p("a^3"), p("a^2"), p("a^2B"), v]
+    with pytest.raises(WordError, match="alphabet mismatch"):
+        free_tree_geodesic(p("a"), p("c", F3))
+
+
 def test_geodesic_segment_is_one_zero_quasigeodesic():
     path = free_tree_geodesic(p(""), p("a^3b^2"))
     assert quasigeodesic_slack(path, Fraction(1)) == 0
