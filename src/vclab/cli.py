@@ -30,7 +30,7 @@ EXIT_FINDING = 2
 # radius 10 and 8 s at rank 1, radius 99,999, on a 2-core host
 SAMPLE_BUDGET = 10**6
 # --pairs times (--max-len + 1) for qm-defect, a bound on its random draws:
-# about 14 s at --max-len 9 and 45 s at --max-len 0, on a 2-core host
+# about 12 s at --max-len 9 and 25 s at --max-len 0, on a 2-core host
 PAIR_BUDGET = 10**7
 
 

@@ -57,11 +57,14 @@ class QuasiMorphism:
             q(fg) - q(f) - q(g) = cross(f'|g') - cross(f'|c) - cross(c^{-1}|g').
 
         The last k - 1 letters of c^{-1} invert the first k - 1 of c, so
-        the work depends only on k and on the syllables of c.
+        the work depends only on k and on the syllables of c.  When f or g
+        is the identity the gap is 0 at once, since q(1) = 0.
         """
         if f.alphabet is not g.alphabet:
             f._require_same_alphabet(g)
         left, right = f.syllables, g.syllables
+        if not left or not right:
+            return 0
         i, j, n = len(left), 0, len(right)
         while i and j < n and left[i - 1].gen == right[j].gen and left[i - 1].exp == -right[j].exp:
             i -= 1

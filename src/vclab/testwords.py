@@ -222,6 +222,10 @@ def canonical_solutions(w: Word, targets: Sequence[Word], alpha: int) -> dict:
 
 # candidate images a search may hold: 118,097 words of length <= 10 at rank 2
 CANDIDATE_CAP = 200_000
+# letters the power table and the lead-run caches of a search may hold at
+# their fullest; one that could pass what is left is not kept, and the walk
+# rebuilds its entries at each use instead
+REUSE_LETTERS = 2 * 10**6
 
 
 @dataclass(frozen=True)
@@ -298,6 +302,18 @@ def verify_testword(
     d(P, U) = |P^-1 U| = |R| <= s.  A dropped node is counted as every
     assignment below it.
 
+    No product is built twice for the same images.  Each power c ** e of a
+    candidate c, for an exponent e of W, is built once, the first time the
+    walk needs it.  In the level-3 word x1 x3 x2 x3 x2 x3 y3, x2 completes
+    no syllable, so the step x1 x3 that leads x3's extension does not
+    depend on x2.  In general, the leading syllables of an extension whose
+    variables are its own and those the partial product depends on are
+    built once per image, with their drop verdict, and kept until one of
+    those earlier images changes.  Both fill on first use, so a capped walk
+    builds only what it reaches, in the order of a walk that rebuilt them.
+    Powers and lead runs that could hold more than ``REUSE_LETTERS``
+    letters in all are rebuilt at each use instead of kept.
+
     When W ends in y_n with exponent +1 and y_n occurs in no other
     syllable, as in every built word whose top tuple has q*t = 1, y_n is
     solved rather than enumerated: W = P y = U gives y = P^-1 U, the one
@@ -344,19 +360,70 @@ def verify_testword(
     for pos in range(n - 1, -1, -1):
         reach[pos] = reach[pos + 1] + abs(syllables[pos].exp) * bound
     size_u = len(u)
-    # the images of the variables the walk has assigned, y_n last
-    images: list = [None] * nvars
+    # steps[pos]: syllable pos as its variable, its exponent, its row of
+    # c ** exp by candidate index and the reach past it; a row fills on
+    # first use and serves every syllable with its exponent, and the row
+    # for exponent 1 is the candidates themselves.  A power spells at most
+    # |exp| * bound letters, so the rows keep their powers if that many
+    # fit ``REUSE_LETTERS``; `spare` is what is left for the lead runs.
+    exponents = {syl.exp for syl in syllables}
+    rows = {exp: candidates if exp == 1 else [None] * len(candidates) for exp in exponents}
+    steps = [(gen, exp, rows[exp], reach[pos + 1]) for pos, (gen, exp) in enumerate(syllables)]
+    table = len(candidates) * bound * sum(abs(exp) for exp in exponents if exp != 1)
+    keep = table <= REUSE_LETTERS
+    spare = REUSE_LETTERS - table if keep else REUSE_LETTERS
+    # The partial product at depth d depends on the images of the variables
+    # up to `formed` alone, the last depth before d whose extension added
+    # syllables (-1 if none did).  When formed < d - 1, the leading
+    # syllables of depth d's extension whose variable is d or at most
+    # formed skip the variables in between: heads[d] holds that run, whose
+    # product (None if far) leads[d] keeps per image of variable d until a
+    # new image at depth formed clears it; tails[d] holds the rest.  A kept
+    # run is not far, so it spells at most |U| + the reach past it.
+    heads: list[list] = [[] for _ in range(free)]
+    tails = [steps[stop[d]:stop[d + 1]] for d in range(free)]
+    leads: list[Optional[dict]] = [None] * free
+    clears: list[list[dict]] = [[] for _ in range(free)]
+    formed = -1
+    for d in range(1, free):
+        if stop[d - 1] < stop[d]:
+            formed = d - 1
+            continue
+        run = 0
+        for gen, *_ in tails[d]:
+            if gen != d and gen > formed:
+                break
+            run += 1
+        if not run:
+            continue
+        held = len(candidates) * (size_u + tails[d][run - 1][3])
+        if held <= spare:
+            spare -= held
+            heads[d], tails[d], leads[d] = tails[d][:run], tails[d][run:], {}
+            if formed >= 0:
+                clears[formed].append(leads[d])
+    # the candidate indices of the images the walk has assigned, y_n last
+    picks = [0] * nvars
     violations: list[Violation] = []
     explored = 0
 
-    def far(value: Word, pos: int) -> bool:
-        """Whether the partial product ``value`` of syllables ..pos-1 lies
-        beyond the reach of U; the distance lies between |P| - |U| and
-        |P| + |U|, so lengths settle most cases."""
-        room, size = reach[pos], len(value)
-        if size + size_u <= room:
-            return False
-        return abs(size - size_u) > room or free_word_metric(value, u) > room
+    def extend(value: Word, run: list) -> Optional[Word]:
+        """``value`` times the syllables of ``run`` under the picked images,
+        or None once a product P is far from U, beyond the reach of the
+        syllables after it; d(P, U) lies between |P| - |U| and |P| + |U|,
+        so lengths settle most cases."""
+        for gen, exp, row, room in run:
+            i = picks[gen]
+            power = row[i]
+            if power is None:
+                power = candidates[i] ** exp
+                if keep:
+                    row[i] = power
+            value = value * power
+            size = value.length
+            if size + size_u > room and (abs(size - size_u) > room or free_word_metric(value, u) > room):
+                return None
+        return value
 
     def leaf(value: Word) -> None:
         """The block under ``value``, W but a solved y_n: count it and
@@ -369,9 +436,10 @@ def verify_testword(
             # a block cut by the budget holds only its first `covered` images
             if found is None or found >= covered:
                 return
-            images[free] = candidates[found]
+            picks[free] = found
         elif value != u:
             return
+        images = [candidates[i] for i in picks]
         assignment = dict(zip(var_names, images))
         if any(assignment == c for c in canonical):
             return
@@ -384,24 +452,29 @@ def verify_testword(
         """Every assignment of variable ``depth`` under the partial product
         ``value`` of syllables ..stop[depth]-1."""
         nonlocal explored
-        lo, hi = stop[depth], stop[depth + 1]
+        head, tail, cache, resets = heads[depth], tails[depth], leads[depth], clears[depth]
         below = weight[depth + 1]
-        for image in candidates:
+        for i in range(len(candidates)):
             if explored >= budget:
                 return
-            images[depth] = image
-            partial = value
-            for pos in range(lo, hi):
-                gen, exp = syllables[pos]
-                partial = partial * images[gen] ** exp
-                if far(partial, pos + 1):
-                    explored += min(below, budget - explored)
-                    break
+            picks[depth] = i
+            for reset in resets:
+                reset.clear()
+            if cache is None:
+                partial = extend(value, tail)
             else:
-                if depth + 1 == free:
-                    leaf(partial)
+                if i in cache:
+                    partial = cache[i]
                 else:
-                    walk(depth + 1, partial)
+                    partial = cache[i] = extend(value, head)
+                if partial is not None:
+                    partial = extend(partial, tail)
+            if partial is None:
+                explored += min(below, budget - explored)
+            elif depth + 1 == free:
+                leaf(partial)
+            else:
+                walk(depth + 1, partial)
 
     walk(0, alph.identity())
     return TestWordReport(

@@ -167,6 +167,17 @@ def test_seam_gap_on_long_syllables():
             assert q.gap(f, right) == recount_gap(q, f, right)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((F2, F3)).flatmap(lambda alph: st.tuples(patterns_of(alph, 7), words_of(alph, 10))))
+def test_gap_with_the_identity_equals_full_recount(case):
+    # gap returns 0 at once when either word is empty, as q(1) = 0
+    pattern, w = case
+    q = counting_qm(pattern)
+    one = w.alphabet.identity()
+    for f, g in ((one, w), (w, one), (one, one)):
+        assert q.gap(f, g) == recount_gap(q, f, g) == 0
+
+
 def test_full_cancellation_gives_zero_gap():
     q = counting_qm(p("ab"))
     rng = random.Random(73)

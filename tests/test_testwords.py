@@ -311,6 +311,14 @@ Q2 = ExponentTuple(1, 1, 1, 1, 1, 1, 1, 1, 2, 1)
     ((ONES, ONES), 2, "a;a;b;b", 1, None),
     ((ONES, ONES), 2, "a;a;b;b", 1, 130),
     ((ONES, Q2), 1, "a;a;a;a", 1, None),  # y4 enumerated at level 4
+    # caps inside a node dropped on a cached lead run: x1 x3 in `a;b;aB` at
+    # bound 1 over [35, 40); at level 4, x1 x3 in `a;a;b;b` over
+    # [875, 1000), and the y3 that leads x4's syllables in `a;b;aB;b` over
+    # [35, 40) and, under TWOS, in `a;a;a;a` over [9, 12)
+    ((ONES,), 2, "a;b;aB", 1, 37),
+    ((ONES, ONES), 2, "a;a;b;b", 1, 900),
+    ((ONES, ONES), 2, "a;b;aB;b", 1, 38),
+    ((ONES, TWOS), 1, "a;a;a;a", 1, 10),
 ])
 def test_solved_walk_matches_product_walk(tuples, rank, targets, bound, cap):
     w = TestWordSpec(len(tuples) + 2, tuples).build()
@@ -340,23 +348,77 @@ def test_walk_enumerates_an_inverse_occurrence(w, cap):
     assert (report.explored, report.total, report.exhausted) == (explored, total, exhausted)
 
 
-def test_walk_extends_each_prefix_once_and_drops_far_products(monkeypatch):
-    # the benchmark's test-word case; 33,152 products when each assignment
-    # evaluated W's prefix from the start and was pruned on lengths only, and
-    # 13,131 when a solved leaf formed P^-1 U S^-1 with an empty suffix S
-    calls = 0
-    mul = Word.__mul__
+def counting_products(monkeypatch):
+    calls = {"mul": 0, "pow": 0}
+    mul, power = Word.__mul__, Word.__pow__
 
-    def counting(self, other):
-        nonlocal calls
-        calls += 1
+    def counting_mul(self, other):
+        calls["mul"] += 1
         return mul(self, other)
 
-    monkeypatch.setattr(Word, "__mul__", counting)
+    def counting_pow(self, k):
+        calls["pow"] += 1
+        return power(self, k)
+
+    monkeypatch.setattr(Word, "__mul__", counting_mul)
+    monkeypatch.setattr(Word, "__pow__", counting_pow)
+    return calls
+
+
+def test_walk_extends_each_prefix_once_and_drops_far_products(monkeypatch):
+    # the benchmark's test-word case; 33,152 products when each assignment
+    # evaluated W's prefix from the start and was pruned on lengths only,
+    # 13,131 when a solved leaf formed P^-1 U S^-1 with an empty suffix S,
+    # and 13,094 when the leading x1 x3 of x3's extension was rebuilt, and
+    # dropped again, for each image of x2 in x1 x3 x2 x3 x2 x3 y3
+    calls = counting_products(monkeypatch)
     targets = [parse_word(t, Alphabet(2)) for t in ("a", "b", "aB")]
     report = verify_testword(base_test_word(ONES), targets, 2)
     assert report.exhausted and len(report.violations) == 36
-    assert calls == 13094
+    assert calls["mul"] == 8470
+
+
+@pytest.mark.parametrize("tuples,rank,targets,bound,cap", [
+    ((ONES,), 2, "a;b;aB", 1, None),
+    ((TWOS,), 2, "a;a;b", 1, 100),
+    ((ONES, ONES), 2, "a;a;b;b", 1, 900),
+])
+def test_walk_past_the_reuse_budget_rebuilds_and_matches(monkeypatch, tuples, rank, targets, bound, cap):
+    # with no letters to spare, no power and no lead run is kept
+    monkeypatch.setattr(testwords, "REUSE_LETTERS", 0)
+    w = TestWordSpec(len(tuples) + 2, tuples).build()
+    targets = [parse_word(t, Alphabet(rank)) for t in targets.split(";")]
+    report = verify_testword(w, targets, bound, max_assignments=cap)
+    violations, explored, total, exhausted = product_walk(w, targets, bound, cap)
+    assert [v.assignment for v in report.violations] == violations
+    assert (report.explored, report.total, report.exhausted) == (explored, total, exhausted)
+
+
+def test_walk_past_the_reuse_budget_builds_what_the_rebuilding_walk_did(monkeypatch):
+    monkeypatch.setattr(testwords, "REUSE_LETTERS", 0)
+    calls = counting_products(monkeypatch)
+    targets = [parse_word(t, Alphabet(2)) for t in ("a", "b", "aB")]
+    report = verify_testword(base_test_word(ONES), targets, 2)
+    assert report.exhausted and len(report.violations) == 36
+    assert calls["mul"] == 13094
+
+
+# (cap, products, powers) of the walk that rebuilt each lead run and each
+# power for every extension, all-2 word over `a;b;c` at bound 2
+@pytest.mark.parametrize("cap,products,powers", [
+    (1, 220, 120),
+    (50, 240, 130),
+    (1000, 668, 344),
+    (20000, 8438, 4229),
+])
+def test_capped_walk_builds_no_more_than_it_reaches(monkeypatch, cap, products, powers):
+    # the lead runs and the power table fill on first use, so a capped walk
+    # builds no more than one that rebuilt them at every step
+    w = TestWordSpec(3, (TWOS,)).build()
+    calls = counting_products(monkeypatch)
+    report = verify_testword(w, ABC, 2, max_assignments=cap)
+    assert report.explored == cap
+    assert calls["mul"] <= products and calls["pow"] <= powers
 
 
 def test_enumerated_walk_pins_the_all_two_report():
@@ -386,6 +448,29 @@ def test_walk_matches_product_walk_on_random_cases(exponents, rank, bound, targe
     assume(all(targets) and not base_value(w, targets).is_identity())
     # an uncapped reference walk stays small: at most 7^4 assignments
     assume(cap is not None or count_reduced(rank, bound) <= 7)
+    report = verify_testword(w, targets, bound, max_assignments=cap)
+    violations, explored, total, exhausted = product_walk(w, targets, bound, cap)
+    assert [v.assignment for v in report.violations] == violations
+    assert (report.explored, report.total, report.exhausted) == (explored, total, exhausted)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(st.lists(st.integers(1, 2), min_size=10, max_size=10), min_size=2, max_size=2),
+    st.integers(1, 2),
+    st.integers(0, 1),
+    st.lists(st.lists(letters, min_size=1, max_size=2), min_size=4, max_size=4),
+    st.one_of(st.none(), st.integers(0, 800)),
+)
+def test_level_four_walk_matches_product_walk_on_random_cases(exponents, rank, bound, target_syllables, cap):
+    # level-4 words reuse lead runs at two depths, x1 x3 under x2 and the
+    # run led by y3 under x4, and short caps fall inside the nodes they drop
+    alph = Alphabet(rank)
+    targets = [Word.from_syllables(alph, [(gen % rank, exp) for gen, exp in syl]) for syl in target_syllables]
+    w = TestWordSpec(4, tuple(ExponentTuple.from_list(e) for e in exponents)).build()
+    assume(all(targets) and not base_value(w, targets).is_identity())
+    # an uncapped reference walk stays small: at most 3^6 assignments
+    assume(cap is not None or count_reduced(rank, bound) <= 3)
     report = verify_testword(w, targets, bound, max_assignments=cap)
     violations, explored, total, exhausted = product_walk(w, targets, bound, cap)
     assert [v.assignment for v in report.violations] == violations
