@@ -12,11 +12,13 @@ with sorted keys, no timestamps.  Reports never contain timing.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from itertools import chain, islice
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .words import Alphabet, BudgetExceeded, Syllable, Word, WordError, _new_tuple, format_word, parse_word, word_tokens
 from . import equations, finitegroups, hypgeom, presentations, quasimorphisms, testwords
@@ -32,6 +34,8 @@ SAMPLE_BUDGET = 10**6
 # --pairs times (--max-len + 1) for qm-defect, a bound on its random draws:
 # about 12 s at --max-len 9 and 25 s at --max-len 0, on a 2-core host
 PAIR_BUDGET = 10**7
+# items of a streamed report list formatted and written per chunk
+CHUNK_ROWS = 4096
 
 
 def _infer_rank(texts: Sequence[str], rank: Optional[int]) -> Alphabet:
@@ -98,21 +102,54 @@ def _split_words(text: str) -> list[str]:
     return [part.strip() for part in text.split(";")]
 
 
-def _write_report(payload: str, out: Optional[str]) -> None:
+def _write_report(chunks: Iterable[str], out: Optional[str]) -> None:
     if out:
         with open(out, "w") as fh:
-            fh.write(payload)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(payload)
+        sys.stdout.writelines(chunks)
 
 
-def _json_payload(data: dict) -> str:
+def _json_chunks(data: dict) -> Iterator[str]:
     """``json.dumps(data, sort_keys=True, indent=2)`` and a newline, for
-    str-keyed data, byte for byte.  With an indent, ``json.dumps`` runs its
-    pure-Python encoder; this writer formats the containers itself, joins a
-    list of plain ints with ``str`` and leaves only the other leaves to
-    ``json.dumps``."""
-    return _json_text(data, "\n") + "\n"
+    str-keyed data, byte for byte, in pieces.  With an indent, ``json.dumps``
+    runs its pure-Python encoder; this writer formats the containers itself,
+    joins a list of plain ints with ``str`` and leaves only the other leaves
+    to ``json.dumps``.  A top-level value that is an iterator is written as
+    a list, ``CHUNK_ROWS`` items at a time, so it is never held whole."""
+    if not data:
+        yield "{}\n"
+        return
+    sep = "{\n  "
+    for key, value in sorted(data.items()):
+        yield sep + json.dumps(key) + ": "
+        if isinstance(value, Iterator):
+            yield from _json_stream(value)
+        else:
+            yield _json_text(value, "\n  ")
+        sep = ",\n  "
+    yield "\n}\n"
+
+
+def _json_stream(items: Iterator) -> Iterator[str]:
+    """A streamed top-level list, as ``_json_text`` writes a list.  A block
+    of tuples of plain ints of one width, such as divergence rows, goes
+    through one %-template per item."""
+    inner, deeper = "\n    ", "\n      "
+    sep = "[" + inner
+    while block := list(islice(items, CHUNK_ROWS)):
+        if (
+            set(map(type, block)) == {tuple}
+            and set(map(type, chain.from_iterable(block))) == {int}
+            and len(set(map(len, block))) == 1
+        ):
+            row = "[" + deeper + ("," + deeper).join(["%d"] * len(block[0])) + inner + "]"
+            text = ("," + inner).join(map(row.__mod__, block))
+        else:
+            text = ("," + inner).join([_json_text(item, inner) for item in block])
+        yield sep + text
+        sep = "," + inner
+    yield "[]" if sep[0] == "[" else "\n  ]"
 
 
 def _json_text(value, newline: str) -> str:
@@ -144,15 +181,15 @@ def _equation_instance(args) -> equations.EquationInstance:
     return equations.EquationInstance(parse_word(args.a, alph), parse_word(args.b, alph), args.n, args.m)
 
 
-def _cmd_solve_eq(args) -> tuple[int, str]:
+def _cmd_solve_eq(args) -> tuple[int, Iterable[str]]:
     inst = _equation_instance(args)
     report = equations.verify_perfect(inst, args.bound, max_candidates=args.max_candidates, jobs=args.jobs)
     data = equations.solutions_json_dict(inst, args.bound, report.solutions)
     data["non_conjugate_family_count"] = len(report.exceptions())
-    return (EXIT_OK if report.perfect_at_bound else EXIT_FINDING), _json_payload(data)
+    return (EXIT_OK if report.perfect_at_bound else EXIT_FINDING), _json_chunks(data)
 
 
-def _cmd_verify_perfect(args) -> tuple[int, str]:
+def _cmd_verify_perfect(args) -> tuple[int, Iterable[str]]:
     report = equations.verify_perfect(
         _equation_instance(args),
         args.bound,
@@ -162,7 +199,7 @@ def _cmd_verify_perfect(args) -> tuple[int, str]:
         jobs=args.jobs,
     )
     code = EXIT_OK if report.perfect_at_bound else EXIT_FINDING
-    return code, _json_payload(report.to_json_dict())
+    return code, _json_chunks(report.to_json_dict())
 
 
 def _build_spec(args) -> testwords.TestWordSpec:
@@ -170,7 +207,7 @@ def _build_spec(args) -> testwords.TestWordSpec:
     return testwords.TestWordSpec(len(args.exponents) + 2, tuple(args.exponents))
 
 
-def _cmd_build_testword(args) -> tuple[int, str]:
+def _cmd_build_testword(args) -> tuple[int, Iterable[str]]:
     spec = _build_spec(args)
     word = spec.build()
     data = {
@@ -179,10 +216,10 @@ def _cmd_build_testword(args) -> tuple[int, str]:
         "letter_length": len(word),
         "variables": sorted(testwords.variables_used(word)),
     }
-    return EXIT_OK, _json_payload(data)
+    return EXIT_OK, _json_chunks(data)
 
 
-def _cmd_verify_testword(args) -> tuple[int, str]:
+def _cmd_verify_testword(args) -> tuple[int, Iterable[str]]:
     spec = _build_spec(args)
     word = spec.build()
     target_texts = _split_words(args.targets)
@@ -192,15 +229,15 @@ def _cmd_verify_testword(args) -> tuple[int, str]:
     data = report.to_json_dict()
     data["spec"] = spec.to_json_dict()
     code = EXIT_FINDING if report.violations else EXIT_OK
-    return code, _json_payload(data)
+    return code, _json_chunks(data)
 
 
-def _cmd_certificates(args) -> tuple[int, str]:
+def _cmd_certificates(args) -> tuple[int, Iterable[str]]:
     if len(args.exponents) != 1:
         raise WordError("certificates expect exactly one exponent tuple")
     cert = testwords.exponent_sum_certificates(args.exponents[0], args.modulus)
     code = EXIT_OK if cert.ok else EXIT_FINDING
-    return code, _json_payload(cert.to_json_dict())
+    return code, _json_chunks(cert.to_json_dict())
 
 
 def _random_pairs(alph: Alphabet, count: int, max_len: int, seed: int) -> Iterator[tuple[Word, Word]]:
@@ -212,12 +249,13 @@ def _random_pairs(alph: Alphabet, count: int, max_len: int, seed: int) -> Iterat
     ``getrandbits(n.bit_length())`` until the value is below n, the
     ``Random._randbelow`` loop, and this loop draws the same bits itself,
     so the stream is theirs without the frames around it.  The letters go
-    through a cancellation stack, so each word is reduced when it is built.
+    through a cancellation stack, so each word is reduced when it is built;
+    every word that reduces to nothing is one shared identity.
     """
     bits = random.Random(seed).getrandbits
     rank = alph.rank
     length_bits, gen_bits = (max_len + 1).bit_length(), rank.bit_length()
-    reduced = Word._reduced
+    reduced, identity = Word._reduced, alph.identity()
 
     def rand_word() -> Word:
         n = bits(length_bits)
@@ -243,6 +281,8 @@ def _random_pairs(alph: Alphabet, count: int, max_len: int, seed: int) -> Iterat
             else:
                 stack.append([gen, exp])
                 length += 1
+        if not stack:
+            return identity
         return reduced(alph, tuple([_new_tuple(Syllable, (g, e)) for g, e in stack]), length)
 
     for _ in range(count):
@@ -255,7 +295,7 @@ def _counting_qm(text: str, alph: Alphabet) -> tuple[quasimorphisms.QuasiMorphis
     return quasimorphisms.counting_qm(pattern), {"kind": "counting", "pattern": format_word(pattern)}
 
 
-def _cmd_qm_defect(args) -> tuple[int, str]:
+def _cmd_qm_defect(args) -> tuple[int, Iterable[str]]:
     alph = _infer_rank([args.pattern], args.rank)
     qm, entry = _counting_qm(args.pattern, alph)
     if args.pairs * (args.max_len + 1) > PAIR_BUDGET:
@@ -264,7 +304,7 @@ def _cmd_qm_defect(args) -> tuple[int, str]:
         )
     est = quasimorphisms.defect_estimate(qm, _random_pairs(alph, args.pairs, args.max_len, args.seed))
     data = {"qm": entry, "defect_estimate": est.to_json_dict(), "seed": args.seed}
-    return EXIT_OK, _json_payload(data)
+    return EXIT_OK, _json_chunks(data)
 
 
 def _make_qm(args, alph: Alphabet) -> tuple[quasimorphisms.QuasiMorphism, dict]:
@@ -277,7 +317,7 @@ def _make_qm(args, alph: Alphabet) -> tuple[quasimorphisms.QuasiMorphism, dict]:
     return quasimorphisms.counting_qm(alph.generator(args.gen)), {"kind": "homomorphism", "generator": args.gen}
 
 
-def _cmd_qm_homogenize(args) -> tuple[int, str]:
+def _cmd_qm_homogenize(args) -> tuple[int, Iterable[str]]:
     if args.gen is not None and args.defect is not None:
         # a homomorphism's defect is exactly 0: a bound for it would be ignored
         args.usage_error("argument --defect: not allowed with argument --gen")
@@ -287,10 +327,10 @@ def _cmd_qm_homogenize(args) -> tuple[int, str]:
     word = parse_word(args.word, alph)
     table = [quasimorphisms.homogenize(qm, word, m, args.defect or Fraction(0)).to_json_dict() for m in args.truncations]
     data = {"qm": entry, "word": format_word(word), "homogenization_table": table}
-    return EXIT_OK, _json_payload(data)
+    return EXIT_OK, _json_chunks(data)
 
 
-def _cmd_qm_invariance(args) -> tuple[int, str]:
+def _cmd_qm_invariance(args) -> tuple[int, Iterable[str]]:
     texts = [args.word, args.conjugator] + ([args.pattern] if args.pattern else [])
     alph = _infer_rank(texts, args.rank)
     qm, entry = _make_qm(args, alph)
@@ -303,7 +343,7 @@ def _cmd_qm_invariance(args) -> tuple[int, str]:
     )
     data = {"qm": entry, "invariance": check.to_json_dict()}
     code = EXIT_OK if check.within_bound else EXIT_FINDING
-    return code, _json_payload(data)
+    return code, _json_chunks(data)
 
 
 def _sampled_ball(args) -> hypgeom.FiniteMetricSpace:
@@ -317,15 +357,15 @@ def _sampled_ball(args) -> hypgeom.FiniteMetricSpace:
     return ball
 
 
-def _cmd_cayley_delta(args) -> tuple[int, str]:
+def _cmd_cayley_delta(args) -> tuple[int, Iterable[str]]:
     ball = _sampled_ball(args)
     report = hypgeom.delta_thin_report(ball, args.samples, seed=args.seed)
     data = report.to_json_dict()
     data["ball"] = {"radius": args.radius, "points": len(ball)}
-    return EXIT_OK, _json_payload(data)
+    return EXIT_OK, _json_chunks(data)
 
 
-def _cmd_midpoint_check(args) -> tuple[int, str]:
+def _cmd_midpoint_check(args) -> tuple[int, Iterable[str]]:
     ball = _sampled_ball(args)
     rng = random.Random(args.seed)
     n = len(ball)
@@ -340,35 +380,35 @@ def _cmd_midpoint_check(args) -> tuple[int, str]:
         "delta": str(args.delta),
         "failures": failures,
     }
-    return (EXIT_OK if failures == 0 else EXIT_FINDING), _json_payload(data)
+    return (EXIT_OK if failures == 0 else EXIT_FINDING), _json_chunks(data)
 
 
-def _cmd_concat_check(args) -> tuple[int, str]:
+def _cmd_concat_check(args) -> tuple[int, Iterable[str]]:
     segments = [seg.split(",") for seg in args.paths.split(";")]
     alph = _infer_rank([t for seg in segments for t in seg], args.rank)
     paths = [[parse_word(t.strip(), alph) for t in seg] for seg in segments]
     report = hypgeom.check_concatenation_quasigeodesic(paths, args.delta, args.kappa, args.alpha)
-    return EXIT_OK, _json_payload(report.to_json_dict())
+    return EXIT_OK, _json_chunks(report.to_json_dict())
 
 
-def _cmd_divergence(args) -> tuple[int, str]:
+def _cmd_divergence(args) -> tuple[int, Iterable[str]]:
     alph = _infer_rank([args.c, args.d], args.rank)
     report = hypgeom.divergence_experiment(
         parse_word(args.c, alph), parse_word(args.d, alph), args.n_max, args.m_max
     )
     if args.format == "csv":
-        return EXIT_OK, report.to_csv()
-    return EXIT_OK, _json_payload(report.to_json_dict())
+        return EXIT_OK, report.csv_chunks(CHUNK_ROWS)
+    return EXIT_OK, _json_chunks(report.to_json_dict())
 
 
-def _cmd_dihedral_counterexample(args) -> tuple[int, str]:
+def _cmd_dihedral_counterexample(args) -> tuple[int, Iterable[str]]:
     report = finitegroups.dihedral_counterexample_suite()
-    return (EXIT_OK if report.ok else EXIT_FINDING), _json_payload(report.to_json_dict())
+    return (EXIT_OK if report.ok else EXIT_FINDING), _json_chunks(report.to_json_dict())
 
 
-def _cmd_snf(args) -> tuple[int, str]:
+def _cmd_snf(args) -> tuple[int, Iterable[str]]:
     snf = presentations.smith_normal_form(args.matrix)
-    return EXIT_OK, _json_payload(snf.to_json_dict())
+    return EXIT_OK, _json_chunks(snf.to_json_dict())
 
 
 def _load_presentation(args) -> presentations.Presentation:
@@ -382,13 +422,13 @@ def _load_presentation(args) -> presentations.Presentation:
     return presentations.Presentation(args.gens, relators)
 
 
-def _cmd_abelianize(args) -> tuple[int, str]:
+def _cmd_abelianize(args) -> tuple[int, Iterable[str]]:
     pres = _load_presentation(args)
     data = presentations.abelianization(pres).to_json_dict()
-    return EXIT_OK, _json_payload(data)
+    return EXIT_OK, _json_chunks(data)
 
 
-def _cmd_cyclic_retract(args) -> tuple[int, str]:
+def _cmd_cyclic_retract(args) -> tuple[int, Iterable[str]]:
     pres = _load_presentation(args)
     h = parse_word(args.element, pres.alphabet)
     result = presentations.cyclic_retract_test(pres, h)
@@ -396,10 +436,10 @@ def _cmd_cyclic_retract(args) -> tuple[int, str]:
     if result.primitive:
         images = presentations.retraction_images_from_covector(pres, h, result.covector)
         data["retraction_images"] = [format_word(w) for w in images]
-    return EXIT_OK, _json_payload(data)
+    return EXIT_OK, _json_chunks(data)
 
 
-def _cmd_verify_retraction(args) -> tuple[int, str]:
+def _cmd_verify_retraction(args) -> tuple[int, Iterable[str]]:
     pres = _load_presentation(args)
     subgroup = [parse_word(t, pres.alphabet) for t in _split_words(args.subgroup)]
     images = [parse_word(t, pres.alphabet) for t in _split_words(args.images)]
@@ -409,7 +449,7 @@ def _cmd_verify_retraction(args) -> tuple[int, str]:
         "images": [format_word(w) for w in images],
         "is_retraction": ok,
     }
-    return (EXIT_OK if ok else EXIT_FINDING), _json_payload(data)
+    return (EXIT_OK if ok else EXIT_FINDING), _json_chunks(data)
 
 
 # -- parser -------------------------------------------------------------------
@@ -553,15 +593,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per process: building all 17 subcommands takes milliseconds
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        code, payload = args.func(args)
+        # every check runs here, before the report's first byte is written
+        code, chunks = args.func(args)
     except (ValueError, BudgetExceeded, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
-    _write_report(payload, args.out)
+    _write_report(chunks, args.out)
     return code
 
 

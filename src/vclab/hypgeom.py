@@ -21,7 +21,8 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Optional, Sequence
+from itertools import chain, islice, repeat
+from typing import Iterator, Optional, Sequence
 
 from .words import Alphabet, BudgetExceeded, Syllable, Word, WordError, _new_tuple, count_reduced, format_word, free_word_metric, reduced_count_exceeds
 from .oracles import is_commensurable
@@ -327,38 +328,127 @@ def check_concatenation_quasigeodesic(
 
 @dataclass(frozen=True)
 class DivergenceReport:
+    """The table of |c^n d^m| for 1 <= n <= ``n_max`` and 1 <= m <= ``m_max``,
+    held in closed form.
+
+    ``table`` holds the lengths for n <= N and m <= M, the thresholds of
+    ``divergence_experiment``; past them the cancellation at the seam is
+    constant, so |c^n d^m| is the entry at (min(n, N), min(m, M)) plus
+    (n - N)|c_0| for n > N and (m - M)|d_0| for m > M, where c_0 and d_0
+    are the cyclic cores.  No row is stored: ``rows`` yields them.
+    """
+
     c: Word
     d: Word
-    rows: tuple[tuple[int, int, int], ...]  # (n, m, |c^n d^m|)
-    observed_ratio_bound: Fraction  # max of min(n,m) / |c^n d^m|
-    power_growth_ok: bool  # |c^n| >= n for cyclically reduced c (and d)
+    n_max: int
+    m_max: int
+    table: tuple[tuple[int, ...], ...]  # table[n - 1][m - 1] = |c^n d^m| for n <= N, m <= M
+    c_core: int  # |c_0|, the growth of |c^n d^m| per n past N
+    d_core: int  # |d_0|, the growth per m past M
+
+    def rows(self) -> Iterator[tuple[int, int, int]]:
+        """The rows (n, m, |c^n d^m|), n-major, built one at a time by
+        iterators over the table: row by row when rows are long, and by
+        interleaving the columns when they are short, so at most
+        min(n_max, m_max) <= 1000 iterators are set up."""
+        if self.n_max <= self.m_max:
+            return chain.from_iterable(map(self._row, range(1, self.n_max + 1)))
+        return chain.from_iterable(zip(*map(self._column, range(1, self.m_max + 1))))
+
+    def _row(self, n: int) -> Iterator[tuple[int, int, int]]:
+        table = self.table
+        # row n past N is row N, longer by c_core per step
+        head = [length + max(n - len(table), 0) * self.c_core for length in table[min(n, len(table)) - 1]]
+        return zip(repeat(n), range(1, self.m_max + 1), _line(head, self.d_core, self.m_max))
+
+    def _column(self, m: int) -> Iterator[tuple[int, int, int]]:
+        table, width = self.table, len(self.table[0])
+        head = [row[min(m, width) - 1] + max(m - width, 0) * self.d_core for row in table]
+        return zip(range(1, self.n_max + 1), repeat(m), _line(head, self.c_core, self.n_max))
+
+    @cached_property
+    def observed_ratio_bound(self) -> Fraction:
+        """The largest min(n, m) / |c^n d^m| over the rows, in one pass."""
+        # a pair compared by cross-multiplication, and one Fraction at the
+        # end; no length is 0, as c^n d^m = 1 is ruled out
+        best_num, best_den = 0, 1
+        for n, m, length in self.rows():
+            low = n if n < m else m
+            if low * best_den > best_num * length:
+                best_num, best_den = low, length
+        return Fraction(best_num, best_den)
+
+    @property
+    def power_growth_ok(self) -> bool:
+        """The tree fact |w^k| >= k for cyclically reduced w, for c and d:
+        |w^k| = 2|t| + k|w_0| with |w_0| >= 1."""
+        return self.c_core >= 1 and self.d_core >= 1
 
     def to_json_dict(self) -> dict:
+        """The report, with its rows as an iterator for a streaming writer."""
         return {
             "c": format_word(self.c),
             "d": format_word(self.d),
-            "rows": [list(r) for r in self.rows],
+            "rows": self.rows(),
             "observed_ratio_bound": str(self.observed_ratio_bound),
             "power_growth_ok": self.power_growth_ok,
         }
 
-    def to_csv(self) -> str:
-        lines = ["n,m,length,ratio"]
-        for n, m, length in self.rows:
-            lines.append(f"{n},{m},{length},{Fraction(min(n, m), length)}")
-        return "\n".join(lines) + "\n"
+    def csv_chunks(self, block: int) -> Iterator[str]:
+        """The CSV report, ``block`` lines at a time; the ratio min(n, m) /
+        |c^n d^m| is written as ``str(Fraction)`` writes it."""
+        yield "n,m,length,ratio\n"
+        rows = self.rows()
+        while chunk := list(islice(rows, block)):
+            lines = []
+            for n, m, length in chunk:
+                low = n if n < m else m
+                g = math.gcd(low, length)
+                ratio = f"{low // g}" if g == length else f"{low // g}/{length // g}"
+                lines.append(f"{n},{m},{length},{ratio}\n")
+            yield "".join(lines)
+
+
+def _line(head: list[int], step: int, count: int) -> Iterator[int]:
+    """``count`` lengths: ``head``, then on from its last entry by ``step``."""
+    last = head[-1]
+    return chain(head, range(last + step, last + (count - len(head) + 1) * step, step))
 
 
 def divergence_experiment(c: Word, d: Word, n_max: int, m_max: int) -> DivergenceReport:
     """Exact lengths |c^n d^m| over the standard basis, with the observed
-    lower bound for the divergence constant.
+    lower bound for the divergence constant, in closed form.
 
     Requires c and d non-commensurable, which also rules out c^n d^m = 1.
-    Inside the table the tree fact |w^n| >= n for cyclically reduced w is
-    asserted for both inputs.  Each row is |c^n d^m| = d(c^-n, d^m), read
-    at the seam by ``free_word_metric`` without building the product.
     A table of more than ``ROW_BUDGET`` rows is refused before any power
     is built.
+
+    Write c = t_c c_0 t_c^-1 and d = t_d d_0 t_d^-1 with cyclically reduced
+    cores (``cyclic_reduce``; the products are reduced as written), let
+    K = 2 max(|t_c|, |t_d|) + |c_0| + |d_0| + 1 and N the least n >= 1 with
+    |t_c| + n|c_0| >= K, capped at n_max, and M likewise for d.  Then
+    |c^n d^m| = |c^-n| + |d^m| - 2 lam(n, m), lam being the common letter
+    prefix of c^-n and d^m (``free_word_metric``), with |c^k| = 2|t_c| +
+    k|c_0|; so only the N x M entries are measured, on c^-1 ... c^-N and
+    d^1 ... d^M, and lam(n, m) = lam(min(n, N), min(m, M)).
+
+    Proof.  c^-n = t_c c_0^-n t_c^-1 is reduced as written and spells the
+    ray R_c = t_c c_0^-1 c_0^-1 ... for its first A_n = |t_c| + n|c_0|
+    letters; likewise d^m spells R_d = t_d d_0 d_0 ... for its first
+    B_m = |t_d| + m|d_0| letters.  Let T = max(|t_c|, |t_d|), p = |c_0|,
+    q = |d_0|, and suppose R_c and R_d agree on T + p + q letters.  Past T
+    both rays are periodic, with periods p and q, and they agree on p + q
+    letters there, so by Fine and Wilf (1965) that stretch has period
+    g = gcd(p, q), and the rays coincide.  With P their first T letters and
+    w the next g, c^-1 = P w^(p/g) P^-1 and d = P w^(q/g) P^-1, so
+    c^(-q/g) = d^(p/g): c and d would be commensurable.  Hence the rays
+    share lam_inf < T + p + q letters.  Let n >= N, so A_n >= K > lam_inf.
+    If B_m > lam_inf, c^-n and d^m part where the rays do, at lam_inf;
+    otherwise d^m has only B_m + |t_d| <= lam_inf + |t_d| letters.  Either
+    way lam(n, m) < K.  As c^-n and c^-N both spell R_c for their first
+    A_N >= K letters, the prefix that d^m shares with them ends at the same
+    place: lam(n, m) = lam(N, m).  With c and d exchanged, the same
+    argument gives lam(n, m) = lam(n, M) for m >= M.  QED
     """
     if c.is_identity() or d.is_identity():
         raise WordError("divergence needs nonidentity elements")
@@ -368,29 +458,26 @@ def divergence_experiment(c: Word, d: Word, n_max: int, m_max: int) -> Divergenc
         raise WordError("ranges must be >= 1")
     if n_max * m_max > ROW_BUDGET:
         raise BudgetExceeded(f"divergence table of {n_max} x {m_max} rows exceeds the budget of {ROW_BUDGET} rows")
-    c_pows = _powers(c.inverse(), n_max)
-    d_pows = _powers(d, m_max)
-    growth_ok = True
-    for w, pows in ((c, c_pows), (d, d_pows)):
-        if w.is_cyclically_reduced() and any(len(pows[k]) < k for k in range(1, len(pows))):
-            growth_ok = False
-    rows = []
-    # the largest min(n, m) / |c^n d^m| so far, as a pair compared by
-    # cross-multiplication; no length is 0, as c^n d^m = 1 is ruled out
-    best_num, best_den = 0, 1
-    for n in range(1, n_max + 1):
-        c_inv_n = c_pows[n]
-        for m in range(1, m_max + 1):
-            length = free_word_metric(c_inv_n, d_pows[m])
-            rows.append((n, m, length))
-            if min(n, m) * best_den > best_num * length:
-                best_num, best_den = min(n, m), length
-    return DivergenceReport(c, d, tuple(rows), Fraction(best_num, best_den), growth_ok)
+    c_inv = c.inverse()
+    (c_core, c_conj), (d_core, d_conj) = c_inv.cyclic_reduce(), d.cyclic_reduce()
+    bound = 2 * max(c_conj.length, d_conj.length) + c_core.length + d_core.length + 1
+    # the least k >= 1 with |t| + k |core| >= K, which K > |t| makes >= 1
+    n_top = min(n_max, -(-(bound - c_conj.length) // c_core.length))
+    m_top = min(m_max, -(-(bound - d_conj.length) // d_core.length))
+    d_pows = _powers(d_core, d_conj, m_top)
+    table = tuple(
+        tuple([free_word_metric(c_inv_n, d_m) for d_m in d_pows]) for c_inv_n in _powers(c_core, c_conj, n_top)
+    )
+    return DivergenceReport(c, d, n_max, m_max, table, c_core.length, d_core.length)
 
 
-def _powers(w: Word, k_max: int) -> list[Word]:
-    """w^0, w^1, ..., w^k_max, one product each."""
-    pows = [w.alphabet.identity()]
-    for _ in range(k_max):
-        pows.append(pows[-1] * w)
+def _powers(core: Word, conj: Word, k_max: int) -> list[Word]:
+    """w^1, ..., w^k_max for w = conj core conj^-1 with ``core`` cyclically
+    reduced: each is conj core^k conj^-1, with core^k grown one core at a
+    time, so no product cancels."""
+    conj_inv, core_k = conj.inverse(), core
+    pows = [conj * core_k * conj_inv]
+    for _ in range(k_max - 1):
+        core_k = core_k * core
+        pows.append(conj * core_k * conj_inv)
     return pows

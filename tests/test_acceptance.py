@@ -181,7 +181,7 @@ def test_acceptance_07_geometry():
         a, b, c = (ball.point(rng.randrange(len(ball))) for _ in range(3))
         assert hypgeom.check_midpoint_inequality(ball, a, b, c, Fraction(0))
     report = hypgeom.divergence_experiment(p2("a"), p2("b"), 50, 50)
-    for n, m, length in report.rows:
+    for n, m, length in report.rows():
         assert length == n + m
     elapsed = time.time() - start
     announce(7, "tree ball is 0-thin, midpoints pass at delta 0, |a^n b^m| = n + m up to 50", elapsed)

@@ -1,7 +1,12 @@
 import argparse
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
@@ -9,7 +14,7 @@ from hypothesis import strategies as st
 
 from test_golden import CASES, GOLDEN
 from vclab import cli, equations, testwords
-from vclab.cli import _json_payload, _random_pairs, build_parser, main
+from vclab.cli import _json_chunks, _random_pairs, build_parser, main
 from vclab.words import Alphabet, Word, parse_word
 
 
@@ -351,6 +356,87 @@ def test_divergence_past_the_row_budget_is_an_error(capsys):
     assert "Traceback" not in err
 
 
+CONJUGATED = ["--c", "b^3aB^3", "--d", "ab^2"]
+
+
+def test_divergence_streams_the_bytes_of_the_whole_table(capsys):
+    # 37 x 23 is past both thresholds (N = 9, M = 4) and spans chunks of rows
+    alph = Alphabet(2)
+    c, d = parse_word("b^3aB^3", alph), parse_word("ab^2", alph)
+    rows = [(n, m, len(c ** n * d ** m)) for n in range(1, 38) for m in range(1, 24)]
+    ratio = max(Fraction(min(n, m), length) for n, m, length in rows)
+    data = {"c": "b^3ab^-3", "d": "ab^2", "rows": [list(r) for r in rows],
+            "observed_ratio_bound": str(ratio), "power_growth_ok": True}
+    argv = ["divergence", *CONJUGATED, "--n-max", "37", "--m-max", "23"]
+    assert run(capsys, *argv) == (0, dumps(data))
+    csv = ["n,m,length,ratio"] + [f"{n},{m},{length},{Fraction(min(n, m), length)}" for n, m, length in rows]
+    assert run(capsys, *argv, "--format", "csv") == (0, "\n".join(csv) + "\n")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_divergence_writes_the_same_bytes_to_stdout_and_out(capsys, tmp_path, monkeypatch, fmt):
+    monkeypatch.setattr(cli, "CHUNK_ROWS", 100)
+    argv = ["divergence", *CONJUGATED, "--n-max", "37", "--m-max", "23", "--format", fmt]
+    code, out = run(capsys, *argv)
+    path = tmp_path / "report"
+    assert main(argv + ["--out", str(path)]) == code == 0
+    assert path.read_text() == out
+    assert out.count("\n") > 3 * 100
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--c", "ab", "--d", "aB", "--n-max", "1001", "--m-max", "1000"], "divergence table of 1001 x 1000 rows exceeds"),
+    (["--c", "a", "--d", "a^2"], "inputs are commensurable"),
+    (["--c", "ab", "--d", "1"], "divergence needs nonidentity elements"),
+    (["--c", "ab", "--d", "aB", "--n-max", "0"], "ranges must be >= 1"),
+    (["--c", "a?", "--d", "b"], "error: "),
+])
+def test_divergence_checks_every_input_before_the_first_byte(capsys, tmp_path, flags, message):
+    path = tmp_path / "report.json"
+    for out in ([], ["--out", str(path)]):
+        assert main(["divergence", *flags, *out]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert "Traceback" not in captured.err
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("n_max, m_max", [(1000, 1000), (1000000, 1), (1, 1000000)])
+def test_divergence_at_the_row_budget_streams_every_row(n_max, m_max, tmp_path):
+    path = tmp_path / "report.csv"
+    start = time.perf_counter()
+    argv = ["divergence", "--c", "ab", "--d", "aB", "--n-max", str(n_max), "--m-max", str(m_max)]
+    assert main(argv + ["--format", "csv", "--out", str(path)]) == 0
+    assert time.perf_counter() - start < 10
+    with path.open() as fh:
+        lines = sum(1 for _ in fh)
+        assert lines == n_max * m_max + 1
+    # the last line: (ab)^n (aB)^m has no cancellation at the seam
+    assert path.read_text()[-40:].rsplit("\n", 2)[1].startswith(f"{n_max},{m_max},{2 * (n_max + m_max)},")
+
+
+def _fresh_process(*argv):
+    """One CLI run in a new interpreter."""
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from vclab.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])),
+    )
+
+
+def test_parser_is_built_once_and_reused_after_a_usage_error(capsys):
+    bad = ["divergence", "--c", "ab", "--n-max", "x"]
+    good = ["divergence", "--c", "ab", "--d", "aB", "--n-max", "3", "--m-max", "2"]
+    fresh_bad, fresh_good = _fresh_process(*bad), _fresh_process(*good)
+    with pytest.raises(SystemExit) as info:
+        main(bad)
+    assert (info.value.code, capsys.readouterr().err) == (fresh_bad.returncode, fresh_bad.stderr)
+    assert "argument --n-max: invalid int value: 'x'" in fresh_bad.stderr
+    assert cli._parser() is cli._parser()
+    assert run(capsys, *good) == (fresh_good.returncode, fresh_good.stdout) == (0, fresh_good.stdout)
+    assert json.loads(fresh_good.stdout)["rows"][-1] == [3, 2, 10]
+
+
 def test_compound_power_past_the_budget_is_an_error(capsys):
     # g = (ab)^1000000 b^3 would spell 2,000,003 letters
     start = time.perf_counter()
@@ -429,6 +515,15 @@ def test_random_pairs_draw_the_stream_of_randrange_and_choice(rank, max_len, see
             # a trusted build: the syllables re-validate, and the length is theirs
             assert Word(w.alphabet, w.syllables) == w
             assert w.length == sum(abs(exp) for _, exp in w.syllables) <= max_len
+
+
+@pytest.mark.parametrize("max_len", [0, 2])
+def test_random_pairs_share_one_identity(max_len):
+    # max_len 0 draws only empty words; at 2, aA and the like reduce to nothing
+    empty = [w for pair in _random_pairs(Alphabet(2), 300, max_len, 5) for w in pair if w.is_identity()]
+    assert len(empty) > 20
+    assert all(w is empty[0] for w in empty)
+    assert empty[0] == Alphabet(2).identity() and empty[0].length == 0
 
 
 def test_random_pairs_are_drawn_one_at_a_time():
@@ -530,6 +625,10 @@ def dumps(data):
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
+def payload(data):
+    return "".join(_json_chunks(data))
+
+
 JSON_GOLDEN = [name for name, _, argv in CASES if "csv" not in argv]
 
 
@@ -537,7 +636,7 @@ JSON_GOLDEN = [name for name, _, argv in CASES if "csv" not in argv]
 def test_writer_reproduces_every_json_golden_report(name):
     text = (GOLDEN / f"{name}.txt").read_text()
     data = json.loads(text)
-    assert _json_payload(data) == dumps(data) == text
+    assert payload(data) == dumps(data) == text
 
 
 json_values = st.recursive(
@@ -553,4 +652,15 @@ json_values = st.recursive(
 @example({})
 @example({"caf\u00e9": "\u00fc\n\u2603", "pair": (1, 2), "float": [1.5, 2], "null": None})
 def test_writer_equals_json_dumps(data):
-    assert _json_payload(data) == dumps(data)
+    assert payload(data) == dumps(data)
+
+
+@given(st.dictionaries(st.text(max_size=3), json_values, max_size=3), st.lists(json_values | st.tuples(st.integers(), st.integers()), max_size=20))
+@example({}, [])
+@example({"a": 1}, [(1, 2, 3)] * 5000 + [(1, 2)] + [(True, 2, 3), (1.5, 2, 3), (), []])
+@example({"a": 1}, [(1, 2, 3)] * (2 * cli.CHUNK_ROWS))
+@example({"z": [0]}, [[1, 2, 3], (4, 5, 6)])
+def test_writer_streams_an_iterator_as_a_list(data, items):
+    # a streamed list is written a block at a time, with the bytes of the whole list
+    streamed = dict(data, rows=iter(items))
+    assert payload(streamed) == dumps(dict(data, rows=items))

@@ -3,8 +3,11 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from vclab import hypgeom
+from vclab.oracles import is_commensurable
 from vclab.words import Alphabet, BudgetExceeded, Word, WordError, count_reduced, enumerate_reduced, free_word_metric, parse_word
 from vclab.hypgeom import (
     cayley_ball,
@@ -500,7 +503,7 @@ def test_concatenation_endpoint_mismatch():
 
 def test_divergence_no_cancellation():
     report = divergence_experiment(p("a"), p("b"), 8, 8)
-    for n, m, length in report.rows:
+    for n, m, length in report.rows():
         assert length == n + m
     assert report.observed_ratio_bound == Fraction(1, 2)
     assert report.observed_ratio_bound < 1
@@ -510,7 +513,7 @@ def test_divergence_no_cancellation():
 def test_divergence_seam_cancellation():
     c, d = p("ab"), p("Ba")
     report = divergence_experiment(c, d, 4, 4)
-    table = {(n, m): length for n, m, length in report.rows}
+    table = {(n, m): length for n, m, length in report.rows()}
     for (n, m), length in table.items():
         assert length == len(c ** n * d ** m)
     assert table[(1, 1)] == 2  # ab * b^-1 a = a^2
@@ -538,6 +541,15 @@ def _divergence_by_products(c, d, n_max, m_max):
     return tuple(rows), best, growth_ok
 
 
+def _thresholds(c, d):
+    """K, N and M of ``divergence_experiment``, uncapped."""
+    (c_core, c_conj), (d_core, d_conj) = c.cyclic_reduce(), d.cyclic_reduce()
+    bound = 2 * max(len(c_conj), len(d_conj)) + len(c_core) + len(d_core) + 1
+    n_top = next(n for n in range(1, bound + 1) if len(c_conj) + n * len(c_core) >= bound)
+    m_top = next(m for m in range(1, bound + 1) if len(d_conj) + m * len(d_core) >= bound)
+    return bound, n_top, m_top
+
+
 @pytest.mark.parametrize("c, d, alph", [
     ("ab", "aB", F2),
     ("abA", "a", F2),  # not cyclically reduced, and a^-1 cancels at the seam
@@ -546,14 +558,47 @@ def _divergence_by_products(c, d, n_max, m_max):
     ("a", "b", F2),
     ("a^2bA", "ab^-3", F2),
     ("abc", "CBa", F3),
+    # long conjugators around short cores: the thresholds N, M reach 9
+    ("b^3aB^3", "ab", F2),
+    ("ab", "b^3aB^3", F2),
+    ("b^3aB^3", "a^3bA^3", F2),
+    ("ab^4aB^4A", "b^2", F2),
+    ("c^2abC^2", "aBA", F3),
 ])
 def test_divergence_matches_products(c, d, alph):
     c, d = p(c, alph), p(d, alph)
-    for n_max, m_max in ((30, 30), (1, 7), (9, 2)):
+    _, n_top, m_top = _thresholds(c, d)
+    for n_max, m_max in ((30, 30), (1, 7), (9, 2), (n_top + 3, m_top + 3)):
         report = divergence_experiment(c, d, n_max, m_max)
-        assert (report.rows, report.observed_ratio_bound, report.power_growth_ok) == _divergence_by_products(
+        assert (tuple(report.rows()), report.observed_ratio_bound, report.power_growth_ok) == _divergence_by_products(
             c, d, n_max, m_max
         )
+
+
+@st.composite
+def non_commensurable_pairs(draw):
+    """Two conjugated cores t c_0 t^-1 at rank 2 or 3, non-commensurable."""
+    alph = draw(st.sampled_from([F2, F3]))
+    letters = st.tuples(st.integers(0, alph.rank - 1), st.sampled_from([1, -1]))
+
+    def element():
+        conj = Word.from_syllables(alph, draw(st.lists(letters, max_size=6)))
+        core = Word.from_syllables(alph, draw(st.lists(letters, min_size=1, max_size=5)))
+        return conj * core * conj.inverse()
+
+    c, d = element(), element()
+    assume(not c.is_identity() and not d.is_identity() and is_commensurable(c, d) is None)
+    return c, d
+
+
+@settings(max_examples=150, deadline=None)
+@given(non_commensurable_pairs(), st.integers(1, 20), st.integers(1, 20))
+def test_divergence_matches_products_on_random_pairs(pair, n_max, m_max):
+    c, d = pair
+    report = divergence_experiment(c, d, n_max, m_max)
+    assert (tuple(report.rows()), report.observed_ratio_bound, report.power_growth_ok) == _divergence_by_products(
+        c, d, n_max, m_max
+    )
 
 
 def test_divergence_rejects_commensurable():
@@ -566,7 +611,7 @@ def test_divergence_past_the_row_budget_builds_no_power(monkeypatch):
         raise AssertionError("built a power past the row budget")
 
     monkeypatch.setattr(hypgeom, "ROW_BUDGET", 12)
-    assert len(divergence_experiment(p("a"), p("b"), 3, 4).rows) == 12
+    assert len(list(divergence_experiment(p("a"), p("b"), 3, 4).rows())) == 12
     monkeypatch.setattr(hypgeom, "_powers", refuse)
     with pytest.raises(BudgetExceeded, match="^divergence table of 13 x 1 rows exceeds the budget of 12 rows$"):
         divergence_experiment(p("a"), p("b"), 13, 1)
@@ -577,9 +622,41 @@ def test_divergence_past_the_row_budget_builds_no_power(monkeypatch):
         divergence_experiment(p("a"), p("b"), 0, 10**9)
 
 
+@pytest.mark.parametrize("n_max, m_max", [(10**6, 1), (1, 10**6), (1000, 1000)])
+@pytest.mark.parametrize("c, d", [("ab", "aB"), ("b^3aB^3", "ab")])
+def test_divergence_at_the_row_budget_builds_only_the_threshold_powers(monkeypatch, n_max, m_max, c, d):
+    c, d = p(c), p(d)
+    bound, n_top, m_top = _thresholds(c, d)
+    built = []
+
+    def powers(core, conj, k_max):
+        pows = real(core, conj, k_max)
+        built.append((k_max, max(map(len, pows))))
+        return pows
+
+    real = hypgeom._powers
+    monkeypatch.setattr(hypgeom, "_powers", powers)
+    start = time.perf_counter()
+    report = divergence_experiment(c, d, n_max, m_max)
+    rows = 0
+    for rows, (n, m, length) in enumerate(report.rows(), 1):
+        pass
+    ratio = report.observed_ratio_bound
+    assert time.perf_counter() - start < 5
+    assert rows == n_max * m_max and (n, m) == (n_max, m_max)
+    # the last row, against a product past the thresholds and the growth of |c^n| and |d^m|
+    k, j = min(n_max, n_top + 1), min(m_max, m_top + 1)
+    c_core, d_core = len(c.cyclic_reduce()[0]), len(d.cyclic_reduce()[0])
+    assert length == len(c ** k * d ** j) + (n_max - k) * c_core + (m_max - j) * d_core
+    assert 0 < ratio < 1
+    # only c^-1 .. c^-N and d^1 .. d^M: each spells at most K + |t| + |core| letters
+    assert sorted(k for k, _ in built) == sorted([min(n_top, n_max), min(m_top, m_max)])
+    assert all(longest < 2 * bound for _, longest in built)
+
+
 def test_divergence_csv_shape():
     report = divergence_experiment(p("a"), p("b"), 2, 2)
-    lines = report.to_csv().strip().splitlines()
+    lines = "".join(report.csv_chunks(3)).strip().splitlines()
     assert lines[0] == "n,m,length,ratio"
     assert len(lines) == 5
 
