@@ -102,14 +102,6 @@ def _split_words(text: str) -> list[str]:
     return [part.strip() for part in text.split(";")]
 
 
-def _write_report(chunks: Iterable[str], out: Optional[str]) -> None:
-    if out:
-        with open(out, "w") as fh:
-            fh.writelines(chunks)
-    else:
-        sys.stdout.writelines(chunks)
-
-
 def _json_chunks(data: dict) -> Iterator[str]:
     """``json.dumps(data, sort_keys=True, indent=2)`` and a newline, for
     str-keyed data, byte for byte, in pieces.  With an indent, ``json.dumps``
@@ -600,12 +592,18 @@ _parser = functools.cache(build_parser)
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        # every check runs here, before the report's first byte is written
+        # every check runs here, before the report's first byte is written,
+        # and the report file is opened only once they have all passed
         code, chunks = args.func(args)
+        out = open(args.out, "w") if args.out else None
     except (ValueError, BudgetExceeded, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
-    _write_report(chunks, args.out)
+    if out is None:
+        sys.stdout.writelines(chunks)
+    else:
+        with out:
+            out.writelines(chunks)
     return code
 
 

@@ -18,9 +18,10 @@ its consequences, never claimed to yield a genuine test word outright.
 from __future__ import annotations
 
 from dataclasses import asdict, astuple, dataclass
+from itertools import islice
 from typing import Mapping, Optional, Sequence
 
-from .words import Alphabet, BudgetExceeded, Word, WordError, enumerate_reduced, format_word, free_word_metric, reduced_count_exceeds, substitute
+from .words import Alphabet, BudgetExceeded, Word, WordError, count_reduced, enumerate_reduced, format_word, reduced_count_exceeds, substitute
 from .oracles import is_special_tuple
 
 
@@ -222,10 +223,9 @@ def canonical_solutions(w: Word, targets: Sequence[Word], alpha: int) -> dict:
 
 # candidate images a search may hold: 118,097 words of length <= 10 at rank 2
 CANDIDATE_CAP = 200_000
-# letters the power table and the lead-run caches of a search may hold at
-# their fullest; one that could pass what is left is not kept, and the walk
-# rebuilds its entries at each use instead
-REUSE_LETTERS = 2 * 10**6
+# letters a walk may hold: each candidate image, of at most bound letters,
+# and one partial product of at most |W| * bound letters per variable
+LETTER_BUDGET = 2 * 10**6
 
 
 @dataclass(frozen=True)
@@ -276,6 +276,10 @@ def _letter_evaluate(w: Word, images: Sequence[Word]) -> Word:
     return Word.from_letters(target, out)
 
 
+def _inverse(letters: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple([-x for x in reversed(letters)])
+
+
 def verify_testword(
     w: Word,
     targets: Sequence[Word],
@@ -294,35 +298,32 @@ def verify_testword(
 
     Assignments are walked depth first in ``itertools.product`` order over
     the candidate images, so the last variable (y_n) varies fastest.  The
-    walk keeps one partial product per depth, the leading syllables of W
-    whose variables are all assigned, and each assignment extends it by the
-    syllables it completes.  A partial product P whose distance to U
-    exceeds the most letters the later syllables can spell (sum of
-    |exp| * bound) is dropped: W = P R = U with |R| <= s gives
-    d(P, U) = |P^-1 U| = |R| <= s.  A dropped node is counted as every
-    assignment below it.
-
-    No product is built twice for the same images.  Each power c ** e of a
-    candidate c, for an exponent e of W, is built once, the first time the
-    walk needs it.  In the level-3 word x1 x3 x2 x3 x2 x3 y3, x2 completes
-    no syllable, so the step x1 x3 that leads x3's extension does not
-    depend on x2.  In general, the leading syllables of an extension whose
-    variables are its own and those the partial product depends on are
-    built once per image, with their drop verdict, and kept until one of
-    those earlier images changes.  Both fill on first use, so a capped walk
-    builds only what it reaches, in the order of a walk that rebuilt them.
-    Powers and lead runs that could hold more than ``REUSE_LETTERS``
-    letters in all are rebuilt at each use instead of kept.
+    walk keeps one partial product P per depth, the leading syllables of W
+    whose variables are all assigned, as a tuple of signed letters with
+    lcp, the length of its common prefix with U.  Each assignment extends
+    P by the syllables it completes, one power at a time, spelled as
+    t c0^|e| t^-1 for a candidate t c0 t^-1 with c0 cyclically reduced (c0
+    inverted when e < 0).  That spelling is reduced, so only the seam with
+    P cancels; lcp is cut back to the seam and grows again only if the cut
+    reached it.  So d(P, U) = |P^-1 U| = |P| + |U| - 2 lcp needs no
+    product.  A P whose distance to U exceeds the most letters the later
+    syllables can spell (sum of |exp| * bound) is dropped, since W = P R = U
+    with |R| <= s gives d(P, U) = |R| <= s, and counts as every assignment
+    below it.  P holds at most bound * |W| letters, and U is spelled no
+    further; the candidates and one P per variable are refused past
+    ``LETTER_BUDGET`` letters before the walk.
 
     When W ends in y_n with exponent +1 and y_n occurs in no other
     syllable, as in every built word whose top tuple has q*t = 1, y_n is
     solved rather than enumerated: W = P y = U gives y = P^-1 U, the one
-    image that can complete the other variables, kept only if it is a
-    candidate.  Each assignment of the other variables then stands for the
-    block of consecutive product assignments that differ in y alone.  So
-    ``explored``, the ``max_assignments`` cut (which may fall inside a
-    block or a dropped node) and the order of the violations are those of
-    the full walk.  Any other W enumerates y_n as well, in blocks of one.
+    image that can complete the other variables.  Its letters, P past lcp
+    inverted and then U past lcp, are formed only if d(P, U) <= bound and
+    looked up among the candidates.  Each assignment of the other
+    variables then stands for the block of consecutive product assignments
+    that differ in y alone.  So ``explored``, the ``max_assignments`` cut
+    (which may fall inside a block or a dropped node) and the order of the
+    violations are those of the full walk.  Any other W enumerates y_n as
+    well, in blocks of one.
     """
     special_ok = is_special_tuple(targets)
     u = base_value(w, targets)
@@ -331,6 +332,9 @@ def verify_testword(
         raise BudgetExceeded(f"candidate images of length <= {bound} exceed the cap of {CANDIDATE_CAP} words")
     level = word_level(w)
     nvars = variable_count(level)
+    held = bound * (count_reduced(alph.rank, bound) + nvars * len(w))
+    if held > LETTER_BUDGET:
+        raise BudgetExceeded(f"a walk holding up to {held} letters exceeds the budget of {LETTER_BUDGET} letters")
     var_names = [variable_name(level, i) for i in range(nvars)]
     alpha_window = bound // max(1, len(u)) + 1
     canonical: list[dict] = []
@@ -340,106 +344,85 @@ def verify_testword(
         for alpha in range(-alpha_window, alpha_window + 1):
             canonical.append(canonical_solutions(w, targets, alpha))
 
-    candidates = list(enumerate_reduced(alph, bound))
+    # candidates[i]: candidate image i as letters, each syllable spelled once
+    candidates = []
+    runs: dict = {}
+    for word in enumerate_reduced(alph, bound):
+        letters = ()
+        for syl in word.syllables:
+            if syl not in runs:
+                runs[syl] = (syl.gen + 1 if syl.exp > 0 else -syl.gen - 1,) * abs(syl.exp)
+            letters += runs[syl]
+        candidates.append(letters)
     total = len(candidates) ** nvars
     budget = total if max_assignments is None else min(total, max_assignments)
 
     syllables = w.syllables
     n = len(syllables)
+    # reach[pos]: the most letters syllables pos.. can spell, y_n included
+    reach = [0] * (n + 1)
+    for pos in range(n - 1, -1, -1):
+        reach[pos] = reach[pos + 1] + abs(syllables[pos].exp) * bound
     # y_n, the last variable, is solved only as W's last syllable y_n^+1
     solved = [syl.gen for syl in syllables].count(nvars - 1) == 1 and syllables[-1] == (nvars - 1, 1)
     free, block = (nvars - 1, len(candidates)) if solved else (nvars, 1)
-    index = {word: i for i, word in enumerate(candidates)} if solved else {}
     # stop[d]: the end of the leading syllables whose variables are among
     # the first d, all of W but y_n at d = free when y_n is solved;
     # weight[d]: the assignments below a node at depth d
     stop = [next((pos for pos, syl in enumerate(syllables) if syl.gen >= d), n) for d in range(free + 1)]
     weight = [len(candidates) ** (free - d) * block for d in range(free + 1)]
-    # reach[pos]: the most letters syllables pos.. can spell, y_n included
-    reach = [0] * (n + 1)
-    for pos in range(n - 1, -1, -1):
-        reach[pos] = reach[pos + 1] + abs(syllables[pos].exp) * bound
     size_u = len(u)
-    # steps[pos]: syllable pos as its variable, its exponent, its row of
-    # c ** exp by candidate index and the reach past it; a row fills on
-    # first use and serves every syllable with its exponent, and the row
-    # for exponent 1 is the candidates themselves.  A power spells at most
-    # |exp| * bound letters, so the rows keep their powers if that many
-    # fit ``REUSE_LETTERS``; `spare` is what is left for the lead runs.
-    exponents = {syl.exp for syl in syllables}
-    rows = {exp: candidates if exp == 1 else [None] * len(candidates) for exp in exponents}
-    steps = [(gen, exp, rows[exp], reach[pos + 1]) for pos, (gen, exp) in enumerate(syllables)]
-    table = len(candidates) * bound * sum(abs(exp) for exp in exponents if exp != 1)
-    keep = table <= REUSE_LETTERS
-    spare = REUSE_LETTERS - table if keep else REUSE_LETTERS
-    # The partial product at depth d depends on the images of the variables
-    # up to `formed` alone, the last depth before d whose extension added
-    # syllables (-1 if none did).  When formed < d - 1, the leading
-    # syllables of depth d's extension whose variable is d or at most
-    # formed skip the variables in between: heads[d] holds that run, whose
-    # product (None if far) leads[d] keeps per image of variable d until a
-    # new image at depth formed clears it; tails[d] holds the rest.  A kept
-    # run is not far, so it spells at most |U| + the reach past it.
-    heads: list[list] = [[] for _ in range(free)]
-    tails = [steps[stop[d]:stop[d + 1]] for d in range(free)]
-    leads: list[Optional[dict]] = [None] * free
-    clears: list[list[dict]] = [[] for _ in range(free)]
-    formed = -1
-    for d in range(1, free):
-        if stop[d - 1] < stop[d]:
-            formed = d - 1
-            continue
-        run = 0
-        for gen, *_ in tails[d]:
-            if gen != d and gen > formed:
-                break
-            run += 1
-        if not run:
-            continue
-        held = len(candidates) * (size_u + tails[d][run - 1][3])
-        if held <= spare:
-            spare -= held
-            heads[d], tails[d], leads[d] = tails[d][:run], tails[d][run:], {}
-            if formed >= 0:
-                clears[formed].append(leads[d])
+    # extensions[d]: depth d's, each syllable as its variable, its
+    # exponent and the reach past it less |U|, so that a product P is far
+    # when |P| - 2 lcp passes that
+    steps = [(gen, exp, reach[pos + 1] - size_u) for pos, (gen, exp) in enumerate(syllables)]
+    extensions = [steps[stop[d]:stop[d + 1]] for d in range(free)]
+    # the letters of U that a partial product can match, and a 0
+    target = (*islice(u.letters(), reach[0]), 0)
+    index = {letters: i for i, letters in enumerate(candidates)} if solved else {}
+    # splits[i]: the pieces t, c0, t^-1 of candidate i = t c0 t^-1 around
+    # its cyclic core c0, filled on its first power other than 1
+    splits: list[Optional[tuple]] = [None] * len(candidates)
     # the candidate indices of the images the walk has assigned, y_n last
     picks = [0] * nvars
     violations: list[Violation] = []
     explored = 0
 
-    def extend(value: Word, run: list) -> Optional[Word]:
-        """``value`` times the syllables of ``run`` under the picked images,
-        or None once a product P is far from U, beyond the reach of the
-        syllables after it; d(P, U) lies between |P| - |U| and |P| + |U|,
-        so lengths settle most cases."""
-        for gen, exp, row, room in run:
-            i = picks[gen]
-            power = row[i]
-            if power is None:
-                power = candidates[i] ** exp
-                if keep:
-                    row[i] = power
-            value = value * power
-            size = value.length
-            if size + size_u > room and (abs(size - size_u) > room or free_word_metric(value, u) > room):
-                return None
-        return value
+    def power(i: int, exp: int) -> tuple:
+        """The letters of candidate i to the power ``exp``."""
+        letters = candidates[i]
+        if exp == 1:
+            return letters
+        split = splits[i]
+        if split is None:
+            j, size = 0, len(letters)
+            while 2 * j + 1 < size and letters[j] == -letters[size - 1 - j]:
+                j += 1
+            split = splits[i] = letters[:j], letters[j:size - j], letters[size - j:]
+        conj, core, conj_inv = split
+        if exp < 0:
+            core, exp = _inverse(core), -exp
+        return conj + core * exp + conj_inv
 
-    def leaf(value: Word) -> None:
+    def leaf(value: tuple, lcp: int) -> None:
         """The block under ``value``, W but a solved y_n: count it and
         record its violation, if any."""
         nonlocal explored
         covered = min(block, budget - explored)
         explored += covered
+        distance = len(value) + size_u - 2 * lcp
         if solved:
-            found = index.get(value.inverse() * u)
+            # y = P^-1 U; one of more than ``bound`` letters is no candidate
+            if distance > bound:
+                return
+            found = index.get(_inverse(value[lcp:]) + target[lcp:size_u])
             # a block cut by the budget holds only its first `covered` images
             if found is None or found >= covered:
                 return
             picks[free] = found
-        elif value != u:
+        elif distance:
             return
-        images = [candidates[i] for i in picks]
+        images = [Word.from_letters(alph, candidates[i]) for i in picks]
         assignment = dict(zip(var_names, images))
         if any(assignment == c for c in canonical):
             return
@@ -448,35 +431,50 @@ def verify_testword(
             raise AssertionError("search and letter oracle disagree")
         violations.append(Violation(assignment))
 
-    def walk(depth: int, value: Word) -> None:
+    def walk(depth: int, value: tuple, lcp: int) -> None:
         """Every assignment of variable ``depth`` under the partial product
-        ``value`` of syllables ..stop[depth]-1."""
+        ``value`` of syllables ..stop[depth]-1, whose common prefix with U
+        is ``lcp`` letters long."""
         nonlocal explored
-        head, tail, cache, resets = heads[depth], tails[depth], leads[depth], clears[depth]
+        run = extensions[depth]
         below = weight[depth + 1]
+        # the powers of the syllables whose variables were assigned above
+        fixed = [None if gen == depth else power(picks[gen], exp) for gen, exp, _ in run]
         for i in range(len(candidates)):
             if explored >= budget:
                 return
             picks[depth] = i
-            for reset in resets:
-                reset.clear()
-            if cache is None:
-                partial = extend(value, tail)
-            else:
-                if i in cache:
-                    partial = cache[i]
+            letters = candidates[i]
+            product, common = value, lcp
+            for (_, exp, room), piece in zip(run, fixed):
+                if piece is None:
+                    piece = letters if exp == 1 else power(i, exp)
+                if product and piece and product[-1] == -piece[0]:
+                    cut, k = len(product) - 1, 1
+                    while cut and k < len(piece) and product[cut - 1] == -piece[k]:
+                        cut -= 1
+                        k += 1
+                    product = product[:cut] + piece[k:]
+                    if common > cut:
+                        common = cut
                 else:
-                    partial = cache[i] = extend(value, head)
-                if partial is not None:
-                    partial = extend(partial, tail)
-            if partial is None:
-                explored += min(below, budget - explored)
-            elif depth + 1 == free:
-                leaf(partial)
+                    cut = len(product)
+                    product += piece
+                if common == cut:
+                    # the sentinel that ends ``target`` matches no letter
+                    size = len(product)
+                    while common < size and product[common] == target[common]:
+                        common += 1
+                if len(product) - 2 * common > room:
+                    explored = min(explored + below, budget)
+                    break
             else:
-                walk(depth + 1, partial)
+                if depth + 1 == free:
+                    leaf(product, common)
+                else:
+                    walk(depth + 1, product, common)
 
-    walk(0, alph.identity())
+    walk(0, (), 0)
     return TestWordReport(
         violations=violations,
         explored=explored,

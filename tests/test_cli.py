@@ -402,6 +402,20 @@ def test_divergence_checks_every_input_before_the_first_byte(capsys, tmp_path, f
     assert not path.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["snf", "--matrix", "1 2"],
+    ["divergence", "--c", "ab", "--d", "aB"],
+], ids=["snf", "divergence"])
+def test_out_in_a_missing_directory_is_an_error(capsys, tmp_path, argv):
+    path = tmp_path / "missing" / "x.json"
+    assert main([*argv, "--out", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "No such file or directory" in captured.err
+    assert "Traceback" not in captured.err
+    assert not path.parent.exists()
+
+
 @pytest.mark.parametrize("n_max, m_max", [(1000, 1000), (1000000, 1), (1, 1000000)])
 def test_divergence_at_the_row_budget_streams_every_row(n_max, m_max, tmp_path):
     path = tmp_path / "report.csv"
@@ -444,6 +458,23 @@ def test_compound_power_past_the_budget_is_an_error(capsys):
     assert time.perf_counter() - start < 1
     err = capsys.readouterr().err
     assert err.startswith("error: power of 2000000 letters exceeds the budget of 1000000 letters")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("exponents, targets, bound, held", [
+    # x1^1000000000000 x3 x2 x3 x2 x3 y3: 7 candidates, 4 products
+    ("1000000000000 1 1 1 1 1 1 1 1 1", "a;b;c", "1", 7 + 4 * (10**12 + 6)),
+    # 199,999 candidates a^k, |k| <= 99999, at rank 1, inside their cap
+    ("1 1 1 1 1 1 1 1 1 1", "a;a;A", "99999", 99999 * (199999 + 4 * 7)),
+], ids=["exponent", "rank-1 bound"])
+def test_testword_letters_past_the_budget_are_an_error(capsys, exponents, targets, bound, held):
+    # the walk spells its candidates and products as letters
+    start = time.perf_counter()
+    argv = ["verify-testword", "--exponents", exponents, "--targets", targets, "--bound", bound, "--max-assignments", "1"]
+    assert main(argv) == 1
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: a walk holding up to {held} letters exceeds the budget of 2000000 letters")
     assert "Traceback" not in err
 
 

@@ -311,10 +311,11 @@ Q2 = ExponentTuple(1, 1, 1, 1, 1, 1, 1, 1, 2, 1)
     ((ONES, ONES), 2, "a;a;b;b", 1, None),
     ((ONES, ONES), 2, "a;a;b;b", 1, 130),
     ((ONES, Q2), 1, "a;a;a;a", 1, None),  # y4 enumerated at level 4
-    # caps inside a node dropped on a cached lead run: x1 x3 in `a;b;aB` at
-    # bound 1 over [35, 40); at level 4, x1 x3 in `a;a;b;b` over
-    # [875, 1000), and the y3 that leads x4's syllables in `a;b;aB;b` over
-    # [35, 40) and, under TWOS, in `a;a;a;a` over [9, 12)
+    # caps inside a node dropped on the leading syllables of its extension,
+    # whose variables skip the one before it: x1 x3 in `a;b;aB` at bound 1
+    # over [35, 40); at level 4, x1 x3 in `a;a;b;b` over [875, 1000), and
+    # the y3 that leads x4's syllables in `a;b;aB;b` over [35, 40) and,
+    # under TWOS, in `a;a;a;a` over [9, 12)
     ((ONES,), 2, "a;b;aB", 1, 37),
     ((ONES, ONES), 2, "a;a;b;b", 1, 900),
     ((ONES, ONES), 2, "a;b;aB;b", 1, 38),
@@ -365,60 +366,64 @@ def counting_products(monkeypatch):
     return calls
 
 
-def test_walk_extends_each_prefix_once_and_drops_far_products(monkeypatch):
-    # the benchmark's test-word case; 33,152 products when each assignment
-    # evaluated W's prefix from the start and was pruned on lengths only,
-    # 13,131 when a solved leaf formed P^-1 U S^-1 with an empty suffix S,
-    # and 13,094 when the leading x1 x3 of x3's extension was rebuilt, and
-    # dropped again, for each image of x2 in x1 x3 x2 x3 x2 x3 y3
-    calls = counting_products(monkeypatch)
-    targets = [parse_word(t, Alphabet(2)) for t in ("a", "b", "aB")]
-    report = verify_testword(base_test_word(ONES), targets, 2)
-    assert report.exhausted and len(report.violations) == 36
-    assert calls["mul"] == 8470
-
-
-@pytest.mark.parametrize("tuples,rank,targets,bound,cap", [
-    ((ONES,), 2, "a;b;aB", 1, None),
-    ((TWOS,), 2, "a;a;b", 1, 100),
-    ((ONES, ONES), 2, "a;a;b;b", 1, 900),
-])
-def test_walk_past_the_reuse_budget_rebuilds_and_matches(monkeypatch, tuples, rank, targets, bound, cap):
-    # with no letters to spare, no power and no lead run is kept
-    monkeypatch.setattr(testwords, "REUSE_LETTERS", 0)
-    w = TestWordSpec(len(tuples) + 2, tuples).build()
+# the benchmark's test-word case, whose y3 is solved, and the all-2 word,
+# whose y3 is enumerated
+@pytest.mark.parametrize("tuples,rank,targets,found", [
+    ((ONES,), 2, "a;b;aB", 36),
+    ((TWOS,), 3, "a;b;c", 0),
+], ids=["all-1 a;b;aB", "all-2 a;b;c"])
+def test_walk_builds_no_word_per_assignment(monkeypatch, tuples, rank, targets, found):
+    # the walk spells letters, so its Word products and powers are those
+    # that set it up (U, the canonical solutions), whatever it reaches
+    w = TestWordSpec(3, tuples).build()
     targets = [parse_word(t, Alphabet(rank)) for t in targets.split(";")]
-    report = verify_testword(w, targets, bound, max_assignments=cap)
-    violations, explored, total, exhausted = product_walk(w, targets, bound, cap)
+    calls = counting_products(monkeypatch)
+    counts = set()
+    for cap in (1, 50, 1000, 20000, None):
+        calls.update(mul=0, pow=0)
+        report = verify_testword(w, targets, 2, max_assignments=cap)
+        assert report.explored == (report.total if cap is None else cap)
+        counts.add((calls["mul"], calls["pow"]))
+    assert report.exhausted and len(report.violations) == found
+    assert len(counts) == 1
+
+
+def test_walk_spells_no_more_of_u_than_it_can_use(monkeypatch):
+    # U opens with the one syllable a^100000; a partial product holds at
+    # most |W| * bound letters, and y one more bound past it
+    w = base_test_word(ONES)
+    targets = [p("a^100000"), p("b"), p("c")]
+    u = base_value(w, targets)
+    drawn = 0
+    letters = Word.letters
+
+    def counting_letters(self):
+        nonlocal drawn
+        spelling_u = self == u
+        for letter in letters(self):
+            drawn += spelling_u
+            yield letter
+
+    monkeypatch.setattr(Word, "letters", counting_letters)
+    report = verify_testword(w, targets, 1)
+    monkeypatch.undo()
+    assert 0 < drawn <= len(w) * 1 + 1
+    violations, explored, total, exhausted = product_walk(w, targets, 1)
     assert [v.assignment for v in report.violations] == violations
-    assert (report.explored, report.total, report.exhausted) == (explored, total, exhausted)
+    assert (report.explored, report.total, report.exhausted) == (explored, total, exhausted) == (7**4, 7**4, True)
 
 
-def test_walk_past_the_reuse_budget_builds_what_the_rebuilding_walk_did(monkeypatch):
-    monkeypatch.setattr(testwords, "REUSE_LETTERS", 0)
-    calls = counting_products(monkeypatch)
+def test_walk_letters_past_the_budget_are_refused_before_enumeration(monkeypatch):
+    # at rank 2 and bound 2, 17 candidates of at most 2 letters, and one
+    # product of at most 7 * 2 letters for each of the 4 variables: 90
+    w = base_test_word(ONES)
     targets = [parse_word(t, Alphabet(2)) for t in ("a", "b", "aB")]
-    report = verify_testword(base_test_word(ONES), targets, 2)
-    assert report.exhausted and len(report.violations) == 36
-    assert calls["mul"] == 13094
-
-
-# (cap, products, powers) of the walk that rebuilt each lead run and each
-# power for every extension, all-2 word over `a;b;c` at bound 2
-@pytest.mark.parametrize("cap,products,powers", [
-    (1, 220, 120),
-    (50, 240, 130),
-    (1000, 668, 344),
-    (20000, 8438, 4229),
-])
-def test_capped_walk_builds_no_more_than_it_reaches(monkeypatch, cap, products, powers):
-    # the lead runs and the power table fill on first use, so a capped walk
-    # builds no more than one that rebuilt them at every step
-    w = TestWordSpec(3, (TWOS,)).build()
-    calls = counting_products(monkeypatch)
-    report = verify_testword(w, ABC, 2, max_assignments=cap)
-    assert report.explored == cap
-    assert calls["mul"] <= products and calls["pow"] <= powers
+    monkeypatch.setattr(testwords, "LETTER_BUDGET", 90)
+    assert verify_testword(w, targets, 2, max_assignments=1).explored == 1
+    monkeypatch.setattr(testwords, "LETTER_BUDGET", 89)
+    monkeypatch.setattr(testwords, "enumerate_reduced", None)  # never reached
+    with pytest.raises(BudgetExceeded, match="^a walk holding up to 90 letters exceeds the budget of 89 letters$"):
+        verify_testword(w, targets, 2, max_assignments=1)
 
 
 def test_enumerated_walk_pins_the_all_two_report():
