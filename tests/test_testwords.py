@@ -388,6 +388,77 @@ def test_walk_builds_no_word_per_assignment(monkeypatch, tuples, rank, targets, 
     assert len(counts) == 1
 
 
+def test_walk_extends_each_prefix_once_and_drops_far_products(monkeypatch):
+    # the benchmark's test-word case; 33,152 products when each assignment
+    # evaluated W's prefix from the start and was pruned on lengths only,
+    # 8,470 when each lead product was built once per prefix; the letter
+    # walk extends P without Word products, so only U and the canonical
+    # solutions are built
+    calls = counting_products(monkeypatch)
+    targets = [parse_word(t, Alphabet(2)) for t in ("a", "b", "aB")]
+    report = verify_testword(base_test_word(ONES), targets, 2)
+    assert report.exhausted and len(report.violations) == 36
+    assert (calls["mul"], calls["pow"]) == (52, 41)
+
+
+def letters_held(w, rank, bound):
+    # the candidates' letters and one partial product per variable
+    return bound * (count_reduced(rank, bound) + variable_count(word_level(w)) * len(w))
+
+
+# the walk keeps no power and no lead run, and spells each power again at
+# each extension, so it is the rebuilding walk at any letter budget; these
+# cases run it at the least budget that admits them
+@pytest.mark.parametrize("tuples,rank,targets,bound,cap", [
+    ((ONES,), 2, "a;b;aB", 1, None),
+    ((TWOS,), 2, "a;a;b", 1, 100),
+    ((ONES, ONES), 2, "a;a;b;b", 1, 900),
+])
+def test_walk_past_the_reuse_budget_rebuilds_and_matches(monkeypatch, tuples, rank, targets, bound, cap):
+    w = TestWordSpec(len(tuples) + 2, tuples).build()
+    targets = [parse_word(t, Alphabet(rank)) for t in targets.split(";")]
+    monkeypatch.setattr(testwords, "LETTER_BUDGET", letters_held(w, rank, bound))
+    report = verify_testword(w, targets, bound, max_assignments=cap)
+    violations, explored, total, exhausted = product_walk(w, targets, bound, cap)
+    assert [v.assignment for v in report.violations] == violations
+    assert (report.explored, report.total, report.exhausted) == (explored, total, exhausted)
+
+
+def test_walk_past_the_reuse_budget_builds_what_the_rebuilding_walk_did(monkeypatch):
+    # the walk that rebuilt each lead run and each power built 13,094
+    # products here; at the least letter budget the walk builds what it
+    # builds at the default one
+    calls = counting_products(monkeypatch)
+    w = base_test_word(ONES)
+    targets = [parse_word(t, Alphabet(2)) for t in ("a", "b", "aB")]
+    counts = []
+    for budget in (letters_held(w, 2, 2), testwords.LETTER_BUDGET):
+        monkeypatch.setattr(testwords, "LETTER_BUDGET", budget)
+        calls.update(mul=0, pow=0)
+        report = verify_testword(w, targets, 2)
+        assert report.exhausted and len(report.violations) == 36
+        counts.append((calls["mul"], calls["pow"]))
+    assert counts[0] == counts[1] and counts[0][0] <= 13094
+
+
+# (cap, products, powers) of the walk that rebuilt each lead run and each
+# power for every extension, all-2 word over `a;b;c` at bound 2
+@pytest.mark.parametrize("cap,products,powers", [
+    (1, 220, 120),
+    (50, 240, 130),
+    (1000, 668, 344),
+    (20000, 8438, 4229),
+])
+def test_capped_walk_builds_no_more_than_it_reaches(monkeypatch, cap, products, powers):
+    # the letter walk spells its powers, so a capped walk builds no more
+    # than one that rebuilt them at every step
+    w = TestWordSpec(3, (TWOS,)).build()
+    calls = counting_products(monkeypatch)
+    report = verify_testword(w, ABC, 2, max_assignments=cap)
+    assert report.explored == cap
+    assert calls["mul"] <= products and calls["pow"] <= powers
+
+
 def test_walk_spells_no_more_of_u_than_it_can_use(monkeypatch):
     # U opens with the one syllable a^100000; a partial product holds at
     # most |W| * bound letters, and y one more bound past it
