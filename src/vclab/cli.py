@@ -455,142 +455,162 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
+# the subcommands, in the order the full parser lists them
+COMMANDS = (
+    "solve-eq", "verify-perfect", "build-testword", "verify-testword", "certificates",
+    "qm-defect", "qm-homogenize", "qm-invariance", "cayley-delta", "midpoint-check",
+    "concat-check", "divergence", "dihedral-counterexample", "snf", "abelianize",
+    "cyclic-retract", "verify-retraction",
+)
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand or, given one of ``COMMANDS``, of that
+    subcommand alone.  Both parse its arguments, print its help and word its
+    errors alike, and both name every subcommand in the top-level usage."""
     parser = _Parser(
         prog="vclab",
         description="Exact free-group workbench: equations, test words, "
         "quasimorphisms, geometry validators, finite suites.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # the usage of one subcommand's parser still names all 17, as the full
+    # parser's choices do; with a metavar the full parser's errors would
+    # call the missing subcommand by it instead of 'command'
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
-    # flag sets shared by several subcommands, copied in through ``parents``
-    report = argparse.ArgumentParser(add_help=False)
-    report.add_argument("--out", help="report file (default: stdout)")
+    # flag sets shared by several subcommands: each adds its flags, after
+    # those of the set it extends, to the parser it is given
+    def report(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--out", help="report file (default: stdout)")
 
-    words = argparse.ArgumentParser(add_help=False, parents=[report])
-    words.add_argument("--rank", type=int, help="alphabet rank (default: inferred)")
+    def words(p: argparse.ArgumentParser) -> None:
+        report(p)
+        p.add_argument("--rank", type=int, help="alphabet rank (default: inferred)")
 
-    equation = argparse.ArgumentParser(add_help=False, parents=[words])
-    equation.add_argument("--a", required=True)
-    equation.add_argument("--b", required=True)
-    equation.add_argument("--n", type=int, required=True)
-    equation.add_argument("--m", type=int, required=True)
-    equation.add_argument("--bound", type=_count, required=True)
-    equation.add_argument("--max-candidates", type=_count)
-    equation.add_argument("--jobs", type=_at_least(1), default=1, help="worker count")
+    def equation(p: argparse.ArgumentParser) -> None:
+        words(p)
+        p.add_argument("--a", required=True)
+        p.add_argument("--b", required=True)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--m", type=int, required=True)
+        p.add_argument("--bound", type=_count, required=True)
+        p.add_argument("--max-candidates", type=_count)
+        p.add_argument("--jobs", type=_at_least(1), default=1, help="worker count")
 
-    qm = argparse.ArgumentParser(add_help=False, parents=[words])
-    which = qm.add_mutually_exclusive_group(required=True)
-    which.add_argument("--pattern", help="counting quasimorphism of this word")
-    which.add_argument("--gen", type=int, help="exponent sum of this generator")
-    qm.add_argument("--word", required=True)
-    qm.add_argument("--defect", type=_rational, help="defect bound (rational, default 0; not with --gen on qm-homogenize)")
+    def qm(p: argparse.ArgumentParser) -> None:
+        words(p)
+        which = p.add_mutually_exclusive_group(required=True)
+        which.add_argument("--pattern", help="counting quasimorphism of this word")
+        which.add_argument("--gen", type=int, help="exponent sum of this generator")
+        p.add_argument("--word", required=True)
+        p.add_argument("--defect", type=_rational, help="defect bound (rational, default 0; not with --gen on qm-homogenize)")
 
-    ball = argparse.ArgumentParser(add_help=False, parents=[report])
-    ball.add_argument("--rank", type=int, default=2, help="alphabet rank")
-    ball.add_argument("--radius", type=int, default=5)
-    ball.add_argument("--samples", type=_count, default=1000)
-    ball.add_argument("--seed", type=int, default=0)
+    def ball(p: argparse.ArgumentParser) -> None:
+        report(p)
+        p.add_argument("--rank", type=int, default=2, help="alphabet rank")
+        p.add_argument("--radius", type=int, default=5)
+        p.add_argument("--samples", type=_count, default=1000)
+        p.add_argument("--seed", type=int, default=0)
 
-    presentation = argparse.ArgumentParser(add_help=False, parents=[report])
-    presentation.add_argument("--file", help="presentation file: 'gens: <n>' then one relator per line")
-    presentation.add_argument("--gens", type=int)
-    presentation.add_argument("--relators", help="semicolon-separated relator words")
+    def presentation(p: argparse.ArgumentParser) -> None:
+        report(p)
+        p.add_argument("--file", help="presentation file: 'gens: <n>' then one relator per line")
+        p.add_argument("--gens", type=int)
+        p.add_argument("--relators", help="semicolon-separated relator words")
 
-    p = sub.add_parser("solve-eq", parents=[equation], help="bounded solving of x^n y^m = a^n b^m")
-    p.set_defaults(func=_cmd_solve_eq)
+    def add(name: str, flags, text: str, func) -> Optional[argparse.ArgumentParser]:
+        """The parser of subcommand ``name``, with the flag set ``flags``,
+        which runs ``func``; None when another subcommand's parser is being
+        built."""
+        if command not in (None, name):
+            return None
+        p = sub.add_parser(name, help=text)
+        flags(p)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("verify-perfect", parents=[equation], help="bounded perfectness check")
-    p.add_argument("--ell", type=int, default=1, help="divisor hypothesis parameter")
-    p.add_argument("--threshold", type=int, default=0, help="size hypothesis parameter")
-    p.set_defaults(func=_cmd_verify_perfect)
+    add("solve-eq", equation, "bounded solving of x^n y^m = a^n b^m", _cmd_solve_eq)
 
-    p = sub.add_parser("build-testword", parents=[report], help="expand a test word from exponent tuples")
-    p.add_argument("--exponents", type=_exponent_rows, required=True, help="semicolon-separated rows of 10 integers")
-    p.set_defaults(func=_cmd_build_testword)
+    if p := add("verify-perfect", equation, "bounded perfectness check", _cmd_verify_perfect):
+        p.add_argument("--ell", type=int, default=1, help="divisor hypothesis parameter")
+        p.add_argument("--threshold", type=int, default=0, help="size hypothesis parameter")
 
-    p = sub.add_parser("verify-testword", parents=[words], help="bounded search for non-canonical solutions")
-    p.add_argument("--exponents", type=_exponent_rows, required=True)
-    p.add_argument("--targets", required=True, help="semicolon-separated target words")
-    p.add_argument("--bound", type=_count, required=True)
-    p.add_argument("--max-assignments", type=_count)
-    p.set_defaults(func=_cmd_verify_testword)
+    if p := add("build-testword", report, "expand a test word from exponent tuples", _cmd_build_testword):
+        p.add_argument("--exponents", type=_exponent_rows, required=True, help="semicolon-separated rows of 10 integers")
 
-    p = sub.add_parser("certificates", parents=[report], help="exponent-sum certificate matrices")
-    p.add_argument("--exponents", type=_exponent_rows, required=True)
-    p.add_argument("--modulus", type=int, required=True)
-    p.set_defaults(func=_cmd_certificates)
+    if p := add("verify-testword", words, "bounded search for non-canonical solutions", _cmd_verify_testword):
+        p.add_argument("--exponents", type=_exponent_rows, required=True)
+        p.add_argument("--targets", required=True, help="semicolon-separated target words")
+        p.add_argument("--bound", type=_count, required=True)
+        p.add_argument("--max-assignments", type=_count)
 
-    p = sub.add_parser("qm-defect", parents=[words], help="sampled defect of a counting quasimorphism")
-    p.add_argument("--pattern", required=True)
-    p.add_argument("--pairs", type=_count, default=10000)
-    p.add_argument("--max-len", type=_count, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_qm_defect)
+    if p := add("certificates", report, "exponent-sum certificate matrices", _cmd_certificates):
+        p.add_argument("--exponents", type=_exponent_rows, required=True)
+        p.add_argument("--modulus", type=int, required=True)
 
-    p = sub.add_parser("qm-homogenize", parents=[qm], help="truncated homogenization table")
-    p.add_argument("--truncations", type=_int_list, default="1,2,4,8,16,32,64")
-    p.set_defaults(func=_cmd_qm_homogenize, usage_error=p.error)
+    if p := add("qm-defect", words, "sampled defect of a counting quasimorphism", _cmd_qm_defect):
+        p.add_argument("--pattern", required=True)
+        p.add_argument("--pairs", type=_count, default=10000)
+        p.add_argument("--max-len", type=_count, default=10)
+        p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("qm-invariance", parents=[qm], help="conjugacy invariance residual")
-    p.add_argument("--conjugator", required=True)
-    p.add_argument("--truncation", type=int, default=64)
-    p.set_defaults(func=_cmd_qm_invariance)
+    if p := add("qm-homogenize", qm, "truncated homogenization table", _cmd_qm_homogenize):
+        p.add_argument("--truncations", type=_int_list, default="1,2,4,8,16,32,64")
+        p.set_defaults(usage_error=p.error)
 
-    p = sub.add_parser("cayley-delta", parents=[ball], help="thin-triangle estimate on a Cayley ball")
-    p.set_defaults(func=_cmd_cayley_delta)
+    if p := add("qm-invariance", qm, "conjugacy invariance residual", _cmd_qm_invariance):
+        p.add_argument("--conjugator", required=True)
+        p.add_argument("--truncation", type=int, default=64)
 
-    p = sub.add_parser("midpoint-check", parents=[ball], help="midpoint inequality on random triangles")
-    p.add_argument("--delta", type=_rational, default=Fraction(0))
-    p.set_defaults(func=_cmd_midpoint_check)
+    add("cayley-delta", ball, "thin-triangle estimate on a Cayley ball", _cmd_cayley_delta)
 
-    p = sub.add_parser("concat-check", parents=[words], help="quasi-geodesic concatenation hypotheses")
-    p.add_argument("--paths", required=True, help="segments as 'w1,w2;w2,w3' vertex lists")
-    p.add_argument("--alpha", type=_rational, required=True)
-    p.add_argument("--delta", type=_rational, default=Fraction(0))
-    p.add_argument("--kappa", type=_rational, default=Fraction(1))
-    p.set_defaults(func=_cmd_concat_check)
+    if p := add("midpoint-check", ball, "midpoint inequality on random triangles", _cmd_midpoint_check):
+        p.add_argument("--delta", type=_rational, default=Fraction(0))
 
-    p = sub.add_parser("divergence", parents=[words], help="table of |c^n d^m| lengths")
-    p.add_argument("--c", required=True)
-    p.add_argument("--d", required=True)
-    p.add_argument("--n-max", type=int, default=20)
-    p.add_argument("--m-max", type=int, default=20)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=_cmd_divergence)
+    if p := add("concat-check", words, "quasi-geodesic concatenation hypotheses", _cmd_concat_check):
+        p.add_argument("--paths", required=True, help="segments as 'w1,w2;w2,w3' vertex lists")
+        p.add_argument("--alpha", type=_rational, required=True)
+        p.add_argument("--delta", type=_rational, default=Fraction(0))
+        p.add_argument("--kappa", type=_rational, default=Fraction(1))
 
-    p = sub.add_parser(
+    if p := add("divergence", words, "table of |c^n d^m| lengths", _cmd_divergence):
+        p.add_argument("--c", required=True)
+        p.add_argument("--d", required=True)
+        p.add_argument("--n-max", type=int, default=20)
+        p.add_argument("--m-max", type=int, default=20)
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+
+    add(
         "dihedral-counterexample",
-        parents=[report],
-        help="verbal closedness without retraction: the dihedral central product suite",
+        report,
+        "verbal closedness without retraction: the dihedral central product suite",
+        _cmd_dihedral_counterexample,
     )
-    p.set_defaults(func=_cmd_dihedral_counterexample)
 
-    p = sub.add_parser("snf", parents=[report], help="Smith normal form with transforms")
-    p.add_argument("--matrix", type=_matrix, required=True, help="rows separated by ';', entries by spaces")
-    p.set_defaults(func=_cmd_snf)
+    if p := add("snf", report, "Smith normal form with transforms", _cmd_snf):
+        p.add_argument("--matrix", type=_matrix, required=True, help="rows separated by ';', entries by spaces")
 
-    p = sub.add_parser("abelianize", parents=[presentation], help="invariant factors and free rank")
-    p.set_defaults(func=_cmd_abelianize)
+    add("abelianize", presentation, "invariant factors and free rank", _cmd_abelianize)
 
-    p = sub.add_parser("cyclic-retract", parents=[presentation], help="primitive-image retraction criterion")
-    p.add_argument("--element", required=True)
-    p.set_defaults(func=_cmd_cyclic_retract)
+    if p := add("cyclic-retract", presentation, "primitive-image retraction criterion", _cmd_cyclic_retract):
+        p.add_argument("--element", required=True)
 
-    p = sub.add_parser("verify-retraction", parents=[presentation], help="check relator kill and subgroup fixation")
-    p.add_argument("--subgroup", required=True, help="semicolon-separated subgroup words")
-    p.add_argument("--images", required=True, help="semicolon-separated generator images")
-    p.set_defaults(func=_cmd_verify_retraction)
+    if p := add("verify-retraction", presentation, "check relator kill and subgroup fixation", _cmd_verify_retraction):
+        p.add_argument("--subgroup", required=True, help="semicolon-separated subgroup words")
+        p.add_argument("--images", required=True, help="semicolon-separated generator images")
 
     return parser
 
 
-# one parser per process: building all 17 subcommands takes milliseconds
+# one parser per process and name, None for all 17: building them all takes milliseconds
 _parser = functools.cache(build_parser)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # --help, a missing or an unknown subcommand need the full parser
+    args = _parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
         # every check runs here, before the report's first byte is written,
         # and the report file is opened only once they have all passed

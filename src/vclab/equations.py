@@ -15,7 +15,7 @@ import enum
 import functools
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .words import Alphabet, BudgetExceeded, Syllable, Word, WordError, enumerate_reduced, format_word, reduced_count_exceeds
 from .oracles import is_conjugate, root
@@ -48,8 +48,7 @@ class EquationInstance:
         return self.a.alphabet
 
 
-@dataclass(frozen=True)
-class SolutionPair:
+class SolutionPair(NamedTuple):
     x: Word
     y: Word
 
@@ -63,8 +62,7 @@ class Tag(enum.Enum):
     UNCLASSIFIED = "UNCLASSIFIED"
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     tag: Tag
     witness: dict
 
@@ -282,8 +280,7 @@ def solutions_json_dict(
     }
 
 
-@dataclass(frozen=True)
-class PerfectnessReport:
+class PerfectnessReport(NamedTuple):
     instance: EquationInstance
     bound: int
     solutions: list[tuple[SolutionPair, Classification]]

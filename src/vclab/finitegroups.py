@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .words import Alphabet, BudgetExceeded, Word, WordError, enumerate_reduced
 
@@ -127,8 +127,7 @@ def dihedral4() -> FiniteGroup:
     )
 
 
-@dataclass(frozen=True)
-class CentralProduct:
+class CentralProduct(NamedTuple):
     group: FiniteGroup
     embed_left: tuple[int, ...]
     embed_right: tuple[int, ...]
@@ -243,8 +242,7 @@ def is_retract(g: FiniteGroup, subgroup_gens: Sequence[int]) -> Optional[tuple[i
 # -- verbal closedness --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WordEquationReport:
+class WordEquationReport(NamedTuple):
     word: Word
     rhs: int
     solvable_in_group: bool
@@ -327,8 +325,7 @@ def default_corpus(num_vars: int = 2, max_len: int = 4) -> list[Word]:
 # -- the dihedral counterexample suite ------------------------------------------
 
 
-@dataclass(frozen=True)
-class DihedralSuiteReport:
+class DihedralSuiteReport(NamedTuple):
     orders: dict
     corpus_size: int
     targets_checked: int

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import chain, islice, repeat
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .words import Alphabet, BudgetExceeded, Syllable, Word, WordError, _new_tuple, count_reduced, format_word, free_word_metric, reduced_count_exceeds
 from .oracles import is_commensurable
@@ -178,8 +178,7 @@ def _climb(w: Word, whole: int, part: int) -> list[Word]:
     return path
 
 
-@dataclass(frozen=True)
-class DeltaReport:
+class DeltaReport(NamedTuple):
     lower_bound: Fraction
     witness_triangle: Optional[tuple[Word, Word, Word]]
     samples: int
@@ -272,8 +271,7 @@ def check_midpoint_inequality(
     return Fraction(sp.dist(mid_a, mid_b)) <= Fraction(sp.dist(a, b)) + 2 * delta
 
 
-@dataclass(frozen=True)
-class ConcatenationReport:
+class ConcatenationReport(NamedTuple):
     hypotheses_ok: bool
     product_hypothesis_ok: bool
     length_hypothesis_ok: bool

@@ -12,7 +12,7 @@ of lists.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .words import Alphabet, Word, WordError, format_word, parse_word, substitute
 
@@ -21,6 +21,8 @@ Matrix = list[list[int]]
 
 @dataclass(frozen=True)
 class Presentation:
+    """Generators x_0, ..., x_{num_gens-1} and relator words over them."""
+
     num_gens: int
     relators: tuple[Word, ...]
 
@@ -90,8 +92,7 @@ def determinant(m: Matrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-@dataclass(frozen=True)
-class SNFResult:
+class SNFResult(NamedTuple):
     """U M V = D with U, V unimodular and D diagonal, d1 | d2 | ..."""
 
     d: Matrix
@@ -192,8 +193,7 @@ def smith_normal_form(m: Matrix, cols: Optional[int] = None) -> SNFResult:
     return SNFResult(d, u, v)
 
 
-@dataclass(frozen=True)
-class AbelianizationData:
+class AbelianizationData(NamedTuple):
     invariant_factors: tuple[int, ...]  # entries > 1, divisibility chain
     free_rank: int
 
@@ -238,8 +238,7 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-@dataclass(frozen=True)
-class CyclicRetractResult:
+class CyclicRetractResult(NamedTuple):
     primitive: bool
     gcd: int
     free_image: tuple[int, ...]
@@ -323,8 +322,7 @@ def verify_retraction(pres: Presentation, subgroup_words: Sequence[Word], images
     return True
 
 
-@dataclass(frozen=True)
-class RetractionResult:
+class RetractionResult(NamedTuple):
     images: tuple[Word, ...]
     verified: bool
 

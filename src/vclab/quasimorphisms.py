@@ -9,20 +9,29 @@ between f and g, never from a recount of fg.  Homogenization is by
 truncation q(g^M)/M with the standard subadditivity error D/M, and
 conjugacy invariance is measured by the truncated residual against its
 bound; q(g^M) is exact and affine in M past a threshold, so any
-truncation costs O(|g| + |pattern|).
+truncation costs O(|g| + |pattern|).  A value q(w) spells w out and
+compares |w| * |pattern| letters, so both carry a budget, checked before
+any letter is spelled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
-from .words import Word, WordError
+from .words import BudgetExceeded, Word, WordError
+
+# letters of a pattern, spelled out with its inverse once per quasimorphism
+PATTERN_BUDGET = 10**6
+# |w| * |pattern| for one value q(w): the letters its windows compare
+COUNT_BUDGET = 10**7
 
 
 @dataclass(frozen=True)
 class QuasiMorphism:
+    """Signed occurrences of ``pattern`` in reduced words; see ``counting_qm``."""
+
     pattern: Word
     # signed letters of the pattern and of its inverse
     probes: tuple = field(init=False, compare=False, repr=False)
@@ -32,6 +41,11 @@ class QuasiMorphism:
         object.__setattr__(self, "probes", (letters, tuple(-l for l in reversed(letters))))
 
     def __call__(self, w: Word) -> Fraction:
+        if len(w) * len(self.pattern) > COUNT_BUDGET:
+            raise BudgetExceeded(
+                f"counting a pattern of {len(self.pattern)} letters in a word of {len(w)} letters "
+                f"exceeds the budget of {COUNT_BUDGET} letter comparisons"
+            )
         return Fraction(self._signed_count(tuple(w.letters())))
 
     def _signed_count(self, text: tuple[int, ...]) -> int:
@@ -121,11 +135,12 @@ def counting_qm(pattern: Word) -> QuasiMorphism:
         raise WordError("pattern must be nonidentity")
     if not pattern.is_cyclically_reduced():
         raise WordError("pattern must be cyclically reduced")
+    if len(pattern) > PATTERN_BUDGET:
+        raise BudgetExceeded(f"pattern of {len(pattern)} letters exceeds the budget of {PATTERN_BUDGET} letters")
     return QuasiMorphism(pattern)
 
 
-@dataclass(frozen=True)
-class DefectEstimate:
+class DefectEstimate(NamedTuple):
     lower_bound: Fraction
     sample_count: int
 
@@ -175,8 +190,7 @@ def _power_value(q: QuasiMorphism, g: Word, m: int) -> Fraction:
     return base + (m - m0) * (q(g ** (m0 + 1)) - base)
 
 
-@dataclass(frozen=True)
-class HomogenizationResult:
+class HomogenizationResult(NamedTuple):
     value: Fraction
     truncation: int
     error_bound: Fraction
@@ -201,8 +215,7 @@ def homogenize(q: QuasiMorphism, g: Word, truncation: int, defect: Fraction) -> 
     return HomogenizationResult(value, truncation, Fraction(defect) / truncation)
 
 
-@dataclass(frozen=True)
-class InvarianceCheck:
+class InvarianceCheck(NamedTuple):
     residual: Fraction
     bound: Fraction
 

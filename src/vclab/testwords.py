@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, astuple, dataclass
 from itertools import islice
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .words import Alphabet, BudgetExceeded, Word, WordError, count_reduced, enumerate_reduced, format_word, reduced_count_exceeds, substitute
 from .oracles import is_special_tuple
@@ -228,16 +228,14 @@ CANDIDATE_CAP = 200_000
 LETTER_BUDGET = 2 * 10**6
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     assignment: dict
 
     def to_json_dict(self) -> dict:
         return {name: format_word(word) for name, word in sorted(self.assignment.items())}
 
 
-@dataclass(frozen=True)
-class TestWordReport:
+class TestWordReport(NamedTuple):
     __test__ = False  # not a pytest class, despite the name
 
     violations: list[Violation]
@@ -489,8 +487,7 @@ def verify_testword(
 # -- exponent-sum certificates ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CertificateResult:
+class CertificateResult(NamedTuple):
     """Two integer 2x2 matrices whose nonzero determinants pin down the
     conjugation exponents in the uniqueness argument for the level-3 word.
 

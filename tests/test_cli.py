@@ -442,13 +442,64 @@ def test_parser_is_built_once_and_reused_after_a_usage_error(capsys):
     bad = ["divergence", "--c", "ab", "--n-max", "x"]
     good = ["divergence", "--c", "ab", "--d", "aB", "--n-max", "3", "--m-max", "2"]
     fresh_bad, fresh_good = _fresh_process(*bad), _fresh_process(*good)
+    cli._parser.cache_clear()
     with pytest.raises(SystemExit) as info:
         main(bad)
     assert (info.value.code, capsys.readouterr().err) == (fresh_bad.returncode, fresh_bad.stderr)
     assert "argument --n-max: invalid int value: 'x'" in fresh_bad.stderr
-    assert cli._parser() is cli._parser()
+    # the failed run built and cached the parser of divergence alone, and
+    # the next run takes it from the cache: (hits, misses) of the cache
+    assert cli._parser.cache_info()[:2] == (0, 1)
+    assert list(subcommands(cli._parser("divergence"))) == ["divergence"]
+    assert cli._parser.cache_info()[:2] == (1, 1)
     assert run(capsys, *good) == (fresh_good.returncode, fresh_good.stdout) == (0, fresh_good.stdout)
+    assert cli._parser.cache_info()[:2] == (2, 1)
     assert json.loads(fresh_good.stdout)["rows"][-1] == [3, 2, 10]
+
+
+def test_command_names_are_the_full_parsers_in_order():
+    assert tuple(subcommands(build_parser())) == cli.COMMANDS
+    assert len(cli.COMMANDS) == 17 and {argv[0] for _, _, argv in CASES} == set(cli.COMMANDS)
+
+
+def parse_outcome(capsys, parser: argparse.ArgumentParser, argv: list[str]):
+    """The parsed arguments, or the exit code and stderr of a usage error."""
+    try:
+        args = vars(parser.parse_args(argv))
+    except SystemExit as stop:
+        return stop.code, capsys.readouterr().err
+    # qm-homogenize keeps its parser's error method: compare what it prints
+    if "usage_error" in args:
+        args["usage_error"] = args["usage_error"].__self__.format_usage()
+    return args
+
+
+@pytest.mark.parametrize("name,argv", [(argv[0], argv) for _, _, argv in CASES], ids=[name for name, _, _ in CASES])
+def test_one_subcommands_parser_acts_as_the_full_parser(capsys, name, argv):
+    full, one = build_parser(), build_parser(name)
+    assert list(subcommands(one)) == [name]
+    assert subcommands(one)[name].format_help() == subcommands(full)[name].format_help()
+    assert one.format_usage() == full.format_usage()
+    # the golden run, the bare subcommand, a flag no subcommand has, and the
+    # golden run with each of its flags left out
+    flags = argv[1::2]
+    cases = [argv, [name], [*argv, "--nosuch", "1"]]
+    cases += [argv[:i] + argv[i + 2:] for i in range(1, len(argv), 2)]
+    outcomes = [parse_outcome(capsys, full, case) for case in cases]
+    assert [parse_outcome(capsys, one, case) for case in cases] == outcomes
+    assert isinstance(outcomes[0], dict) and outcomes[2][0] == 1
+    for flag, outcome in zip(flags, outcomes[3:]):
+        if any(a.required for a in subcommands(full)[name]._actions if flag in a.option_strings):
+            assert outcome[0] == 1 and f"the following arguments are required: {flag}" in outcome[1]
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), ([], 1), (["nosuch"], 1)], ids=["--help", "bare", "nosuch"])
+def test_full_parser_lists_every_subcommand(capsys, argv, code):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    captured = capsys.readouterr()
+    assert info.value.code == code
+    assert "{" + ",".join(cli.COMMANDS) + "}" in (captured.out if code == 0 else captured.err)
 
 
 def test_compound_power_past_the_budget_is_an_error(capsys):
@@ -476,6 +527,34 @@ def test_testword_letters_past_the_budget_are_an_error(capsys, exponents, target
     err = capsys.readouterr().err
     assert err.startswith(f"error: a walk holding up to {held} letters exceeds the budget of 2000000 letters")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["qm-defect", "--pattern", "a^100000000b", "--pairs", "10", "--seed", "1"],
+     "error: pattern of 100000001 letters exceeds the budget of 1000000 letters"),
+    (["qm-invariance", "--pattern", "ab", "--word", "a^100000000", "--conjugator", "b", "--truncation", "5"],
+     "error: counting a pattern of 2 letters in a word of 300000000 letters exceeds the budget of 10000000 letter comparisons"),
+    (["qm-invariance", "--pattern", "ab", "--word", "a^10000000", "--conjugator", "b", "--truncation", "5"],
+     "error: counting a pattern of 2 letters in a word of 30000000 letters exceeds the budget of 10000000 letter comparisons"),
+], ids=["qm-defect pattern", "qm-invariance 10^8", "qm-invariance 10^7"])
+def test_qm_letters_past_the_budget_are_an_error(capsys, argv, message):
+    # both spelled every letter they counted: a MemoryError after 10 s, or
+    # exit 2 after 30 s
+    start = time.perf_counter()
+    assert main(argv) == 1
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(message)
+    assert "Traceback" not in captured.err
+
+
+def test_qm_invariance_at_the_count_budget_finishes(capsys):
+    # the longest word counted, b^-1 a^4999996 b, has 4,999,998 letters:
+    # 9,999,996 comparisons for the 2-letter pattern, inside the budget
+    argv = ["qm-invariance", "--pattern", "ab", "--word", "a^1249999", "--conjugator", "b", "--truncation", "5"]
+    code, out = run(capsys, *argv, "--defect", "1")
+    assert code == 0
+    assert json.loads(out)["invariance"] == {"residual": "1/5", "bound": "2/5", "within_bound": True}
 
 
 def test_testword_candidates_past_the_cap_are_an_error(capsys):
@@ -599,13 +678,16 @@ def test_concat_check_rejects_kappa_below_one(capsys):
     assert "need kappa >= 1" in capsys.readouterr().err
 
 
+def subcommands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    """The subcommands' parsers, by name."""
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def declared_flags(command: str) -> list[str]:
     """The flags a subcommand accepts, except --out and --help."""
-    parser = build_parser()
-    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
     return [
         action.option_strings[0]
-        for action in commands[command]._actions
+        for action in subcommands(build_parser())[command]._actions
         if action.option_strings and action.dest not in ("help", "out")
     ]
 

@@ -85,6 +85,43 @@ def test_no_assert_statements(path):
     assert assert_statements(path.read_text()) == []
 
 
+def plain_dataclasses(source: str) -> list[str]:
+    """``@dataclass`` classes that define neither ``__post_init__`` nor a
+    ``cached_property``.  Such a class neither checks nor derives a field,
+    and a ``NamedTuple`` holds the same record for a seventh of the import
+    time: ``dataclass`` compiles six methods per class with ``exec``."""
+    plain = []
+    for cls in (node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef)):
+        decorators = {ast.unparse(d.func if isinstance(d, ast.Call) else d) for d in cls.decorator_list}
+        if not decorators & {"dataclass", "dataclasses.dataclass"}:
+            continue
+        members = [node for node in cls.body if isinstance(node, ast.FunctionDef)]
+        derives = any(
+            node.name == "__post_init__" or any("cached_property" in ast.unparse(d) for d in node.decorator_list)
+            for node in members
+        )
+        if not derives:
+            plain.append(cls.name)
+    return plain
+
+
+def test_dataclass_scan_finds_plain_records():
+    source = (
+        "from dataclasses import dataclass\nimport dataclasses\nfrom functools import cached_property\n\n"
+        "@dataclass(frozen=True)\nclass Plain:\n    x: int\n\n    def double(self):\n        return 2 * self.x\n\n"
+        "@dataclasses.dataclass\nclass Bare:\n    x: int\n\n"
+        "@dataclass(frozen=True)\nclass Checked:\n    x: int\n\n    def __post_init__(self):\n        pass\n\n"
+        "@dataclass(frozen=True)\nclass Derived:\n    x: int\n\n    @cached_property\n    def y(self):\n        return self.x\n\n"
+        "class NotData:\n    pass\n"
+    )
+    assert plain_dataclasses(source) == ["Plain", "Bare"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_dataclass_checks_or_derives_a_field(path):
+    assert plain_dataclasses(path.read_text()) == []
+
+
 def loaded_names(nodes: Iterable[ast.AST]) -> set[str]:
     """Names read as a name expression or as an attribute."""
     out = set()

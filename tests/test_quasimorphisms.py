@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vclab.words import Alphabet, Word, WordError, parse_word
+from vclab import quasimorphisms
+from vclab.words import Alphabet, BudgetExceeded, Word, WordError, parse_word
 from vclab.quasimorphisms import (
     conjugacy_invariance_check,
     counting_qm,
@@ -304,3 +305,28 @@ def test_huge_truncation_is_exact():
     assert homogenize(q, p("a^2b"), 10**12, Fraction(0)).value == 1
     check = conjugacy_invariance_check(q, p("ab"), p("aB"), 10**9, Fraction(3))
     assert check.within_bound
+
+
+# -- budgets ----------------------------------------------------------------------
+
+
+def test_pattern_budget_admits_its_edge_and_refuses_past_it():
+    edge = quasimorphisms.PATTERN_BUDGET
+    assert counting_qm(p(f"a^{edge - 1}b")).gap(p("ab"), p("ab")) == 0
+    with pytest.raises(BudgetExceeded, match=f"pattern of {edge + 1} letters exceeds the budget of {edge} letters"):
+        counting_qm(p(f"a^{edge}b"))
+
+
+def test_count_budget_is_checked_before_the_word_is_spelled(monkeypatch):
+    monkeypatch.setattr(quasimorphisms, "COUNT_BUDGET", 12)
+    q = counting_qm(p("ab"))
+    # |w| * |pattern| = 12: admitted, and exact
+    assert q(p("ababab")) == 3
+    assert q(p("BAbaBA")) == -2
+    with pytest.raises(BudgetExceeded, match="counting a pattern of 2 letters in a word of 7 letters exceeds the budget of 12"):
+        q(p("abababa"))
+    # a refused word is never spelled: 10^12 letters fail at once
+    with pytest.raises(BudgetExceeded):
+        q(p("a^1000000000000"))
+    # gap never counts a whole word, so the budget leaves it alone
+    assert q.gap(p("a^1000000000000"), p("b")) == 1
