@@ -1,12 +1,17 @@
 """The equation family x^n y^m = a^n b^m in free groups.
 
 The conjugation orbit of the base solution, exhaustive bounded solving
-with an abelianization prune and a root-based solve for y, classification
+with two prunes and a root-based solve for y, classification
 of each solution into a structural family (the orbit, Bezout powers of
 the right-hand side, swapped conjugates, a shared maximal cyclic
 subgroup), and bounded perfectness verification.  A report
 can only refute perfectness or fail to refute it at a bound; no finite
 run certifies the unbounded statement.
+
+The prunes map the equation to a group where y^m vanishes: the
+abelianization modulo m, and then a class-2 nilpotent quotient of exponent
+dividing m, where x must meet one more congruence per pair of generators
+(the proof is in ``_class2_survivors``).  Every solution passes both.
 """
 
 from __future__ import annotations
@@ -21,7 +26,8 @@ from .words import Alphabet, BudgetExceeded, Syllable, Word, WordError, enumerat
 from .oracles import is_conjugate, root
 
 # reduced x a search may enumerate, whatever max_candidates asks: bound 14
-# at rank 2 (9,565,937 words), about a minute at 6 us per candidate
+# at rank 2 (9,565,937 words), about 40 s at 4 us per candidate (bound 12,
+# 1,062,881 words, took 4.2 s in process on a 2-core host)
 CANDIDATE_CAP = 10**7
 
 
@@ -115,7 +121,13 @@ def brute_force_solutions(
     ``enumerate_reduced``; x is dropped unless the abelianized equation
     n*sigma(x) + m*sigma(y) = sigma(g) has an integer solution sigma(y),
     sigma being the vector of exponent sums: every solution passes this
-    test.  Before ``root`` is taken, x is also dropped when the length of
+    test.  A survivor is then mapped to a class-2 nilpotent group Q of
+    exponent dividing m, where y^m vanishes too, so phi(x)^n = phi(g) in Q;
+    for every pair i < j of generators that is one more congruence,
+    n*c_ij(x) + C(n, 2)*sigma_i(x)*sigma_j(x) = c_ij(g) modulo m' (m' = m
+    for odd m, m/2 for even m), where c_ij(w) sums e times the exponent sum
+    of x_j before each syllable x_i^e of w; ``_class2_survivors`` proves it.
+    Before ``root`` is taken, x is also dropped when the length of
     x^{-n} g rules out an m-th root of length <= bound.
 
     The search is split into one shard per first letter; the parent
@@ -155,7 +167,8 @@ def _solve_shard(a: Word, b: Word, n: int, m: int, bound: int, first: Syllable) 
     """The solutions whose x starts with the letter ``first``."""
     g = a ** n * b ** m
     xs = enumerate_reduced(g.alphabet, bound, first)
-    return _solve_candidates(_abelian_survivors(xs, g, n, m, bound), n, m, g, bound)
+    survivors = _class2_survivors(_abelian_survivors(xs, g, n, m, bound), g, n, m)
+    return _solve_candidates(survivors, n, m, g, bound)
 
 
 def _abelian_survivors(xs: Iterable[Word], g: Word, n: int, m: int, bound: int) -> Iterator[Word]:
@@ -178,6 +191,63 @@ def _abelian_survivors(xs: Iterable[Word], g: Word, n: int, m: int, bound: int) 
             ok = passes[key] = all((target[i] - n * x.exponent_sum(i)) % m == 0 for i in range(rank))
         if ok:
             yield x
+
+
+def _class2_survivors(xs: Iterable[Word], g: Word, n: int, m: int) -> Iterable[Word]:
+    """The x in ``xs`` whose image in a class-2 quotient of exponent m
+    passes the equation's test, in order; every x when that test is empty.
+
+    Let m' = m for odd m and m' = m/2 for even m, r the rank, and
+    Q = Z_m^r x Z_m'^(r(r-1)/2) with
+
+        (s, c)(s', c') = (s + s', c + c' + beta(s, s')),
+        beta(s, s')_ij = s_j * s'_i  for i < j.
+
+    beta is bilinear (and well defined, as m' divides m), so the product
+    is associative, with identity (0, 0) and (s, c)^-1 = (-s, -c + beta(s, s)).
+    By induction (s, c)^k = (k s, k c + C(k, 2) beta(s, s)) for every
+    integer k.  m' divides m and C(m, 2) = m (m - 1) / 2, so every element
+    has order dividing m.  Since beta(e_i, e_i) = 0, x_i -> (e_i, 0)
+    extends to a homomorphism phi: F_r -> Q with phi(x_i^e) = (e e_i, 0),
+    and phi(w) = (sigma(w), c(w)), where c_ij(w) is the sum, over the
+    syllables x_i^e of w, of e times the exponent sum of x_j before that
+    syllable.  A solution has phi(y)^m = 1, so phi(x)^n = phi(g):
+
+        n sigma(x) = sigma(g)  (mod m),
+        n c_ij(x) + C(n, 2) sigma_i(x) sigma_j(x) = c_ij(g)  (mod m'), i < j.
+
+    The first line is ``_abelian_survivors``'s test; this stage checks the
+    second, one pass over the syllables of x per pair i < j, and stops at
+    the first pair that fails.  With m' = 1 (m <= 2) or rank 1 it says
+    nothing, and every x passes.
+    """
+    rank = g.alphabet.rank
+    half = m if m % 2 else m // 2
+    if rank == 1 or half == 1:
+        return xs
+    choose = n * (n - 1) // 2
+
+    def sums(w: Word, i: int, j: int) -> tuple[int, int, int]:
+        """sigma_i(w), sigma_j(w) and c_ij(w)."""
+        si = sj = c = 0
+        for gen, exp in w.syllables:
+            if gen == j:
+                sj += exp
+            elif gen == i:
+                c += exp * sj
+                si += exp
+        return si, sj, c
+
+    targets = [(i, j, sums(g, i, j)[2]) for i in range(rank) for j in range(i + 1, rank)]
+
+    def passes(x: Word) -> bool:
+        for i, j, target in targets:
+            si, sj, c = sums(x, i, j)
+            if (n * c + choose * si * sj - target) % half:
+                return False
+        return True
+
+    return filter(passes, xs)
 
 
 def _solve_candidates(xs: Iterable[Word], n: int, m: int, g: Word, bound: int) -> list[SolutionPair]:

@@ -59,7 +59,7 @@ def is_conjugate(u: Word, v: Word) -> Optional[ConjugacyWitness]:
     return None
 
 
-def _prefix_function(seq: Sequence[int]) -> list[int]:
+def _prefix_function(seq: Sequence) -> list[int]:
     """prefix[i]: length of the longest proper border of seq[:i + 1]
     (Knuth-Morris-Pratt), in linear time."""
     prefix = [0] * len(seq)
@@ -76,27 +76,47 @@ def _prefix_function(seq: Sequence[int]) -> list[int]:
 def root(w: Word) -> RootData:
     """Write w = r^e with e maximal; r is then not a proper power.
 
-    The root of the cyclic core is its shortest period that divides its
-    length, read off the KMP prefix function in linear time.
+    The cyclic core is r0^e exactly when rotating it by |core|/e letters
+    gives it back, so e is the number of rotations that fix the cyclic
+    word, and it is read off the syllables, never the letters.  A core of
+    one syllable x^k has e = |k|.  Otherwise, when the first and last
+    syllables share a generator they share a sign (the core is cyclically
+    reduced), so they merge into one; the merged sequence spells the
+    cyclic word from a syllable boundary, with no two cyclic neighbours on
+    one generator.  A rotation that fixes the cyclic word maps syllables
+    to syllables, so the rotations that fix it are those of the merged
+    sequence: its shortest period p, from the KMP prefix function, when p
+    divides its length L, and e = L/p; otherwise e = 1.  Linear in the
+    syllables.
     """
     if w.is_identity():
         raise WordError("identity has no well-defined root")
     core, conj = w.cyclic_reduce()
-    letters = list(core.letters())
-    n = len(letters)
-    period = n - _prefix_function(letters)[-1]
-    if n % period or period == n:
+    syllables = core.syllables
+    if len(syllables) == 1:
+        exponent = abs(syllables[0].exp)
+    else:
+        cyclic = list(syllables)
+        first, last = cyclic[0], cyclic[-1]
+        if first.gen == last.gen:
+            cyclic[0] = Syllable(first.gen, first.exp + last.exp)
+            cyclic.pop()
+        size = len(cyclic)
+        period = size - _prefix_function(cyclic)[-1]
+        exponent = 1 if size % period else size // period
+    if exponent == 1:
         return RootData(w, 1)
-    # the first `period` letters of a reduced word: cut the syllables there
+    # the first |core|/e letters of a reduced word: cut the syllables there
+    period = len(core) // exponent
     piece, left = [], period
-    for gen, exp in core.syllables:
+    for gen, exp in syllables:
         if left <= abs(exp):
             piece.append(Syllable(gen, left if exp > 0 else -left))
             break
         piece.append(Syllable(gen, exp))
         left -= abs(exp)
     r = Word._reduced(w.alphabet, tuple(piece), period)
-    return RootData(conj * r * conj.inverse(), n // period)
+    return RootData(conj * r * conj.inverse(), exponent)
 
 
 def is_commensurable(u: Word, v: Word) -> Optional[CommensurabilityWitness]:

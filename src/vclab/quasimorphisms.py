@@ -11,7 +11,9 @@ conjugacy invariance is measured by the truncated residual against its
 bound; q(g^M) is exact and affine in M past a threshold, so any
 truncation costs O(|g| + |pattern|).  A value q(w) spells w out and
 compares |w| * |pattern| letters, so both carry a budget, checked before
-any letter is spelled.
+any letter is spelled; homogenization and the invariance check read the
+length of every value they will count off the cores and check them all
+before the first count.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .words import BudgetExceeded, Word, WordError
+from .words import POWER_BUDGET, BudgetExceeded, Word, WordError
 
 # letters of a pattern, spelled out with its inverse once per quasimorphism
 PATTERN_BUDGET = 10**6
@@ -41,12 +43,16 @@ class QuasiMorphism:
         object.__setattr__(self, "probes", (letters, tuple(-l for l in reversed(letters))))
 
     def __call__(self, w: Word) -> Fraction:
-        if len(w) * len(self.pattern) > COUNT_BUDGET:
+        self._require_count_budget(len(w))
+        return Fraction(self._signed_count(tuple(w.letters())))
+
+    def _require_count_budget(self, length: int) -> None:
+        """Refuse to count in a word of ``length`` letters past ``COUNT_BUDGET``."""
+        if length * len(self.pattern) > COUNT_BUDGET:
             raise BudgetExceeded(
-                f"counting a pattern of {len(self.pattern)} letters in a word of {len(w)} letters "
+                f"counting a pattern of {len(self.pattern)} letters in a word of {length} letters "
                 f"exceeds the budget of {COUNT_BUDGET} letter comparisons"
             )
-        return Fraction(self._signed_count(tuple(w.letters())))
 
     def _signed_count(self, text: tuple[int, ...]) -> int:
         """Occurrences of the pattern in the letter sequence minus those of its inverse."""
@@ -178,16 +184,42 @@ def _power_value(q: QuasiMorphism, g: Word, m: int) -> Fraction:
     in m from m0 on, and the two short powers g^m0 and g^(m0+1) give it
     exactly.
     """
+    counted = _counted_powers(q, g, m)
+    if not counted:
+        return Fraction(0)
+    if len(counted) == 1:
+        return q(g ** m)
+    m0 = counted[0][1]
+    base = q(g ** m0)
+    return base + (m - m0) * (q(g ** (m0 + 1)) - base)
+
+
+def _counted_powers(q: QuasiMorphism, g: Word, m: int) -> tuple[tuple[Word, int], ...]:
+    """The pairs (g, k) of the powers g^k that ``_power_value(q, g, m)``
+    counts, in the order it counts them."""
     core, _ = g.cyclic_reduce()
     n = len(core)
     if not n:
-        return Fraction(0)
-    k = len(q.probes[0])
-    m0 = (k + n - 1) // n + 2
-    if m <= m0:
-        return q(g ** m)
-    base = q(g ** m0)
-    return base + (m - m0) * (q(g ** (m0 + 1)) - base)
+        return ()
+    m0 = (len(q.probes[0]) + n - 1) // n + 2
+    return ((g, m),) if m <= m0 else ((g, m0), (g, m0 + 1))
+
+
+def _check_counts(q: QuasiMorphism, powers: Iterable[tuple[Word, int]]) -> None:
+    """Refuse the first value q(g^k) past ``COUNT_BUDGET``, taking the
+    pairs (g, k >= 1) in the order they will be counted, before any is.
+
+    With g = t c t^{-1} and c cyclically reduced, g^k = t c^k t^{-1} is
+    reduced as written, so |g^k| = |g| + (k - 1)|c|: no power is built.  A
+    power that ``Word.__pow__`` refuses, k >= 2 copies of a core of two or
+    more syllables past ``POWER_BUDGET`` letters, ends the check, since
+    building it raises before it would be counted.
+    """
+    for g, k in powers:
+        core, _ = g.cyclic_reduce()
+        if k > 1 and len(core.syllables) > 1 and k * len(core) > POWER_BUDGET:
+            return
+        q._require_count_budget(len(g) + (k - 1) * len(core))
 
 
 class HomogenizationResult(NamedTuple):
@@ -211,6 +243,7 @@ def homogenize(q: QuasiMorphism, g: Word, truncation: int, defect: Fraction) -> 
     """
     if truncation < 1:
         raise WordError("truncation must be >= 1")
+    _check_counts(q, _counted_powers(q, g, truncation))
     value = _power_value(q, g, truncation) / truncation
     return HomogenizationResult(value, truncation, Fraction(defect) / truncation)
 
@@ -243,6 +276,7 @@ def conjugacy_invariance_check(
         raise WordError("truncation must be >= 1")
     m = truncation
     h = g.conjugate(u)
+    _check_counts(q, [*_counted_powers(q, g, m), *_counted_powers(q, h, m), (u, 1)])
     residual = abs(_power_value(q, g, m) / m - _power_value(q, h, m) / m)
     bound = 2 * (abs(q(u)) + Fraction(defect)) / m
     return InvarianceCheck(residual, bound)

@@ -548,6 +548,35 @@ def test_qm_letters_past_the_budget_are_an_error(capsys, argv, message):
     assert "Traceback" not in captured.err
 
 
+def test_qm_invariance_checks_every_count_before_the_first(capsys):
+    # g^3, g^4, h^3 fit the budget and h^4 = b^-1 a^5000000 b does not: it is
+    # refused at once, with the message the count of h^4 itself gives
+    argv = ["qm-invariance", "--pattern", "ab", "--word", "a^1250000", "--conjugator", "b", "--truncation", "5"]
+    start = time.perf_counter()
+    assert main(argv) == 1
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: counting a pattern of 2 letters in a word of 5000002 letters "
+        "exceeds the budget of 10000000 letter comparisons\n"
+    )
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["divergence", "--c", "a^100000000", "--d", "b", "--n-max", "2", "--m-max", "1"],
+    ["verify-testword", "--exponents", "1 1 1 1 1 1 1 1 1 1", "--targets", "a^100000000;b;c", "--bound", "0"],
+], ids=["divergence", "verify-testword"])
+def test_roots_of_long_one_syllable_literals_are_read_off_syllables(capsys, argv):
+    # both spelled the 10^8 letters in oracles.root: a MemoryError after 5 s
+    start = time.perf_counter()
+    assert main(argv) == 0
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) and "Traceback" not in captured.err
+
+
 def test_qm_invariance_at_the_count_budget_finishes(capsys):
     # the longest word counted, b^-1 a^4999996 b, has 4,999,998 letters:
     # 9,999,996 comparisons for the 2-letter pattern, inside the budget

@@ -19,6 +19,7 @@ from vclab.equations import (
     power_exponent_of,
     verify_perfect,
     _abelian_survivors,
+    _class2_survivors,
     _root_length,
 )
 from vclab.oracles import is_conjugate, root
@@ -226,6 +227,22 @@ def test_brute_force_caps_workers(monkeypatch):
     assert pools == [(4, 4), (3, 4)]
 
 
+class InlinePool:
+    """Stands in for ProcessPoolExecutor and maps in process."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, shards):
+        return [fn(first) for first in shards]
+
+
 def passes_abelian_test(inst, x):
     """n*sigma_i(x) = sigma_i(g) modulo m for every generator i."""
     rank = inst.alphabet.rank
@@ -282,26 +299,149 @@ def test_brute_force_enumerates_each_x_once(monkeypatch, jobs):
             seen.append(x)
             yield x
 
-    class InlinePool:
-        """Maps in process, so the recording enumerator sees every shard."""
-
-        def __init__(self, max_workers):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, shards):
-            return [fn(first) for first in shards]
-
+    # the pool maps in process, so the recording enumerator sees every shard
     monkeypatch.setattr(vclab.equations, "enumerate_reduced", recording)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     assert brute_force_solutions(inst23(), 4, jobs=jobs) == unpruned_solutions(inst23(), 4)
     assert sorted(seen, key=lambda x: (len(x), x.lex_key())) == list(enumerate_reduced(F2, 4))
     assert len(seen) == count_reduced(2, 4) == 161
+
+
+# -- the class-2 quotient Q of exponent m, as explicit pair products -------------
+# An element is (s, c): s holds r residues mod m, and c the residues mod m'
+# (m for odd m, m/2 for even m) of the pairs i < j in the order of q_pairs.
+
+def q_pairs(rank):
+    return [(i, j) for i in range(rank) for j in range(i + 1, rank)]
+
+
+def q_half(m):
+    return m if m % 2 else m // 2
+
+
+def q_mul(u, v, m):
+    """(s, c)(s', c') = (s + s', c + c' + beta(s, s')), beta(s, s')_ij = s_j s'_i."""
+    (s, c), (t, d) = u, v
+    half = q_half(m)
+    pairs = q_pairs(len(s))
+    return (
+        tuple((a + b) % m for a, b in zip(s, t)),
+        tuple((c[k] + d[k] + s[j] * t[i]) % half for k, (i, j) in enumerate(pairs)),
+    )
+
+
+def q_one(rank):
+    return (0,) * rank, (0,) * len(q_pairs(rank))
+
+
+def q_inverse(u, m):
+    """(-s, -c + beta(s, s)), checked against q_mul on every call."""
+    s, c = u
+    half = q_half(m)
+    inv = (
+        tuple(-a % m for a in s),
+        tuple((-c[k] + s[j] * s[i]) % half for k, (i, j) in enumerate(q_pairs(len(s)))),
+    )
+    assert q_mul(u, inv, m) == q_mul(inv, u, m) == q_one(len(s))
+    return inv
+
+
+def q_pow(u, k, m):
+    out = q_one(len(u[0]))
+    for _ in range(k):
+        out = q_mul(out, u, m)
+    return out
+
+
+def q_phi(word, m):
+    """The image of ``word``, letter by letter: x_i -> (e_i, 0), x_i^-1 -> its inverse."""
+    rank = word.alphabet.rank
+    out = q_one(rank)
+    for letter in word.letters():
+        gen = abs(letter) - 1
+        image = (tuple(int(i == gen) % m for i in range(rank)), (0,) * len(q_pairs(rank)))
+        out = q_mul(out, image if letter > 0 else q_inverse(image, m), m)
+    return out
+
+
+def passes_q_test(inst, x):
+    """phi(x)^n = phi(g) in Q, which every solution meets."""
+    return q_pow(q_phi(x, inst.m), inst.n, inst.m) == q_phi(inst.g, inst.m)
+
+
+words_of_rank = st.integers(1, 3).flatmap(
+    lambda rank: st.tuples(
+        *[st.lists(st.tuples(st.integers(0, rank - 1), st.sampled_from([1, -1, 2, -3])), max_size=6)] * 2
+    ).map(lambda pair: tuple(Word.from_syllables(Alphabet(rank), items) for items in pair))
+)
+
+
+@given(words_of_rank, st.integers(1, 6))
+def test_q_is_a_quotient_of_exponent_m(pair, m):
+    # phi is a homomorphism through free cancellation, and kills every m-th power
+    u, v = pair
+    assert q_phi(u * v, m) == q_mul(q_phi(u, m), q_phi(v, m), m)
+    assert q_phi(u ** m, m) == q_one(u.alphabet.rank)
+    assert q_pow(q_phi(u, m), m, m) == q_one(u.alphabet.rank)
+
+
+@pytest.mark.parametrize("a, b, rank", [("a", "a^2", 1), ("a", "b", 2), ("ab", "aB", 2), ("aB", "b^2", 2), ("a", "bc", 3)])
+@pytest.mark.parametrize("n, m", [(1, 3), (2, 3), (2, 4), (3, 5), (4, 6), (5, 2), (2, 1)])
+def test_class2_stage_keeps_exactly_the_q_survivors(a, b, rank, n, m):
+    alph = Alphabet(rank)
+    inst = EquationInstance(parse_word(a, alph), parse_word(b, alph), n, m)
+    bound = 5 if rank < 3 else 4
+    xs = list(enumerate_reduced(alph, bound))
+    got = list(_class2_survivors(_abelian_survivors(xs, inst.g, n, m, bound), inst.g, n, m))
+    assert got == [x for x in xs if passes_q_test(inst, x)]
+
+
+def test_class2_stage_is_skipped_where_it_says_nothing():
+    xs = list(enumerate_reduced(F2, 2))
+    for m in (1, 2):
+        assert _class2_survivors(xs, inst23().g, 2, m) is xs
+    rank1 = Alphabet(1)
+    ys = list(enumerate_reduced(rank1, 3))
+    assert _class2_survivors(ys, rank1.generator(0) ** 5, 2, 3) is ys
+
+
+GRID = [("a", "a^2", 1, 5), ("a", "b", 2, 5), ("ab", "aB", 2, 5), ("a", "bc", 3, 4)]
+
+
+@pytest.mark.parametrize("a, b, rank, bound", GRID, ids=[f"rank{rank}-{a}-{b}" for a, b, rank, _ in GRID])
+def test_brute_force_equals_unpruned_search_on_a_grid(monkeypatch, a, b, rank, bound):
+    import concurrent.futures
+    import os
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    alph = Alphabet(rank)
+    for n in range(1, 7):
+        for m in range(1, 7):
+            inst = EquationInstance(parse_word(a, alph), parse_word(b, alph), n, m)
+            expected = unpruned_solutions(inst, bound)
+            assert brute_force_solutions(inst, bound, jobs=1) == expected
+            assert brute_force_solutions(inst, bound, jobs=2) == expected
+
+
+def test_root_calls_are_pinned_with_both_prunes(monkeypatch):
+    import vclab.equations
+
+    calls = []
+
+    def counting_root(word):
+        calls.append(word)
+        return root(word)
+
+    monkeypatch.setattr(vclab.equations, "root", counting_root)
+    inst = inst23()
+    xs = list(enumerate_reduced(F2, 5))
+    assert len(xs) == 485
+    assert sum(passes_abelian_test(inst, x) for x in xs) == 56
+    assert sum(passes_q_test(inst, x) for x in xs) == 16
+    assert len(brute_force_solutions(inst, 5)) == 2
+    # the abelian prune alone took 29 roots here
+    assert len(calls) == 10
 
 
 @given(st.lists(st.tuples(st.integers(0, 2), st.sampled_from([1, -1])), max_size=6), st.integers(1, 4))

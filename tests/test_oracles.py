@@ -2,7 +2,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from vclab import oracles
 from vclab.words import Alphabet, Word, WordError, enumerate_reduced, parse_word
 from vclab.oracles import (
     is_commensurable,
@@ -246,3 +249,43 @@ def test_root_matches_divisor_scan(rank, max_len):
         got = root(word)
         assert got == scan_root(word)
         assert Word(word.alphabet, got.root.syllables) == got.root
+
+
+def letter_root(word):
+    """The letter-level root: KMP over every letter of the cyclic core."""
+    core, conj = word.cyclic_reduce()
+    letters = list(core.letters())
+    n = len(letters)
+    period = n - oracles._prefix_function(letters)[-1]
+    if n % period or period == n:
+        return word, 1
+    piece = Word.from_letters(word.alphabet, letters[:period])
+    return conj * piece * conj.inverse(), n // period
+
+
+syllable_lists = st.lists(st.tuples(st.integers(0, 2), st.sampled_from([1, -1, 2, -2, 3, -5])), max_size=5)
+
+
+@given(st.integers(1, 3), syllable_lists, syllable_lists, st.integers(1, 5))
+def test_root_on_syllables_matches_the_letter_oracle(rank, conjugator, base, k):
+    # t r^k t^-1 reaches merged end syllables, one-syllable cores and powers
+    alph = Alphabet(rank)
+    t = Word.from_syllables(alph, [(gen % rank, exp) for gen, exp in conjugator])
+    r = Word.from_syllables(alph, [(gen % rank, exp) for gen, exp in base])
+    word = t * r ** k * t.inverse()
+    if word.is_identity():
+        return
+    assert root(word) == letter_root(word)
+
+
+def test_root_never_spells_the_letters():
+    alph = Alphabet(3)
+    huge = 10**12
+    assert root(w(f"a^{huge}", alph)) == (w("a", alph), huge)
+    assert root(w(f"cA^{huge}C", alph)) == (w("cAC", alph), huge)
+    # (a^huge b)^3 with its last a^huge merged round the cycle
+    body = Word.from_syllables(alph, [(1, 1), (0, huge), (1, 1), (0, huge), (1, 1), (0, huge)])
+    assert root(body) == (Word.from_syllables(alph, [(1, 1), (0, huge)]), 3)
+    # merged ends that break the period: a^huge b a^huge b a^(huge + 1)
+    lopsided = Word.from_syllables(alph, [(0, huge), (1, 1), (0, huge), (1, 1), (0, huge + 1)])
+    assert root(lopsided) == (lopsided, 1)

@@ -330,3 +330,40 @@ def test_count_budget_is_checked_before_the_word_is_spelled(monkeypatch):
         q(p("a^1000000000000"))
     # gap never counts a whole word, so the budget leaves it alone
     assert q.gap(p("a^1000000000000"), p("b")) == 1
+
+
+def outcome(fn, *args):
+    """The value of fn(*args), or ("refused", the message it raises)."""
+    try:
+        return fn(*args)
+    except BudgetExceeded as exc:
+        return "refused", str(exc)
+
+
+small_syllables = st.lists(st.tuples(st.integers(0, 1), st.integers(-9, 9).filter(bool)), max_size=4)
+
+
+@given(small_syllables, small_syllables, st.sampled_from(["a", "ab", "aB", "abAB", "a^3b"]), st.integers(1, 8))
+@example([(0, 20)], [(0, 21)], "ab", 1)  # g and h = g fit, and q(u) is the first value past the budget
+@settings(max_examples=300)
+def test_count_budget_refuses_up_front_what_counting_would_reach_first(word, conjugator, pattern, truncation):
+    # with small budgets, checking every length first gives the outcome the
+    # counts in order give, and a refusal on the count budget counts nothing
+    g = Word.from_syllables(F2, word)
+    u = Word.from_syllables(F2, conjugator)
+    q = counting_qm(p(pattern))
+    counted = []
+    signed_count = quasimorphisms.QuasiMorphism._signed_count
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quasimorphisms, "COUNT_BUDGET", 40)
+        mp.setattr(quasimorphisms, "POWER_BUDGET", 16)
+        mp.setattr("vclab.words.POWER_BUDGET", 16)
+        mp.setattr(quasimorphisms.QuasiMorphism, "_signed_count", lambda self, text: (counted.append(text), signed_count(self, text))[1])
+        for fn, args in ((homogenize, (q, g, truncation, Fraction(1))), (conjugacy_invariance_check, (q, g, u, truncation, Fraction(1)))):
+            counted.clear()
+            got = outcome(fn, *args)
+            refused_on_count = got[0] == "refused" and got[1].startswith("counting a pattern")
+            assert not (refused_on_count and counted)
+            with mp.context() as inner:
+                inner.setattr(quasimorphisms, "_check_counts", lambda q, powers: None)
+                assert outcome(fn, *args) == got
