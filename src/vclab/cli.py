@@ -12,6 +12,7 @@ with sorted keys, no timestamps.  Reports never contain timing.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import random
@@ -607,6 +608,22 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
+@contextlib.contextmanager
+def _exact_integers() -> Iterator[None]:
+    """Lift the interpreter's int-to-str digit limit (Python 3.11, and 3.10.7
+    on) for a block, and restore it after: a report's integers, such as the
+    transforms of a 45 x 45 ``snf``, are written exactly at any size."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(digits)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # --help, a missing or an unknown subcommand need the full parser
@@ -619,11 +636,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, BudgetExceeded, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
-    if out is None:
-        sys.stdout.writelines(chunks)
-    else:
-        with out:
-            out.writelines(chunks)
+    with _exact_integers():
+        if out is None:
+            sys.stdout.writelines(chunks)
+        else:
+            with out:
+                out.writelines(chunks)
     return code
 
 

@@ -9,9 +9,10 @@ a retract of the other factor.
 
 Words in group elements are ``Word`` values evaluated by
 ``FiniteGroup.evaluate_word``, which reads each syllable's power from the
-cyclic power table every group builds once.  Subgroups and homomorphisms
-need no words: both walk the Cayley graph of the table, and a homomorphism
-is its element map.
+cyclic power table every group builds once; the verbal-closedness search
+reads the same table for a whole block of assignments at a time.  Subgroups
+and homomorphisms need no words: both walk the Cayley graph of the table,
+and a homomorphism is its element map.
 """
 
 from __future__ import annotations
@@ -256,13 +257,33 @@ class WordEquationReport(NamedTuple):
 
 
 def _value_witnesses(g: FiniteGroup, word: Word, domain: Sequence[int]) -> dict[int, tuple[int, ...]]:
-    """value -> first witness tuple over assignments from the domain."""
-    nvars = word.alphabet.rank
+    """value -> first witness tuple over assignments from the domain, in
+    ``itertools.product`` order.
+
+    One block per assignment of every variable but the last: the block
+    evaluates the word at every value of the last variable at once, one
+    syllable at a time, holding one element per domain value.  The last
+    variable's syllables read the same powers in every block, so those are
+    tabled once, and a block that reaches no new value records nothing."""
+    last = word.alphabet.rank - 1
+    mult, powers = g.mult, g.powers
+    last_powers = {
+        exp: [powers[t][exp % len(powers[t])] for t in domain] for gen, exp in word.syllables if gen == last
+    }
     out: dict[int, tuple[int, ...]] = {}
-    for images in itertools.product(domain, repeat=nvars):
-        val = g.evaluate_word(word, images)
-        if val not in out:
-            out[val] = images
+    for prefix in itertools.product(domain, repeat=last):
+        vals = [g.identity] * len(domain)
+        for gen, exp in word.syllables:
+            if gen == last:
+                vals = [mult[v][x] for v, x in zip(vals, last_powers[exp])]
+            else:
+                row = powers[prefix[gen]]
+                x = row[exp % len(row)]
+                vals = [mult[v][x] for v in vals]
+        if not out.keys() >= set(vals):
+            for t, val in zip(domain, vals):
+                if val not in out:
+                    out[val] = prefix + (t,)
     return out
 
 

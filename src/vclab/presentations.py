@@ -113,6 +113,16 @@ def smith_normal_form(m: Matrix, cols: Optional[int] = None) -> SNFResult:
     ties broken topmost then leftmost.  Row operations accumulate in U,
     column operations in V, so U M V = D exactly.  ``cols`` pins the
     column count for matrices with no rows.
+
+    D's entries stay small while U's and V's grow to thousands of bits, so
+    the transforms are updated lazily.  During step k every row operation on
+    U adds a multiple of pivot row k, so row i keeps one pending factor
+    ``owed[i]`` and pays it in a single pass just before row k changes (a
+    pivot swap, the divisibility step, the end of step k); V, held as its
+    columns, does the same against pivot column k.  Deferring changes no
+    integer of U or V: they never feed back into the pivot choices.  Rows
+    and columns of D before k are zero outside the diagonal, so D's
+    operations touch only the block from (k, k).
     """
     rows = len(m)
     if cols is None:
@@ -122,75 +132,81 @@ def smith_normal_form(m: Matrix, cols: Optional[int] = None) -> SNFResult:
             raise WordError("matrix is ragged")
     d = [row[:] for row in m]
     u = identity_matrix(rows)
-    v = identity_matrix(cols)
+    vt = identity_matrix(cols)  # the columns of V
+    owed_u = [0] * rows  # row i of U still owes owed_u[i] * u[k]
+    owed_v = [0] * cols  # column j of V still owes owed_v[j] * vt[k]
 
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
+    def settle(t, owed, k):
+        # pay every pending multiple of t[k], one pass per nonzero factor
+        for i in range(k + 1, len(t)):
+            if c := owed[i]:
+                t[i] = [x + c * y for x, y in zip(t[i], t[k])]
+                owed[i] = 0
 
-    def swap_cols(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, factor):
-        d[dst] = [x + factor * y for x, y in zip(d[dst], d[src])]
-        u[dst] = [x + factor * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(dst, src, factor):
-        for row in d:
-            row[dst] += factor * row[src]
-        for row in v:
-            row[dst] += factor * row[src]
-
-    def negate_row(i):
-        d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
-
-    limit = min(rows, cols)
-    for k in range(limit):
+    for k in range(min(rows, cols)):
         while True:
-            pivot = None
+            pivot, least = None, 0
             for i in range(k, rows):
+                row = d[i]
                 for j in range(k, cols):
-                    if d[i][j] != 0 and (pivot is None or abs(d[i][j]) < abs(d[pivot[0]][pivot[1]])):
-                        pivot = (i, j)
+                    x = abs(row[j])
+                    if x and (pivot is None or x < least):
+                        pivot, least = (i, j), x
             if pivot is None:
                 break
-            if pivot != (k, k):
-                if pivot[0] != k:
-                    swap_rows(k, pivot[0])
-                if pivot[1] != k:
-                    swap_cols(k, pivot[1])
+            pi, pj = pivot
+            if pi != k:
+                settle(u, owed_u, k)
+                d[k], d[pi] = d[pi], d[k]
+                u[k], u[pi] = u[pi], u[k]
+            if pj != k:
+                settle(vt, owed_v, k)
+                for row in d[k:]:
+                    row[k], row[pj] = row[pj], row[k]
+                vt[k], vt[pj] = vt[pj], vt[k]
+            dk = d[k]
+            p = dk[k]
             reduced = True
+            tail = dk[k:]
             for i in range(k + 1, rows):
-                if d[i][k]:
-                    add_row(i, k, -(d[i][k] // d[k][k]))
-                    if d[i][k]:
+                row = d[i]
+                if row[k]:
+                    q = -(row[k] // p)
+                    row[k:] = [x + q * y for x, y in zip(row[k:], tail)]
+                    owed_u[i] += q
+                    if row[k]:
                         reduced = False
             for j in range(k + 1, cols):
-                if d[k][j]:
-                    add_col(j, k, -(d[k][j] // d[k][k]))
-                    if d[k][j]:
+                if dk[j]:
+                    q = -(dk[j] // p)
+                    for row in d[k:]:
+                        row[j] += q * row[k]
+                    owed_v[j] += q
+                    if dk[j]:
                         reduced = False
             if not reduced:
                 continue
             # divisibility: pull any non-divisible entry into row k
             culprit = None
             for i in range(k + 1, rows):
+                row = d[i]
                 for j in range(k + 1, cols):
-                    if d[i][j] % d[k][k]:
+                    if row[j] % p:
                         culprit = i
                         break
                 if culprit is not None:
                     break
             if culprit is None:
                 break
-            add_row(k, culprit, 1)
+            settle(u, owed_u, k)
+            dk[k:] = [x + y for x, y in zip(dk[k:], d[culprit][k:])]
+            u[k] = [x + y for x, y in zip(u[k], u[culprit])]
+        settle(u, owed_u, k)
+        settle(vt, owed_v, k)
         if d[k][k] < 0:
-            negate_row(k)
-    return SNFResult(d, u, v)
+            d[k][k] = -d[k][k]
+            u[k] = [-x for x in u[k]]
+    return SNFResult(d, u, [list(row) for row in zip(*vt)])
 
 
 class AbelianizationData(NamedTuple):

@@ -1,10 +1,12 @@
 import argparse
+import hashlib
 import json
 import os
 import random
 import subprocess
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +15,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from test_golden import CASES, GOLDEN
-from vclab import cli, equations, testwords
+from vclab import cli, equations, presentations, testwords
 from vclab.cli import _json_chunks, _random_pairs, build_parser, main
 from vclab.words import Alphabet, Word, parse_word
 
@@ -52,6 +54,41 @@ def test_snf_subcommand(capsys):
     code, out = run(capsys, "snf", "--matrix", "4 0; 0 2; 2 0")
     assert code == 0
     assert json.loads(out)["diagonal"] == [2, 2]
+
+
+def seeded_snf_matrix(size, seed=1, bound=50):
+    """The square matrix the benchmark draws, row by row, from random.Random(seed)."""
+    rng = random.Random(seed)
+    return [[rng.randint(-bound, bound) for _ in range(size)] for _ in range(size)]
+
+
+def matrix_flag(m):
+    return "; ".join(" ".join(map(str, row)) for row in m)
+
+
+def test_snf_report_of_the_seeded_40_by_40_matrix_is_pinned(capsys):
+    # D, U and V at the size where U's entries reach 10,364 bits
+    code, out = run(capsys, "snf", "--matrix", matrix_flag(seeded_snf_matrix(40)))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == "c8802e69f696183f39be7a18973ea0d3895b33cd21dddfbe6d8a4cfceac89c9f"
+
+
+def test_snf_writes_integers_past_the_digit_limit_exactly(capsys):
+    # U and V of the seeded 45 x 45 matrix have entries past 4,300 digits;
+    # the report once broke off after 19 KB with a ValueError traceback
+    m = seeded_snf_matrix(45)
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4301)
+    try:
+        code, out = run(capsys, "snf", "--matrix", matrix_flag(m))
+        assert sys.get_int_max_str_digits() == 4301
+    finally:
+        sys.set_int_max_str_digits(digits)
+    assert code == 0
+    # Decimal parses a string of any length, and int() of a Decimal is exact
+    report = json.loads(out, parse_int=lambda text: int(Decimal(text)))
+    assert max(abs(x) for row in report["u"] for x in row) >= 10**4300
+    assert presentations.mat_mul(presentations.mat_mul(report["u"], m), report["v"]) == report["d"]
 
 
 def test_dihedral_suite_subcommand(capsys):

@@ -6,6 +6,7 @@ import pytest
 from vclab.words import Alphabet, BudgetExceeded, WordError, parse_word
 from vclab.finitegroups import (
     FiniteGroup,
+    _value_witnesses,
     central_product,
     default_corpus,
     dihedral4,
@@ -363,6 +364,29 @@ def test_witnesses_resubstitute():
             assert g.evaluate_word(word, r.group_witness) == r.rhs
         if r.solvable_in_subgroup:
             assert g.evaluate_word(word, r.subgroup_witness) == r.rhs
+
+
+def product_order_witnesses(g, word, domain):
+    """value -> first witness over itertools.product order, one
+    evaluate_word call per assignment."""
+    out = {}
+    for images in itertools.product(domain, repeat=word.alphabet.rank):
+        out.setdefault(g.evaluate_word(word, images), images)
+    return out
+
+
+def test_block_witnesses_match_one_evaluation_per_assignment():
+    left = dihedral4()
+    za = left.power(left.gens["a"], 2)
+    product = central_product(left, dihedral4(), za, za)
+    g = product.group
+    sub = g.closure([product.embed_left[left.gens["a"]], product.embed_left[left.gens["b"]]])
+    words = default_corpus(2, 4) + default_corpus(3, 3) + default_corpus(1, 3) + [
+        V2.identity(), sym("a^-7b^5"), sym("A^3b^-9a^12"), sym("b^-1000001"), sym("a^3"),
+    ]
+    for word in words:
+        for domain in (range(g.order), sub, [sub[-1], sub[0]]):
+            assert _value_witnesses(g, word, domain) == product_order_witnesses(g, word, domain)
 
 
 def test_default_corpus_shape():

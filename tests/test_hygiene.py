@@ -216,6 +216,9 @@ UNREAD_MEMBERS = {
     "finitegroups.WordEquationReport.subgroup_witness",
     # the tests check the amalgamation through it
     "finitegroups.CentralProduct.embed_right",
+    # one word at one assignment: the oracle of the tests for the block
+    # evaluation of the verbal-closedness search, and a layer perfbench traces
+    "finitegroups.FiniteGroup.evaluate_word",
 }
 
 

@@ -120,6 +120,121 @@ def test_snf_matches_minor_gcd_oracle():
         assert snf.diagonal() == minor_gcd_invariants(m, min(rows, cols))
 
 
+def eager_smith_normal_form(m, cols=None):
+    """Smith normal form that applies every row and column operation to U
+    and V as it happens, over whole rows and columns: the reference for the
+    lazily updated transforms of ``smith_normal_form``."""
+    rows = len(m)
+    if cols is None:
+        cols = len(m[0]) if rows else 0
+    d = [row[:] for row in m]
+    u = identity_matrix(rows)
+    v = identity_matrix(cols)
+
+    def swap_rows(i, j):
+        d[i], d[j] = d[j], d[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in d:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(dst, src, factor):
+        d[dst] = [x + factor * y for x, y in zip(d[dst], d[src])]
+        u[dst] = [x + factor * y for x, y in zip(u[dst], u[src])]
+
+    def add_col(dst, src, factor):
+        for row in d:
+            row[dst] += factor * row[src]
+        for row in v:
+            row[dst] += factor * row[src]
+
+    def negate_row(i):
+        d[i] = [-x for x in d[i]]
+        u[i] = [-x for x in u[i]]
+
+    limit = min(rows, cols)
+    for k in range(limit):
+        while True:
+            pivot = None
+            for i in range(k, rows):
+                for j in range(k, cols):
+                    if d[i][j] != 0 and (pivot is None or abs(d[i][j]) < abs(d[pivot[0]][pivot[1]])):
+                        pivot = (i, j)
+            if pivot is None:
+                break
+            if pivot != (k, k):
+                if pivot[0] != k:
+                    swap_rows(k, pivot[0])
+                if pivot[1] != k:
+                    swap_cols(k, pivot[1])
+            reduced = True
+            for i in range(k + 1, rows):
+                if d[i][k]:
+                    add_row(i, k, -(d[i][k] // d[k][k]))
+                    if d[i][k]:
+                        reduced = False
+            for j in range(k + 1, cols):
+                if d[k][j]:
+                    add_col(j, k, -(d[k][j] // d[k][k]))
+                    if d[k][j]:
+                        reduced = False
+            if not reduced:
+                continue
+            # divisibility: pull any non-divisible entry into row k
+            culprit = None
+            for i in range(k + 1, rows):
+                for j in range(k + 1, cols):
+                    if d[i][j] % d[k][k]:
+                        culprit = i
+                        break
+                if culprit is not None:
+                    break
+            if culprit is None:
+                break
+            add_row(k, culprit, 1)
+        if d[k][k] < 0:
+            negate_row(k)
+    return d, u, v
+
+
+def sparse_matrix(rng, rows, cols, bound=60):
+    """Entries in [-bound, bound], about a third of them zero."""
+    return [[0 if rng.random() < 1 / 3 else rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
+
+
+def test_snf_transforms_equal_the_eager_reference():
+    rng = random.Random(113)
+    for _ in range(1500):
+        rows, cols = rng.randint(0, 9), rng.randint(1, 9)
+        m = sparse_matrix(rng, rows, cols)
+        assert tuple(smith_normal_form(m, cols=cols)) == eager_smith_normal_form(m, cols=cols)
+
+
+@pytest.mark.parametrize("cols", range(10))
+def test_snf_with_no_rows_equals_the_eager_reference(cols):
+    assert tuple(smith_normal_form([], cols=cols)) == eager_smith_normal_form([], cols=cols)
+
+
+@given(st.integers(1, 9).flatmap(lambda cols: st.lists(
+    st.lists(st.one_of(st.just(0), st.integers(-60, 60), st.integers(-60, 60)), min_size=cols, max_size=cols),
+    max_size=9,
+).map(lambda m: (m, cols))))
+def test_snf_transforms_equal_the_eager_reference_drawn(case):
+    m, cols = case
+    assert tuple(smith_normal_form(m, cols=cols)) == eager_smith_normal_form(m, cols=cols)
+
+
+def test_snf_transforms_are_unimodular_at_12_by_12():
+    m = sparse_matrix(random.Random(127), 12, 12, bound=50)
+    snf = smith_normal_form(m)
+    assert mat_mul(mat_mul(snf.u, m), snf.v) == snf.d
+    assert abs(determinant(snf.u)) == 1
+    assert abs(determinant(snf.v)) == 1
+
+
 # -- abelianization ---------------------------------------------------------------------
 
 def test_abelianization_examples():
