@@ -64,7 +64,6 @@ class Tag(enum.Enum):
     GCD_FAMILY = "GCD_FAMILY"
     SWAPPED = "SWAPPED"
     COMMON_E = "COMMON_E"
-    POWER_IN_E = "POWER_IN_E"
     UNCLASSIFIED = "UNCLASSIFIED"
 
 
@@ -136,7 +135,8 @@ def brute_force_solutions(
     shard and returning only its solutions.  All reduced x, the
     ``count_reduced`` total, are capped at ``max_candidates`` and never
     more than ``CANDIDATE_CAP``.  Sorted by length, then letters, of x,
-    then y.
+    which determines y: a stable sort by length, as x = 1 and then the
+    shards in letter order each come in ``enumerate_reduced``'s order.
     """
     if bound < 0:
         raise WordError("bound must be >= 0")
@@ -159,7 +159,7 @@ def brute_force_solutions(
     else:
         parts = [solve(first) for first in shards]
     found += [pair for part in parts for pair in part]
-    found.sort(key=lambda p: (len(p.x), p.x.lex_key(), len(p.y), p.y.lex_key()))
+    found.sort(key=lambda p: len(p.x))
     return found
 
 
@@ -291,8 +291,14 @@ def classify_solution(inst: EquationInstance, p: SolutionPair) -> Classification
     """Tag a solution, trying the structural families first.
 
     Order: conjugate family, Bezout family, swapped conjugates, common
-    maximal-cyclic subgroup, one power inside the other's subgroup,
-    unclassified.  Every witness re-verifies exactly.
+    maximal-cyclic subgroup, unclassified.  Every witness re-verifies
+    exactly.
+
+    No tag is needed for x^n in E(y) (or y^m in E(x)) with E(x) != E(y):
+    write x = t c t^{-1}, reduced as written with c cyclically reduced, so
+    x^n = t c^n t^{-1} and root(x^n).root = root(x).root.  If x^n = ey^s
+    with ey = root(y).root, then s != 0, and root(x).root = root(ey^s).root,
+    which is ey or ey^{-1}: the common-subgroup test has tagged the pair.
     """
     if not is_solution(inst, p):
         raise WordError("classify_solution requires a genuine solution")
@@ -316,12 +322,6 @@ def classify_solution(inst: EquationInstance, p: SolutionPair) -> Classification
         ex, ey = root(p.x).root, root(p.y).root
         if ex == ey or ex == ey.inverse():
             return Classification(Tag.COMMON_E, {"e_generator": ex})
-        xe = power_exponent_of(ey, p.x ** inst.n)
-        if xe is not None:
-            return Classification(Tag.POWER_IN_E, {"which": "x^n in E(y)", "exponent": xe})
-        ye = power_exponent_of(ex, p.y ** inst.m)
-        if ye is not None:
-            return Classification(Tag.POWER_IN_E, {"which": "y^m in E(x)", "exponent": ye})
     return Classification(Tag.UNCLASSIFIED, {})
 
 

@@ -2,9 +2,10 @@
 
 Conjugacy via cyclic normal forms, maximal roots, commensurability and
 special tuples; ``root(w).root`` generates the elementary (maximal cyclic)
-subgroup E(w).  Conjugacy and roots share one Knuth-Morris-Pratt prefix
-function, so both take linear time.  Every positive answer carries a
-witness that re-verifies by plain word arithmetic.
+subgroup E(w).  Conjugacy and roots share one cyclic syllable form and one
+Knuth-Morris-Pratt prefix function, so both take time linear in the
+syllables.  Every positive answer carries a witness that re-verifies by
+plain word arithmetic.
 """
 
 from __future__ import annotations
@@ -34,29 +35,53 @@ class CommensurabilityWitness(NamedTuple):
 
 
 def is_conjugate(u: Word, v: Word) -> Optional[ConjugacyWitness]:
-    """Decide conjugacy; exact via rotation of cyclic normal forms, the
-    rotation found by string matching in linear time."""
+    """Decide conjugacy; exact via rotation of cyclic normal forms.  A match
+    of sv at syllable r of su + su, found by KMP, means that cv is cu rotated
+    by x, its first start_u + |su[:r]| - start_v letters (mod |cu|), so that
+    cu = x y and cv = y x = x^{-1} cu x; the least such x is taken."""
     u._require_same_alphabet(v)
-    cu, pu = u.cyclic_reduce()
-    cv, pv = v.cyclic_reduce()
-    lu, lv = list(cu.letters()), list(cv.letters())
-    if len(lu) != len(lv):
+    cu, pu, su, start_u = _cyclic_form(u)
+    cv, pv, sv, start_v = _cyclic_form(v)
+    if len(sv) != len(su):
         return None
-    if not lu:
+    if not su:
         return ConjugacyWitness(u.alphabet.identity())
-    n = len(lu)
-    # the first rotation of lu equal to lv is the first match of lv in
-    # lu + lu; 0 is no letter, so no border crosses it
-    prefix = _prefix_function(lv + [0] + lu + lu)
-    for end in range(2 * n, 3 * n):
-        if prefix[end] == n:
-            shift = end - 2 * n
-            # cu = x y and cv = y x with x the first `shift` letters,
-            # so cv = x^{-1} cu x and g = pu x pv^{-1} conjugates u to v
-            x = Word.from_letters(u.alphabet, lu[:shift])
-            g = pu * x * pv.inverse()
-            return ConjugacyWitness(g)
-    return None
+    # None is no syllable, so no border crosses it
+    prefix = _prefix_function(sv + [None] + su + su)
+    shifts, offset = [], start_u - start_v
+    # a match that ends at index end starts at syllable end - 2 |sv| of su + su
+    for end, syllable in enumerate(su, 2 * len(sv)):
+        if prefix[end] == len(sv):
+            shifts.append(offset % len(cu))
+        offset += abs(syllable.exp)
+    # g = pu x pv^{-1} conjugates u to v
+    return ConjugacyWitness(pu * _cut(cu, min(shifts)) * pv.inverse()) if shifts else None
+
+
+def _cyclic_form(w: Word) -> tuple[Word, Word, list[Syllable], int]:
+    """(core, u, cyclic, start): w = u core u^{-1} from ``cyclic_reduce``, and
+    the core's syllables as a cyclic word from its letter ``start``, first
+    and last merged when they share a generator (and so a sign).  No cyclic
+    neighbours then do, so a rotation between two such words maps
+    syllables to syllables."""
+    core, conj = w.cyclic_reduce()
+    cyclic = list(core.syllables)
+    if len(cyclic) > 1 and cyclic[0].gen == cyclic[-1].gen:
+        last = cyclic.pop()
+        cyclic[0] = Syllable(last.gen, cyclic[0].exp + last.exp)
+        return core, conj, cyclic, len(core) - abs(last.exp)
+    return core, conj, cyclic, 0
+
+
+def _cut(w: Word, k: int) -> Word:
+    """The first k letters of w, 0 <= k <= |w|, cut from its syllables."""
+    left = k
+    for i, (gen, exp) in enumerate(w.syllables):
+        if left <= abs(exp):
+            part = (Syllable(gen, left if exp > 0 else -left),) if left else ()
+            return Word._reduced(w.alphabet, w.syllables[:i] + part, k)
+        left -= abs(exp)
+    return w
 
 
 def _prefix_function(seq: Sequence) -> list[int]:
@@ -79,44 +104,23 @@ def root(w: Word) -> RootData:
     The cyclic core is r0^e exactly when rotating it by |core|/e letters
     gives it back, so e is the number of rotations that fix the cyclic
     word, and it is read off the syllables, never the letters.  A core of
-    one syllable x^k has e = |k|.  Otherwise, when the first and last
-    syllables share a generator they share a sign (the core is cyclically
-    reduced), so they merge into one; the merged sequence spells the
-    cyclic word from a syllable boundary, with no two cyclic neighbours on
-    one generator.  A rotation that fixes the cyclic word maps syllables
-    to syllables, so the rotations that fix it are those of the merged
-    sequence: its shortest period p, from the KMP prefix function, when p
-    divides its length L, and e = L/p; otherwise e = 1.  Linear in the
-    syllables.
+    one syllable x^k has e = |k|.  Otherwise the rotations that fix it are
+    those of its cyclic syllables (``_cyclic_form``): e = L/p when the
+    shortest period p of their L syllables, from the KMP prefix function,
+    divides L, and e = 1 otherwise.  Linear in the syllables.
     """
     if w.is_identity():
         raise WordError("identity has no well-defined root")
-    core, conj = w.cyclic_reduce()
-    syllables = core.syllables
-    if len(syllables) == 1:
-        exponent = abs(syllables[0].exp)
+    core, conj, cyclic, _ = _cyclic_form(w)
+    size = len(cyclic)
+    if size == 1:
+        exponent = abs(cyclic[0].exp)
     else:
-        cyclic = list(syllables)
-        first, last = cyclic[0], cyclic[-1]
-        if first.gen == last.gen:
-            cyclic[0] = Syllable(first.gen, first.exp + last.exp)
-            cyclic.pop()
-        size = len(cyclic)
         period = size - _prefix_function(cyclic)[-1]
         exponent = 1 if size % period else size // period
     if exponent == 1:
         return RootData(w, 1)
-    # the first |core|/e letters of a reduced word: cut the syllables there
-    period = len(core) // exponent
-    piece, left = [], period
-    for gen, exp in syllables:
-        if left <= abs(exp):
-            piece.append(Syllable(gen, left if exp > 0 else -left))
-            break
-        piece.append(Syllable(gen, exp))
-        left -= abs(exp)
-    r = Word._reduced(w.alphabet, tuple(piece), period)
-    return RootData(conj * r * conj.inverse(), exponent)
+    return RootData(conj * _cut(core, len(core) // exponent) * conj.inverse(), exponent)
 
 
 def is_commensurable(u: Word, v: Word) -> Optional[CommensurabilityWitness]:

@@ -13,14 +13,14 @@ truncation costs O(|g| + |pattern|).  A value q(w) spells w out and
 compares |w| * |pattern| letters, so both carry a budget, checked before
 any letter is spelled; homogenization and the invariance check read the
 length of every value they will count off the cores and check them all
-before the first count.
+(a homogenization table, every truncation's) before the first count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .words import POWER_BUDGET, BudgetExceeded, Word, WordError
 
@@ -196,7 +196,9 @@ def _power_value(q: QuasiMorphism, g: Word, m: int) -> Fraction:
 
 def _counted_powers(q: QuasiMorphism, g: Word, m: int) -> tuple[tuple[Word, int], ...]:
     """The pairs (g, k) of the powers g^k that ``_power_value(q, g, m)``
-    counts, in the order it counts them."""
+    counts, in the order it counts them; a truncation m < 1 is refused."""
+    if m < 1:
+        raise WordError("truncation must be >= 1")
     core, _ = g.cyclic_reduce()
     n = len(core)
     if not n:
@@ -239,13 +241,19 @@ def homogenize(q: QuasiMorphism, g: Word, truncation: int, defect: Fraction) -> 
     """Truncated homogenization q(g^M)/M with error bound D/M.
 
     The caller supplies D, a bound for the defect; a one-letter pattern is
-    a homomorphism, whose defect is exactly zero.
+    a homomorphism, whose defect is exactly zero.  A truncation below 1 is
+    refused.
     """
-    if truncation < 1:
-        raise WordError("truncation must be >= 1")
     _check_counts(q, _counted_powers(q, g, truncation))
     value = _power_value(q, g, truncation) / truncation
     return HomogenizationResult(value, truncation, Fraction(defect) / truncation)
+
+
+def homogenization_table(q: QuasiMorphism, g: Word, truncations: Sequence[int], defect: Fraction) -> list[HomogenizationResult]:
+    """``homogenize`` at each truncation, with every truncation and count of
+    the table checked, in table order, before the first count."""
+    _check_counts(q, (power for m in truncations for power in _counted_powers(q, g, m)))
+    return [homogenize(q, g, m, defect) for m in truncations]
 
 
 class InvarianceCheck(NamedTuple):
@@ -272,8 +280,6 @@ def conjugacy_invariance_check(
     Homogenized quasimorphisms are conjugacy invariant; the truncated
     residual decays at the stated rate.
     """
-    if truncation < 1:
-        raise WordError("truncation must be >= 1")
     m = truncation
     h = g.conjugate(u)
     _check_counts(q, [*_counted_powers(q, g, m), *_counted_powers(q, h, m), (u, 1)])

@@ -342,16 +342,9 @@ def verify_testword(
         for alpha in range(-alpha_window, alpha_window + 1):
             canonical.append(canonical_solutions(w, targets, alpha))
 
-    # candidates[i]: candidate image i as letters, each syllable spelled once
-    candidates = []
-    runs: dict = {}
-    for word in enumerate_reduced(alph, bound):
-        letters = ()
-        for syl in word.syllables:
-            if syl not in runs:
-                runs[syl] = (syl.gen + 1 if syl.exp > 0 else -syl.gen - 1,) * abs(syl.exp)
-            letters += runs[syl]
-        candidates.append(letters)
+    # candidates[i]: the letters of words[i], candidate image i
+    words = list(enumerate_reduced(alph, bound))
+    candidates = [tuple(word.letters()) for word in words]
     total = len(candidates) ** nvars
     budget = total if max_assignments is None else min(total, max_assignments)
 
@@ -420,7 +413,7 @@ def verify_testword(
             picks[free] = found
         elif distance:
             return
-        images = [Word.from_letters(alph, candidates[i]) for i in picks]
+        images = [words[i] for i in picks]
         assignment = dict(zip(var_names, images))
         if any(assignment == c for c in canonical):
             return

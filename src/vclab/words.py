@@ -152,10 +152,6 @@ class Word:
             for _ in range(abs(exp)):
                 yield step
 
-    def lex_key(self) -> tuple[int, ...]:
-        """Sort key of the letter sequence, letters ordered a < a^-1 < b < b^-1 < ..."""
-        return tuple(2 * (abs(l) - 1) + (l < 0) for l in self.letters())
-
     def _require_same_alphabet(self, other: "Word") -> None:
         if self.alphabet != other.alphabet:
             raise WordError(f"alphabet mismatch: rank {self.alphabet.rank} vs {other.alphabet.rank}")

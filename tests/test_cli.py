@@ -601,6 +601,33 @@ def test_qm_invariance_checks_every_count_before_the_first(capsys):
     assert "Traceback" not in captured.err
 
 
+def test_qm_homogenize_checks_every_truncation_before_the_first_count(capsys):
+    # g^3 = a^12000000 is past the budget: the table counted the 4,000,000
+    # letters of g for truncation 1 before refusing it (1.4 s)
+    argv = ["qm-homogenize", "--pattern", "ab", "--word", "a^4000000", "--truncations", "1,3"]
+    start = time.perf_counter()
+    assert main(argv) == 1
+    assert time.perf_counter() - start < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: counting a pattern of 2 letters in a word of 12000000 letters "
+        "exceeds the budget of 10000000 letter comparisons\n"
+    )
+    assert "Traceback" not in captured.err
+
+
+def test_conjugacy_of_long_one_syllable_literals_reads_syllables(capsys):
+    # is_conjugate spelled both 10^8-letter roots: a MemoryError after 6 s
+    argv = ["divergence", "--c", "a^100000000b", "--d", "ba^100000000", "--n-max", "1", "--m-max", "1"]
+    start = time.perf_counter()
+    assert main(argv) == 1
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: inputs are commensurable; divergence undefined\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["divergence", "--c", "a^100000000", "--d", "b", "--n-max", "2", "--m-max", "1"],
     ["verify-testword", "--exponents", "1 1 1 1 1 1 1 1 1 1", "--targets", "a^100000000;b;c", "--bound", "0"],

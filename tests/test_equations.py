@@ -303,7 +303,9 @@ def test_brute_force_enumerates_each_x_once(monkeypatch, jobs):
     monkeypatch.setattr(vclab.equations, "enumerate_reduced", recording)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     assert brute_force_solutions(inst23(), 4, jobs=jobs) == unpruned_solutions(inst23(), 4)
-    assert sorted(seen, key=lambda x: (len(x), x.lex_key())) == list(enumerate_reduced(F2, 4))
+    # x = 1, then the shards in letter order: a stable sort by length gives
+    # the shortlex order, as brute_force_solutions relies on
+    assert sorted(seen, key=len) == list(enumerate_reduced(F2, 4))
     assert len(seen) == count_reduced(2, 4) == 161
 
 
@@ -568,6 +570,25 @@ def test_power_exponent_of():
     assert power_exponent_of(g, g ** -2) == -2
     assert power_exponent_of(g, w("")) == 0
     assert power_exponent_of(g, w("ab")) is None
+
+
+syllables = st.lists(st.tuples(st.integers(0, 2), st.sampled_from([1, -1, 2, -3])), max_size=4)
+
+
+@given(st.integers(1, 3), syllables, syllables, syllables, syllables, st.booleans(), st.booleans(),
+       st.integers(1, 3), st.integers(-3, 3), st.integers(1, 4))
+def test_a_power_of_x_lies_in_e_of_y_only_when_e_of_x_does(rank, t, c, t2, c2, same_t, same_c, i, j, n):
+    # why classify_solution needs no tag past COMMON_E: x^n is a power of
+    # ey = root(y).root exactly when root(x).root is ey or its inverse; x
+    # and y are drawn as t c^i t^-1 and t' c'^j t'^-1, often sharing t or c
+    alph = Alphabet(rank)
+    t, c, t2, c2 = (Word.from_syllables(alph, [(gen % rank, exp) for gen, exp in syl]) for syl in (t, c, t2, c2))
+    s, d = (t if same_t else t2), (c if same_c else c2)
+    x, y = t * c ** i * t.inverse(), s * d ** j * s.inverse()
+    if x.is_identity() or y.is_identity():
+        return
+    ex, ey = root(x).root, root(y).root
+    assert (power_exponent_of(ey, x ** n) is not None) == (ex == ey or ex == ey.inverse())
 
 
 # -- gcd count consistency --------------------------------------------------------------

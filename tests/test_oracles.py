@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vclab import oracles
@@ -120,6 +120,39 @@ def test_conjugacy_matches_rotation_scan():
         for u, v in itertools.product(words, repeat=2):
             got = is_conjugate(u, v)
             assert (None if got is None else got.conjugator) == rotation_scan_conjugate(u, v)
+
+
+syllable_lists = st.lists(st.tuples(st.integers(0, 2), st.sampled_from([1, -1, 2, -2, 3, -5])), max_size=5)
+conjugator_lists = st.lists(st.tuples(st.integers(0, 2), st.sampled_from([1, -1, 2, -3])), max_size=4)
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 3), syllable_lists, conjugator_lists, conjugator_lists, st.integers(2, 4))
+# c = bab: u = a c^2 A and v = AB c^2 ba = b^2ab^2a match at two rotations,
+# and the first syllable match is the larger one
+@example(2, [(1, 1), (0, 1), (1, 1)], [(0, 1)], [(0, -1), (1, -1)], 2)
+def test_conjugacy_witness_of_powers_matches_rotation_scan(rank, base, left, right, e):
+    # t c^e t^-1 against s c^e s^-1: a core that is a proper power matches
+    # at several rotations, often with merged ends, and the least is taken
+    alph = Alphabet(rank)
+    c, t, s = (Word.from_syllables(alph, [(gen % rank, exp) for gen, exp in syl]) for syl in (base, left, right))
+    u, v = t * c ** e * t.inverse(), s * c ** e * s.inverse()
+    got = is_conjugate(u, v)
+    assert got.conjugator == rotation_scan_conjugate(u, v)
+    assert u.conjugate(got.conjugator) == v
+
+
+def test_conjugacy_never_spells_the_letters():
+    huge = 10**12
+    assert is_conjugate(w(f"a^{huge}b"), w(f"ba^{huge}")) == (w(f"a^{huge}"),)
+    assert is_conjugate(w(f"a^{huge}b"), w(f"ba^{huge + 1}")) is None
+    assert is_commensurable(w(f"a^{huge}b"), w(f"ba^{huge}")) == (w("b"), 1, 1)
+    # (a^huge b)^3 and a rotation of it, whose ends merge round the cycle
+    u = w(f"Ba^{huge}ba^{huge}ba^{huge}bb")
+    v = w(f"a^5ba^{huge}ba^{huge}ba^{huge - 5}")
+    got = is_conjugate(u, v)
+    assert u.conjugate(got.conjugator) == v
+    assert got.conjugator == w(f"Ba^{huge - 5}")
 
 
 # -- roots -----------------------------------------------------------------------
@@ -261,9 +294,6 @@ def letter_root(word):
         return word, 1
     piece = Word.from_letters(word.alphabet, letters[:period])
     return conj * piece * conj.inverse(), n // period
-
-
-syllable_lists = st.lists(st.tuples(st.integers(0, 2), st.sampled_from([1, -1, 2, -2, 3, -5])), max_size=5)
 
 
 @given(st.integers(1, 3), syllable_lists, syllable_lists, st.integers(1, 5))

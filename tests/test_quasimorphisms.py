@@ -11,6 +11,7 @@ from vclab.quasimorphisms import (
     conjugacy_invariance_check,
     counting_qm,
     defect_estimate,
+    homogenization_table,
     homogenize,
 )
 
@@ -336,7 +337,7 @@ def outcome(fn, *args):
     """The value of fn(*args), or ("refused", the message it raises)."""
     try:
         return fn(*args)
-    except BudgetExceeded as exc:
+    except (BudgetExceeded, WordError) as exc:
         return "refused", str(exc)
 
 
@@ -367,3 +368,36 @@ def test_count_budget_refuses_up_front_what_counting_would_reach_first(word, con
             with mp.context() as inner:
                 inner.setattr(quasimorphisms, "_check_counts", lambda q, powers: None)
                 assert outcome(fn, *args) == got
+
+
+@given(small_syllables, st.sampled_from(["a", "ab", "aB", "abAB", "a^3b"]), st.lists(st.integers(-1, 8), max_size=4))
+@example([(0, 20)], "ab", [1, 3])  # g^3 alone is past the budget: q(g) was counted first
+@example([(0, 20)], "ab", [1, 0])
+@settings(max_examples=300)
+def test_table_checks_every_truncation_before_the_first_count(word, pattern, truncations):
+    # with small budgets, the table gives the values or the message of the
+    # loop over its truncations, and a refused truncation or count counts
+    # nothing; a power past the power budget is refused where it is built
+    g = Word.from_syllables(F2, word)
+    q = counting_qm(p(pattern))
+    counted = []
+    signed_count = quasimorphisms.QuasiMorphism._signed_count
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quasimorphisms, "COUNT_BUDGET", 40)
+        mp.setattr(quasimorphisms, "POWER_BUDGET", 16)
+        mp.setattr("vclab.words.POWER_BUDGET", 16)
+        mp.setattr(quasimorphisms.QuasiMorphism, "_signed_count", lambda self, text: (counted.append(text), signed_count(self, text))[1])
+        got = outcome(homogenization_table, q, g, truncations, Fraction(1))
+        if isinstance(got, tuple) and not got[1].startswith("power of"):
+            assert not counted
+        assert got == outcome(lambda: [homogenize(q, g, m, Fraction(1)) for m in truncations])
+
+
+@pytest.mark.parametrize("truncation", [0, -3])
+def test_truncations_below_one_are_refused(truncation):
+    q = counting_qm(p("ab"))
+    for call in (lambda: homogenize(q, p("ab"), truncation, Fraction(0)),
+                 lambda: homogenization_table(q, p("ab"), [2, truncation], Fraction(0)),
+                 lambda: conjugacy_invariance_check(q, p("ab"), p("a"), truncation, Fraction(0))):
+        with pytest.raises(WordError, match="^truncation must be >= 1$"):
+            call()

@@ -349,6 +349,18 @@ def test_walk_enumerates_an_inverse_occurrence(w, cap):
     assert (report.explored, report.total, report.exhausted) == (explored, total, exhausted)
 
 
+def test_walk_splits_a_conjugate_candidate_for_its_power():
+    # y3 is enumerated (exponent 2) and varies fastest, so its candidates
+    # are squared; at bound 3 they include t c t^-1 with t nonempty, such as
+    # aba^-1, whose power is spelled t c^2 t^-1 around the split core
+    w = X1 * X2 * X3 * Y3 ** 2
+    targets = [parse_word(t, Alphabet(2)) for t in ("a", "b", "aB")]
+    report = verify_testword(w, targets, 3, max_assignments=300)
+    violations, explored, total, exhausted = product_walk(w, targets, 3, 300)
+    assert [v.assignment for v in report.violations] == violations
+    assert (report.explored, report.total, report.exhausted) == (explored, total, exhausted)
+
+
 def counting_products(monkeypatch):
     calls = {"mul": 0, "pow": 0}
     mul, power = Word.__mul__, Word.__pow__

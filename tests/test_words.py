@@ -393,11 +393,6 @@ def test_from_letters_reduces_and_round_trips():
     assert Word.from_letters(F2, word.letters()) == word
 
 
-def test_lex_key_orders_letters_a_before_inverse_before_b():
-    assert w("a").lex_key() < w("A").lex_key() < w("b").lex_key() < w("B").lex_key()
-    assert w("a^2B").lex_key() == (0, 0, 3)
-
-
 # -- conjugation and cyclic reduction ----------------------------------------
 
 def test_conjugate_examples():
