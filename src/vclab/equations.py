@@ -9,9 +9,10 @@ can only refute perfectness or fail to refute it at a bound; no finite
 run certifies the unbounded statement.
 
 The prunes map the equation to a group where y^m vanishes: the
-abelianization modulo m, and then a class-2 nilpotent quotient of exponent
-dividing m, where x must meet one more congruence per pair of generators
-(the proof is in ``_class2_survivors``).  Every solution passes both.
+abelianization modulo m, walked beside the shortlex enumeration without
+reading x, and then a class-2 nilpotent quotient of exponent dividing m,
+where x must meet one more congruence per pair of generators (the proof is
+in ``_class2_survivors``).  Every solution passes both.
 """
 
 from __future__ import annotations
@@ -20,14 +21,16 @@ import enum
 import functools
 import os
 from dataclasses import dataclass, field
+from itertools import chain, compress
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .words import Alphabet, BudgetExceeded, Syllable, Word, WordError, enumerate_reduced, format_word, reduced_count_exceeds
 from .oracles import is_conjugate, root
 
 # reduced x a search may enumerate, whatever max_candidates asks: bound 14
-# at rank 2 (9,565,937 words), about 40 s at 4 us per candidate (bound 12,
-# 1,062,881 words, took 4.2 s in process on a 2-core host)
+# at rank 2 (9,565,937 words) took 16 s and 108 MiB peak RSS, n = 2, m = 3,
+# as one CLI run on a 2-core host (bound 12, 1,062,881 words, 1.9 s and
+# 28 MiB)
 CANDIDATE_CAP = 10**7
 
 
@@ -120,9 +123,11 @@ def brute_force_solutions(
     ``enumerate_reduced``; x is dropped unless the abelianized equation
     n*sigma(x) + m*sigma(y) = sigma(g) has an integer solution sigma(y),
     sigma being the vector of exponent sums: every solution passes this
-    test.  A survivor is then mapped to a class-2 nilpotent group Q of
-    exponent dividing m, where y^m vanishes too, so phi(x)^n = phi(g) in Q;
-    for every pair i < j of generators that is one more congruence,
+    test, which ``_abelian_survivors`` decides for each position of a
+    shard's shortlex order and reads no syllable of x.  A survivor is then
+    mapped to a class-2 nilpotent group Q of exponent dividing m, where y^m
+    vanishes too, so phi(x)^n = phi(g) in Q; for every pair i < j of
+    generators that is one more congruence,
     n*c_ij(x) + C(n, 2)*sigma_i(x)*sigma_j(x) = c_ij(g) modulo m' (m' = m
     for odd m, m/2 for even m), where c_ij(w) sums e times the exponent sum
     of x_j before each syllable x_i^e of w; ``_class2_survivors`` proves it.
@@ -167,30 +172,54 @@ def _solve_shard(a: Word, b: Word, n: int, m: int, bound: int, first: Syllable) 
     """The solutions whose x starts with the letter ``first``."""
     g = a ** n * b ** m
     xs = enumerate_reduced(g.alphabet, bound, first)
-    survivors = _class2_survivors(_abelian_survivors(xs, g, n, m, bound), g, n, m)
+    survivors = _class2_survivors(_abelian_survivors(xs, g, n, m, bound, first), g, n, m)
     return _solve_candidates(survivors, n, m, g, bound)
 
 
-def _abelian_survivors(xs: Iterable[Word], g: Word, n: int, m: int, bound: int) -> Iterator[Word]:
-    """The x in ``xs``, each of length <= bound, with n*sigma(x) = sigma(g)
-    modulo m, in order."""
+def _abelian_survivors(xs: Iterable[Word], g: Word, n: int, m: int, bound: int, first: Syllable) -> Iterator[Word]:
+    """The x in ``xs`` with n*sigma(x) = sigma(g) modulo m, in order, where
+    ``xs`` holds, position by position, ``enumerate_reduced(g.alphabet,
+    bound, first)``; no x is read.
+
+    Level 1 of that shard is ``first``, and level L lists, for each word of
+    level L-1 in turn, its extensions by every letter but the inverse of its
+    last one, in letter order.  So a walk over the states (sigma(x) mod m,
+    last letter), level by level, marks each position: ``children`` maps a
+    state to its children's states and ``kept`` to their verdicts, both
+    filled on first use, for at most min(m, 2*bound + 1)^rank * 2*rank states.
+    """
     rank = g.alphabet.rank
+    letters = [Syllable(gen, sign) for gen in range(rank) for sign in (1, -1)]
+    size = len(letters)
     target = [g.exponent_sum(i) for i in range(rank)]
-    # sigma(x) as one integer whose digit i in base 2*bound + 1 is
-    # sigma_i(x) + bound, within 0..2*bound as |x| <= bound; the test is
-    # decided once per digit vector
-    base = 2 * bound + 1
-    weight = {Syllable(gen, exp): exp * base ** gen for gen in range(rank) for exp in range(-bound, bound + 1) if exp}
-    offset = sum(bound * base ** gen for gen in range(rank))
-    passes: dict[int, bool] = {}
-    weigh, verdict = weight.__getitem__, passes.get
-    for x in xs:
-        key = sum(map(weigh, x.syllables), offset)
-        ok = verdict(key)
-        if ok is None:
-            ok = passes[key] = all((target[i] - n * x.exponent_sum(i)) % m == 0 for i in range(rank))
-        if ok:
-            yield x
+
+    # a state is code * size + k: letter k is last, and digit i of code in
+    # base m is sigma_i(x) mod m
+    def child(code: int, k: int) -> int:
+        gen, sign = letters[k]
+        digit = code // m ** gen % m
+        return (code + ((digit + sign) % m - digit) * m ** gen) * size + k
+
+    def passes(state: int) -> bool:
+        code = state // size
+        return all((target[i] - n * (code // m ** i % m)) % m == 0 for i in range(rank))
+
+    children: dict[int, tuple[int, ...]] = {}
+    kept: dict[int, tuple[bool, ...]] = {}
+
+    def marks() -> Iterator[Iterable[bool]]:
+        level = [child(0, letters.index(first))]
+        yield map(passes, level)
+        for length in range(2, bound + 1):
+            for state in set(level).difference(children):
+                code, last = divmod(state, size)
+                kids = children[state] = tuple(child(code, k) for k in range(size) if k != last ^ 1)
+                kept[state] = tuple(map(passes, kids))
+            yield chain.from_iterable(map(kept.__getitem__, level))
+            if length < bound:
+                level = list(chain.from_iterable(map(children.__getitem__, level)))
+
+    return compress(xs, chain.from_iterable(marks()))
 
 
 def _class2_survivors(xs: Iterable[Word], g: Word, n: int, m: int) -> Iterable[Word]:

@@ -417,7 +417,9 @@ def enumerate_reduced(alph: Alphabet, max_len: int, first: Optional[Syllable] = 
     steps: dict[Syllable, list[tuple[bool, tuple[Syllable]]]] = {}
     reduced = Word._reduced
     for level in range(2, max_len + 1):
+        # the last level is never extended, so its words are not kept
         extended = []
+        keep = level < max_len
         for prefix in frontier:
             last = prefix[-1]
             after = steps.get(last)
@@ -430,7 +432,8 @@ def enumerate_reduced(alph: Alphabet, max_len: int, first: Optional[Syllable] = 
             head = prefix[:-1]
             for bumps, tail in after:
                 ext = (head if bumps else prefix) + tail
-                extended.append(ext)
+                if keep:
+                    extended.append(ext)
                 yield reduced(alph, ext, level)
         frontier = extended
 

@@ -276,15 +276,47 @@ def test_brute_force_equals_unpruned_search(a, b, rank, n, m):
     assert all(passes_abelian_test(inst, p.x) and is_solution(inst, p) for p in got)
 
 
-@pytest.mark.parametrize("a, b, rank", [("a", "a^2", 1), ("a", "b", 2), ("aB", "b^2", 2), ("a", "bc", 3)])
+def shard_letters(alph):
+    return [Syllable(gen, sign) for gen in range(alph.rank) for sign in (1, -1)]
+
+
+def check_abelian_filter_by_shard(inst, max_bound):
+    """The walk of each shard, with its first letter, keeps exactly the
+    survivors of the letter-free abelian test, at every bound up to max_bound."""
+    alph = inst.alphabet
+    for bound in range(1, max_bound + 1):
+        for first in shard_letters(alph):
+            xs = list(enumerate_reduced(alph, bound, first))
+            got = list(_abelian_survivors(xs, inst.g, inst.n, inst.m, bound, first))
+            assert got == [x for x in xs if passes_abelian_test(inst, x)]
+
+
+@pytest.mark.parametrize("a, b, rank", [("a", "a^2", 1), ("a", "b", 2), ("aB", "b^2", 2), ("a", "bc", 3), ("ab", "c", 3)])
 @pytest.mark.parametrize("n, m", [(1, 1), (2, 3), (3, 3), (4, 6), (5, 1)])
 def test_abelian_filter_keeps_exactly_the_survivors(a, b, rank, n, m):
     alph = Alphabet(rank)
+    check_abelian_filter_by_shard(EquationInstance(parse_word(a, alph), parse_word(b, alph), n, m), 5)
+
+
+@pytest.mark.parametrize("a, b, rank", [("a", "a^2", 1), ("a", "b", 2), ("aB", "b^2", 2), ("ab", "c", 3)])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_abelian_filter_keeps_exactly_the_survivors_of_a_large_modulus(a, b, rank, n):
+    # m = 1000003 > 2 * bound + 1, so no exponent sum of x wraps modulo m
+    alph = Alphabet(rank)
+    check_abelian_filter_by_shard(EquationInstance(parse_word(a, alph), parse_word(b, alph), n, 1000003), 5)
+
+
+@pytest.mark.parametrize("a, b, rank, bound", [("a", "a^2", 1, 7), ("a", "b", 2, 6), ("aB", "b^2", 2, 6), ("ab", "c", 3, 4)])
+@pytest.mark.parametrize("n, m", [(2, 3), (3, 2), (4, 6), (2, 1000003)])
+def test_abelian_filter_reads_positions_only(a, b, rank, bound, n, m):
+    # the walk marks positions of the shard's order: given the indices in
+    # place of the words, it keeps exactly the survivors' indices
+    alph = Alphabet(rank)
     inst = EquationInstance(parse_word(a, alph), parse_word(b, alph), n, m)
-    for bound in range(6):
-        xs = list(enumerate_reduced(alph, bound))
-        got = list(_abelian_survivors(xs, inst.g, n, m, bound))
-        assert got == [x for x in xs if passes_abelian_test(inst, x)]
+    for first in shard_letters(alph):
+        xs = list(enumerate_reduced(alph, bound, first))
+        got = list(_abelian_survivors(range(len(xs)), inst.g, n, m, bound, first))
+        assert got == [i for i, x in enumerate(xs) if passes_abelian_test(inst, x)]
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -393,9 +425,10 @@ def test_class2_stage_keeps_exactly_the_q_survivors(a, b, rank, n, m):
     alph = Alphabet(rank)
     inst = EquationInstance(parse_word(a, alph), parse_word(b, alph), n, m)
     bound = 5 if rank < 3 else 4
-    xs = list(enumerate_reduced(alph, bound))
-    got = list(_class2_survivors(_abelian_survivors(xs, inst.g, n, m, bound), inst.g, n, m))
-    assert got == [x for x in xs if passes_q_test(inst, x)]
+    for first in shard_letters(alph):
+        xs = list(enumerate_reduced(alph, bound, first))
+        got = list(_class2_survivors(_abelian_survivors(xs, inst.g, n, m, bound, first), inst.g, n, m))
+        assert got == [x for x in xs if passes_q_test(inst, x)]
 
 
 def test_class2_stage_is_skipped_where_it_says_nothing():

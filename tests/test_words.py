@@ -510,6 +510,23 @@ def test_first_letter_shards_split_the_enumeration(rank, max_len):
         assert list(enumerate_reduced(alph, 0, first)) == []
 
 
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_each_level_of_a_shard_extends_the_level_before_in_letter_order(rank):
+    # the abelian prune of solve-eq walks this order without reading a word:
+    # level 1 is the shard letter, and level L lists, for each word of level
+    # L - 1 in turn, its extensions by every letter but the inverse of its
+    # last one, in letter order
+    alph = Alphabet(rank)
+    letters = [(gen, sign) for gen in range(rank) for sign in (1, -1)]
+    for first in letters:
+        levels = [[[first]]]
+        for _ in range(4):
+            levels.append([word + [letter] for word in levels[-1] for letter in letters if letter != (word[-1][0], -word[-1][1])])
+        for max_len in range(6):
+            expected = [Word.from_syllables(alph, word) for level in levels[:max_len] for word in level]
+            assert list(enumerate_reduced(alph, max_len, Syllable(*first))) == expected
+
+
 def test_first_letter_must_be_a_letter():
     for first in [(0, 2), (0, 0), (2, 1), (-1, 1)]:
         with pytest.raises(WordError, match="first must be a letter"):
