@@ -318,7 +318,7 @@ def _cmd_qm_homogenize(args) -> tuple[int, Iterable[str]]:
     alph = _infer_rank(texts, args.rank)
     qm, entry = _make_qm(args, alph)
     word = parse_word(args.word, alph)
-    table = [h.to_json_dict() for h in quasimorphisms.homogenization_table(qm, word, args.truncations, args.defect or Fraction(0))]
+    table = [quasimorphisms.homogenize(qm, word, m, args.defect or Fraction(0)).to_json_dict() for m in args.truncations]
     data = {"qm": entry, "word": format_word(word), "homogenization_table": table}
     return EXIT_OK, _json_chunks(data)
 

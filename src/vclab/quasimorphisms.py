@@ -2,32 +2,31 @@
 
 A counting quasimorphism takes the signed occurrences of a fixed pattern
 in the reduced word; the pattern of one letter x_i gives the exponent-sum
-homomorphism on x_i, whose defect is exactly zero.  Defect estimation is
-sampling-based and yields lower bounds only; each sampled gap
-q(fg) - q(f) - q(g) is read off the letters next to the cancellation
-between f and g, never from a recount of fg.  Homogenization is by
-truncation q(g^M)/M with the standard subadditivity error D/M, and
-conjugacy invariance is measured by the truncated residual against its
-bound; q(g^M) is exact and affine in M past a threshold, so any
-truncation costs O(|g| + |pattern|).  A value q(w) spells w out and
-compares |w| * |pattern| letters, so both carry a budget, checked before
-any letter is spelled; homogenization and the invariance check read the
-length of every value they will count off the cores and check them all
-(a homogenization table, every truncation's) before the first count.
+homomorphism on x_i, whose defect is exactly zero.  A value q(w) is
+counted on the syllables of w and of the pattern, in time linear in the
+syllables, and spells no letter.  Defect estimation is sampling-based
+and yields lower bounds only; each sampled gap q(fg) - q(f) - q(g) is
+read off the letters next to the cancellation between f and g, never
+from a recount of fg, so each quasimorphism spells its pattern out once,
+within a budget.  Homogenization is by truncation q(g^M)/M with the
+standard subadditivity error D/M, and conjugacy invariance is measured by
+the truncated residual against its bound; q(g^M) is exact and affine in M
+past a threshold, so any truncation counts two powers of a few copies of
+the cyclic core of g, built from syllables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
-from .words import POWER_BUDGET, BudgetExceeded, Word, WordError
+from .oracles import _cyclic_form, _prefix_function
+from .words import BudgetExceeded, Syllable, Word, WordError
 
 # letters of a pattern, spelled out with its inverse once per quasimorphism
+# for the seam windows of ``QuasiMorphism.gap``
 PATTERN_BUDGET = 10**6
-# |w| * |pattern| for one value q(w): the letters its windows compare
-COUNT_BUDGET = 10**7
 
 
 @dataclass(frozen=True)
@@ -39,20 +38,12 @@ class QuasiMorphism:
     probes: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        letters = tuple(self.pattern.letters())
+        letters = _letters_from(self.pattern.syllables, 0, 0, len(self.pattern))
         object.__setattr__(self, "probes", (letters, tuple(-l for l in reversed(letters))))
 
     def __call__(self, w: Word) -> Fraction:
-        self._require_count_budget(len(w))
-        return Fraction(self._signed_count(tuple(w.letters())))
-
-    def _require_count_budget(self, length: int) -> None:
-        """Refuse to count in a word of ``length`` letters past ``COUNT_BUDGET``."""
-        if length * len(self.pattern) > COUNT_BUDGET:
-            raise BudgetExceeded(
-                f"counting a pattern of {len(self.pattern)} letters in a word of {length} letters "
-                f"exceeds the budget of {COUNT_BUDGET} letter comparisons"
-            )
+        pattern = self.pattern
+        return Fraction(_occurrences(pattern.syllables, w.syllables) - _occurrences(pattern.inverse().syllables, w.syllables))
 
     def _signed_count(self, text: tuple[int, ...]) -> int:
         """Occurrences of the pattern in the letter sequence minus those of its inverse."""
@@ -106,6 +97,34 @@ class QuasiMorphism:
             - self._signed_count(f_end + c_start)
             - self._signed_count(c_inverse_end + g_start)
         )
+
+
+def _occurrences(pattern: tuple[Syllable, ...], syllables: tuple[Syllable, ...]) -> int:
+    """Occurrences of a reduced pattern in a reduced word, both as syllables.
+
+    A pattern x^k occurs max(0, |e| - |k| + 1) times in each syllable x^e of
+    the same sign.  A pattern p_1 ... p_s of s >= 2 syllables changes
+    generator after p_1 and before p_s, so it occurs once at syllable i of
+    the word exactly when w_i and w_{i+s-1} run the letters of p_1 and p_s
+    at least as long, and w_{i+1} ... w_{i+s-2} equal p_2 ... p_{s-1}.  One
+    KMP prefix function finds those inner matches in linear time.
+    """
+    first, last = pattern[0], pattern[-1]
+    if len(pattern) == 1:
+        return sum(abs(exp - first.exp) + 1 for gen, exp in syllables if _runs(gen, exp, first))
+    inner = len(pattern) - 2
+    # None is no syllable, so no border crosses it: an inner match ending at
+    # index end is syllables[end - 2 inner : end - inner], between w_i and w_{i+s-1}
+    prefix = _prefix_function([*pattern[1:-1], None, *syllables])
+    return sum(
+        1 for end in range(2 * inner + 1, len(prefix) - 1)
+        if prefix[end] == inner and _runs(*syllables[end - 2 * inner - 1], first) and _runs(*syllables[end - inner], last)
+    )
+
+
+def _runs(gen: int, exp: int, part: Syllable) -> bool:
+    """Whether the syllable (gen, exp) runs the letter of ``part`` at least |part.exp| times."""
+    return gen == part.gen and (0 < part.exp <= exp or exp <= part.exp < 0)
 
 
 def _letter(gen: int, exp: int) -> int:
@@ -166,62 +185,46 @@ def defect_estimate(q: QuasiMorphism, sample_pairs: Iterable[tuple[Word, Word]])
 
 
 def _power_value(q: QuasiMorphism, g: Word, m: int) -> Fraction:
-    """q(g^m) for m >= 1 without building g^m when m is large.
+    """q(g^m) for m >= 1, from powers of at most m0 + 1 copies of the core.
 
-    For a pattern of length k, write g = t c t^{-1} with c cyclically
-    reduced and n = |c| > 0.  For m >= 1 the letters of g^m are
-    T C^m T^{-1} with no cancellation (T, C the letters of t, c).  Suppose k - 1 <= m n, and compare the
-    windows of length k in T C^{m+1} T^{-1} with those in T C^m T^{-1}:
-      - a window starting inside T ends within T C^m, since
-        |T| - 1 + k <= |T| + m n, and reads the same in both words;
-      - a window starting at or past |T| + n lies in the suffix C^m T^{-1},
-        which starts n letters earlier in the shorter word;
-      - the n windows starting in the first period of C lie inside C^{m+1}
-        and read each cyclic rotation of C once.
-    The first two kinds match the windows of T C^m T^{-1} one to one, so
-    q(g^{m+1}) - q(g^m) is the cyclic signed count of c, whatever m is.
-    m0 = ceil(k/n) + 2 exceeds both 1 and (k - 1)/n, so q(g^m) is affine
-    in m from m0 on, and the two short powers g^m0 and g^(m0+1) give it
-    exactly.
+    Write g = t c t^{-1} with c cyclically reduced, so that g^m = t c^m t^{-1}
+    up to merging the syllables at each seam.  As a sequence of units,
+    letters when c is one syllable x^e and syllables otherwise, g^m is
+    H B^{m-d} E for m >= d, with B of P units and H, E fixed:
+      - letters: d = 0, B = c, P = |e|;
+      - syllables, the ends of c of different generators: d = 2, B = c and
+        P = r, as only the first and last copy of c meet t and t^{-1};
+      - syllables, both ends of c of generator x: c^m is
+        c_1 (c_2 ... c_{r-1} x^{e_r + e_1})^{m-1} c_2 ... c_r, so d = 1, B is
+        the bracket and P = r - 1 (``oracles._cyclic_form``).
+    A pattern of k units occurs in windows of k units (``_occurrences``).
+    If k - 1 <= (m - d) P, the windows of H B^{m+1-d} E that start in H lie
+    in H B^{m-d}, and those from |H| + P on lie in the suffix B^{m-d} E, so
+    they match the windows of H B^{m-d} E one to one; the P others lie in
+    B^{m+1-d} and read each cyclic rotation of B once.  So q(g^{m+1}) -
+    q(g^m) is the cyclic count over B, whatever m is.  m0 = ceil(k/P) + 2
+    exceeds d and (m0 - d) P >= k, so q(g^m) is affine in m from m0 on, and
+    g^m0 and g^(m0+1) give it exactly.  In syllables P >= 2, so they hold
+    at most ceil(k/P) + 3 <= k + 3 copies of c; in letters they are a few
+    syllables for any m.
     """
-    counted = _counted_powers(q, g, m)
-    if not counted:
-        return Fraction(0)
-    if len(counted) == 1:
-        return q(g ** m)
-    m0 = counted[0][1]
-    base = q(g ** m0)
-    return base + (m - m0) * (q(g ** (m0 + 1)) - base)
-
-
-def _counted_powers(q: QuasiMorphism, g: Word, m: int) -> tuple[tuple[Word, int], ...]:
-    """The pairs (g, k) of the powers g^k that ``_power_value(q, g, m)``
-    counts, in the order it counts them; a truncation m < 1 is refused."""
     if m < 1:
         raise WordError("truncation must be >= 1")
-    core, _ = g.cyclic_reduce()
-    n = len(core)
-    if not n:
-        return ()
-    m0 = (len(q.probes[0]) + n - 1) // n + 2
-    return ((g, m),) if m <= m0 else ((g, m0), (g, m0 + 1))
+    core, t, cyclic, _ = _cyclic_form(g)
+    if not cyclic:
+        return Fraction(0)
+    k, period = (len(q.pattern), len(core)) if len(cyclic) == 1 else (len(q.pattern.syllables), len(cyclic))
+    m0 = (k + period - 1) // period + 2
+    if m <= m0:
+        return q(_power(core, t, m))
+    base = q(_power(core, t, m0))
+    return base + (m - m0) * (q(_power(core, t, m0 + 1)) - base)
 
 
-def _check_counts(q: QuasiMorphism, powers: Iterable[tuple[Word, int]]) -> None:
-    """Refuse the first value q(g^k) past ``COUNT_BUDGET``, taking the
-    pairs (g, k >= 1) in the order they will be counted, before any is.
-
-    With g = t c t^{-1} and c cyclically reduced, g^k = t c^k t^{-1} is
-    reduced as written, so |g^k| = |g| + (k - 1)|c|: no power is built.  A
-    power that ``Word.__pow__`` refuses, k >= 2 copies of a core of two or
-    more syllables past ``POWER_BUDGET`` letters, ends the check, since
-    building it raises before it would be counted.
-    """
-    for g, k in powers:
-        core, _ = g.cyclic_reduce()
-        if k > 1 and len(core.syllables) > 1 and k * len(core) > POWER_BUDGET:
-            return
-        q._require_count_budget(len(g) + (k - 1) * len(core))
+def _power(core: Word, t: Word, m: int) -> Word:
+    """t c^m t^{-1} for a cyclically reduced core c, from its syllables."""
+    body = ((core.syllables[0].gen, core.syllables[0].exp * m),) if len(core.syllables) == 1 else core.syllables * m
+    return Word.from_syllables(core.alphabet, t.syllables + body + t.inverse().syllables)
 
 
 class HomogenizationResult(NamedTuple):
@@ -244,16 +247,8 @@ def homogenize(q: QuasiMorphism, g: Word, truncation: int, defect: Fraction) -> 
     a homomorphism, whose defect is exactly zero.  A truncation below 1 is
     refused.
     """
-    _check_counts(q, _counted_powers(q, g, truncation))
     value = _power_value(q, g, truncation) / truncation
     return HomogenizationResult(value, truncation, Fraction(defect) / truncation)
-
-
-def homogenization_table(q: QuasiMorphism, g: Word, truncations: Sequence[int], defect: Fraction) -> list[HomogenizationResult]:
-    """``homogenize`` at each truncation, with every truncation and count of
-    the table checked, in table order, before the first count."""
-    _check_counts(q, (power for m in truncations for power in _counted_powers(q, g, m)))
-    return [homogenize(q, g, m, defect) for m in truncations]
 
 
 class InvarianceCheck(NamedTuple):
@@ -282,7 +277,6 @@ def conjugacy_invariance_check(
     """
     m = truncation
     h = g.conjugate(u)
-    _check_counts(q, [*_counted_powers(q, g, m), *_counted_powers(q, h, m), (u, 1)])
     residual = abs(_power_value(q, g, m) / m - _power_value(q, h, m) / m)
     bound = 2 * (abs(q(u)) + Fraction(defect)) / m
     return InvarianceCheck(residual, bound)

@@ -569,14 +569,9 @@ def test_testword_letters_past_the_budget_are_an_error(capsys, exponents, target
 @pytest.mark.parametrize("argv, message", [
     (["qm-defect", "--pattern", "a^100000000b", "--pairs", "10", "--seed", "1"],
      "error: pattern of 100000001 letters exceeds the budget of 1000000 letters"),
-    (["qm-invariance", "--pattern", "ab", "--word", "a^100000000", "--conjugator", "b", "--truncation", "5"],
-     "error: counting a pattern of 2 letters in a word of 300000000 letters exceeds the budget of 10000000 letter comparisons"),
-    (["qm-invariance", "--pattern", "ab", "--word", "a^10000000", "--conjugator", "b", "--truncation", "5"],
-     "error: counting a pattern of 2 letters in a word of 30000000 letters exceeds the budget of 10000000 letter comparisons"),
-], ids=["qm-defect pattern", "qm-invariance 10^8", "qm-invariance 10^7"])
+], ids=["qm-defect pattern"])
 def test_qm_letters_past_the_budget_are_an_error(capsys, argv, message):
-    # both spelled every letter they counted: a MemoryError after 10 s, or
-    # exit 2 after 30 s
+    # gap spells the pattern's letters, so the pattern budget refuses it
     start = time.perf_counter()
     assert main(argv) == 1
     assert time.perf_counter() - start < 1
@@ -585,36 +580,38 @@ def test_qm_letters_past_the_budget_are_an_error(capsys, argv, message):
     assert "Traceback" not in captured.err
 
 
-def test_qm_invariance_checks_every_count_before_the_first(capsys):
-    # g^3, g^4, h^3 fit the budget and h^4 = b^-1 a^5000000 b does not: it is
-    # refused at once, with the message the count of h^4 itself gives
-    argv = ["qm-invariance", "--pattern", "ab", "--word", "a^1250000", "--conjugator", "b", "--truncation", "5"]
+@pytest.mark.parametrize("argv, code, report", [
+    (["qm-invariance", "--pattern", "ab", "--word", "a^100000000", "--conjugator", "b", "--truncation", "5"],
+     2, {"invariance": {"residual": "1/5", "bound": "0", "within_bound": False}}),
+    (["qm-invariance", "--pattern", "ab", "--word", "a^10000000", "--conjugator", "b", "--truncation", "5"],
+     2, {"invariance": {"residual": "1/5", "bound": "0", "within_bound": False}}),
+    (["qm-invariance", "--pattern", "ab", "--word", "a^1250000", "--conjugator", "b", "--truncation", "5"],
+     2, {"invariance": {"residual": "1/5", "bound": "0", "within_bound": False}}),
+    (["qm-homogenize", "--pattern", "ab", "--word", "a^4000000", "--truncations", "1,3"],
+     0, {"homogenization_table": [{"value": "0", "truncation": 1, "error_bound": "0"},
+                                  {"value": "0", "truncation": 3, "error_bound": "0"}]}),
+    (["qm-homogenize", "--gen", "0", "--word", "a^1000000000000b", "--truncations", "1000000000000"],
+     0, {"homogenization_table": [{"value": "1000000000000", "truncation": 1000000000000, "error_bound": "0"}]}),
+], ids=["qm-invariance 10^8", "qm-invariance 10^7", "qm-invariance a^1250000", "qm-homogenize a^4000000",
+        "qm-homogenize gen 10^12"])
+def test_qm_counts_long_syllables_at_once(capsys, argv, code, report):
+    # counted letter by letter, the invariance runs spelled words of up to
+    # 3 * 10^8 letters (a MemoryError after 10 s), and a count budget then
+    # refused them; g^3 of a^1000000000000 b was refused by the power budget
     start = time.perf_counter()
-    assert main(argv) == 1
+    got, out = run(capsys, *argv)
     assert time.perf_counter() - start < 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(
-        "error: counting a pattern of 2 letters in a word of 5000002 letters "
-        "exceeds the budget of 10000000 letter comparisons\n"
-    )
-    assert "Traceback" not in captured.err
+    assert got == code
+    data = json.loads(out)
+    assert {key: data[key] for key in report} == report
+    assert "Traceback" not in capsys.readouterr().err
 
 
-def test_qm_homogenize_checks_every_truncation_before_the_first_count(capsys):
-    # g^3 = a^12000000 is past the budget: the table counted the 4,000,000
-    # letters of g for truncation 1 before refusing it (1.4 s)
-    argv = ["qm-homogenize", "--pattern", "ab", "--word", "a^4000000", "--truncations", "1,3"]
-    start = time.perf_counter()
-    assert main(argv) == 1
-    assert time.perf_counter() - start < 0.5
+def test_qm_homogenize_refuses_a_truncation_below_one_with_no_report(capsys):
+    # the table is built whole before a byte is written
+    assert main(["qm-homogenize", "--pattern", "ab", "--word", "ab", "--truncations", "2,0"]) == 1
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(
-        "error: counting a pattern of 2 letters in a word of 12000000 letters "
-        "exceeds the budget of 10000000 letter comparisons\n"
-    )
-    assert "Traceback" not in captured.err
+    assert captured.out == "" and captured.err == "error: truncation must be >= 1\n"
 
 
 def test_conjugacy_of_long_one_syllable_literals_reads_syllables(capsys):
@@ -642,10 +639,12 @@ def test_roots_of_long_one_syllable_literals_are_read_off_syllables(capsys, argv
 
 
 def test_qm_invariance_at_the_count_budget_finishes(capsys):
-    # the longest word counted, b^-1 a^4999996 b, has 4,999,998 letters:
-    # 9,999,996 comparisons for the 2-letter pattern, inside the budget
+    # the longest word counted, b^-1 a^4999996 b, was the largest a count
+    # budget of 10^7 letter comparisons admitted, and took about 4 s
     argv = ["qm-invariance", "--pattern", "ab", "--word", "a^1249999", "--conjugator", "b", "--truncation", "5"]
+    start = time.perf_counter()
     code, out = run(capsys, *argv, "--defect", "1")
+    assert time.perf_counter() - start < 1
     assert code == 0
     assert json.loads(out)["invariance"] == {"residual": "1/5", "bound": "2/5", "within_bound": True}
 

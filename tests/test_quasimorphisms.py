@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,6 @@ from vclab.quasimorphisms import (
     conjugacy_invariance_check,
     counting_qm,
     defect_estimate,
-    homogenization_table,
     homogenize,
 )
 
@@ -90,6 +90,61 @@ def test_counting_antisymmetry():
     for _ in range(200):
         g = random_word(rng, 10)
         assert q(g.inverse()) == -q(g)
+
+
+# -- counting on syllables ------------------------------------------------------
+
+def letter_count(pattern, w):
+    """The oracle: windows of the pattern's length over the letters of w,
+    signed occurrences of the pattern minus those of its inverse."""
+    probe = tuple(pattern.letters())
+    inverse = tuple(-l for l in reversed(probe))
+    text = tuple(w.letters())
+    k = len(probe)
+    return sum((text[i:i + k] == probe) - (text[i:i + k] == inverse) for i in range(len(text) - k + 1))
+
+
+def syllable_words(alph, max_syllables, max_exp):
+    """Words from syllable streams with long exponents; equal generators in a
+    row merge, and opposite ones cancel."""
+    syllable = st.tuples(st.integers(0, alph.rank - 1), st.integers(-max_exp, max_exp).filter(bool))
+    return st.lists(syllable, max_size=max_syllables).map(lambda items: Word.from_syllables(alph, items))
+
+
+def syllable_patterns(alph):
+    return syllable_words(alph, 6, 4).filter(
+        lambda word: 1 <= len(word.syllables) <= 5 and word.is_cyclically_reduced()
+    )
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.sampled_from((Alphabet(1), F2, F3)).flatmap(
+    lambda alph: st.tuples(syllable_patterns(alph), syllable_words(alph, 14, 12))
+))
+@example((p("a^2"), p("a^5BA^3")))  # one syllable: 4 occurrences in a^5, none in A^3
+@example((p("a^2b"), p("a^3bA^2Ba^2b")))  # ends run longer than the pattern's
+@example((p("abAB"), p("abABabAB")))  # overlapping occurrences of the inner match
+@example((p("aba"), p("baBa")))  # an inner match at the start of the word has no syllable before it
+@example((parse_word("aCb^2", F3), parse_word("c^2aCb^3aC^2b^2", F3)))  # a longer middle does not match
+def test_syllable_count_equals_the_letter_count(case):
+    pattern, w = case
+    assert counting_qm(pattern)(w) == letter_count(pattern, w)
+
+
+def test_long_periodic_pattern_counts_in_linear_time():
+    # a naive comparison of the inner syllables at every start took 1.35 s
+    # already for (ab)^300
+    q = counting_qm(p("ab") ** 1000)
+    start = time.perf_counter()
+    assert q(p("ab") ** 100_000) == 99_001
+    assert time.perf_counter() - start < 1
+
+
+def test_counts_never_spell_the_word():
+    q = counting_qm(p("a^2b"))
+    assert q(p("a^1000000000000b^1000000000000a^2b")) == 2
+    assert q(p("B^1000000000000A^1000000000000")) == -1
+    assert exponent_sum(1)(p("a^3b^-1000000000000a")) == -10**12
 
 
 # -- defect -------------------------------------------------------------------
@@ -289,6 +344,55 @@ def test_closed_form_powers_match_direct_evaluation():
                 assert conjugacy_invariance_check(q, g, u, m, Fraction(3)).residual == residual
 
 
+def _core_period(g):
+    """The threshold of ``_power_value``: letters for a one-syllable core,
+    cyclic syllables otherwise."""
+    core, _ = g.cyclic_reduce()
+    syl = core.syllables
+    if len(syl) == 1:
+        return len(core), "letters"
+    return len(syl) - (syl[0].gen == syl[-1].gen), "syllables"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((Alphabet(1), F2, F3)).flatmap(
+    lambda alph: st.tuples(syllable_patterns(alph), syllable_words(alph, 7, 4))
+))
+@example((p("a^3"), p("ba^2B")))  # one-syllable core: the letter threshold
+@example((p("ab"), p("aba")))  # the ends of the core share a generator
+@example((p("a^2bAB"), p("a^3bA")))  # g = a (a^2 b) a^-1: the core merges with the conjugator
+@example((p("ab" + "a^2b" * 12 + "a"), p("aba")))  # 27 syllables over a period of 2
+def test_power_value_equals_the_letter_count_of_the_power(case):
+    pattern, g = case
+    q = counting_qm(pattern)
+    period, unit = _core_period(g) if g else (1, "letters")
+    size = len(pattern) if unit == "letters" else len(pattern.syllables)
+    m0 = -(-size // period) + 2
+    for m in range(1, m0 + 7):
+        assert quasimorphisms._power_value(q, g, m) == letter_count(pattern, g ** m)
+
+
+def test_power_threshold_counts_cyclic_syllables():
+    # g = aba has 3 syllables but a period of 2: a^2 b repeats.  The pattern
+    # a b (a^2 b)^12 a of 27 syllables first occurs in g^13, so a threshold of
+    # ceil(27 / 3) + 2 = 11 would read q(g^11) = q(g^12) = 0 and extrapolate 0
+    pattern, g = p("ab" + "a^2b" * 12 + "a"), p("aba")
+    q = counting_qm(pattern)
+    assert [letter_count(pattern, g ** m) for m in (11, 12, 13, 20)] == [0, 0, 1, 8]
+    assert [quasimorphisms._power_value(q, g, m) for m in (11, 12, 13, 20, 10**12)] == [0, 0, 1, 8, 10**12 - 12]
+
+
+def test_powers_are_built_from_syllables_past_the_power_budget():
+    # g^3 of a^1000000000000 b has 2 * 10^12 letters more than the power budget
+    q = exponent_sum(0)
+    g = p("a^1000000000000b")
+    assert homogenize(q, g, 10**12, Fraction(0)).value == 10**12
+    q = counting_qm(p("a^2b"))
+    assert homogenize(q, g, 10**6, Fraction(0)).value == 1
+    check = conjugacy_invariance_check(q, g, p("b^1000000000000a"), 10**6, Fraction(6))
+    assert check.within_bound
+
+
 def test_closed_form_powers_for_homomorphisms():
     qb = exponent_sum(1)
     rng = random.Random(83)
@@ -318,86 +422,10 @@ def test_pattern_budget_admits_its_edge_and_refuses_past_it():
         counting_qm(p(f"a^{edge}b"))
 
 
-def test_count_budget_is_checked_before_the_word_is_spelled(monkeypatch):
-    monkeypatch.setattr(quasimorphisms, "COUNT_BUDGET", 12)
-    q = counting_qm(p("ab"))
-    # |w| * |pattern| = 12: admitted, and exact
-    assert q(p("ababab")) == 3
-    assert q(p("BAbaBA")) == -2
-    with pytest.raises(BudgetExceeded, match="counting a pattern of 2 letters in a word of 7 letters exceeds the budget of 12"):
-        q(p("abababa"))
-    # a refused word is never spelled: 10^12 letters fail at once
-    with pytest.raises(BudgetExceeded):
-        q(p("a^1000000000000"))
-    # gap never counts a whole word, so the budget leaves it alone
-    assert q.gap(p("a^1000000000000"), p("b")) == 1
-
-
-def outcome(fn, *args):
-    """The value of fn(*args), or ("refused", the message it raises)."""
-    try:
-        return fn(*args)
-    except (BudgetExceeded, WordError) as exc:
-        return "refused", str(exc)
-
-
-small_syllables = st.lists(st.tuples(st.integers(0, 1), st.integers(-9, 9).filter(bool)), max_size=4)
-
-
-@given(small_syllables, small_syllables, st.sampled_from(["a", "ab", "aB", "abAB", "a^3b"]), st.integers(1, 8))
-@example([(0, 20)], [(0, 21)], "ab", 1)  # g and h = g fit, and q(u) is the first value past the budget
-@settings(max_examples=300)
-def test_count_budget_refuses_up_front_what_counting_would_reach_first(word, conjugator, pattern, truncation):
-    # with small budgets, checking every length first gives the outcome the
-    # counts in order give, and a refusal on the count budget counts nothing
-    g = Word.from_syllables(F2, word)
-    u = Word.from_syllables(F2, conjugator)
-    q = counting_qm(p(pattern))
-    counted = []
-    signed_count = quasimorphisms.QuasiMorphism._signed_count
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(quasimorphisms, "COUNT_BUDGET", 40)
-        mp.setattr(quasimorphisms, "POWER_BUDGET", 16)
-        mp.setattr("vclab.words.POWER_BUDGET", 16)
-        mp.setattr(quasimorphisms.QuasiMorphism, "_signed_count", lambda self, text: (counted.append(text), signed_count(self, text))[1])
-        for fn, args in ((homogenize, (q, g, truncation, Fraction(1))), (conjugacy_invariance_check, (q, g, u, truncation, Fraction(1)))):
-            counted.clear()
-            got = outcome(fn, *args)
-            refused_on_count = got[0] == "refused" and got[1].startswith("counting a pattern")
-            assert not (refused_on_count and counted)
-            with mp.context() as inner:
-                inner.setattr(quasimorphisms, "_check_counts", lambda q, powers: None)
-                assert outcome(fn, *args) == got
-
-
-@given(small_syllables, st.sampled_from(["a", "ab", "aB", "abAB", "a^3b"]), st.lists(st.integers(-1, 8), max_size=4))
-@example([(0, 20)], "ab", [1, 3])  # g^3 alone is past the budget: q(g) was counted first
-@example([(0, 20)], "ab", [1, 0])
-@settings(max_examples=300)
-def test_table_checks_every_truncation_before_the_first_count(word, pattern, truncations):
-    # with small budgets, the table gives the values or the message of the
-    # loop over its truncations, and a refused truncation or count counts
-    # nothing; a power past the power budget is refused where it is built
-    g = Word.from_syllables(F2, word)
-    q = counting_qm(p(pattern))
-    counted = []
-    signed_count = quasimorphisms.QuasiMorphism._signed_count
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(quasimorphisms, "COUNT_BUDGET", 40)
-        mp.setattr(quasimorphisms, "POWER_BUDGET", 16)
-        mp.setattr("vclab.words.POWER_BUDGET", 16)
-        mp.setattr(quasimorphisms.QuasiMorphism, "_signed_count", lambda self, text: (counted.append(text), signed_count(self, text))[1])
-        got = outcome(homogenization_table, q, g, truncations, Fraction(1))
-        if isinstance(got, tuple) and not got[1].startswith("power of"):
-            assert not counted
-        assert got == outcome(lambda: [homogenize(q, g, m, Fraction(1)) for m in truncations])
-
-
 @pytest.mark.parametrize("truncation", [0, -3])
 def test_truncations_below_one_are_refused(truncation):
     q = counting_qm(p("ab"))
     for call in (lambda: homogenize(q, p("ab"), truncation, Fraction(0)),
-                 lambda: homogenization_table(q, p("ab"), [2, truncation], Fraction(0)),
                  lambda: conjugacy_invariance_check(q, p("ab"), p("a"), truncation, Fraction(0))):
         with pytest.raises(WordError, match="^truncation must be >= 1$"):
             call()
