@@ -105,11 +105,11 @@ def _split_words(text: str) -> list[str]:
 
 def _json_chunks(data: dict) -> Iterator[str]:
     """``json.dumps(data, sort_keys=True, indent=2)`` and a newline, for
-    str-keyed data, byte for byte, in pieces.  With an indent, ``json.dumps``
-    runs its pure-Python encoder; this writer formats the containers itself,
-    joins a list of plain ints with ``str`` and leaves only the other leaves
-    to ``json.dumps``.  A top-level value that is an iterator is written as
-    a list, ``CHUNK_ROWS`` items at a time, so it is never held whole."""
+    str-keyed data, byte for byte, one top-level key at a time.  Each value
+    is ``json.dumps`` of its own, re-indented by one level: json escapes
+    every line break inside a string, so each one in its text starts a
+    line.  A top-level value that is an iterator is written as a list,
+    ``CHUNK_ROWS`` items at a time, so it is never held whole."""
     if not data:
         yield "{}\n"
         return
@@ -119,13 +119,13 @@ def _json_chunks(data: dict) -> Iterator[str]:
         if isinstance(value, Iterator):
             yield from _json_stream(value)
         else:
-            yield _json_text(value, "\n  ")
+            yield json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
         sep = ",\n  "
     yield "\n}\n"
 
 
 def _json_stream(items: Iterator) -> Iterator[str]:
-    """A streamed top-level list, as ``_json_text`` writes a list.  A block
+    """A streamed top-level list, as ``json.dumps`` writes a list.  A block
     of tuples of plain ints of one width, such as divergence rows, goes
     through one %-template per item."""
     inner, deeper = "\n    ", "\n      "
@@ -139,31 +139,10 @@ def _json_stream(items: Iterator) -> Iterator[str]:
             row = "[" + deeper + ("," + deeper).join(["%d"] * len(block[0])) + inner + "]"
             text = ("," + inner).join(map(row.__mod__, block))
         else:
-            text = ("," + inner).join([_json_text(item, inner) for item in block])
+            text = ("," + inner).join([json.dumps(item, sort_keys=True, indent=2).replace("\n", inner) for item in block])
         yield sep + text
         sep = "," + inner
     yield "[]" if sep[0] == "[" else "\n  ]"
-
-
-def _json_text(value, newline: str) -> str:
-    """One value as ``json.dumps`` indents it, ``newline`` being a line break
-    and the indent of the line the value starts on."""
-    inner = newline + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [json.dumps(key) + ": " + _json_text(item, inner) for key, item in sorted(value.items())]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        # type(), not isinstance(): True is an int, and json writes it as true
-        if all(type(item) is int for item in value):
-            items = map(str, value)
-        else:
-            items = [_json_text(item, inner) for item in value]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    return json.dumps(value)
 
 
 # -- subcommand implementations ----------------------------------------------

@@ -153,7 +153,7 @@ def brute_force_solutions(
     # x = 1, the one word of length 0
     found = _solve_candidates(enumerate_reduced(inst.alphabet, 0), n, m, inst.g, bound)
     shards = [Syllable(gen, sign) for gen in range(rank) for sign in (1, -1)] if bound else []
-    solve = functools.partial(_solve_shard, inst.a, inst.b, n, m, bound)
+    solve = functools.partial(_solve_shard, inst, bound)
     # never more workers than CPUs or shards, whatever jobs asks for
     workers = min(jobs, os.cpu_count() or 1, len(shards))
     if workers > 1:
@@ -168,9 +168,9 @@ def brute_force_solutions(
     return found
 
 
-def _solve_shard(a: Word, b: Word, n: int, m: int, bound: int, first: Syllable) -> list[SolutionPair]:
+def _solve_shard(inst: EquationInstance, bound: int, first: Syllable) -> list[SolutionPair]:
     """The solutions whose x starts with the letter ``first``."""
-    g = a ** n * b ** m
+    g, n, m = inst.g, inst.n, inst.m
     xs = enumerate_reduced(g.alphabet, bound, first)
     survivors = _class2_survivors(_abelian_survivors(xs, g, n, m, bound, first), g, n, m)
     return _solve_candidates(survivors, n, m, g, bound)

@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import chain, islice, repeat
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .words import Alphabet, BudgetExceeded, Syllable, Word, WordError, _new_tuple, count_reduced, format_word, free_word_metric, reduced_count_exceeds
+from .words import Alphabet, BudgetExceeded, Syllable, Word, WordError, _core_power, _new_tuple, count_reduced, format_word, free_word_metric, reduced_count_exceeds
 from .oracles import is_commensurable
 
 # points a ball may hold: radius 10 at rank 2 (118,097 points) fits
@@ -471,11 +471,7 @@ def divergence_experiment(c: Word, d: Word, n_max: int, m_max: int) -> Divergenc
 
 def _powers(core: Word, conj: Word, k_max: int) -> list[Word]:
     """w^1, ..., w^k_max for w = conj core conj^-1 with ``core`` cyclically
-    reduced: each is conj core^k conj^-1, with core^k grown one core at a
-    time, so no product cancels."""
-    conj_inv, core_k = conj.inverse(), core
-    pows = [conj * core_k * conj_inv]
-    for _ in range(k_max - 1):
-        core_k = core_k * core
-        pows.append(conj * core_k * conj_inv)
-    return pows
+    reduced: each is conj core^k conj^-1, with core^k from ``_core_power``,
+    two products that never cancel."""
+    conj_inv = conj.inverse()
+    return [conj * _core_power(core, k) * conj_inv for k in range(1, k_max + 1)]

@@ -12,7 +12,8 @@ within a budget.  Homogenization is by truncation q(g^M)/M with the
 standard subadditivity error D/M, and conjugacy invariance is measured by
 the truncated residual against its bound; q(g^M) is exact and affine in M
 past a threshold, so any truncation counts two powers of a few copies of
-the cyclic core of g, built from syllables.
+the cyclic core of g, built by the word kernel's power helper without the
+power budget.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from .oracles import _cyclic_form, _prefix_function
-from .words import BudgetExceeded, Syllable, Word, WordError
+from .words import BudgetExceeded, Syllable, Word, WordError, _core_power
 
 # letters of a pattern, spelled out with its inverse once per quasimorphism
 # for the seam windows of ``QuasiMorphism.gap``
@@ -222,9 +223,8 @@ def _power_value(q: QuasiMorphism, g: Word, m: int) -> Fraction:
 
 
 def _power(core: Word, t: Word, m: int) -> Word:
-    """t c^m t^{-1} for a cyclically reduced core c, from its syllables."""
-    body = ((core.syllables[0].gen, core.syllables[0].exp * m),) if len(core.syllables) == 1 else core.syllables * m
-    return Word.from_syllables(core.alphabet, t.syllables + body + t.inverse().syllables)
+    """t c^m t^{-1} for a cyclically reduced core c, past ``POWER_BUDGET`` too."""
+    return t * _core_power(core, m) * t.inverse()
 
 
 class HomogenizationResult(NamedTuple):

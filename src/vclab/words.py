@@ -201,23 +201,11 @@ class Word:
             # one product, cheaper than splitting off the cyclic core
             return base * base
         core, conj = base.cyclic_reduce()
-        syl = core.syllables
-        if not syl:
+        if not core.syllables:
             return self.alphabet.identity()
-        length = k * core.length
-        if len(syl) == 1:
-            powered: tuple[Syllable, ...] = (Syllable(syl[0].gen, syl[0].exp * k),)
-        elif length > POWER_BUDGET:
-            raise BudgetExceeded(f"power of {length} letters exceeds the budget of {POWER_BUDGET} letters")
-        elif syl[0].gen != syl[-1].gen:
-            powered = syl * k
-        else:
-            # cyclically reduced with equal end generators: exponent signs
-            # agree, so the seams merge without cancellation
-            seam = Syllable(syl[0].gen, syl[0].exp + syl[-1].exp)
-            middle = syl[1:-1]
-            powered = (syl[0],) + (middle + (seam,)) * (k - 1) + middle + (syl[-1],)
-        return conj * Word._reduced(self.alphabet, powered, length) * conj.inverse()
+        if len(core.syllables) > 1 and k * core.length > POWER_BUDGET:
+            raise BudgetExceeded(f"power of {k * core.length} letters exceeds the budget of {POWER_BUDGET} letters")
+        return conj * _core_power(core, k) * conj.inverse()
 
     def conjugate(self, g: "Word") -> "Word":
         """g^{-1} * self * g."""
@@ -279,6 +267,23 @@ class Word:
 _set_alphabet = Word.__dict__["alphabet"].__set__
 _set_syllables = Word.__dict__["syllables"].__set__
 _set_length = Word.__dict__["length"].__set__
+
+
+def _core_power(core: Word, k: int) -> Word:
+    """core^k for a nonidentity cyclically reduced core and k >= 1, at any
+    length: no budget applies here."""
+    syl = core.syllables
+    if len(syl) == 1:
+        powered: tuple[Syllable, ...] = (Syllable(syl[0].gen, syl[0].exp * k),)
+    elif syl[0].gen != syl[-1].gen:
+        powered = syl * k
+    else:
+        # cyclically reduced with equal end generators: exponent signs
+        # agree, so the seams merge without cancellation
+        seam = Syllable(syl[0].gen, syl[0].exp + syl[-1].exp)
+        middle = syl[1:-1]
+        powered = (syl[0],) + (middle + (seam,)) * (k - 1) + middle + (syl[-1],)
+    return Word._reduced(core.alphabet, powered, k * core.length)
 
 
 def substitute(w: Word, images: Sequence[Word]) -> Word:

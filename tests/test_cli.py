@@ -856,6 +856,8 @@ json_values = st.recursive(
 @example({"empty": [], "none": {}, "nested": [[], {}, [[]], {"inner": {}}, ()]})
 @example({})
 @example({"caf\u00e9": "\u00fc\n\u2603", "pair": (1, 2), "float": [1.5, 2], "null": None})
+# a raw line break in a string is escaped by json, so re-indenting lines leaves it be
+@example({"top": "\n", "dict": {"a\nb": "x\n  y\n"}, "list": ["\n", ["\r\n", {"k": "\n"}]], "key\n": 1})
 def test_writer_equals_json_dumps(data):
     assert payload(data) == dumps(data)
 
@@ -865,6 +867,7 @@ def test_writer_equals_json_dumps(data):
 @example({"a": 1}, [(1, 2, 3)] * 5000 + [(1, 2)] + [(True, 2, 3), (1.5, 2, 3), (), []])
 @example({"a": 1}, [(1, 2, 3)] * (2 * cli.CHUNK_ROWS))
 @example({"z": [0]}, [[1, 2, 3], (4, 5, 6)])
+@example({"z": "\n"}, ["\n", {"a\n": ["\n"]}, ("\n", 1), [["\n"]]])
 def test_writer_streams_an_iterator_as_a_list(data, items):
     # a streamed list is written a block at a time, with the bytes of the whole list
     streamed = dict(data, rows=iter(items))

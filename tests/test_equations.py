@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 
 import pytest
@@ -206,9 +207,12 @@ def test_brute_force_caps_workers(monkeypatch):
         def map(self, fn, shards):
             shards = list(shards)
             pools.append((self.max_workers, len(shards)))
-            # a task is the instance data, the bound and one first letter:
-            # no candidate list travels to a worker
-            assert fn.args == (inst.a, inst.b, inst.n, inst.m, 3) and not fn.keywords
+            # a task is the instance, with its g, the bound and one first
+            # letter: no candidate list travels to a worker, and no worker
+            # rebuilds g
+            assert fn.args == (inst, 3) and not fn.keywords
+            sent = pickle.loads(pickle.dumps(fn.args[0]))
+            assert sent == inst and sent.g == inst.g
             assert shards == letters
             return [fn(first) for first in shards]
 

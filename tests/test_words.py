@@ -3,7 +3,7 @@ import pickle
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vclab import words
@@ -365,12 +365,41 @@ def test_compound_power_within_the_budget_is_built():
     (f"a^{POWER_BUDGET}b", 2),
 ])
 def test_compound_power_past_the_budget_raises(text, k):
-    with pytest.raises(BudgetExceeded, match=f"exceeds the budget of {POWER_BUDGET} letters"):
+    base = w(text) if k > 0 else w(text).inverse()
+    core, _ = base.cyclic_reduce()
+    letters = abs(k) * len(core)
+    with pytest.raises(BudgetExceeded, match=f"^power of {letters} letters exceeds the budget of {POWER_BUDGET} letters$"):
         w(text) ** k
+    # the budget belongs to ``**``: the kernel helper builds the same power
+    assert len(words._core_power(core, abs(k))) == letters
+
+
+# cyclically reduced cores at ranks 1-3: the core of any nonidentity word
+cores = st.integers(1, 3).flatmap(
+    lambda rank: st.lists(st.tuples(st.integers(0, rank - 1), st.integers(-4, 4)), max_size=8).map(
+        lambda items: Word.from_syllables(Alphabet(rank), items).cyclic_reduce()[0]
+    )
+).filter(bool)
+
+
+@given(cores, st.integers(1, 6))
+@example(w("aba"), 3)
+@example(w("a^2ba^3"), 4)
+@example(w("A^2bA"), 2)
+@example(w("abAB"), 5)
+@example(parse_word("abca", F3), 6)
+@example(w("a^3"), 1)
+def test_core_power_spells_the_core_k_times(core, k):
+    power = words._core_power(core, k)
+    assert checked(power) == letters_of(core) * k
+    assert power == Word.from_letters(core.alphabet, letters_of(core) * k)
+    assert power.length == k * core.length
 
 
 def test_one_syllable_powers_are_free():
     assert (w("a") ** 10**12).syllables == ((0, 10**12),)
+    power = words._core_power(w("A^3"), 10**12)
+    assert power.syllables == ((0, -3 * 10**12),) and power.length == 3 * 10**12
     # a conjugated one-syllable core is free too
     assert w("ba^5B") ** -10**12 == w(f"ba^{-5 * 10**12}B")
     assert len(w(f"a^{POWER_BUDGET}") ** 2) == 2 * POWER_BUDGET
