@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import chain, islice
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .words import Alphabet, BudgetExceeded, Syllable, Word, WordError, _new_tuple, format_word, parse_word, word_tokens
+from .words import Alphabet, BudgetExceeded, Word, WordError, format_word, parse_word, word_tokens
 from . import equations, finitegroups, hypgeom, presentations, quasimorphisms, testwords
 
 EXIT_OK = 0
@@ -255,7 +255,7 @@ def _random_pairs(alph: Alphabet, count: int, max_len: int, seed: int) -> Iterat
                 length += 1
         if not stack:
             return identity
-        return reduced(alph, tuple([_new_tuple(Syllable, (g, e)) for g, e in stack]), length)
+        return reduced(alph, tuple(map(tuple, stack)), length)
 
     for _ in range(count):
         yield rand_word(), rand_word()

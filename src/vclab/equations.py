@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from itertools import chain, compress
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .words import Alphabet, BudgetExceeded, Syllable, Word, WordError, enumerate_reduced, format_word, reduced_count_exceeds
+from .words import Alphabet, BudgetExceeded, Word, WordError, enumerate_reduced, format_word, reduced_count_exceeds
 from .oracles import is_conjugate, root
 
 # reduced x a search may enumerate, whatever max_candidates asks: bound 14
@@ -152,7 +152,7 @@ def brute_force_solutions(
     n, m = inst.n, inst.m
     # x = 1, the one word of length 0
     found = _solve_candidates(enumerate_reduced(inst.alphabet, 0), n, m, inst.g, bound)
-    shards = [Syllable(gen, sign) for gen in range(rank) for sign in (1, -1)] if bound else []
+    shards = [(gen, sign) for gen in range(rank) for sign in (1, -1)] if bound else []
     solve = functools.partial(_solve_shard, inst, bound)
     # never more workers than CPUs or shards, whatever jobs asks for
     workers = min(jobs, os.cpu_count() or 1, len(shards))
@@ -168,7 +168,7 @@ def brute_force_solutions(
     return found
 
 
-def _solve_shard(inst: EquationInstance, bound: int, first: Syllable) -> list[SolutionPair]:
+def _solve_shard(inst: EquationInstance, bound: int, first: tuple[int, int]) -> list[SolutionPair]:
     """The solutions whose x starts with the letter ``first``."""
     g, n, m = inst.g, inst.n, inst.m
     xs = enumerate_reduced(g.alphabet, bound, first)
@@ -176,7 +176,7 @@ def _solve_shard(inst: EquationInstance, bound: int, first: Syllable) -> list[So
     return _solve_candidates(survivors, n, m, g, bound)
 
 
-def _abelian_survivors(xs: Iterable[Word], g: Word, n: int, m: int, bound: int, first: Syllable) -> Iterator[Word]:
+def _abelian_survivors(xs: Iterable[Word], g: Word, n: int, m: int, bound: int, first: tuple[int, int]) -> Iterator[Word]:
     """The x in ``xs`` with n*sigma(x) = sigma(g) modulo m, in order, where
     ``xs`` holds, position by position, ``enumerate_reduced(g.alphabet,
     bound, first)``; no x is read.
@@ -189,7 +189,7 @@ def _abelian_survivors(xs: Iterable[Word], g: Word, n: int, m: int, bound: int, 
     filled on first use, for at most min(m, 2*bound + 1)^rank * 2*rank states.
     """
     rank = g.alphabet.rank
-    letters = [Syllable(gen, sign) for gen in range(rank) for sign in (1, -1)]
+    letters = [(gen, sign) for gen in range(rank) for sign in (1, -1)]
     size = len(letters)
     target = [g.exponent_sum(i) for i in range(rank)]
 

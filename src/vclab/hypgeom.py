@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import chain, islice, repeat
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .words import Alphabet, BudgetExceeded, Syllable, Word, WordError, _core_power, _new_tuple, count_reduced, format_word, free_word_metric, reduced_count_exceeds
+from .words import Alphabet, BudgetExceeded, Word, WordError, _core_power, count_reduced, format_word, free_word_metric, reduced_count_exceeds
 from .oracles import is_commensurable
 
 # points a ball may hold: radius 10 at rank 2 (118,097 points) fits
@@ -72,7 +72,7 @@ class FiniteMetricSpace:
         if alph.rank == 1:
             # the words of length n are a^n, then a^-n
             n = (i + 1) // 2
-            return Word._reduced(alph, (_new_tuple(Syllable, (0, n if i % 2 else -n)),), n)
+            return Word._reduced(alph, ((0, n if i % 2 else -n),), n)
         # skip the shorter words: 1 of length 0, 2k (2k - 1)^(n-1) of length n
         places, letters = self._place_values, 2 * alph.rank
         i, length = i - 1, 1
@@ -92,9 +92,9 @@ class FiniteMetricSpace:
             if digit == letter:
                 run += 1
             else:
-                syllables.append(_new_tuple(Syllable, (letter >> 1, -run if letter & 1 else run)))
+                syllables.append((letter >> 1, -run if letter & 1 else run))
                 letter, run = digit, 1
-        syllables.append(_new_tuple(Syllable, (letter >> 1, -run if letter & 1 else run)))
+        syllables.append((letter >> 1, -run if letter & 1 else run))
         return Word._reduced(alph, tuple(syllables), length)
 
     def _require_points(self, u: Word, v: Word) -> None:
@@ -171,7 +171,7 @@ def _climb(w: Word, whole: int, part: int) -> list[Word]:
         # each syllable shrinks to one letter, but syllable `whole` only to
         # the `part` letters p ends with, if p ends inside it
         for k in range(abs(exp), part - 1 if j == whole and part else 0, -1):
-            path.append(Word._reduced(alph, head + (_new_tuple(Syllable, (gen, k * step)),), length))
+            path.append(Word._reduced(alph, head + ((gen, k * step),), length))
             length -= 1
     if not part:
         path.append(Word._reduced(alph, syl[:whole], length))

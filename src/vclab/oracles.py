@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional, Sequence
 
-from .words import Syllable, Word, WordError
+from .words import Word, WordError
 
 
 class ConjugacyWitness(NamedTuple):
@@ -50,15 +50,15 @@ def is_conjugate(u: Word, v: Word) -> Optional[ConjugacyWitness]:
     prefix = _prefix_function(sv + [None] + su + su)
     shifts, offset = [], start_u - start_v
     # a match that ends at index end starts at syllable end - 2 |sv| of su + su
-    for end, syllable in enumerate(su, 2 * len(sv)):
+    for end, (_, exp) in enumerate(su, 2 * len(sv)):
         if prefix[end] == len(sv):
             shifts.append(offset % len(cu))
-        offset += abs(syllable.exp)
+        offset += abs(exp)
     # g = pu x pv^{-1} conjugates u to v
     return ConjugacyWitness(pu * _cut(cu, min(shifts)) * pv.inverse()) if shifts else None
 
 
-def _cyclic_form(w: Word) -> tuple[Word, Word, list[Syllable], int]:
+def _cyclic_form(w: Word) -> tuple[Word, Word, list[tuple[int, int]], int]:
     """(core, u, cyclic, start): w = u core u^{-1} from ``cyclic_reduce``, and
     the core's syllables as a cyclic word from its letter ``start``, first
     and last merged when they share a generator (and so a sign).  No cyclic
@@ -66,10 +66,10 @@ def _cyclic_form(w: Word) -> tuple[Word, Word, list[Syllable], int]:
     syllables to syllables."""
     core, conj = w.cyclic_reduce()
     cyclic = list(core.syllables)
-    if len(cyclic) > 1 and cyclic[0].gen == cyclic[-1].gen:
-        last = cyclic.pop()
-        cyclic[0] = Syllable(last.gen, cyclic[0].exp + last.exp)
-        return core, conj, cyclic, len(core) - abs(last.exp)
+    if len(cyclic) > 1 and cyclic[0][0] == cyclic[-1][0]:
+        gen, last = cyclic.pop()
+        cyclic[0] = (gen, cyclic[0][1] + last)
+        return core, conj, cyclic, len(core) - abs(last)
     return core, conj, cyclic, 0
 
 
@@ -78,7 +78,7 @@ def _cut(w: Word, k: int) -> Word:
     left = k
     for i, (gen, exp) in enumerate(w.syllables):
         if left <= abs(exp):
-            part = (Syllable(gen, left if exp > 0 else -left),) if left else ()
+            part = ((gen, left if exp > 0 else -left),) if left else ()
             return Word._reduced(w.alphabet, w.syllables[:i] + part, k)
         left -= abs(exp)
     return w
@@ -114,7 +114,7 @@ def root(w: Word) -> RootData:
     core, conj, cyclic, _ = _cyclic_form(w)
     size = len(cyclic)
     if size == 1:
-        exponent = abs(cyclic[0].exp)
+        exponent = abs(cyclic[0][1])
     else:
         period = size - _prefix_function(cyclic)[-1]
         exponent = 1 if size % period else size // period

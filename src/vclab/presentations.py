@@ -6,7 +6,9 @@ onto cyclic subgroups, and verification of retractions built from
 solutions of the big test-word equation.
 
 All arithmetic is arbitrary-precision integer; matrices are plain lists
-of lists.
+of lists.  Smith normal form starts its transforms from identities of rows^2
+and cols^2 entries, so a matrix whose transforms would pass
+``TRANSFORM_BUDGET`` entries is refused before anything is allocated.
 """
 
 from __future__ import annotations
@@ -14,9 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
-from .words import Alphabet, Word, WordError, format_word, parse_word, substitute
+from .words import Alphabet, BudgetExceeded, Word, WordError, format_word, parse_word, substitute
 
 Matrix = list[list[int]]
+
+# entries of the transforms U (rows^2) and V (cols^2) of one Smith normal
+# form; the matrix itself holds rows * cols <= (rows^2 + cols^2) / 2
+TRANSFORM_BUDGET = 4 * 10**6
 
 
 @dataclass(frozen=True)
@@ -48,6 +54,13 @@ def parse_presentation(text: str) -> Presentation:
     alph = Alphabet(num)
     relators = tuple(parse_word(ln, alph) for ln in lines[1:])
     return Presentation(num, relators)
+
+
+def _check_transforms(rows: int, cols: int) -> None:
+    """Refuse a rows x cols matrix whose transforms pass ``TRANSFORM_BUDGET``."""
+    entries = rows * rows + cols * cols
+    if entries > TRANSFORM_BUDGET:
+        raise BudgetExceeded(f"transforms of {entries} entries for a {rows} x {cols} matrix exceed the budget of {TRANSFORM_BUDGET} entries")
 
 
 def relator_matrix(pres: Presentation) -> Matrix:
@@ -112,7 +125,8 @@ def smith_normal_form(m: Matrix, cols: Optional[int] = None) -> SNFResult:
     Pivot choice: smallest nonzero absolute value in the working block,
     ties broken topmost then leftmost.  Row operations accumulate in U,
     column operations in V, so U M V = D exactly.  ``cols`` pins the
-    column count for matrices with no rows.
+    column count for matrices with no rows.  Refused past
+    ``TRANSFORM_BUDGET``.
 
     D's entries stay small while U's and V's grow to thousands of bits, so
     the transforms are updated lazily.  During step k every row operation on
@@ -127,6 +141,7 @@ def smith_normal_form(m: Matrix, cols: Optional[int] = None) -> SNFResult:
     rows = len(m)
     if cols is None:
         cols = len(m[0]) if rows else 0
+    _check_transforms(rows, cols)
     for row in m:
         if len(row) != cols:
             raise WordError("matrix is ragged")
@@ -219,6 +234,7 @@ class AbelianizationData(NamedTuple):
 
 def abelianization(pres: Presentation) -> AbelianizationData:
     """Invariant factors and free rank of the abelianized group."""
+    _check_transforms(len(pres.relators), pres.num_gens)
     snf = smith_normal_form(relator_matrix(pres), cols=pres.num_gens)
     diag = snf.diagonal()
     nonzero = [x for x in diag if x != 0]
@@ -281,6 +297,7 @@ def cyclic_retract_test(pres: Presentation, h: Word) -> CyclicRetractResult:
         raise WordError("h must be nonidentity")
     if h.alphabet.rank != pres.num_gens:
         raise WordError("h must be a word in the presentation generators")
+    _check_transforms(len(pres.relators), pres.num_gens)
     m = relator_matrix(pres)
     snf = smith_normal_form(m, cols=pres.num_gens)
     diag = snf.diagonal()

@@ -20,10 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .oracles import _cyclic_form, _prefix_function
-from .words import BudgetExceeded, Syllable, Word, WordError, _core_power
+from .words import BudgetExceeded, Word, WordError, _core_power
 
 # letters of a pattern, spelled out with its inverse once per quasimorphism
 # for the seam windows of ``QuasiMorphism.gap``
@@ -42,9 +43,13 @@ class QuasiMorphism:
         letters = _letters_from(self.pattern.syllables, 0, 0, len(self.pattern))
         object.__setattr__(self, "probes", (letters, tuple(-l for l in reversed(letters))))
 
+    @cached_property
+    def inverse(self) -> tuple[tuple[int, int], ...]:
+        """The syllables of the pattern's inverse, built on the first count."""
+        return self.pattern.inverse().syllables
+
     def __call__(self, w: Word) -> Fraction:
-        pattern = self.pattern
-        return Fraction(_occurrences(pattern.syllables, w.syllables) - _occurrences(pattern.inverse().syllables, w.syllables))
+        return Fraction(_occurrences(self.pattern.syllables, w.syllables) - _occurrences(self.inverse, w.syllables))
 
     def _signed_count(self, text: tuple[int, ...]) -> int:
         """Occurrences of the pattern in the letter sequence minus those of its inverse."""
@@ -78,18 +83,18 @@ class QuasiMorphism:
         if not left or not right:
             return 0
         i, j, n = len(left), 0, len(right)
-        while i and j < n and left[i - 1].gen == right[j].gen and left[i - 1].exp == -right[j].exp:
+        while i and j < n and left[i - 1][0] == right[j][0] and left[i - 1][1] == -right[j][1]:
             i -= 1
             j += 1
         # c is the last `part` letters of left[i - 1], then left[i:]
         part = 0
-        if i and j < n and left[i - 1].gen == right[j].gen and (left[i - 1].exp > 0) != (right[j].exp > 0):
-            part = min(abs(left[i - 1].exp), abs(right[j].exp))
+        if i and j < n and left[i - 1][0] == right[j][0] and (left[i - 1][1] > 0) != (right[j][1] > 0):
+            part = min(abs(left[i - 1][1]), abs(right[j][1]))
         width = len(self.probes[0]) - 1
         f_end = _letters_before(left, i, part, width)
         g_start = _letters_from(right, j, part, width)
         if part:
-            c_start = _letters_from(left, i - 1, abs(left[i - 1].exp) - part, width)
+            c_start = _letters_from(left, i - 1, abs(left[i - 1][1]) - part, width)
         else:
             c_start = _letters_from(left, i, 0, width)
         c_inverse_end = tuple(-l for l in reversed(c_start))
@@ -100,7 +105,7 @@ class QuasiMorphism:
         )
 
 
-def _occurrences(pattern: tuple[Syllable, ...], syllables: tuple[Syllable, ...]) -> int:
+def _occurrences(pattern: tuple[tuple[int, int], ...], syllables: tuple[tuple[int, int], ...]) -> int:
     """Occurrences of a reduced pattern in a reduced word, both as syllables.
 
     A pattern x^k occurs max(0, |e| - |k| + 1) times in each syllable x^e of
@@ -112,20 +117,20 @@ def _occurrences(pattern: tuple[Syllable, ...], syllables: tuple[Syllable, ...])
     """
     first, last = pattern[0], pattern[-1]
     if len(pattern) == 1:
-        return sum(abs(exp - first.exp) + 1 for gen, exp in syllables if _runs(gen, exp, first))
+        return sum(abs(exp - first[1]) + 1 for gen, exp in syllables if _runs(gen, exp, *first))
     inner = len(pattern) - 2
     # None is no syllable, so no border crosses it: an inner match ending at
     # index end is syllables[end - 2 inner : end - inner], between w_i and w_{i+s-1}
     prefix = _prefix_function([*pattern[1:-1], None, *syllables])
     return sum(
         1 for end in range(2 * inner + 1, len(prefix) - 1)
-        if prefix[end] == inner and _runs(*syllables[end - 2 * inner - 1], first) and _runs(*syllables[end - inner], last)
+        if prefix[end] == inner and _runs(*syllables[end - 2 * inner - 1], *first) and _runs(*syllables[end - inner], *last)
     )
 
 
-def _runs(gen: int, exp: int, part: Syllable) -> bool:
-    """Whether the syllable (gen, exp) runs the letter of ``part`` at least |part.exp| times."""
-    return gen == part.gen and (0 < part.exp <= exp or exp <= part.exp < 0)
+def _runs(gen: int, exp: int, part_gen: int, part_exp: int) -> bool:
+    """Whether the syllable (gen, exp) runs the letter of (part_gen, part_exp) at least |part_exp| times."""
+    return gen == part_gen and (0 < part_exp <= exp or exp <= part_exp < 0)
 
 
 def _letter(gen: int, exp: int) -> int:

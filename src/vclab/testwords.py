@@ -90,7 +90,7 @@ def word_level(w: Word) -> int:
 
 def variables_used(w: Word) -> set[str]:
     level = word_level(w)
-    return {variable_name(level, s.gen) for s in w.syllables}
+    return {variable_name(level, gen) for gen, _ in w.syllables}
 
 
 def format_test_word(w: Word) -> str:
@@ -163,7 +163,7 @@ def evaluate(w: Word, assignment: Mapping[str, Word]) -> Word:
     for name, value in assignment.items():
         index = _parse_variable(level, name)
         images[index] = value
-    used = {s.gen for s in w.syllables}
+    used = {gen for gen, _ in w.syllables}
     missing = [variable_name(level, g) for g in sorted(used) if images[g] is None]
     if missing:
         raise WordError(f"assignment missing variables: {', '.join(missing)}")
@@ -353,14 +353,14 @@ def verify_testword(
     # reach[pos]: the most letters syllables pos.. can spell, y_n included
     reach = [0] * (n + 1)
     for pos in range(n - 1, -1, -1):
-        reach[pos] = reach[pos + 1] + abs(syllables[pos].exp) * bound
+        reach[pos] = reach[pos + 1] + abs(syllables[pos][1]) * bound
     # y_n, the last variable, is solved only as W's last syllable y_n^+1
-    solved = [syl.gen for syl in syllables].count(nvars - 1) == 1 and syllables[-1] == (nvars - 1, 1)
+    solved = [gen for gen, _ in syllables].count(nvars - 1) == 1 and syllables[-1] == (nvars - 1, 1)
     free, block = (nvars - 1, len(candidates)) if solved else (nvars, 1)
     # stop[d]: the end of the leading syllables whose variables are among
     # the first d, all of W but y_n at d = free when y_n is solved;
     # weight[d]: the assignments below a node at depth d
-    stop = [next((pos for pos, syl in enumerate(syllables) if syl.gen >= d), n) for d in range(free + 1)]
+    stop = [next((pos for pos, (gen, _) in enumerate(syllables) if gen >= d), n) for d in range(free + 1)]
     weight = [len(candidates) ** (free - d) * block for d in range(free + 1)]
     size_u = len(u)
     # extensions[d]: depth d's, each syllable as its variable, its

@@ -1,9 +1,12 @@
 """Exact arithmetic in free groups.
 
 Words are stored fully reduced, as runs of syllables ``(generator, exponent)``
-with nonzero arbitrary-precision integer exponents.  Two words are equal in
-the free group iff their syllable sequences are equal, so structural equality
-is the word problem.  All values are immutable and hashable.
+with nonzero arbitrary-precision integer exponents.  A syllable is a plain
+pair, an exact ``tuple`` and no subclass of it: every layer unpacks
+syllables, and the interpreter unpacks exact tuples on a fast path.  Two
+words are equal in the free group iff their syllable sequences are equal, so
+structural equality is the word problem.  All values are immutable and
+hashable.
 
 Words carry their letter length: every constructor knows it when it builds
 the word, so ``len(w)`` is a field read and never re-sums the syllables.  A
@@ -15,7 +18,7 @@ from __future__ import annotations
 import string
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 
 class WordError(ValueError):
@@ -48,12 +51,7 @@ class Alphabet:
         return Word._reduced(self, (), 0)
 
 
-class Syllable(NamedTuple):
-    gen: int
-    exp: int
-
-
-def _merge_runs(items: Iterable[tuple[int, int]], rank: int) -> tuple[Syllable, ...]:
+def _merge_runs(items: Iterable[tuple[int, int]], rank: int) -> tuple[tuple[int, int], ...]:
     """Free reduction of a syllable stream via a cancellation stack.
 
     Each generator is checked against the rank as it arrives, before any
@@ -71,13 +69,11 @@ def _merge_runs(items: Iterable[tuple[int, int]], rank: int) -> tuple[Syllable, 
                 stack.pop()
         else:
             stack.append([gen, exp])
-    return tuple([_new_tuple(Syllable, (g, e)) for g, e in stack])
+    return tuple(map(tuple, stack))
 
 
-# bound once: ``Word._reduced`` and ``Word.inverse`` run for nearly every
-# word built, and tuple.__new__ skips the Python-level Syllable constructor
+# bound once: ``Word._reduced`` runs for nearly every word built
 _new_object = object.__new__
-_new_tuple = tuple.__new__
 _exponent = itemgetter(1)
 
 
@@ -89,28 +85,32 @@ class Word:
     Supports ``u * v``, ``u ** k``, ``u.inverse()`` and the usual
     free-group operations.  The empty word is the group identity.
 
-    Construction through ``Word(...)`` validates its input.  Kernel
-    operations whose output is reduced by construction build it with
-    ``Word._reduced``, which skips the check and takes the letter length
-    from its caller.
+    Construction through ``Word(...)`` validates its input and stores its
+    syllables as plain pairs.  Kernel operations whose output is reduced by
+    construction build it with ``Word._reduced``, which skips the check and
+    takes the letter length from its caller.
     """
 
     alphabet: Alphabet
-    syllables: tuple[Syllable, ...]
+    syllables: tuple[tuple[int, int], ...]
     # the letter length, a cache of the syllables: outside ==, hash and repr
     length: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        prev = None
+        syllables: list[tuple[int, int]] = []
         for syl in self.syllables:
-            if not 0 <= syl.gen < self.alphabet.rank:
-                raise WordError(f"generator index {syl.gen} out of range for rank {self.alphabet.rank}")
-            if syl.exp == 0:
+            if not isinstance(syl, Sequence) or len(syl) != 2 or not all(isinstance(x, int) for x in syl):
+                raise WordError(f"syllable {syl!r} is not a (generator, exponent) pair of integers")
+            gen, exp = syl
+            if not 0 <= gen < self.alphabet.rank:
+                raise WordError(f"generator index {gen} out of range for rank {self.alphabet.rank}")
+            if exp == 0:
                 raise WordError("zero exponent in syllable")
-            if prev is not None and prev == syl.gen:
+            if syllables and syllables[-1][0] == gen:
                 raise WordError("adjacent syllables share a generator (word not reduced)")
-            prev = syl.gen
-        _set_length(self, sum(map(abs, map(_exponent, self.syllables))))
+            syllables.append((gen, exp))
+        _set_syllables(self, tuple(syllables))
+        _set_length(self, sum(map(abs, map(_exponent, syllables))))
 
     @staticmethod
     def from_syllables(alph: Alphabet, items: Iterable[tuple[int, int]]) -> "Word":
@@ -124,7 +124,7 @@ class Word:
         return Word.from_syllables(alph, ((abs(l) - 1, 1 if l > 0 else -1) for l in letters))
 
     @staticmethod
-    def _reduced(alph: Alphabet, syllables: tuple[Syllable, ...], length: int) -> "Word":
+    def _reduced(alph: Alphabet, syllables: tuple[tuple[int, int], ...], length: int) -> "Word":
         """Trusted constructor: ``syllables`` must already be a valid reduced
         word, and ``length`` the sum of its absolute exponents."""
         word = _new_object(Word)
@@ -177,16 +177,14 @@ class Word:
             total = exp + other_exp
             if total:
                 length += abs(total) - abs(exp) - abs(other_exp)
-                return Word._reduced(self.alphabet, left[:i - 1] + (Syllable(gen, total),) + right[j + 1:], length)
+                return Word._reduced(self.alphabet, left[:i - 1] + ((gen, total),) + right[j + 1:], length)
             length -= 2 * abs(exp)
             i -= 1
             j += 1
         return Word._reduced(self.alphabet, left[:i] + right[j:], length)
 
     def inverse(self) -> "Word":
-        return Word._reduced(
-            self.alphabet, tuple([_new_tuple(Syllable, (g, -e)) for g, e in reversed(self.syllables)]), self.length
-        )
+        return Word._reduced(self.alphabet, tuple([(g, -e) for g, e in reversed(self.syllables)]), self.length)
 
     def __pow__(self, k: int) -> "Word":
         if k == 1:
@@ -232,12 +230,12 @@ class Word:
                 # the longer end keeps `rest`; its new neighbour differs in
                 # generator from the other end, so trimming stops here
                 if abs(first) > abs(last):
-                    core = (Syllable(gen, rest),) + syl[i + 1:j]
-                    trimmed = Syllable(gen, -last)
+                    core = ((gen, rest),) + syl[i + 1:j]
+                    trimmed = (gen, -last)
                 else:
-                    core = syl[i + 1:j] + (Syllable(gen, rest),)
-                    trimmed = Syllable(gen, first)
-                trim += abs(trimmed.exp)
+                    core = syl[i + 1:j] + ((gen, rest),)
+                    trimmed = (gen, first)
+                trim += abs(trimmed[1])
                 return Word._reduced(alph, core, self.length - 2 * trim), Word._reduced(alph, syl[:i] + (trimmed,), trim)
             trim += abs(first)
             i += 1
@@ -274,13 +272,13 @@ def _core_power(core: Word, k: int) -> Word:
     length: no budget applies here."""
     syl = core.syllables
     if len(syl) == 1:
-        powered: tuple[Syllable, ...] = (Syllable(syl[0].gen, syl[0].exp * k),)
-    elif syl[0].gen != syl[-1].gen:
+        powered: tuple[tuple[int, int], ...] = ((syl[0][0], syl[0][1] * k),)
+    elif syl[0][0] != syl[-1][0]:
         powered = syl * k
     else:
         # cyclically reduced with equal end generators: exponent signs
         # agree, so the seams merge without cancellation
-        seam = Syllable(syl[0].gen, syl[0].exp + syl[-1].exp)
+        seam = (syl[0][0], syl[0][1] + syl[-1][1])
         middle = syl[1:-1]
         powered = (syl[0],) + (middle + (seam,)) * (k - 1) + middle + (syl[-1],)
     return Word._reduced(core.alphabet, powered, k * core.length)
@@ -393,7 +391,7 @@ def format_word(w: Word) -> str:
     return " ".join(parts)
 
 
-def enumerate_reduced(alph: Alphabet, max_len: int, first: Optional[Syllable] = None) -> Iterator[Word]:
+def enumerate_reduced(alph: Alphabet, max_len: int, first: Optional[tuple[int, int]] = None) -> Iterator[Word]:
     """All reduced words of letter length <= max_len, shortest first.
 
     Within a length class the order is lexicographic on letter sequences,
@@ -404,12 +402,12 @@ def enumerate_reduced(alph: Alphabet, max_len: int, first: Optional[Syllable] = 
     """
     if max_len < 0:
         raise WordError("max_len must be >= 0")
-    letters = [Syllable(g, s) for g in range(alph.rank) for s in (1, -1)]
+    letters = [(g, s) for g in range(alph.rank) for s in (1, -1)]
     if first is None:
         yield alph.identity()
         starts = letters
     elif first in letters:
-        starts = [Syllable(*first)]
+        starts = [(first[0], first[1])]
     else:
         raise WordError(f"first must be a letter of rank {alph.rank}, got {tuple(first)}")
     frontier = [(letter,) for letter in starts] if max_len else []
@@ -419,7 +417,7 @@ def enumerate_reduced(alph: Alphabet, max_len: int, first: Optional[Syllable] = 
     # generator and sign), is refused (the inverse letter), or opens a new
     # syllable, so every extension is reduced by construction; the steps
     # after a last syllable are (bumps it, one-syllable tail), in letter order
-    steps: dict[Syllable, list[tuple[bool, tuple[Syllable]]]] = {}
+    steps: dict[tuple[int, int], list[tuple[bool, tuple]]] = {}
     reduced = Word._reduced
     for level in range(2, max_len + 1):
         # the last level is never extended, so its words are not kept
@@ -430,9 +428,9 @@ def enumerate_reduced(alph: Alphabet, max_len: int, first: Optional[Syllable] = 
             after = steps.get(last)
             if after is None:
                 after = steps[last] = [
-                    (True, (Syllable(last.gen, last.exp + letter.exp),)) if letter.gen == last.gen else (False, (letter,))
-                    for letter in letters
-                    if letter.gen != last.gen or (letter.exp > 0) == (last.exp > 0)
+                    (True, ((g, last[1] + e),)) if g == last[0] else (False, ((g, e),))
+                    for g, e in letters
+                    if g != last[0] or (e > 0) == (last[1] > 0)
                 ]
             head = prefix[:-1]
             for bumps, tail in after:

@@ -157,6 +157,25 @@ def test_cyclic_retract_mixed_sign_element(capsys, element, exponent_sums):
     assert sum(c * e for c, e in zip(data["covector"], exponent_sums)) == 1
 
 
+@pytest.mark.parametrize("argv, rows, cols", [
+    (["abelianize", "--gens", "2000", "--relators", "a"], 1, 2000),
+    (["cyclic-retract", "--gens", "2000", "--relators", "a", "--element", "b"], 1, 2000),
+    (["abelianize", "--gens", "1", "--relators", ";".join(["a"] * 2000)], 2000, 1),
+    (["snf", "--matrix", " ".join(["1"] * 2000)], 1, 2000),
+])
+def test_transforms_past_the_budget_are_an_error(capsys, argv, rows, cols):
+    # refused before U and V, identities of rows^2 and cols^2 entries, exist
+    entries = rows * rows + cols * cols
+    start = time.perf_counter()
+    assert main(argv) == 1
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: transforms of {entries} entries for a {rows} x {cols} matrix "
+        f"exceed the budget of {presentations.TRANSFORM_BUDGET} entries\n"
+    )
+
+
 def test_verify_retraction_exit_codes(capsys):
     code, _ = run(capsys, "verify-retraction", "--gens", "2", "--relators", "b",
                   "--subgroup", "a", "--images", "a;1")
@@ -714,8 +733,10 @@ def test_random_pairs_draw_the_stream_of_randrange_and_choice(rank, max_len, see
     assert pairs == _reference_pairs(alph, 300, max_len, seed)
     for pair in pairs:
         for w in pair:
-            # a trusted build: the syllables re-validate, and the length is theirs
+            # a trusted build: the syllables are plain pairs that re-validate,
+            # and the length is theirs
             assert Word(w.alphabet, w.syllables) == w
+            assert all(type(syl) is tuple for syl in w.syllables)
             assert w.length == sum(abs(exp) for _, exp in w.syllables) <= max_len
 
 
@@ -870,5 +891,8 @@ def test_writer_equals_json_dumps(data):
 @example({"z": "\n"}, ["\n", {"a\n": ["\n"]}, ("\n", 1), [["\n"]]])
 def test_writer_streams_an_iterator_as_a_list(data, items):
     # a streamed list is written a block at a time, with the bytes of the whole list
-    streamed = dict(data, rows=iter(items))
-    assert payload(streamed) == dumps(dict(data, rows=items))
+    got, want = payload(dict(data, rows=iter(items))), dumps(dict(data, rows=items))
+    # compared into a bool first: on reports of about 100 KB pytest would
+    # spend minutes diffing the two strings
+    same = got == want
+    assert same, f"first difference at offset {next((i for i, (x, y) in enumerate(zip(got, want)) if x != y), min(len(got), len(want)))}"

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from vclab import equations
-from vclab.words import Alphabet, BudgetExceeded, Syllable, Word, WordError, count_reduced, enumerate_reduced, parse_word
+from vclab.words import Alphabet, BudgetExceeded, Word, WordError, count_reduced, enumerate_reduced, parse_word
 from vclab.equations import (
     Classification,
     EquationInstance,
@@ -190,7 +190,7 @@ def test_brute_force_caps_workers(monkeypatch):
 
     pools = []
     inst = inst23()
-    letters = [Syllable(0, 1), Syllable(0, -1), Syllable(1, 1), Syllable(1, -1)]
+    letters = [(0, 1), (0, -1), (1, 1), (1, -1)]
 
     class InlinePool:
         """Records the pool size and the shard count, and maps in process."""
@@ -281,7 +281,7 @@ def test_brute_force_equals_unpruned_search(a, b, rank, n, m):
 
 
 def shard_letters(alph):
-    return [Syllable(gen, sign) for gen in range(alph.rank) for sign in (1, -1)]
+    return [(gen, sign) for gen in range(alph.rank) for sign in (1, -1)]
 
 
 def check_abelian_filter_by_shard(inst, max_bound):

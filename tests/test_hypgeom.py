@@ -147,6 +147,7 @@ def test_rank_one_points_at_the_largest_radius():
     last = len(sp) - 1
     assert [sp.point(i) for i in (0, 1, 2, last)] == [p("", alph), p("a", alph), p("A", alph), p("a^-99999", alph)]
     assert sp.point(last - 1) == p("a^99999", alph)
+    _assert_trusted(sp.point(last))
 
 
 def test_ball_metric_is_word_metric(ball4):
@@ -326,9 +327,11 @@ def test_geodesic_matches_letter_by_letter_construction(alph, radius):
 
 
 def _assert_trusted(w):
-    """A word from the trusted constructor: its syllables re-validate, and
-    its length, which ``==`` ignores, is the sum of its exponents."""
+    """A word from the trusted constructor: its syllables are plain pairs
+    that re-validate, and its length, which ``==`` ignores, is the sum of
+    its exponents."""
     assert Word(w.alphabet, w.syllables) == w
+    assert all(type(syl) is tuple for syl in w.syllables)
     assert w.length == sum(abs(exp) for _, exp in w.syllables)
 
 

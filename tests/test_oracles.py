@@ -140,6 +140,7 @@ def test_conjugacy_witness_of_powers_matches_rotation_scan(rank, base, left, rig
     got = is_conjugate(u, v)
     assert got.conjugator == rotation_scan_conjugate(u, v)
     assert u.conjugate(got.conjugator) == v
+    assert all(type(syl) is tuple for syl in got.conjugator.syllables)
 
 
 def test_conjugacy_never_spells_the_letters():
@@ -305,7 +306,9 @@ def test_root_on_syllables_matches_the_letter_oracle(rank, conjugator, base, k):
     word = t * r ** k * t.inverse()
     if word.is_identity():
         return
-    assert root(word) == letter_root(word)
+    got = root(word)
+    assert got == letter_root(word)
+    assert all(type(syl) is tuple for syl in got.root.syllables)
 
 
 def test_root_never_spells_the_letters():

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from vclab.words import Alphabet, WordError, parse_word
+from vclab import presentations
+from vclab.words import Alphabet, BudgetExceeded, WordError, parse_word
 from vclab.presentations import (
     Presentation,
     _extended_gcd_vector,
@@ -255,6 +256,30 @@ def test_abelianization_invariant_under_relator_shuffles():
         rng.shuffle(shuffled)
         shuffled = [r.inverse() if rng.random() < 0.5 else r for r in shuffled]
         assert abelianization(Presentation(2, tuple(shuffled))) == reference
+
+
+# -- the transform budget ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("rows, cols", [(1, 3), (3, 1), (2, 2), (4, 3), (0, 2)])
+def test_transform_budget_admits_exactly_its_entries(monkeypatch, rows, cols):
+    entries = rows * rows + cols * cols
+    alph = Alphabet(cols)
+    pres = Presentation(cols, tuple(alph.generator(i % cols) ** (i + 2) for i in range(rows)))
+    m = relator_matrix(pres)
+    h = alph.generator(0)
+    monkeypatch.setattr(presentations, "TRANSFORM_BUDGET", entries)
+    snf = smith_normal_form(m, cols=cols)
+    assert mat_mul(mat_mul(snf.u, m), snf.v) == snf.d
+    assert abelianization(pres).free_rank == cols - sum(1 for x in snf.diagonal() if x)
+    assert cyclic_retract_test(pres, h).primitive == (rows == 0)
+    monkeypatch.setattr(presentations, "TRANSFORM_BUDGET", entries - 1)
+    # refused before the relator matrix or any transform is built
+    monkeypatch.setattr(presentations, "relator_matrix", None)
+    monkeypatch.setattr(presentations, "identity_matrix", None)
+    message = f"^transforms of {entries} entries for a {rows} x {cols} matrix exceed the budget of {entries - 1} entries$"
+    for refused in (lambda: smith_normal_form(m, cols=cols), lambda: abelianization(pres), lambda: cyclic_retract_test(pres, h)):
+        with pytest.raises(BudgetExceeded, match=message):
+            refused()
 
 
 # -- cyclic retract criterion ----------------------------------------------------------------

@@ -140,6 +140,19 @@ def test_long_periodic_pattern_counts_in_linear_time():
     assert time.perf_counter() - start < 1
 
 
+def test_counts_reuse_the_inverse_of_the_pattern(monkeypatch):
+    # the pattern is the same on every count, so its inverse is built once,
+    # and only by a count: sampled gaps read the probes
+    calls = []
+    inverse = Word.inverse
+    monkeypatch.setattr(Word, "inverse", lambda self: calls.append(self) or inverse(self))
+    pattern = p("a^2bAB")
+    q = counting_qm(pattern)
+    assert q.gap(p("a^2b"), p("AB")) == 1 and not calls
+    assert [q(p(text)) for text in ("a^2bAB", "baBA^2", "a^2bABa^2bAB", "")] == [1, -1, 2, 0]
+    assert calls == [pattern] and q.inverse == inverse(pattern).syllables
+
+
 def test_counts_never_spell_the_word():
     q = counting_qm(p("a^2b"))
     assert q(p("a^1000000000000b^1000000000000a^2b")) == 2
@@ -351,7 +364,7 @@ def _core_period(g):
     syl = core.syllables
     if len(syl) == 1:
         return len(core), "letters"
-    return len(syl) - (syl[0].gen == syl[-1].gen), "syllables"
+    return len(syl) - (syl[0][0] == syl[-1][0]), "syllables"
 
 
 @settings(max_examples=300, deadline=None)

@@ -75,7 +75,6 @@ RECORDS = {
     "TestWordReport": control_report,
     "CertificateResult": lambda: testwords.exponent_sum_certificates(testwords.ExponentTuple.uniform(2), 2),
     # the records that were NamedTuples already
-    "Syllable": lambda: words.Syllable(0, -3),
     "ConjugacyWitness": lambda: oracles.is_conjugate(w("ab"), w("ba")),
     "RootData": lambda: oracles.root(w("abab")),
     "CommensurabilityWitness": lambda: oracles.is_commensurable(w("a^2"), w("a^3")),

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import pickle
 import random
@@ -12,7 +13,6 @@ from vclab.words import (
     POWER_BUDGET,
     Alphabet,
     BudgetExceeded,
-    Syllable,
     Word,
     WordError,
     count_reduced,
@@ -225,11 +225,16 @@ def inverse_letters(letters):
     return [-x for x in reversed(letters)]
 
 
+def plain(word):
+    """Whether every syllable is an exact tuple, the one type the kernel builds."""
+    return type(word.syllables) is tuple and all(type(syl) is tuple for syl in word.syllables)
+
+
 def checked(word):
     """The letters of a kernel output that also passes the public validation."""
     assert Word(word.alphabet, word.syllables) == word
     assert has_its_length(word)
-    assert all(type(syl) is Syllable for syl in word.syllables)
+    assert plain(word)
     return letters_of(word)
 
 
@@ -310,14 +315,18 @@ def test_constructors_carry_their_lengths(items):
     assert has_its_length(Word.from_letters(F3, word.letters()))
     assert has_its_length(parse_word(format_word(word), F3))
     assert has_its_length(Word(F3, word.syllables))
+    assert plain(word) and plain(Word.from_letters(F3, word.letters())) and plain(parse_word(format_word(word), F3))
 
 
 @pytest.mark.parametrize("rank, max_len", [(1, 6), (2, 5), (3, 3)])
 def test_enumeration_carries_lengths(rank, max_len):
     alph = Alphabet(rank)
     assert all(has_its_length(word) for word in enumerate_reduced(alph, max_len))
-    for first in [Syllable(gen, sign) for gen in range(rank) for sign in (1, -1)]:
+    assert all(plain(word) for word in enumerate_reduced(alph, max_len))
+    for first in [(gen, sign) for gen in range(rank) for sign in (1, -1)]:
         assert all(has_its_length(word) for word in enumerate_reduced(alph, max_len, first))
+        # a named pair as the first letter starts plain words too
+        assert all(plain(word) for word in enumerate_reduced(alph, max_len, Pair(*first)))
 
 
 @given(any_words)
@@ -407,13 +416,29 @@ def test_one_syllable_powers_are_free():
 
 def test_checking_constructor_rejects_bad_syllables():
     with pytest.raises(WordError):
-        Word(F2, (Syllable(0, 0),))
+        Word(F2, ((0, 0),))
     with pytest.raises(WordError):
-        Word(F2, (Syllable(2, 1),))
+        Word(F2, ((2, 1),))
     with pytest.raises(WordError):
-        Word(F2, (Syllable(-1, 1),))
+        Word(F2, ((-1, 1),))
     with pytest.raises(WordError):
-        Word(F2, (Syllable(0, 1), Syllable(0, 2)))
+        Word(F2, ((0, 1), (0, 2)))
+    for syllable in [0, (0,), (0, 1, 2), [], "ab", (0, 1.5), ("a", 1), {0: 1, 1: 2}, None]:
+        with pytest.raises(WordError, match="is not a \\(generator, exponent\\) pair of integers"):
+            Word(F2, ((1, 1), syllable))
+
+
+Pair = collections.namedtuple("Pair", "gen exp")
+
+
+@given(any_words)
+def test_checking_constructor_stores_plain_pairs(word):
+    # lists and named pairs give the parsed word, with its hash and length
+    for syllables in ([list(syl) for syl in word.syllables], [Pair(*syl) for syl in word.syllables], iter(word.syllables)):
+        built = Word(word.alphabet, syllables)
+        assert built == word and hash(built) == hash(word)
+        assert plain(built) and has_its_length(built)
+        assert dataclasses.replace(built) == word and plain(dataclasses.replace(built))
 
 
 def test_from_letters_reduces_and_round_trips():
@@ -532,10 +557,10 @@ def test_count_exceeds_the_cap_exactly_as_the_count_does(monkeypatch):
 def test_first_letter_shards_split_the_enumeration(rank, max_len):
     alph = Alphabet(rank)
     words = list(enumerate_reduced(alph, max_len))
-    for first in [Syllable(gen, sign) for gen in range(rank) for sign in (1, -1)]:
+    for first in [(gen, sign) for gen in range(rank) for sign in (1, -1)]:
         shard = list(enumerate_reduced(alph, max_len, first))
-        assert shard == [word for word in words if word and word.syllables[0][0] == first.gen
-                         and (word.syllables[0][1] > 0) == (first.exp > 0)]
+        assert shard == [word for word in words if word and word.syllables[0][0] == first[0]
+                         and (word.syllables[0][1] > 0) == (first[1] > 0)]
         assert list(enumerate_reduced(alph, 0, first)) == []
 
 
@@ -553,7 +578,7 @@ def test_each_level_of_a_shard_extends_the_level_before_in_letter_order(rank):
             levels.append([word + [letter] for word in levels[-1] for letter in letters if letter != (word[-1][0], -word[-1][1])])
         for max_len in range(6):
             expected = [Word.from_syllables(alph, word) for level in levels[:max_len] for word in level]
-            assert list(enumerate_reduced(alph, max_len, Syllable(*first))) == expected
+            assert list(enumerate_reduced(alph, max_len, first)) == expected
 
 
 def test_first_letter_must_be_a_letter():
