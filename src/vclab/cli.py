@@ -80,6 +80,15 @@ def _rational(text: str) -> Fraction:
     raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
 
 
+def _rational_bound(text: str) -> Fraction:
+    """argparse type of a rational bound, a defect or a delta: a negative
+    one would be a bound that no value meets."""
+    value = _rational(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _int_list(text: str) -> list[int]:
     """argparse type of a list flag: comma-separated integers."""
     return [_integer(x) for x in text.split(",")]
@@ -484,7 +493,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         which.add_argument("--pattern", help="counting quasimorphism of this word")
         which.add_argument("--gen", type=int, help="exponent sum of this generator")
         p.add_argument("--word", required=True)
-        p.add_argument("--defect", type=_rational, help="defect bound (rational, default 0; not with --gen on qm-homogenize)")
+        p.add_argument("--defect", type=_rational_bound, help="defect bound (rational, default 0; not with --gen on qm-homogenize)")
 
     def ball(p: argparse.ArgumentParser) -> None:
         report(p)
@@ -546,12 +555,12 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     add("cayley-delta", ball, "thin-triangle estimate on a Cayley ball", _cmd_cayley_delta)
 
     if p := add("midpoint-check", ball, "midpoint inequality on random triangles", _cmd_midpoint_check):
-        p.add_argument("--delta", type=_rational, default=Fraction(0))
+        p.add_argument("--delta", type=_rational_bound, default=Fraction(0))
 
     if p := add("concat-check", words, "quasi-geodesic concatenation hypotheses", _cmd_concat_check):
         p.add_argument("--paths", required=True, help="segments as 'w1,w2;w2,w3' vertex lists")
         p.add_argument("--alpha", type=_rational, required=True)
-        p.add_argument("--delta", type=_rational, default=Fraction(0))
+        p.add_argument("--delta", type=_rational_bound, default=Fraction(0))
         p.add_argument("--kappa", type=_rational, default=Fraction(1))
 
     if p := add("divergence", words, "table of |c^n d^m| lengths", _cmd_divergence):

@@ -20,11 +20,10 @@ from __future__ import annotations
 import enum
 import functools
 import os
-from dataclasses import dataclass, field
 from itertools import chain, compress
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .words import Alphabet, BudgetExceeded, Word, WordError, enumerate_reduced, format_word, reduced_count_exceeds
+from .words import Alphabet, BudgetExceeded, Word, WordError, enumerate_reduced, format_word, letter_order, reduced_count_exceeds
 from .oracles import is_conjugate, root
 
 # reduced x a search may enumerate, whatever max_candidates asks: bound 14
@@ -34,23 +33,19 @@ from .oracles import is_conjugate, root
 CANDIDATE_CAP = 10**7
 
 
-@dataclass(frozen=True)
 class EquationInstance:
-    """Data (a, b, n, m) of x^n y^m = a^n b^m with cached right-hand side."""
+    """Data (a, b, n, m) of x^n y^m = a^n b^m with cached right-hand side g."""
 
-    a: Word
-    b: Word
-    n: int
-    m: int
-    g: Word = field(init=False)
-
-    def __post_init__(self) -> None:
-        if self.a.is_identity() or self.b.is_identity():
+    def __init__(self, a: Word, b: Word, n: int, m: int) -> None:
+        if a.is_identity() or b.is_identity():
             raise WordError("coefficients a, b must be nonidentity")
-        if self.n < 1 or self.m < 1:
+        if n < 1 or m < 1:
             raise WordError("exponents n, m must be positive")
-        self.a._require_same_alphabet(self.b)
-        object.__setattr__(self, "g", self.a ** self.n * self.b ** self.m)
+        a._require_same_alphabet(b)
+        self.a, self.b, self.n, self.m, self.g = a, b, n, m, a ** n * b ** m
+
+    def __eq__(self, other: object) -> bool:
+        return vars(self) == vars(other) if other.__class__ is EquationInstance else NotImplemented
 
     @property
     def alphabet(self) -> Alphabet:
@@ -152,7 +147,7 @@ def brute_force_solutions(
     n, m = inst.n, inst.m
     # x = 1, the one word of length 0
     found = _solve_candidates(enumerate_reduced(inst.alphabet, 0), n, m, inst.g, bound)
-    shards = [(gen, sign) for gen in range(rank) for sign in (1, -1)] if bound else []
+    shards = list(letter_order(rank)) if bound else []
     solve = functools.partial(_solve_shard, inst, bound)
     # never more workers than CPUs or shards, whatever jobs asks for
     workers = min(jobs, os.cpu_count() or 1, len(shards))
@@ -189,7 +184,7 @@ def _abelian_survivors(xs: Iterable[Word], g: Word, n: int, m: int, bound: int, 
     filled on first use, for at most min(m, 2*bound + 1)^rank * 2*rank states.
     """
     rank = g.alphabet.rank
-    letters = [(gen, sign) for gen in range(rank) for sign in (1, -1)]
+    letters = list(letter_order(rank))
     size = len(letters)
     target = [g.exponent_sum(i) for i in range(rank)]
 

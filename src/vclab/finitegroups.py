@@ -18,7 +18,6 @@ and a homomorphism is its element map.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 from .words import Alphabet, BudgetExceeded, Word, WordError, enumerate_reduced
@@ -27,7 +26,6 @@ from .words import Alphabet, BudgetExceeded, Word, WordError, enumerate_reduced
 SEARCH_BUDGET = 10**7
 
 
-@dataclass(frozen=True)
 class FiniteGroup:
     """Multiplication table with identity, inverse and power tables.
 
@@ -35,37 +33,30 @@ class FiniteGroup:
     associativity for orders up to 64.
     """
 
-    mult: tuple[tuple[int, ...], ...]
-    identity: int
-    inverse: tuple[int, ...] = field(init=False)
-    gens: dict = field(default_factory=dict, compare=False)
-    # powers[x] = (e, x, x^2, ..., x^(order(x) - 1)), the cyclic powers of x
-    powers: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        n = len(self.mult)
-        if any(len(row) != n for row in self.mult):
+    def __init__(self, mult: tuple[tuple[int, ...], ...], identity: int, gens: Optional[dict] = None) -> None:
+        n = len(mult)
+        if any(len(row) != n for row in mult):
             raise WordError("multiplication table must be square")
-        e = self.identity
+        e = identity
         for i in range(n):
-            if self.mult[e][i] != i or self.mult[i][e] != i:
+            if mult[e][i] != i or mult[i][e] != i:
                 raise WordError("identity law fails")
         inverse = [None] * n
         for i in range(n):
             for j in range(n):
-                if self.mult[i][j] == e and self.mult[j][i] == e:
+                if mult[i][j] == e and mult[j][i] == e:
                     inverse[i] = j
                     break
             if inverse[i] is None:
                 raise WordError(f"element {i} has no inverse")
-        object.__setattr__(self, "inverse", tuple(inverse))
         if n <= 64:
             for i in range(n):
                 for j in range(n):
-                    ij = self.mult[i][j]
+                    ij = mult[i][j]
                     for k in range(n):
-                        if self.mult[ij][k] != self.mult[i][self.mult[j][k]]:
+                        if mult[ij][k] != mult[i][mult[j][k]]:
                             raise WordError("associativity fails")
+        # powers[x] = (e, x, x^2, ..., x^(order(x) - 1)), the cyclic powers of x
         powers = []
         for x in range(n):
             row, y = [e], x
@@ -73,9 +64,14 @@ class FiniteGroup:
                 if len(row) == n:
                     raise WordError(f"powers of element {x} never reach the identity")
                 row.append(y)
-                y = self.mult[y][x]
+                y = mult[y][x]
             powers.append(tuple(row))
-        object.__setattr__(self, "powers", tuple(powers))
+        self.mult, self.identity, self.gens = mult, identity, {} if gens is None else gens
+        self.inverse, self.powers = tuple(inverse), tuple(powers)
+
+    def __eq__(self, other: object) -> bool:
+        # the table and its identity determine the rest; marked generators are names
+        return (self.mult, self.identity) == (other.mult, other.identity) if other.__class__ is FiniteGroup else NotImplemented
 
     @property
     def order(self) -> int:

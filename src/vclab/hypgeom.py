@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import chain, islice, repeat
@@ -33,7 +32,6 @@ BALL_CAP = 200_000
 ROW_BUDGET = 10**6
 
 
-@dataclass(frozen=True)
 class FiniteMetricSpace:
     """The ball of ``radius`` over the standard basis of ``alphabet``.
 
@@ -44,8 +42,8 @@ class FiniteMetricSpace:
     demand.
     """
 
-    alphabet: Alphabet
-    radius: int
+    def __init__(self, alphabet: Alphabet, radius: int) -> None:
+        self.alphabet, self.radius = alphabet, radius
 
     @cached_property
     def _size(self) -> int:
@@ -324,8 +322,7 @@ def check_concatenation_quasigeodesic(
     return ConcatenationReport(product_ok and length_ok, product_ok, length_ok, measured)
 
 
-@dataclass(frozen=True)
-class DivergenceReport:
+class DivergenceReport(NamedTuple):
     """The table of |c^n d^m| for 1 <= n <= ``n_max`` and 1 <= m <= ``m_max``,
     held in closed form.
 
@@ -364,7 +361,7 @@ class DivergenceReport:
         head = [row[min(m, width) - 1] + max(m - width, 0) * self.d_core for row in table]
         return zip(range(1, self.n_max + 1), repeat(m), _line(head, self.c_core, self.n_max))
 
-    @cached_property
+    @property
     def observed_ratio_bound(self) -> Fraction:
         """The largest min(n, m) / |c^n d^m| over the rows, in one pass."""
         # a pair compared by cross-multiplication, and one Fraction at the

@@ -13,7 +13,6 @@ and cols^2 entries, so a matrix whose transforms would pass
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 from .words import Alphabet, BudgetExceeded, Word, WordError, format_word, parse_word, substitute
@@ -25,19 +24,16 @@ Matrix = list[list[int]]
 TRANSFORM_BUDGET = 4 * 10**6
 
 
-@dataclass(frozen=True)
 class Presentation:
     """Generators x_0, ..., x_{num_gens-1} and relator words over them."""
 
-    num_gens: int
-    relators: tuple[Word, ...]
-
-    def __post_init__(self) -> None:
-        if self.num_gens < 1:
+    def __init__(self, num_gens: int, relators: tuple[Word, ...]) -> None:
+        if num_gens < 1:
             raise WordError("need at least one generator")
-        for r in self.relators:
-            if r.alphabet.rank != self.num_gens:
+        for r in relators:
+            if r.alphabet.rank != num_gens:
                 raise WordError("relator alphabet does not match generator count")
+        self.num_gens, self.relators = num_gens, relators
 
     @property
     def alphabet(self) -> Alphabet:

@@ -18,7 +18,6 @@ power budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, NamedTuple
@@ -31,17 +30,17 @@ from .words import BudgetExceeded, Word, WordError, _core_power
 PATTERN_BUDGET = 10**6
 
 
-@dataclass(frozen=True)
 class QuasiMorphism:
     """Signed occurrences of ``pattern`` in reduced words; see ``counting_qm``."""
 
-    pattern: Word
-    # signed letters of the pattern and of its inverse
-    probes: tuple = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        letters = _letters_from(self.pattern.syllables, 0, 0, len(self.pattern))
-        object.__setattr__(self, "probes", (letters, tuple(-l for l in reversed(letters))))
+    def __init__(self, pattern: Word) -> None:
+        self.pattern = pattern
+        # signed letters of the pattern and of its inverse
+        letters = _letters_from(pattern.syllables, 0, 0, len(pattern))
+        self.probes = letters, tuple(-l for l in reversed(letters))
+        # for each g asked about, q(g^m0) and the step of q(g^m) past m0
+        # (``_power_value``): a table of truncations counts them once
+        self.power_lines: dict[Word, tuple[Fraction, Fraction]] = {}
 
     @cached_property
     def inverse(self) -> tuple[tuple[int, int], ...]:
@@ -210,9 +209,10 @@ def _power_value(q: QuasiMorphism, g: Word, m: int) -> Fraction:
     B^{m+1-d} and read each cyclic rotation of B once.  So q(g^{m+1}) -
     q(g^m) is the cyclic count over B, whatever m is.  m0 = ceil(k/P) + 2
     exceeds d and (m0 - d) P >= k, so q(g^m) is affine in m from m0 on, and
-    g^m0 and g^(m0+1) give it exactly.  In syllables P >= 2, so they hold
-    at most ceil(k/P) + 3 <= k + 3 copies of c; in letters they are a few
-    syllables for any m.
+    g^m0 and g^(m0+1) give it exactly; ``q.power_lines`` keeps the line, so
+    they are counted once for all truncations.  In syllables P >= 2, so they
+    hold at most ceil(k/P) + 3 <= k + 3 copies of c; in letters they are a
+    few syllables for any m.
     """
     if m < 1:
         raise WordError("truncation must be >= 1")
@@ -223,8 +223,11 @@ def _power_value(q: QuasiMorphism, g: Word, m: int) -> Fraction:
     m0 = (k + period - 1) // period + 2
     if m <= m0:
         return q(_power(core, t, m))
-    base = q(_power(core, t, m0))
-    return base + (m - m0) * (q(_power(core, t, m0 + 1)) - base)
+    line = q.power_lines.get(g)
+    if line is None:
+        base = q(_power(core, t, m0))
+        line = q.power_lines[g] = base, q(_power(core, t, m0 + 1)) - base
+    return line[0] + (m - m0) * line[1]
 
 
 def _power(core: Word, t: Word, m: int) -> Word:

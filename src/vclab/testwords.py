@@ -17,7 +17,6 @@ its consequences, never claimed to yield a genuine test word outright.
 
 from __future__ import annotations
 
-from dataclasses import asdict, astuple, dataclass
 from itertools import islice
 from typing import Mapping, NamedTuple, Optional, Sequence
 
@@ -25,25 +24,18 @@ from .words import Alphabet, BudgetExceeded, Word, WordError, count_reduced, enu
 from .oracles import is_special_tuple
 
 
-@dataclass(frozen=True)
 class ExponentTuple:
     """Ten positive shell exponents."""
 
-    k1: int
-    l1: int
-    m1: int
-    k2: int
-    l2: int
-    m2: int
-    s: int
-    p: int
-    q: int
-    t: int
-
-    def __post_init__(self) -> None:
-        for name, value in asdict(self).items():
+    def __init__(self, k1: int, l1: int, m1: int, k2: int, l2: int, m2: int, s: int, p: int, q: int, t: int) -> None:
+        self.k1, self.l1, self.m1, self.k2, self.l2, self.m2, self.s, self.p, self.q, self.t = k1, l1, m1, k2, l2, m2, s, p, q, t
+        # vars() lists the ten in the order of the signature
+        for name, value in vars(self).items():
             if value < 1:
                 raise WordError(f"exponent {name} must be >= 1, got {value}")
+
+    def __eq__(self, other: object) -> bool:
+        return vars(self) == vars(other) if other.__class__ is ExponentTuple else NotImplemented
 
     @staticmethod
     def uniform(e: int) -> "ExponentTuple":
@@ -128,20 +120,17 @@ def base_test_word(e: ExponentTuple) -> Word:
     return lift(Alphabet(variable_count(2)).generator(0), e)
 
 
-@dataclass(frozen=True)
 class TestWordSpec:
     """Level plus one exponent tuple per construction step."""
 
     __test__ = False  # not a pytest class, despite the name
 
-    level: int
-    tuples: tuple[ExponentTuple, ...]
-
-    def __post_init__(self) -> None:
-        if self.level < 3:
+    def __init__(self, level: int, tuples: tuple[ExponentTuple, ...]) -> None:
+        if level < 3:
             raise WordError("levels start at 3")
-        if len(self.tuples) != self.level - 2:
-            raise WordError(f"level {self.level} needs {self.level - 2} exponent tuples")
+        if len(tuples) != level - 2:
+            raise WordError(f"level {level} needs {level - 2} exponent tuples")
+        self.level, self.tuples = level, tuples
 
     def build(self) -> Word:
         word = base_test_word(self.tuples[0])
@@ -150,7 +139,7 @@ class TestWordSpec:
         return word
 
     def to_json_dict(self) -> dict:
-        return {"level": self.level, "tuples": [list(astuple(t)) for t in self.tuples]}
+        return {"level": self.level, "tuples": [list(vars(t).values()) for t in self.tuples]}
 
 
 def evaluate(w: Word, assignment: Mapping[str, Word]) -> Word:
@@ -381,15 +370,13 @@ def verify_testword(
 
     def power(i: int, exp: int) -> tuple:
         """The letters of candidate i to the power ``exp``."""
-        letters = candidates[i]
         if exp == 1:
-            return letters
+            return candidates[i]
         split = splits[i]
         if split is None:
-            j, size = 0, len(letters)
-            while 2 * j + 1 < size and letters[j] == -letters[size - 1 - j]:
-                j += 1
-            split = splits[i] = letters[:j], letters[j:size - j], letters[size - j:]
+            core, t = words[i].cyclic_reduce()
+            t_letters = tuple(t.letters())
+            split = splits[i] = t_letters, tuple(core.letters()), _inverse(t_letters)
         conj, core, conj_inv = split
         if exp < 0:
             core, exp = _inverse(core), -exp

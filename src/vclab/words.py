@@ -5,8 +5,8 @@ with nonzero arbitrary-precision integer exponents.  A syllable is a plain
 pair, an exact ``tuple`` and no subclass of it: every layer unpacks
 syllables, and the interpreter unpacks exact tuples on a fast path.  Two
 words are equal in the free group iff their syllable sequences are equal, so
-structural equality is the word problem.  All values are immutable and
-hashable.
+structural equality is the word problem.  Alphabets and words are
+immutable and hashable.
 
 Words carry their letter length: every constructor knows it when it builds
 the word, so ``len(w)`` is a field read and never re-sums the syllables.  A
@@ -16,7 +16,6 @@ power of a compound word is refused past ``POWER_BUDGET`` letters.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -34,15 +33,30 @@ class BudgetExceeded(RuntimeError):
 POWER_BUDGET = 10**6
 
 
-@dataclass(frozen=True)
+def _read_only(self, name: str, *value: object) -> None:
+    """``__setattr__`` and ``__delattr__`` of alphabets and words, which are hashed."""
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
 class Alphabet:
     """A ranked basis x_0, ..., x_{rank-1} of a free group."""
 
-    rank: int
+    __slots__ = ("rank",)
+    __setattr__ = __delattr__ = _read_only
 
-    def __post_init__(self) -> None:
-        if self.rank < 1:
-            raise WordError(f"alphabet rank must be >= 1, got {self.rank}")
+    def __init__(self, rank: int) -> None:
+        if rank < 1:
+            raise WordError(f"alphabet rank must be >= 1, got {rank}")
+        _set_rank(self, rank)
+
+    def __eq__(self, other: object) -> bool:
+        return self.rank == other.rank if other.__class__ is Alphabet else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.rank,))
+
+    def __reduce__(self) -> tuple:
+        return Alphabet, (self.rank,)
 
     def generator(self, index: int) -> "Word":
         return Word.from_syllables(self, [(index, 1)])
@@ -77,8 +91,6 @@ _new_object = object.__new__
 _exponent = itemgetter(1)
 
 
-# slotted: searches and Cayley balls hold hundreds of thousands of words
-@dataclass(frozen=True, slots=True)
 class Word:
     """A reduced word over a fixed alphabet.
 
@@ -91,26 +103,37 @@ class Word:
     takes the letter length from its caller.
     """
 
-    alphabet: Alphabet
-    syllables: tuple[tuple[int, int], ...]
-    # the letter length, a cache of the syllables: outside ==, hash and repr
-    length: int = field(init=False, repr=False, compare=False)
+    # slotted: searches and Cayley balls hold hundreds of thousands of
+    # words; ``length`` caches the letter length, outside == and hash
+    __slots__ = ("alphabet", "syllables", "length")
+    __setattr__ = __delattr__ = _read_only
 
-    def __post_init__(self) -> None:
-        syllables: list[tuple[int, int]] = []
-        for syl in self.syllables:
+    def __init__(self, alphabet: Alphabet, syllables: Iterable[tuple[int, int]]) -> None:
+        checked: list[tuple[int, int]] = []
+        for syl in syllables:
             if not isinstance(syl, Sequence) or len(syl) != 2 or not all(isinstance(x, int) for x in syl):
                 raise WordError(f"syllable {syl!r} is not a (generator, exponent) pair of integers")
             gen, exp = syl
-            if not 0 <= gen < self.alphabet.rank:
-                raise WordError(f"generator index {gen} out of range for rank {self.alphabet.rank}")
+            if not 0 <= gen < alphabet.rank:
+                raise WordError(f"generator index {gen} out of range for rank {alphabet.rank}")
             if exp == 0:
                 raise WordError("zero exponent in syllable")
-            if syllables and syllables[-1][0] == gen:
+            if checked and checked[-1][0] == gen:
                 raise WordError("adjacent syllables share a generator (word not reduced)")
-            syllables.append((gen, exp))
-        _set_syllables(self, tuple(syllables))
-        _set_length(self, sum(map(abs, map(_exponent, syllables))))
+            checked.append((gen, exp))
+        _set_alphabet(self, alphabet)
+        _set_syllables(self, tuple(checked))
+        _set_length(self, sum(map(abs, map(_exponent, checked))))
+
+    def __eq__(self, other: object) -> bool:
+        return (self.alphabet, self.syllables) == (other.alphabet, other.syllables) if other.__class__ is Word else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.alphabet, self.syllables))
+
+    def __reduce__(self) -> tuple:
+        # a word crosses the --jobs pool as it is, checked when first built
+        return Word._reduced, (self.alphabet, self.syllables, self.length)
 
     @staticmethod
     def from_syllables(alph: Alphabet, items: Iterable[tuple[int, int]]) -> "Word":
@@ -261,7 +284,8 @@ class Word:
 
 
 # the slot descriptors' setters, bound once like object.__new__ above: they
-# skip the frozen __setattr__ and its attribute-name lookup
+# skip the read-only __setattr__ and its attribute-name lookup
+_set_rank = Alphabet.__dict__["rank"].__set__
 _set_alphabet = Word.__dict__["alphabet"].__set__
 _set_syllables = Word.__dict__["syllables"].__set__
 _set_length = Word.__dict__["length"].__set__
@@ -391,22 +415,28 @@ def format_word(w: Word) -> str:
     return " ".join(parts)
 
 
+def letter_order(rank: int) -> Iterator[tuple[int, int]]:
+    """The letters (generator, sign) of rank ``rank`` in letter order, a <
+    a^-1 < b < b^-1 < ..., one at a time: a rank may be far larger than
+    any search its budget admits."""
+    return ((gen, sign) for gen in range(rank) for sign in (1, -1))
+
+
 def enumerate_reduced(alph: Alphabet, max_len: int, first: Optional[tuple[int, int]] = None) -> Iterator[Word]:
     """All reduced words of letter length <= max_len, shortest first.
 
     Within a length class the order is lexicographic on letter sequences,
-    letters ordered a < a^-1 < b < b^-1 < ...  Yields each word exactly once;
+    letters ordered by ``letter_order``.  Yields each word exactly once;
     the count is 1 + sum_{n=1..max_len} 2k(2k-1)^{n-1} for rank k.  Given a
     letter ``first`` (exponent +-1), only the words that begin with it, in
     the same order; the identity is not one of them.
     """
     if max_len < 0:
         raise WordError("max_len must be >= 0")
-    letters = [(g, s) for g in range(alph.rank) for s in (1, -1)]
     if first is None:
         yield alph.identity()
-        starts = letters
-    elif first in letters:
+        starts = letter_order(alph.rank)
+    elif first in letter_order(alph.rank):
         starts = [(first[0], first[1])]
     else:
         raise WordError(f"first must be a letter of rank {alph.rank}, got {tuple(first)}")
@@ -429,7 +459,7 @@ def enumerate_reduced(alph: Alphabet, max_len: int, first: Optional[tuple[int, i
             if after is None:
                 after = steps[last] = [
                     (True, ((g, last[1] + e),)) if g == last[0] else (False, ((g, e),))
-                    for g, e in letters
+                    for g, e in letter_order(alph.rank)
                     if g != last[0] or (e > 0) == (last[1] > 0)
                 ]
             head = prefix[:-1]

@@ -310,6 +310,21 @@ def test_negative_counts_are_usage_errors(capsys, argv):
     assert f"must be >= {floor}, got {argv[-1]}" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("qm-homogenize", "--pattern", "ab", "--word", "ab", "--truncations", "2", "--defect=-1"),
+    ("qm-invariance", "--pattern", "ab", "--word", "ab", "--conjugator", "a", "--defect=-5"),
+    ("qm-invariance", "--pattern", "ab", "--word", "ab", "--conjugator", "a", "--defect=-1/2"),
+    ("midpoint-check", "--radius", "1", "--delta=-1/2"),
+    ("concat-check", "--paths", "1,a;a,ab", "--alpha", "1", "--delta=-1/2"),
+    ("concat-check", "--paths", "1,a;a,ab", "--alpha", "1", "--delta=-0.5"),
+])
+def test_negative_bounds_are_usage_errors(capsys, argv):
+    # written as --flag=value: argparse reads a bare -1/2 as a flag
+    code, err = usage_exit(capsys, *argv)
+    assert code == 1
+    assert f"must be >= 0, got {Fraction(argv[-1].split('=')[1])}" in err
+
+
 def test_zero_max_assignments_explores_nothing(capsys):
     code, out = run(capsys, "verify-testword", "--exponents", "1 1 1 1 1 1 1 1 1 1", "--targets", "a;b;c",
                     "--bound", "1", "--max-assignments", "0")

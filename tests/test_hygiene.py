@@ -6,6 +6,9 @@ from __future__ import annotations
 
 import argparse
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -85,41 +88,43 @@ def test_no_assert_statements(path):
     assert assert_statements(path.read_text()) == []
 
 
-def plain_dataclasses(source: str) -> list[str]:
-    """``@dataclass`` classes that define neither ``__post_init__`` nor a
-    ``cached_property``.  Such a class neither checks nor derives a field,
-    and a ``NamedTuple`` holds the same record for a seventh of the import
-    time: ``dataclass`` compiles six methods per class with ``exec``."""
-    plain = []
-    for cls in (node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef)):
-        decorators = {ast.unparse(d.func if isinstance(d, ast.Call) else d) for d in cls.decorator_list}
-        if not decorators & {"dataclass", "dataclasses.dataclass"}:
+def dataclasses_imports(source: str) -> list[int]:
+    """Lines that import ``dataclasses``, in any form.  A record is a
+    ``NamedTuple``, or a plain class whose ``__init__`` checks its fields;
+    ``dataclasses`` would bring ``inspect`` into every start-up."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
             continue
-        members = [node for node in cls.body if isinstance(node, ast.FunctionDef)]
-        derives = any(
-            node.name == "__post_init__" or any("cached_property" in ast.unparse(d) for d in node.decorator_list)
-            for node in members
-        )
-        if not derives:
-            plain.append(cls.name)
-    return plain
+        if any(name.split(".")[0] == "dataclasses" for name in names):
+            lines.append(node.lineno)
+    return lines
 
 
-def test_dataclass_scan_finds_plain_records():
+def test_dataclasses_scan_finds_every_import_form():
     source = (
-        "from dataclasses import dataclass\nimport dataclasses\nfrom functools import cached_property\n\n"
-        "@dataclass(frozen=True)\nclass Plain:\n    x: int\n\n    def double(self):\n        return 2 * self.x\n\n"
-        "@dataclasses.dataclass\nclass Bare:\n    x: int\n\n"
-        "@dataclass(frozen=True)\nclass Checked:\n    x: int\n\n    def __post_init__(self):\n        pass\n\n"
-        "@dataclass(frozen=True)\nclass Derived:\n    x: int\n\n    @cached_property\n    def y(self):\n        return self.x\n\n"
-        "class NotData:\n    pass\n"
+        "import dataclasses\nfrom dataclasses import dataclass, field\nimport os, dataclasses as dc\n"
+        "from .dataclasses import x\nimport os.path\ntext = 'import dataclasses'\n"
+        "def f():\n    from dataclasses import replace\n"
     )
-    assert plain_dataclasses(source) == ["Plain", "Bare"]
+    assert dataclasses_imports(source) == [1, 2, 3, 8]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_every_dataclass_checks_or_derives_a_field(path):
-    assert plain_dataclasses(path.read_text()) == []
+def test_no_module_imports_dataclasses(path):
+    assert dataclasses_imports(path.read_text()) == []
+
+
+def test_cli_start_up_imports_neither_dataclasses_nor_inspect():
+    # a fresh interpreter: the test session has imported both already
+    code = "import sys, vclab.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 def loaded_names(nodes: Iterable[ast.AST]) -> set[str]:

@@ -1,3 +1,4 @@
+import json
 import random
 import time
 from fractions import Fraction
@@ -7,8 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vclab import quasimorphisms
+from vclab.cli import main
 from vclab.words import Alphabet, BudgetExceeded, Word, WordError, parse_word
 from vclab.quasimorphisms import (
+    QuasiMorphism,
     conjugacy_invariance_check,
     counting_qm,
     defect_estimate,
@@ -423,6 +426,19 @@ def test_huge_truncation_is_exact():
     assert homogenize(q, p("a^2b"), 10**12, Fraction(0)).value == 1
     check = conjugacy_invariance_check(q, p("ab"), p("aB"), 10**9, Fraction(3))
     assert check.within_bound
+
+
+def test_a_table_of_truncations_counts_the_two_powers_once(monkeypatch, capsys):
+    # pattern abab, g = ab: q(g^m) = m - 1 is affine from m0 = 4 on, so the
+    # seven truncations past it count g^4 and g^5 once, not once each
+    calls = []
+    count = QuasiMorphism.__call__
+    monkeypatch.setattr(QuasiMorphism, "__call__", lambda self, w: calls.append(w) or count(self, w))
+    truncations = range(5, 12)
+    assert main(["qm-homogenize", "--pattern", "abab", "--word", "ab", "--truncations", ",".join(map(str, truncations))]) == 0
+    table = json.loads(capsys.readouterr().out)["homogenization_table"]
+    assert [row["value"] for row in table] == [str(Fraction(m - 1, m)) for m in truncations]
+    assert calls == [p("ab") ** 4, p("ab") ** 5]
 
 
 # -- budgets ----------------------------------------------------------------------

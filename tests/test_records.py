@@ -1,5 +1,8 @@
 """Result records are NamedTuples: immutable, and picklable, since records
-such as ``SolutionPair`` cross the ``--jobs`` worker pool."""
+such as ``SolutionPair`` cross the ``--jobs`` worker pool.  The classes that
+check their fields are plain classes; of these, the hashed ``Alphabet`` and
+``Word`` are read-only, and ``EquationInstance``, the task of that pool,
+survives pickling with its words."""
 
 import inspect
 import pickle
@@ -74,6 +77,7 @@ RECORDS = {
     "Violation": lambda: control_report().violations[0],
     "TestWordReport": control_report,
     "CertificateResult": lambda: testwords.exponent_sum_certificates(testwords.ExponentTuple.uniform(2), 2),
+    "DivergenceReport": lambda: hypgeom.divergence_experiment(w("ab"), w("aB"), 3, 2),
     # the records that were NamedTuples already
     "ConjugacyWitness": lambda: oracles.is_conjugate(w("ab"), w("ba")),
     "RootData": lambda: oracles.root(w("abab")),
@@ -101,3 +105,24 @@ def test_record_is_immutable_and_survives_pickling(name):
         record.extra = None
     copy = pickle.loads(pickle.dumps(record))
     assert type(copy) is type(record) and copy == record
+
+
+@pytest.mark.parametrize("value", [F2, w("a^3bA")], ids=["Alphabet", "Word"])
+def test_alphabets_and_words_are_read_only(value):
+    for name in type(value).__slots__:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.extra = None
+
+
+def test_alphabets_words_and_instances_survive_pickling():
+    for value in (F1, F2, w("a^3bA"), w(""), instance()):
+        copy = pickle.loads(pickle.dumps(value))
+        assert type(copy) is type(value) and copy == value and copy is not value
+    word = pickle.loads(pickle.dumps(w("a^3bA")))
+    assert hash(word) == hash(w("a^3bA")) and word.length == 5 and len(word) == 5
+    sent = pickle.loads(pickle.dumps(instance()))
+    assert sent.g == instance().g and (sent.a, sent.b, sent.n, sent.m) == (w("a"), w("b"), 2, 3)

@@ -1,5 +1,5 @@
 import collections
-import dataclasses
+import itertools
 import pickle
 import random
 
@@ -18,6 +18,7 @@ from vclab.words import (
     count_reduced,
     enumerate_reduced,
     format_word,
+    letter_order,
     parse_word,
     reduced_count_exceeds,
     substitute,
@@ -331,7 +332,7 @@ def test_enumeration_carries_lengths(rank, max_len):
 
 @given(any_words)
 def test_pickle_and_replace_keep_the_length(word):
-    for copy in (pickle.loads(pickle.dumps(word)), dataclasses.replace(word)):
+    for copy in (pickle.loads(pickle.dumps(word)), Word(word.alphabet, word.syllables)):
         assert copy == word and hash(copy) == hash(word)
         assert has_its_length(copy)
 
@@ -355,8 +356,8 @@ def test_equal_words_from_different_histories_are_equal(u, v):
 def test_length_is_not_a_constructor_argument():
     with pytest.raises(TypeError):
         Word(F2, (), 0)
-    with pytest.raises(ValueError):
-        dataclasses.replace(w("ab"), length=5)
+    with pytest.raises(TypeError):
+        Word(F2, w("ab").syllables, length=5)
 
 
 # -- the power budget -------------------------------------------------------------
@@ -438,7 +439,8 @@ def test_checking_constructor_stores_plain_pairs(word):
         built = Word(word.alphabet, syllables)
         assert built == word and hash(built) == hash(word)
         assert plain(built) and has_its_length(built)
-        assert dataclasses.replace(built) == word and plain(dataclasses.replace(built))
+        rebuilt = Word(built.alphabet, built.syllables)
+        assert rebuilt == word and plain(rebuilt)
 
 
 def test_from_letters_reduces_and_round_trips():
@@ -615,3 +617,12 @@ def test_enumeration_matches_letter_list_construction(rank, max_len):
     words = list(enumerate_reduced(alph, max_len))
     assert words == list(letter_list_enumeration(alph, max_len))
     assert all(Word(alph, word.syllables) == word for word in words)
+
+
+def test_letter_order_is_the_enumeration_order_and_lazy():
+    assert list(letter_order(2)) == [(0, 1), (0, -1), (1, 1), (1, -1)]
+    assert [word.syllables for word in enumerate_reduced(F3, 1)] == [()] + [(letter,) for letter in letter_order(3)]
+    # a rank far past every budget: no letter is built before it is read
+    huge = Alphabet(10**18)
+    assert list(itertools.islice(letter_order(huge.rank), 3)) == [(0, 1), (0, -1), (1, 1)]
+    assert list(enumerate_reduced(huge, 1, (1, -1))) == [Word(huge, ((1, -1),))]
