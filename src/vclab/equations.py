@@ -186,7 +186,7 @@ def _abelian_survivors(xs: Iterable[Word], g: Word, n: int, m: int, bound: int, 
     rank = g.alphabet.rank
     letters = list(letter_order(rank))
     size = len(letters)
-    target = [g.exponent_sum(i) for i in range(rank)]
+    target = g.exponent_sums()
 
     # a state is code * size + k: letter k is last, and digit i of code in
     # base m is sigma_i(x) mod m

@@ -6,9 +6,9 @@ onto cyclic subgroups, and verification of retractions built from
 solutions of the big test-word equation.
 
 All arithmetic is arbitrary-precision integer; matrices are plain lists
-of lists.  Smith normal form starts its transforms from identities of rows^2
-and cols^2 entries, so a matrix whose transforms would pass
-``TRANSFORM_BUDGET`` entries is refused before anything is allocated.
+of lists.  Smith normal form, abelianization and the cyclic-retract test run
+one pivot loop, each tracking only the transforms it reads, and each refuses
+a matrix whose arrays would pass ``TRANSFORM_BUDGET`` entries up front.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from .words import Alphabet, BudgetExceeded, Word, WordError, format_word, parse
 
 Matrix = list[list[int]]
 
-# entries of the transforms U (rows^2) and V (cols^2) of one Smith normal
-# form; the matrix itself holds rows * cols <= (rows^2 + cols^2) / 2
+# entries of the identities U (rows^2) and V (cols^2) a Smith normal form starts
+# from, or of the matrix and its per-row and per-column state when none is built
 TRANSFORM_BUDGET = 4 * 10**6
 
 
@@ -52,16 +52,15 @@ def parse_presentation(text: str) -> Presentation:
     return Presentation(num, relators)
 
 
-def _check_transforms(rows: int, cols: int) -> None:
-    """Refuse a rows x cols matrix whose transforms pass ``TRANSFORM_BUDGET``."""
-    entries = rows * rows + cols * cols
+def _check_budget(arrays: str, entries: int, rows: int, cols: int) -> None:
+    """Refuse a rows x cols elimination whose arrays pass ``TRANSFORM_BUDGET``."""
     if entries > TRANSFORM_BUDGET:
-        raise BudgetExceeded(f"transforms of {entries} entries for a {rows} x {cols} matrix exceed the budget of {TRANSFORM_BUDGET} entries")
+        raise BudgetExceeded(f"{arrays} of {entries} entries for a {rows} x {cols} matrix exceed the budget of {TRANSFORM_BUDGET} entries")
 
 
 def relator_matrix(pres: Presentation) -> Matrix:
     """Row i, column j holds the exponent sum of relator i on generator j."""
-    return [[r.exponent_sum(j) for j in range(pres.num_gens)] for r in pres.relators]
+    return [r.exponent_sums() for r in pres.relators]
 
 
 def identity_matrix(n: int) -> Matrix:
@@ -115,14 +114,27 @@ class SNFResult(NamedTuple):
         return {"d": self.d, "u": self.u, "v": self.v, "diagonal": self.diagonal()}
 
 
-def smith_normal_form(m: Matrix, cols: Optional[int] = None) -> SNFResult:
-    """Diagonalize by elementary row and column operations.
+def smith_normal_form(m: Matrix) -> SNFResult:
+    """Diagonalize by elementary row and column operations, tracking both
+    transforms, so U M V = D exactly.  Refused past ``TRANSFORM_BUDGET``."""
+    rows, cols = len(m), len(m[0]) if m else 0
+    _check_budget("transforms", rows * rows + cols * cols, rows, cols)
+    if any(len(row) != cols for row in m):
+        raise WordError("matrix is ragged")
+    d = [row[:] for row in m]
+    u, vt = identity_matrix(rows), identity_matrix(cols)
+    _diagonalize(d, u, vt)
+    return SNFResult(d, u, [list(row) for row in zip(*vt)])
 
-    Pivot choice: smallest nonzero absolute value in the working block,
-    ties broken topmost then leftmost.  Row operations accumulate in U,
-    column operations in V, so U M V = D exactly.  ``cols`` pins the
-    column count for matrices with no rows.  Refused past
-    ``TRANSFORM_BUDGET``.
+
+def _diagonalize(d: Matrix, u: Matrix, vt: Matrix) -> None:
+    """Bring d to Smith normal form in place, doing each row operation to the
+    rows of u and each column operation to the rows of vt, whose lengths give
+    d's shape.  From identities u ends as U and vt as the columns of V; empty
+    rows stay empty, and d never depends on what u and vt hold.  Pivot
+    choice: smallest nonzero absolute value in the working block, ties broken
+    topmost then leftmost.  A block with no nonzero entry holds every later
+    block, so the loop stops at the first one.
 
     D's entries stay small while U's and V's grow to thousands of bits, so
     the transforms are updated lazily.  During step k every row operation on
@@ -130,20 +142,12 @@ def smith_normal_form(m: Matrix, cols: Optional[int] = None) -> SNFResult:
     ``owed[i]`` and pays it in a single pass just before row k changes (a
     pivot swap, the divisibility step, the end of step k); V, held as its
     columns, does the same against pivot column k.  Deferring changes no
-    integer of U or V: they never feed back into the pivot choices.  Rows
-    and columns of D before k are zero outside the diagonal, so D's
+    integer of U or V: they never feed back into the pivot choices, and a
+    zero block is found only by a step's first scan, when nothing is owed.
+    Rows and columns of D before k are zero outside the diagonal, so D's
     operations touch only the block from (k, k).
     """
-    rows = len(m)
-    if cols is None:
-        cols = len(m[0]) if rows else 0
-    _check_transforms(rows, cols)
-    for row in m:
-        if len(row) != cols:
-            raise WordError("matrix is ragged")
-    d = [row[:] for row in m]
-    u = identity_matrix(rows)
-    vt = identity_matrix(cols)  # the columns of V
+    rows, cols = len(u), len(vt)
     owed_u = [0] * rows  # row i of U still owes owed_u[i] * u[k]
     owed_v = [0] * cols  # column j of V still owes owed_v[j] * vt[k]
 
@@ -164,7 +168,7 @@ def smith_normal_form(m: Matrix, cols: Optional[int] = None) -> SNFResult:
                     if x and (pivot is None or x < least):
                         pivot, least = (i, j), x
             if pivot is None:
-                break
+                return
             pi, pj = pivot
             if pi != k:
                 settle(u, owed_u, k)
@@ -217,7 +221,6 @@ def smith_normal_form(m: Matrix, cols: Optional[int] = None) -> SNFResult:
         if d[k][k] < 0:
             d[k][k] = -d[k][k]
             u[k] = [-x for x in u[k]]
-    return SNFResult(d, u, [list(row) for row in zip(*vt)])
 
 
 class AbelianizationData(NamedTuple):
@@ -229,15 +232,14 @@ class AbelianizationData(NamedTuple):
 
 
 def abelianization(pres: Presentation) -> AbelianizationData:
-    """Invariant factors and free rank of the abelianized group."""
-    _check_transforms(len(pres.relators), pres.num_gens)
-    snf = smith_normal_form(relator_matrix(pres), cols=pres.num_gens)
-    diag = snf.diagonal()
-    nonzero = [x for x in diag if x != 0]
-    return AbelianizationData(
-        invariant_factors=tuple(x for x in nonzero if x > 1),
-        free_rank=pres.num_gens - len(nonzero),
-    )
+    """Invariant factors and free rank of the abelianized group, read from
+    the diagonal of an elimination that tracks no transform."""
+    rows, cols = len(pres.relators), pres.num_gens
+    _check_budget("elimination arrays", rows * cols + rows + cols, rows, cols)
+    d = relator_matrix(pres)
+    _diagonalize(d, [[]] * rows, [[]] * cols)
+    nonzero = [d[i][i] for i in range(min(rows, cols)) if d[i][i]]
+    return AbelianizationData(tuple(x for x in nonzero if x > 1), cols - len(nonzero))
 
 
 def _extended_gcd_vector(values: Sequence[int]) -> tuple[int, list[int]]:
@@ -293,22 +295,20 @@ def cyclic_retract_test(pres: Presentation, h: Word) -> CyclicRetractResult:
         raise WordError("h must be nonidentity")
     if h.alphabet.rank != pres.num_gens:
         raise WordError("h must be a word in the presentation generators")
-    _check_transforms(len(pres.relators), pres.num_gens)
+    rows, cols = len(pres.relators), pres.num_gens
+    _check_budget("transforms", rows * rows + cols * cols, rows, cols)
     m = relator_matrix(pres)
-    snf = smith_normal_form(m, cols=pres.num_gens)
-    diag = snf.diagonal()
-    free_cols = [j for j in range(pres.num_gens) if j >= len(diag) or diag[j] == 0]
-    e = [h.exponent_sum(j) for j in range(pres.num_gens)]
-    # coordinates of h in the changed basis: e . V
-    coords = [sum(e[i] * snf.v[i][j] for i in range(pres.num_gens)) for j in range(pres.num_gens)]
-    free_image = tuple(coords[j] for j in free_cols)
+    d = [row[:] for row in m]
+    vt = identity_matrix(cols)  # the columns of V; U is not read
+    _diagonalize(d, [[]] * rows, vt)
+    free = [vt[j] for j in range(cols) if j >= rows or d[j][j] == 0]  # V's free columns
+    e = h.exponent_sums()
+    # coordinates of h in the changed basis: e . V, on the free columns
+    free_image = tuple(sum(x * y for x, y in zip(e, col)) for col in free)
     g, bezout = _extended_gcd_vector(free_image)
     if g != 1:
         return CyclicRetractResult(False, g, free_image, None)
-    covector = tuple(
-        sum(bezout[i] * snf.v[row][col] for i, col in enumerate(free_cols))
-        for row in range(pres.num_gens)
-    )
+    covector = tuple(sum(b * x for b, x in zip(bezout, row)) for row in zip(*free))
     if sum(c * x for c, x in zip(covector, e)) != 1:
         raise AssertionError(f"covector {covector} does not send h to 1")
     for relator_row in m:

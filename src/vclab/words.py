@@ -271,8 +271,12 @@ class Word:
         core, _ = self.cyclic_reduce()
         return core.syllables == self.syllables
 
-    def exponent_sum(self, gen: int) -> int:
-        return sum(e for g, e in self.syllables if g == gen)
+    def exponent_sums(self) -> list[int]:
+        """sigma(w): the exponent sum of every generator, in one pass."""
+        sums = [0] * self.alphabet.rank
+        for gen, exp in self.syllables:
+            sums[gen] += exp
+        return sums
 
     # -- text form ---------------------------------------------------------
 

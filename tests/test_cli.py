@@ -158,13 +158,12 @@ def test_cyclic_retract_mixed_sign_element(capsys, element, exponent_sums):
 
 
 @pytest.mark.parametrize("argv, rows, cols", [
-    (["abelianize", "--gens", "2000", "--relators", "a"], 1, 2000),
     (["cyclic-retract", "--gens", "2000", "--relators", "a", "--element", "b"], 1, 2000),
-    (["abelianize", "--gens", "1", "--relators", ";".join(["a"] * 2000)], 2000, 1),
     (["snf", "--matrix", " ".join(["1"] * 2000)], 1, 2000),
+    (["cyclic-retract", "--gens", "1", "--relators", ";".join(["a"] * 2000), "--element", "a"], 2000, 1),
 ])
 def test_transforms_past_the_budget_are_an_error(capsys, argv, rows, cols):
-    # refused before U and V, identities of rows^2 and cols^2 entries, exist
+    # refused before U (snf only) and V, identities of rows^2 and cols^2 entries, exist
     entries = rows * rows + cols * cols
     start = time.perf_counter()
     assert main(argv) == 1
@@ -174,6 +173,37 @@ def test_transforms_past_the_budget_are_an_error(capsys, argv, rows, cols):
         f"error: transforms of {entries} entries for a {rows} x {cols} matrix "
         f"exceed the budget of {presentations.TRANSFORM_BUDGET} entries\n"
     )
+
+
+def test_abelianize_past_its_budget_is_an_error(tmp_path, capsys):
+    # abelianize holds its matrix and one pending factor per row and per
+    # column, and is refused before it builds any of them
+    path = tmp_path / "pres.txt"
+    path.write_text("gens: 1000000000\n")
+    for argv, rows, cols in [(["--gens", "2000000", "--relators", "a"], 1, 2000000), (["--file", str(path)], 0, 10**9)]:
+        start = time.perf_counter()
+        assert main(["abelianize", *argv]) == 1
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err == (
+            f"error: elimination arrays of {rows * cols + rows + cols} entries for a {rows} x {cols} matrix "
+            f"exceed the budget of {presentations.TRANSFORM_BUDGET} entries\n"
+        )
+
+
+@pytest.mark.parametrize("argv, free_rank", [
+    (["abelianize", "--gens", "2000", "--relators", "a"], 1999),
+    (["abelianize", "--gens", "1", "--relators", ";".join(["a"] * 2000)], 0),
+    (["abelianize", "--gens", "1000", "--relators", ";".join(["ab"] * 1000)], 999),
+])
+def test_abelianize_builds_no_transform_and_stops_at_a_zero_block(capsys, argv, free_rank):
+    # the first two were refused when abelianize built U and V; the last is a
+    # rank-1 matrix, and took about 12 s when the elimination scanned every
+    # zero block after the first
+    start = time.perf_counter()
+    code, out = run(capsys, *argv)
+    assert time.perf_counter() - start < 3
+    assert code == 0
+    assert json.loads(out) == {"free_rank": free_rank, "invariant_factors": []}
 
 
 def test_verify_retraction_exit_codes(capsys):

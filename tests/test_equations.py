@@ -249,8 +249,7 @@ class InlinePool:
 
 def passes_abelian_test(inst, x):
     """n*sigma_i(x) = sigma_i(g) modulo m for every generator i."""
-    rank = inst.alphabet.rank
-    return all((inst.g.exponent_sum(i) - inst.n * x.exponent_sum(i)) % inst.m == 0 for i in range(rank))
+    return all((sg - inst.n * sx) % inst.m == 0 for sg, sx in zip(inst.g.exponent_sums(), x.exponent_sums()))
 
 
 def unpruned_solutions(inst, bound):

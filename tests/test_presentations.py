@@ -10,6 +10,7 @@ from vclab import presentations
 from vclab.words import Alphabet, BudgetExceeded, WordError, parse_word
 from vclab.presentations import (
     Presentation,
+    _diagonalize,
     _extended_gcd_vector,
     RetractionConditionError,
     abelianization,
@@ -123,8 +124,9 @@ def test_snf_matches_minor_gcd_oracle():
 
 def eager_smith_normal_form(m, cols=None):
     """Smith normal form that applies every row and column operation to U
-    and V as it happens, over whole rows and columns: the reference for the
-    lazily updated transforms of ``smith_normal_form``."""
+    and V as it happens, over whole rows and columns, and scans every block
+    to the end: the reference for ``_diagonalize``, its lazily updated
+    transforms and its stop at the first zero block."""
     rows = len(m)
     if cols is None:
         cols = len(m[0]) if rows else 0
@@ -206,26 +208,71 @@ def sparse_matrix(rng, rows, cols, bound=60):
     return [[0 if rng.random() < 1 / 3 else rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
 
 
+def low_rank_matrix(rng, rows, cols, rank, bound=9):
+    """A sum of ``rank`` outer products, so the elimination meets a zero block."""
+    m = [[0] * cols for _ in range(rows)]
+    for _ in range(rank):
+        left = [rng.randint(-bound, bound) for _ in range(rows)]
+        right = [rng.randint(-bound, bound) for _ in range(cols)]
+        m = [[x + a * b for x, b in zip(row, right)] for row, a in zip(m, left)]
+    return m
+
+
+# each companion of _diagonalize is an identity (the transform is tracked) or
+# empty rows (it is not)
+COMPANIONS = list(itertools.product((True, False), repeat=2))
+
+
+def assert_diagonalize_matches_eager(m, cols, track_u, track_v):
+    rows = len(m)
+    d = [row[:] for row in m]
+    u = identity_matrix(rows) if track_u else [[]] * rows
+    vt = identity_matrix(cols) if track_v else [[]] * cols
+    _diagonalize(d, u, vt)
+    eager_d, eager_u, eager_v = eager_smith_normal_form(m, cols=cols)
+    assert d == eager_d
+    assert u == (eager_u if track_u else [[]] * rows)
+    assert vt == ([list(col) for col in zip(*eager_v)] if track_v else [[]] * cols)
+
+
 def test_snf_transforms_equal_the_eager_reference():
     rng = random.Random(113)
-    for _ in range(1500):
+    for case in range(1500):
         rows, cols = rng.randint(0, 9), rng.randint(1, 9)
-        m = sparse_matrix(rng, rows, cols)
-        assert tuple(smith_normal_form(m, cols=cols)) == eager_smith_normal_form(m, cols=cols)
+        if case % 3:
+            m = sparse_matrix(rng, rows, cols)
+        else:
+            m = low_rank_matrix(rng, rows, cols, rng.randint(0, 2))
+        for companions in COMPANIONS:
+            assert_diagonalize_matches_eager(m, cols, *companions)
 
 
 @pytest.mark.parametrize("cols", range(10))
 def test_snf_with_no_rows_equals_the_eager_reference(cols):
-    assert tuple(smith_normal_form([], cols=cols)) == eager_smith_normal_form([], cols=cols)
+    for companions in COMPANIONS:
+        assert_diagonalize_matches_eager([], cols, *companions)
 
 
 @given(st.integers(1, 9).flatmap(lambda cols: st.lists(
     st.lists(st.one_of(st.just(0), st.integers(-60, 60), st.integers(-60, 60)), min_size=cols, max_size=cols),
     max_size=9,
-).map(lambda m: (m, cols))))
-def test_snf_transforms_equal_the_eager_reference_drawn(case):
+).map(lambda m: (m, cols))), st.sampled_from(COMPANIONS))
+def test_snf_transforms_equal_the_eager_reference_drawn(case, companions):
     m, cols = case
-    assert tuple(smith_normal_form(m, cols=cols)) == eager_smith_normal_form(m, cols=cols)
+    assert_diagonalize_matches_eager(m, cols, *companions)
+
+
+def test_snf_transforms_equal_the_eager_reference_at_12_by_12():
+    rng = random.Random(127)
+    for m in (sparse_matrix(rng, 12, 12, bound=50), low_rank_matrix(rng, 12, 12, 3)):
+        for companions in COMPANIONS:
+            assert_diagonalize_matches_eager(m, 12, *companions)
+
+
+def test_snf_transposes_the_tracked_columns_of_v():
+    m = sparse_matrix(random.Random(131), 5, 7)
+    assert tuple(smith_normal_form(m)) == eager_smith_normal_form(m)
+    assert tuple(smith_normal_form([])) == ([], [], [])
 
 
 def test_snf_transforms_are_unimodular_at_12_by_12():
@@ -258,28 +305,83 @@ def test_abelianization_invariant_under_relator_shuffles():
         assert abelianization(Presentation(2, tuple(shuffled))) == reference
 
 
-# -- the transform budget ---------------------------------------------------------------------
+# -- what each caller builds, and its budget ---------------------------------------------------
+
+def test_each_caller_builds_only_the_transforms_it_reads(monkeypatch):
+    built, held = [], []
+    real_identity, real_diagonalize = presentations.identity_matrix, presentations._diagonalize
+
+    def diagonalize(d, u, vt):
+        held.append((sum(map(len, u)), sum(map(len, vt))))  # entries of U and V at the start
+        real_diagonalize(d, u, vt)
+
+    monkeypatch.setattr(presentations, "identity_matrix", lambda n: built.append(n) or real_identity(n))
+    monkeypatch.setattr(presentations, "_diagonalize", diagonalize)
+    alph = Alphabet(3)
+    pres = Presentation(3, (alph.generator(0) ** 2, alph.generator(1) ** 3))
+    assert abelianization(pres) == ((6,), 1)
+    assert (built, held) == ([], [(0, 0)])
+    assert cyclic_retract_test(pres, alph.generator(2)).covector == (0, 0, 1)
+    assert (built, held[1:]) == ([3], [(0, 9)])
+    assert smith_normal_form(relator_matrix(pres)).diagonal() == [1, 6]
+    assert (built[1:], held[2:]) == ([2, 3], [(4, 9)])
+
 
 @pytest.mark.parametrize("rows, cols", [(1, 3), (3, 1), (2, 2), (4, 3), (0, 2)])
 def test_transform_budget_admits_exactly_its_entries(monkeypatch, rows, cols):
-    entries = rows * rows + cols * cols
     alph = Alphabet(cols)
     pres = Presentation(cols, tuple(alph.generator(i % cols) ** (i + 2) for i in range(rows)))
     m = relator_matrix(pres)
     h = alph.generator(0)
-    monkeypatch.setattr(presentations, "TRANSFORM_BUDGET", entries)
-    snf = smith_normal_form(m, cols=cols)
-    assert mat_mul(mat_mul(snf.u, m), snf.v) == snf.d
-    assert abelianization(pres).free_rank == cols - sum(1 for x in snf.diagonal() if x)
-    assert cyclic_retract_test(pres, h).primitive == (rows == 0)
-    monkeypatch.setattr(presentations, "TRANSFORM_BUDGET", entries - 1)
-    # refused before the relator matrix or any transform is built
-    monkeypatch.setattr(presentations, "relator_matrix", None)
-    monkeypatch.setattr(presentations, "identity_matrix", None)
-    message = f"^transforms of {entries} entries for a {rows} x {cols} matrix exceed the budget of {entries - 1} entries$"
-    for refused in (lambda: smith_normal_form(m, cols=cols), lambda: abelianization(pres), lambda: cyclic_retract_test(pres, h)):
-        with pytest.raises(BudgetExceeded, match=message):
-            refused()
+    snf_cols = cols if rows else 0  # a matrix with no rows has no columns either
+    runs = [  # what is counted, how many entries, for which shape; the run and a check of its result
+        ("transforms", rows * rows + snf_cols * snf_cols, (rows, snf_cols),
+         lambda: smith_normal_form(m), lambda snf: mat_mul(mat_mul(snf.u, m), snf.v) == snf.d),
+        ("transforms", rows * rows + cols * cols, (rows, cols),
+         lambda: cyclic_retract_test(pres, h), lambda res: res.primitive == (rows == 0)),
+        ("elimination arrays", rows * cols + rows + cols, (rows, cols),
+         lambda: abelianization(pres), lambda ab: ab.free_rank == cols - min(rows, cols)),
+    ]
+    for arrays, entries, (r, c), run, holds in runs:
+        monkeypatch.setattr(presentations, "TRANSFORM_BUDGET", entries)
+        assert holds(run())
+        with monkeypatch.context() as refusing:
+            refusing.setattr(presentations, "TRANSFORM_BUDGET", entries - 1)
+            # refused before the relator matrix or any transform is built
+            refusing.setattr(presentations, "relator_matrix", None)
+            refusing.setattr(presentations, "identity_matrix", None)
+            message = f"^{arrays} of {entries} entries for a {r} x {c} matrix exceed the budget of {entries - 1} entries$"
+            with pytest.raises(BudgetExceeded, match=message):
+                run()
+
+
+class Admitted(Exception):
+    """Raised in place of the relator matrix, the first thing built past the budget."""
+
+
+def admits(pres):
+    try:
+        abelianization(pres)
+    except Admitted:
+        return True
+    except BudgetExceeded:
+        return False
+    raise AssertionError("abelianization neither built its matrix nor refused")
+
+
+def test_abelianization_admits_every_shape_the_transform_rule_admits(monkeypatch):
+    def matrix(pres):
+        raise Admitted
+    monkeypatch.setattr(presentations, "relator_matrix", matrix)
+    budget = presentations.TRANSFORM_BUDGET
+    for rows in [*range(0, 2000, 50), 1999]:
+        cols = math.isqrt(budget - rows * rows)  # the widest shape whose transforms fit
+        relator = Alphabet(cols).generator(0)
+        assert admits(Presentation(cols, (relator,) * rows))
+    # rows * cols + rows + cols entries: 2c + 1 on one relator, c with none
+    for rows, cols, admitted in [(1, 1999999, True), (1, 2000000, False), (0, 4000000, True), (0, 4000001, False),
+                                 (0, 10**9, False), (2000, 1, True), (1999999, 1, True), (2000000, 1, False)]:
+        assert admits(Presentation(cols, (Alphabet(cols).generator(0),) * rows)) == admitted
 
 
 # -- cyclic retract criterion ----------------------------------------------------------------

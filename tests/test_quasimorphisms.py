@@ -57,9 +57,9 @@ def test_one_letter_pattern_counts_the_exponent_sum():
             q = exponent_sum(i, alph)
             for _ in range(50):
                 g, u = random_word(rng, 10, alph), random_word(rng, 6, alph)
-                assert q(g) == g.exponent_sum(i)
+                assert q(g) == g.exponent_sums()[i]
                 for m in (1, 5, 10**8):
-                    assert homogenize(q, g, m, Fraction(0)).value == g.exponent_sum(i)
+                    assert homogenize(q, g, m, Fraction(0)).value == g.exponent_sums()[i]
                 assert conjugacy_invariance_check(q, g, u, 7, Fraction(0)).residual == 0
 
 

@@ -490,17 +490,21 @@ def test_cyclic_core_is_shortest_conjugate():
 # -- exponent sums -------------------------------------------------------------
 
 def test_exponent_sum_examples():
-    assert w("a^2b^3").exponent_sum(0) == 2
-    assert w("abA").exponent_sum(0) == 0
-    assert w("").exponent_sum(1) == 0
+    assert w("a^2b^3").exponent_sums() == [2, 3]
+    assert w("abA").exponent_sums() == [0, 1]
+    assert w("").exponent_sums() == [0, 0]
+    assert w("c^-1000000000000a", F3).exponent_sums() == [1, 0, -10**12]
 
 
 def test_exponent_sum_is_homomorphism():
+    # sigma(w) counts letters, and sigma(uv) = sigma(u) + sigma(v)
     rng = random.Random(17)
     for _ in range(200):
-        u, v = random_word(rng, F2, 10), random_word(rng, F2, 10)
-        for gen in range(2):
-            assert (u * v).exponent_sum(gen) == u.exponent_sum(gen) + v.exponent_sum(gen)
+        u, v = random_word(rng, F3, 10), random_word(rng, F3, 10)
+        sums = u.exponent_sums()
+        counts = collections.Counter(u.letters())
+        assert sums == [counts[gen + 1] - counts[-gen - 1] for gen in range(3)]
+        assert (u * v).exponent_sums() == [x + y for x, y in zip(sums, v.exponent_sums())]
 
 
 # -- substitution ---------------------------------------------------------------
