@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import functools
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -112,13 +113,25 @@ def _split_words(text: str) -> list[str]:
     return [part.strip() for part in text.split(";")]
 
 
+def _literal(value: object) -> str:
+    """The report text of a value json has no form for: a word as
+    ``format_word`` spells it and a ``Fraction`` as ``str`` writes it."""
+    if isinstance(value, Word):
+        return format_word(value)
+    if isinstance(value, Fraction):
+        return str(value)
+    raise TypeError(f"{type(value).__name__} is not a report value")
+
+
 def _json_chunks(data: dict) -> Iterator[str]:
-    """``json.dumps(data, sort_keys=True, indent=2)`` and a newline, for
-    str-keyed data, byte for byte, one top-level key at a time.  Each value
-    is ``json.dumps`` of its own, re-indented by one level: json escapes
-    every line break inside a string, so each one in its text starts a
-    line.  A top-level value that is an iterator is written as a list,
-    ``CHUNK_ROWS`` items at a time, so it is never held whole."""
+    """``json.dumps(data, sort_keys=True, indent=2, default=_literal)`` and a
+    newline, for str-keyed data, byte for byte, one top-level key at a time.
+    Every word and ``Fraction`` at any depth is written by the ``_literal``
+    hook, so records reach the report as they are.  Each value is
+    ``json.dumps`` of its own, re-indented by one level: json escapes every
+    line break inside a string, so each one in its text starts a line.  A
+    top-level value that is an iterator is written as a list, ``CHUNK_ROWS``
+    items at a time, so it is never held whole."""
     if not data:
         yield "{}\n"
         return
@@ -128,7 +141,7 @@ def _json_chunks(data: dict) -> Iterator[str]:
         if isinstance(value, Iterator):
             yield from _json_stream(value)
         else:
-            yield json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
+            yield json.dumps(value, sort_keys=True, indent=2, default=_literal).replace("\n", "\n  ")
         sep = ",\n  "
     yield "\n}\n"
 
@@ -148,7 +161,8 @@ def _json_stream(items: Iterator) -> Iterator[str]:
             row = "[" + deeper + ("," + deeper).join(["%d"] * len(block[0])) + inner + "]"
             text = ("," + inner).join(map(row.__mod__, block))
         else:
-            text = ("," + inner).join([json.dumps(item, sort_keys=True, indent=2).replace("\n", inner) for item in block])
+            texts = [json.dumps(item, sort_keys=True, indent=2, default=_literal) for item in block]
+            text = ("," + inner).join([t.replace("\n", inner) for t in texts])
         yield sep + text
         sep = "," + inner
     yield "[]" if sep[0] == "[" else "\n  ]"
@@ -162,10 +176,23 @@ def _equation_instance(args) -> equations.EquationInstance:
     return equations.EquationInstance(parse_word(args.a, alph), parse_word(args.b, alph), args.n, args.m)
 
 
+def _solutions(report: equations.PerfectnessReport) -> dict:
+    """The instance, the bound and one row per classified solution, as
+    ``solve-eq`` and ``verify-perfect`` both report them."""
+    inst = report.instance
+    return {
+        "instance": {"a": inst.a, "b": inst.b, "n": inst.n, "m": inst.m, "g": inst.g},
+        "bound": report.bound,
+        "solutions": [
+            {"x": p.x, "y": p.y, "classification": c.tag.value, "witness": c.witness} for p, c in report.solutions
+        ],
+    }
+
+
 def _cmd_solve_eq(args) -> tuple[int, Iterable[str]]:
     inst = _equation_instance(args)
     report = equations.verify_perfect(inst, args.bound, max_candidates=args.max_candidates, jobs=args.jobs)
-    data = equations.solutions_json_dict(inst, args.bound, report.solutions)
+    data = _solutions(report)
     data["non_conjugate_family_count"] = len(report.exceptions())
     return (EXIT_OK if report.perfect_at_bound else EXIT_FINDING), _json_chunks(data)
 
@@ -179,8 +206,11 @@ def _cmd_verify_perfect(args) -> tuple[int, Iterable[str]]:
         max_candidates=args.max_candidates,
         jobs=args.jobs,
     )
-    code = EXIT_OK if report.perfect_at_bound else EXIT_FINDING
-    return code, _json_chunks(report.to_json_dict())
+    data = _solutions(report)
+    data["perfect_at_bound"] = report.perfect_at_bound
+    data["hypothesis_flags"] = report.hypothesis_flags
+    data["note"] = "bounded non-refutation only; no finite bound certifies perfectness"
+    return (EXIT_OK if report.perfect_at_bound else EXIT_FINDING), _json_chunks(data)
 
 
 def _build_spec(args) -> testwords.TestWordSpec:
@@ -188,11 +218,15 @@ def _build_spec(args) -> testwords.TestWordSpec:
     return testwords.TestWordSpec(len(args.exponents) + 2, tuple(args.exponents))
 
 
+def _spec_entry(spec: testwords.TestWordSpec) -> dict:
+    return {"level": spec.level, "tuples": [list(vars(t).values()) for t in spec.tuples]}
+
+
 def _cmd_build_testword(args) -> tuple[int, Iterable[str]]:
     spec = _build_spec(args)
     word = spec.build()
     data = {
-        "spec": spec.to_json_dict(),
+        "spec": _spec_entry(spec),
         "word": testwords.format_test_word(word),
         "letter_length": len(word),
         "variables": sorted(testwords.variables_used(word)),
@@ -207,8 +241,17 @@ def _cmd_verify_testword(args) -> tuple[int, Iterable[str]]:
     alph = _infer_rank(target_texts, args.rank)
     targets = [parse_word(t, alph) for t in target_texts]
     report = testwords.verify_testword(word, targets, args.bound, max_assignments=args.max_assignments)
-    data = report.to_json_dict()
-    data["spec"] = spec.to_json_dict()
+    data = {
+        "spec": _spec_entry(spec),
+        "violations": [v.assignment for v in report.violations],
+        "explored": report.explored,
+        "total": report.total,
+        "exhausted": report.exhausted,
+        "explored_fraction": report.explored / report.total if report.total else 1.0,
+        "special_tuple_ok": report.special_tuple_ok,
+        "alpha_window": report.alpha_window,
+        "common_value": report.common_value,
+    }
     code = EXIT_FINDING if report.violations else EXIT_OK
     return code, _json_chunks(data)
 
@@ -217,8 +260,14 @@ def _cmd_certificates(args) -> tuple[int, Iterable[str]]:
     if len(args.exponents) != 1:
         raise WordError("certificates expect exactly one exponent tuple")
     cert = testwords.exponent_sum_certificates(args.exponents[0], args.modulus)
-    code = EXIT_OK if cert.ok else EXIT_FINDING
-    return code, _json_chunks(cert.to_json_dict())
+    data = {
+        "m_phi": cert.m_phi,
+        "m_psi": cert.m_psi,
+        "det_phi": cert.det_phi,
+        "det_psi": cert.det_psi,
+        "verdict": "pass" if cert.ok else "fail",
+    }
+    return (EXIT_OK if cert.ok else EXIT_FINDING), _json_chunks(data)
 
 
 def _random_pairs(alph: Alphabet, count: int, max_len: int, seed: int) -> Iterator[tuple[Word, Word]]:
@@ -273,7 +322,7 @@ def _random_pairs(alph: Alphabet, count: int, max_len: int, seed: int) -> Iterat
 def _counting_qm(text: str, alph: Alphabet) -> tuple[quasimorphisms.QuasiMorphism, dict]:
     """The counting quasimorphism of a pattern literal, with its report entry."""
     pattern = parse_word(text, alph)
-    return quasimorphisms.counting_qm(pattern), {"kind": "counting", "pattern": format_word(pattern)}
+    return quasimorphisms.counting_qm(pattern), {"kind": "counting", "pattern": pattern}
 
 
 def _cmd_qm_defect(args) -> tuple[int, Iterable[str]]:
@@ -284,7 +333,8 @@ def _cmd_qm_defect(args) -> tuple[int, Iterable[str]]:
             f"--pairs {args.pairs} x (--max-len {args.max_len} + 1) exceeds the budget of {PAIR_BUDGET} draws"
         )
     est = quasimorphisms.defect_estimate(qm, _random_pairs(alph, args.pairs, args.max_len, args.seed))
-    data = {"qm": entry, "defect_estimate": est.to_json_dict(), "seed": args.seed}
+    estimate = {"lower_bound": est.lower_bound, "sample_count": est.sample_count}
+    data = {"qm": entry, "defect_estimate": estimate, "seed": args.seed}
     return EXIT_OK, _json_chunks(data)
 
 
@@ -306,8 +356,11 @@ def _cmd_qm_homogenize(args) -> tuple[int, Iterable[str]]:
     alph = _infer_rank(texts, args.rank)
     qm, entry = _make_qm(args, alph)
     word = parse_word(args.word, alph)
-    table = [quasimorphisms.homogenize(qm, word, m, args.defect or Fraction(0)).to_json_dict() for m in args.truncations]
-    data = {"qm": entry, "word": format_word(word), "homogenization_table": table}
+    table = []
+    for m in args.truncations:
+        row = quasimorphisms.homogenize(qm, word, m, args.defect or Fraction(0))
+        table.append({"value": row.value, "truncation": row.truncation, "error_bound": row.error_bound})
+    data = {"qm": entry, "word": word, "homogenization_table": table}
     return EXIT_OK, _json_chunks(data)
 
 
@@ -322,7 +375,8 @@ def _cmd_qm_invariance(args) -> tuple[int, Iterable[str]]:
         args.truncation,
         args.defect or Fraction(0),
     )
-    data = {"qm": entry, "invariance": check.to_json_dict()}
+    invariance = {"residual": check.residual, "bound": check.bound, "within_bound": check.within_bound}
+    data = {"qm": entry, "invariance": invariance}
     code = EXIT_OK if check.within_bound else EXIT_FINDING
     return code, _json_chunks(data)
 
@@ -341,8 +395,12 @@ def _sampled_ball(args) -> hypgeom.FiniteMetricSpace:
 def _cmd_cayley_delta(args) -> tuple[int, Iterable[str]]:
     ball = _sampled_ball(args)
     report = hypgeom.delta_thin_report(ball, args.samples, seed=args.seed)
-    data = report.to_json_dict()
-    data["ball"] = {"radius": args.radius, "points": len(ball)}
+    data = {
+        "delta_lower_bound": report.lower_bound,
+        "witness_triangle": report.witness_triangle,
+        "samples": report.samples,
+        "ball": {"radius": args.radius, "points": len(ball)},
+    }
     return EXIT_OK, _json_chunks(data)
 
 
@@ -358,7 +416,7 @@ def _cmd_midpoint_check(args) -> tuple[int, Iterable[str]]:
     data = {
         "ball": {"radius": args.radius, "points": n},
         "samples": args.samples,
-        "delta": str(args.delta),
+        "delta": args.delta,
         "failures": failures,
     }
     return (EXIT_OK if failures == 0 else EXIT_FINDING), _json_chunks(data)
@@ -369,7 +427,13 @@ def _cmd_concat_check(args) -> tuple[int, Iterable[str]]:
     alph = _infer_rank([t for seg in segments for t in seg], args.rank)
     paths = [[parse_word(t.strip(), alph) for t in seg] for seg in segments]
     report = hypgeom.check_concatenation_quasigeodesic(paths, args.delta, args.kappa, args.alpha)
-    return EXIT_OK, _json_chunks(report.to_json_dict())
+    data = {
+        "hypotheses_ok": report.hypotheses_ok,
+        "product_hypothesis_ok": report.product_hypothesis_ok,
+        "length_hypothesis_ok": report.length_hypothesis_ok,
+        "measured_epsilon0": report.measured_epsilon0,
+    }
+    return EXIT_OK, _json_chunks(data)
 
 
 def _cmd_divergence(args) -> tuple[int, Iterable[str]]:
@@ -378,13 +442,50 @@ def _cmd_divergence(args) -> tuple[int, Iterable[str]]:
         parse_word(args.c, alph), parse_word(args.d, alph), args.n_max, args.m_max
     )
     if args.format == "csv":
-        return EXIT_OK, report.csv_chunks(CHUNK_ROWS)
-    return EXIT_OK, _json_chunks(report.to_json_dict())
+        return EXIT_OK, _divergence_csv(report)
+    data = {
+        "c": report.c,
+        "d": report.d,
+        "rows": report.rows(),
+        "observed_ratio_bound": report.observed_ratio_bound,
+        "power_growth_ok": report.power_growth_ok,
+    }
+    return EXIT_OK, _json_chunks(data)
+
+
+def _divergence_csv(report: hypgeom.DivergenceReport) -> Iterator[str]:
+    """The CSV report, ``CHUNK_ROWS`` lines at a time; the ratio min(n, m) /
+    |c^n d^m| is written as ``str(Fraction)`` writes it."""
+    yield "n,m,length,ratio\n"
+    rows = report.rows()
+    while chunk := list(islice(rows, CHUNK_ROWS)):
+        lines = []
+        for n, m, length in chunk:
+            low = n if n < m else m
+            g = math.gcd(low, length)
+            ratio = f"{low // g}" if g == length else f"{low // g}/{length // g}"
+            lines.append(f"{n},{m},{length},{ratio}\n")
+        yield "".join(lines)
 
 
 def _cmd_dihedral_counterexample(args) -> tuple[int, Iterable[str]]:
     report = finitegroups.dihedral_counterexample_suite()
-    return (EXIT_OK if report.ok else EXIT_FINDING), _json_chunks(report.to_json_dict())
+    data = {
+        "groups": {"orders": report.orders},
+        "claim_verbally_closed": {
+            "corpus_size": report.corpus_size,
+            "targets": report.targets_checked,
+            "disagreements": report.verbal_disagreements,
+        },
+        "claim_not_retract": {
+            "center_is_a_squared": report.center_is_a_squared,
+            "hom_count_into_center": report.homs_into_center,
+            "retract_found": report.retract_of_center_found,
+        },
+        "negative_control_disagreements": report.control_disagreements,
+        "ok": report.ok,
+    }
+    return (EXIT_OK if report.ok else EXIT_FINDING), _json_chunks(data)
 
 
 def _cmd_snf(args) -> tuple[int, Iterable[str]]:
@@ -404,8 +505,8 @@ def _load_presentation(args) -> presentations.Presentation:
 
 
 def _cmd_abelianize(args) -> tuple[int, Iterable[str]]:
-    pres = _load_presentation(args)
-    data = presentations.abelianization(pres).to_json_dict()
+    ab = presentations.abelianization(_load_presentation(args))
+    data = {"invariant_factors": ab.invariant_factors, "free_rank": ab.free_rank}
     return EXIT_OK, _json_chunks(data)
 
 
@@ -413,10 +514,14 @@ def _cmd_cyclic_retract(args) -> tuple[int, Iterable[str]]:
     pres = _load_presentation(args)
     h = parse_word(args.element, pres.alphabet)
     result = presentations.cyclic_retract_test(pres, h)
-    data = result.to_json_dict()
+    data = {
+        "primitive": result.primitive,
+        "gcd": result.gcd,
+        "free_image": result.free_image,
+        "covector": result.covector,
+    }
     if result.primitive:
-        images = presentations.retraction_images_from_covector(pres, h, result.covector)
-        data["retraction_images"] = [format_word(w) for w in images]
+        data["retraction_images"] = presentations.retraction_images_from_covector(pres, h, result.covector)
     return EXIT_OK, _json_chunks(data)
 
 
@@ -425,11 +530,7 @@ def _cmd_verify_retraction(args) -> tuple[int, Iterable[str]]:
     subgroup = [parse_word(t, pres.alphabet) for t in _split_words(args.subgroup)]
     images = [parse_word(t, pres.alphabet) for t in _split_words(args.images)]
     ok = presentations.verify_retraction(pres, subgroup, images)
-    data = {
-        "subgroup": [format_word(w) for w in subgroup],
-        "images": [format_word(w) for w in images],
-        "is_retraction": ok,
-    }
+    data = {"subgroup": subgroup, "images": images, "is_retraction": ok}
     return (EXIT_OK if ok else EXIT_FINDING), _json_chunks(data)
 
 

@@ -21,9 +21,9 @@ import enum
 import functools
 import os
 from itertools import chain, compress
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .words import Alphabet, BudgetExceeded, Word, WordError, enumerate_reduced, format_word, letter_order, reduced_count_exceeds
+from .words import Alphabet, BudgetExceeded, Word, WordError, enumerate_reduced, letter_order, reduced_count_exceeds
 from .oracles import is_conjugate, root
 
 # reduced x a search may enumerate, whatever max_candidates asks: bound 14
@@ -68,12 +68,6 @@ class Tag(enum.Enum):
 class Classification(NamedTuple):
     tag: Tag
     witness: dict
-
-    def to_json_dict(self) -> dict:
-        clean = {}
-        for key, value in self.witness.items():
-            clean[key] = format_word(value) if isinstance(value, Word) else value
-        return {"tag": self.tag.value, "witness": clean}
 
 
 def is_solution(inst: EquationInstance, p: SolutionPair) -> bool:
@@ -349,31 +343,6 @@ def classify_solution(inst: EquationInstance, p: SolutionPair) -> Classification
     return Classification(Tag.UNCLASSIFIED, {})
 
 
-def solutions_json_dict(
-    inst: EquationInstance, bound: int, solutions: Sequence[tuple[SolutionPair, Classification]]
-) -> dict:
-    """The instance, the bound and one row per classified solution, as reported."""
-    return {
-        "instance": {
-            "a": format_word(inst.a),
-            "b": format_word(inst.b),
-            "n": inst.n,
-            "m": inst.m,
-            "g": format_word(inst.g),
-        },
-        "bound": bound,
-        "solutions": [
-            {
-                "x": format_word(p.x),
-                "y": format_word(p.y),
-                "classification": c.tag.value,
-                "witness": c.to_json_dict()["witness"],
-            }
-            for p, c in solutions
-        ],
-    }
-
-
 class PerfectnessReport(NamedTuple):
     instance: EquationInstance
     bound: int
@@ -383,14 +352,6 @@ class PerfectnessReport(NamedTuple):
 
     def exceptions(self) -> list[tuple[SolutionPair, Classification]]:
         return [(p, c) for p, c in self.solutions if c.tag is not Tag.CONJUGATE_FAMILY]
-
-    def to_json_dict(self) -> dict:
-        return {
-            **solutions_json_dict(self.instance, self.bound, self.solutions),
-            "perfect_at_bound": self.perfect_at_bound,
-            "hypothesis_flags": self.hypothesis_flags,
-            "note": "bounded non-refutation only; no finite bound certifies perfectness",
-        }
 
 
 def verify_perfect(

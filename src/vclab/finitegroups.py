@@ -362,23 +362,6 @@ class DihedralSuiteReport(NamedTuple):
             and self.control_disagreements == 1
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "groups": {"orders": dict(self.orders)},
-            "claim_verbally_closed": {
-                "corpus_size": self.corpus_size,
-                "targets": self.targets_checked,
-                "disagreements": self.verbal_disagreements,
-            },
-            "claim_not_retract": {
-                "center_is_a_squared": self.center_is_a_squared,
-                "hom_count_into_center": self.homs_into_center,
-                "retract_found": self.retract_of_center_found,
-            },
-            "negative_control_disagreements": self.control_disagreements,
-            "ok": self.ok,
-        }
-
 
 def dihedral_counterexample_suite() -> DihedralSuiteReport:
     """Two order-8 dihedral groups glued over their centers.

@@ -20,10 +20,10 @@ import math
 import random
 from functools import cached_property
 from fractions import Fraction
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .words import Alphabet, BudgetExceeded, Word, WordError, _core_power, count_reduced, format_word, free_word_metric, reduced_count_exceeds
+from .words import Alphabet, BudgetExceeded, Word, WordError, _core_power, count_reduced, free_word_metric, reduced_count_exceeds
 from .oracles import is_commensurable
 
 # points a ball may hold: radius 10 at rank 2 (118,097 points) fits
@@ -181,15 +181,6 @@ class DeltaReport(NamedTuple):
     witness_triangle: Optional[tuple[Word, Word, Word]]
     samples: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "delta_lower_bound": str(self.lower_bound),
-            "witness_triangle": [format_word(w) for w in self.witness_triangle]
-            if self.witness_triangle
-            else None,
-            "samples": self.samples,
-        }
-
 
 def delta_thin_report(sp: FiniteMetricSpace, samples: int, seed: int = 0) -> DeltaReport:
     """Max deviation of matched points on two triangle sides, with the
@@ -274,14 +265,6 @@ class ConcatenationReport(NamedTuple):
     product_hypothesis_ok: bool
     length_hypothesis_ok: bool
     measured_epsilon0: Fraction
-
-    def to_json_dict(self) -> dict:
-        return {
-            "hypotheses_ok": self.hypotheses_ok,
-            "product_hypothesis_ok": self.product_hypothesis_ok,
-            "length_hypothesis_ok": self.length_hypothesis_ok,
-            "measured_epsilon0": str(self.measured_epsilon0),
-        }
 
 
 def check_concatenation_quasigeodesic(
@@ -378,30 +361,6 @@ class DivergenceReport(NamedTuple):
         """The tree fact |w^k| >= k for cyclically reduced w, for c and d:
         |w^k| = 2|t| + k|w_0| with |w_0| >= 1."""
         return self.c_core >= 1 and self.d_core >= 1
-
-    def to_json_dict(self) -> dict:
-        """The report, with its rows as an iterator for a streaming writer."""
-        return {
-            "c": format_word(self.c),
-            "d": format_word(self.d),
-            "rows": self.rows(),
-            "observed_ratio_bound": str(self.observed_ratio_bound),
-            "power_growth_ok": self.power_growth_ok,
-        }
-
-    def csv_chunks(self, block: int) -> Iterator[str]:
-        """The CSV report, ``block`` lines at a time; the ratio min(n, m) /
-        |c^n d^m| is written as ``str(Fraction)`` writes it."""
-        yield "n,m,length,ratio\n"
-        rows = self.rows()
-        while chunk := list(islice(rows, block)):
-            lines = []
-            for n, m, length in chunk:
-                low = n if n < m else m
-                g = math.gcd(low, length)
-                ratio = f"{low // g}" if g == length else f"{low // g}/{length // g}"
-                lines.append(f"{n},{m},{length},{ratio}\n")
-            yield "".join(lines)
 
 
 def _line(head: list[int], step: int, count: int) -> Iterator[int]:

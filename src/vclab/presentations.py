@@ -64,7 +64,10 @@ def relator_matrix(pres: Presentation) -> Matrix:
 
 
 def identity_matrix(n: int) -> Matrix:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
+    rows = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[i] = 1
+    return rows
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -227,9 +230,6 @@ class AbelianizationData(NamedTuple):
     invariant_factors: tuple[int, ...]  # entries > 1, divisibility chain
     free_rank: int
 
-    def to_json_dict(self) -> dict:
-        return {"invariant_factors": list(self.invariant_factors), "free_rank": self.free_rank}
-
 
 def abelianization(pres: Presentation) -> AbelianizationData:
     """Invariant factors and free rank of the abelianized group, read from
@@ -244,12 +244,17 @@ def abelianization(pres: Presentation) -> AbelianizationData:
 
 def _extended_gcd_vector(values: Sequence[int]) -> tuple[int, list[int]]:
     """gcd plus Bezout coefficients for a vector of integers."""
-    g, coeffs = 0, []
+    g, steps = 0, []
     for val in values:
         # new g = x * old g + y * val
         g, x, y = _xgcd(g, val)
-        coeffs = [c * x for c in coeffs] + [y]
-    return g, coeffs
+        steps.append((x, y))
+    # value i keeps its y, times the x of every later step
+    coeffs, scale = [], 1
+    for x, y in reversed(steps):
+        coeffs.append(y * scale)
+        scale *= x
+    return g, coeffs[::-1]
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -274,14 +279,6 @@ class CyclicRetractResult(NamedTuple):
     free_image: tuple[int, ...]
     covector: Optional[tuple[int, ...]]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "primitive": self.primitive,
-            "gcd": self.gcd,
-            "free_image": list(self.free_image),
-            "covector": list(self.covector) if self.covector else None,
-        }
-
 
 def cyclic_retract_test(pres: Presentation, h: Word) -> CyclicRetractResult:
     """Primitive-image criterion for a retraction onto <h>.
@@ -303,12 +300,19 @@ def cyclic_retract_test(pres: Presentation, h: Word) -> CyclicRetractResult:
     _diagonalize(d, [[]] * rows, vt)
     free = [vt[j] for j in range(cols) if j >= rows or d[j][j] == 0]  # V's free columns
     e = h.exponent_sums()
-    # coordinates of h in the changed basis: e . V, on the free columns
-    free_image = tuple(sum(x * y for x, y in zip(e, col)) for col in free)
+    # coordinates of h in the changed basis: e . V, on the free columns,
+    # summed over the generators h uses
+    used = [(j, x) for j, x in enumerate(e) if x]
+    free_image = tuple(sum(x * col[j] for j, x in used) for col in free)
     g, bezout = _extended_gcd_vector(free_image)
     if g != 1:
         return CyclicRetractResult(False, g, free_image, None)
-    covector = tuple(sum(b * x for b, x in zip(bezout, row)) for row in zip(*free))
+    # the free columns combined by the nonzero Bezout coefficients
+    covector = [0] * cols
+    for b, col in zip(bezout, free):
+        if b:
+            covector = [c + b * x for c, x in zip(covector, col)]
+    covector = tuple(covector)
     if sum(c * x for c, x in zip(covector, e)) != 1:
         raise AssertionError(f"covector {covector} does not send h to 1")
     for relator_row in m:

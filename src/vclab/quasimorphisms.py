@@ -174,9 +174,6 @@ class DefectEstimate(NamedTuple):
     lower_bound: Fraction
     sample_count: int
 
-    def to_json_dict(self) -> dict:
-        return {"lower_bound": str(self.lower_bound), "sample_count": self.sample_count}
-
 
 def defect_estimate(q: QuasiMorphism, sample_pairs: Iterable[tuple[Word, Word]]) -> DefectEstimate:
     """max |q(fg) - q(f) - q(g)| over the given pairs, read one at a time;
@@ -240,13 +237,6 @@ class HomogenizationResult(NamedTuple):
     truncation: int
     error_bound: Fraction
 
-    def to_json_dict(self) -> dict:
-        return {
-            "value": str(self.value),
-            "truncation": self.truncation,
-            "error_bound": str(self.error_bound),
-        }
-
 
 def homogenize(q: QuasiMorphism, g: Word, truncation: int, defect: Fraction) -> HomogenizationResult:
     """Truncated homogenization q(g^M)/M with error bound D/M.
@@ -266,13 +256,6 @@ class InvarianceCheck(NamedTuple):
     @property
     def within_bound(self) -> bool:
         return self.residual <= self.bound
-
-    def to_json_dict(self) -> dict:
-        return {
-            "residual": str(self.residual),
-            "bound": str(self.bound),
-            "within_bound": self.within_bound,
-        }
 
 
 def conjugacy_invariance_check(

@@ -20,7 +20,7 @@ from __future__ import annotations
 from itertools import islice
 from typing import Mapping, NamedTuple, Optional, Sequence
 
-from .words import Alphabet, BudgetExceeded, Word, WordError, count_reduced, enumerate_reduced, format_word, reduced_count_exceeds, substitute
+from .words import Alphabet, BudgetExceeded, Word, WordError, count_reduced, enumerate_reduced, reduced_count_exceeds, substitute
 from .oracles import is_special_tuple
 
 
@@ -138,9 +138,6 @@ class TestWordSpec:
             word = lift(word, e)
         return word
 
-    def to_json_dict(self) -> dict:
-        return {"level": self.level, "tuples": [list(vars(t).values()) for t in self.tuples]}
-
 
 def evaluate(w: Word, assignment: Mapping[str, Word]) -> Word:
     """Homomorphic image under variable name -> word, reduced.
@@ -220,9 +217,6 @@ LETTER_BUDGET = 2 * 10**6
 class Violation(NamedTuple):
     assignment: dict
 
-    def to_json_dict(self) -> dict:
-        return {name: format_word(word) for name, word in sorted(self.assignment.items())}
-
 
 class TestWordReport(NamedTuple):
     __test__ = False  # not a pytest class, despite the name
@@ -234,18 +228,6 @@ class TestWordReport(NamedTuple):
     special_tuple_ok: bool
     alpha_window: int
     common_value: Word
-
-    def to_json_dict(self) -> dict:
-        return {
-            "violations": [v.to_json_dict() for v in self.violations],
-            "explored": self.explored,
-            "total": self.total,
-            "exhausted": self.exhausted,
-            "explored_fraction": self.explored / self.total if self.total else 1.0,
-            "special_tuple_ok": self.special_tuple_ok,
-            "alpha_window": self.alpha_window,
-            "common_value": format_word(self.common_value),
-        }
 
 
 def _letter_evaluate(w: Word, images: Sequence[Word]) -> Word:
@@ -493,15 +475,6 @@ class CertificateResult(NamedTuple):
     @property
     def ok(self) -> bool:
         return self.det_phi != 0 and self.det_psi != 0
-
-    def to_json_dict(self) -> dict:
-        return {
-            "m_phi": [list(r) for r in self.m_phi],
-            "m_psi": [list(r) for r in self.m_psi],
-            "det_phi": self.det_phi,
-            "det_psi": self.det_psi,
-            "verdict": "pass" if self.ok else "fail",
-        }
 
 
 def exponent_sum_certificates(e: ExponentTuple, m: int) -> CertificateResult:

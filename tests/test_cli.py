@@ -903,6 +903,28 @@ def payload(data):
 JSON_GOLDEN = [name for name, _, argv in CASES if "csv" not in argv]
 
 
+def test_writer_spells_words_and_fractions():
+    wide = Word.from_syllables(Alphabet(30), [(0, 1), (29, -2), (3, 1)])
+    data = {
+        "identity": Alphabet(2).identity(),
+        "wide": wide,
+        "whole": Fraction(2),
+        "third": Fraction(-1, 3),
+        "nested": [{"w": wide}],
+    }
+    spelled = {"identity": "", "wide": "g0 g29^-2 g3", "whole": "2", "third": "-1/3", "nested": [{"w": "g0 g29^-2 g3"}]}
+    assert payload(data) == dumps(spelled)
+    # a streamed list goes through the same hook
+    assert payload({"rows": iter(data["nested"] + [Fraction(-1, 3)])}) == dumps({"rows": spelled["nested"] + ["-1/3"]})
+
+
+@pytest.mark.parametrize("value, name", [(object(), "object"), ({1, 2}, "set")], ids=["object", "set"])
+def test_writer_refuses_any_other_value(value, name):
+    for data in ({"top": [{"x": value}]}, {"rows": iter([value])}):
+        with pytest.raises(TypeError, match=f"^{name} is not a report value$"):
+            payload(data)
+
+
 @pytest.mark.parametrize("name", JSON_GOLDEN)
 def test_writer_reproduces_every_json_golden_report(name):
     text = (GOLDEN / f"{name}.txt").read_text()

@@ -1,3 +1,4 @@
+import json
 import math
 import pickle
 import random
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from vclab import equations
+from vclab import cli, equations
 from vclab.words import Alphabet, BudgetExceeded, Word, WordError, count_reduced, enumerate_reduced, parse_word
 from vclab.equations import (
     Classification,
@@ -684,8 +685,9 @@ def test_verify_perfect_divisor_flags():
     assert flags["n_in_ell_N"] and flags["m_in_ell_N"] and flags["n_ne_m"]
 
 
-def test_report_serializes():
-    report = verify_perfect(inst23(), 2)
-    data = report.to_json_dict()
+def test_report_serializes(capsys):
+    # the report of verify_perfect(inst23(), 2)
+    cli.main(["verify-perfect", "--a", "a", "--b", "b", "--n", "2", "--m", "3", "--bound", "2"])
+    data = json.loads(capsys.readouterr().out)
     assert data["instance"]["g"] == "a^2b^3"
     assert isinstance(data["solutions"], list)

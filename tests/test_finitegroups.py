@@ -1,8 +1,10 @@
 import itertools
+import json
 import math
 
 import pytest
 
+from vclab import cli
 from vclab.words import Alphabet, BudgetExceeded, WordError, parse_word
 from vclab.finitegroups import (
     FiniteGroup,
@@ -414,7 +416,7 @@ def test_parity_principle_on_corpus():
 
 # -- the suite ----------------------------------------------------------------------------------
 
-def test_dihedral_suite_report():
+def test_dihedral_suite_report(capsys):
     report = dihedral_counterexample_suite()
     assert report.ok
     assert report.orders == {"left": 8, "right": 8, "product": 32}
@@ -423,5 +425,6 @@ def test_dihedral_suite_report():
     assert report.homs_into_center == 4
     assert not report.retract_of_center_found
     assert report.control_disagreements == 1
-    data = report.to_json_dict()
+    cli.main(["dihedral-counterexample"])
+    data = json.loads(capsys.readouterr().out)
     assert data["ok"] and data["groups"]["orders"]["product"] == 32

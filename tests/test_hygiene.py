@@ -244,6 +244,49 @@ def test_every_class_member_is_read():
     assert set(unread_members(sources, [acceptance])) == UNREAD_MEMBERS
 
 
+def report_layouts(sources: dict[str, str]) -> list[str]:
+    """Functions and methods outside ``cli`` that lay out a report: a
+    ``csv_chunks`` or a name ending in ``_json_dict``, ``to_json_dict``
+    among them.  Subsystems return records, and ``cli`` writes them."""
+
+    def defs(body: list[ast.stmt], prefix: str) -> Iterable[str]:
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not isinstance(node, ast.ClassDef) and (
+                    node.name == "csv_chunks" or node.name.endswith("_json_dict")
+                ):
+                    yield prefix + node.name
+                yield from defs(node.body, f"{prefix}{node.name}.")
+
+    return sorted(
+        name for module, source in sources.items() if module != "cli" for name in defs(ast.parse(source).body, f"{module}.")
+    )
+
+
+# report layouts outside cli, each kept on purpose
+REPORT_LAYOUTS = {
+    # the benchmark's own test builds the snf report from it
+    # (perfbench/test_perfbench.py), and the benchmark's files stay as they are
+    "presentations.SNFResult.to_json_dict",
+}
+
+
+def test_layout_scan_finds_functions_and_methods_at_any_depth():
+    sources = {
+        "m": "def solutions_json_dict():\n    pass\n\nclass R:\n    def to_json_dict(self):\n        pass\n\n"
+             "    class Inner:\n        def csv_chunks(self):\n            pass\n\n"
+             "def rows():\n    def json_dict():\n        pass\n\nclass to_json_dict:\n    pass\n",
+        "cli": "def to_json_dict():\n    pass\n",
+    }
+    assert report_layouts(sources) == ["m.R.Inner.csv_chunks", "m.R.to_json_dict", "m.solutions_json_dict"]
+
+
+def test_only_cli_lays_out_reports():
+    sources = {path.stem: path.read_text() for path in MODULES}
+    # equality also catches an allowlist entry whose method is gone
+    assert set(report_layouts(sources)) == REPORT_LAYOUTS
+
+
 def args_reads(source: str) -> dict[str, set[str]]:
     """For each top-level function, the ``args.<name>`` attributes it reads,
     itself or through module functions it passes ``args`` to."""

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from vclab import hypgeom
+from vclab import cli, hypgeom
 from vclab.oracles import is_commensurable
 from vclab.words import Alphabet, BudgetExceeded, Word, WordError, count_reduced, enumerate_reduced, free_word_metric, parse_word
 from vclab.hypgeom import (
@@ -659,9 +659,10 @@ def test_divergence_at_the_row_budget_builds_only_the_threshold_powers(monkeypat
     assert all(longest < 2 * bound for _, longest in built)
 
 
-def test_divergence_csv_shape():
-    report = divergence_experiment(p("a"), p("b"), 2, 2)
-    lines = "".join(report.csv_chunks(3)).strip().splitlines()
+def test_divergence_csv_shape(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "CHUNK_ROWS", 3)
+    cli.main(["divergence", "--c", "a", "--d", "b", "--n-max", "2", "--m-max", "2", "--format", "csv"])
+    lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "n,m,length,ratio"
     assert len(lines) == 5
 

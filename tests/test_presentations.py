@@ -427,15 +427,58 @@ def test_cyclic_retract_covector_kills_relators():
             assert verify_retraction(pres, [h], images)
 
 
+def folded_bezout(values):
+    """Bezout coefficients as a fold that scales the whole list at every value."""
+    g, coeffs = 0, []
+    for val in values:
+        g, x, y = presentations._xgcd(g, val)
+        coeffs = [c * x for c in coeffs] + [y]
+    return g, coeffs
+
+
 @given(st.lists(st.integers(-9, 9), max_size=6))
 @example([1, -1])
 @example([0, 2, -3])
 @example([])
+@example([0] * 50 + [6, 0, 10, 0, 15] + [0] * 50)
 def test_bezout_coefficients_reach_the_gcd(values):
     g, coeffs = _extended_gcd_vector(values)
     assert g == math.gcd(*values)
     assert len(coeffs) == len(values)
     assert sum(c * v for c, v in zip(coeffs, values)) == g
+    # the coefficients a cyclic-retract report writes, as the fold gave them
+    assert (g, coeffs) == folded_bezout(values)
+
+
+def dense_cyclic_retract(pres, h):
+    """The criterion from V of the full Smith normal form, with sums over
+    every entry of V's free columns and the folded Bezout coefficients."""
+    m = relator_matrix(pres)
+    snf = smith_normal_form(m)
+    rows, cols = len(m), pres.num_gens
+    free = [[row[j] for row in snf.v] for j in range(cols) if j >= rows or snf.d[j][j] == 0]
+    image = tuple(sum(x * y for x, y in zip(h.exponent_sums(), col)) for col in free)
+    g, bezout = folded_bezout(image)
+    if g != 1:
+        return (False, g, image, None)
+    return (True, 1, image, tuple(sum(b * x for b, x in zip(bezout, row)) for row in zip(*free)))
+
+
+def test_cyclic_retract_equals_the_dense_criterion():
+    rng = random.Random(113)
+    for _ in range(60):
+        gens = rng.randint(2, 7)
+        alph = Alphabet(gens)
+        letters = "abcdefg"[:gens] + "ABCDEFG"[:gens]
+        relators = tuple(
+            parse_word("".join(rng.choice(letters) for _ in range(rng.randint(0, 8))), alph)
+            for _ in range(rng.randint(1, 4))
+        )
+        pres = Presentation(gens, relators)
+        h = alph.identity()
+        while h.is_identity():
+            h = parse_word("".join(rng.choice(letters) for _ in range(rng.randint(1, 6))), alph)
+        assert tuple(cyclic_retract_test(pres, h)) == dense_cyclic_retract(pres, h)
 
 
 # -- retraction verification -------------------------------------------------------------------

@@ -1,11 +1,12 @@
 import itertools
+import json
 import random
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from vclab import testwords
+from vclab import cli, testwords
 from vclab.words import Alphabet, BudgetExceeded, Word, WordError, count_reduced, enumerate_reduced, free_word_metric, parse_word, substitute
 from vclab.testwords import (
     CertificateResult,
@@ -248,11 +249,13 @@ def test_verifier_bound_zero():
     assert not report.violations
 
 
-def test_verifier_budget_is_partial():
+def test_verifier_budget_is_partial(capsys):
     w3 = base_test_word(ExponentTuple.uniform(1))
     report = verify_testword(w3, ABC, 1, max_assignments=50)
     assert report.explored == 50 and not report.exhausted
-    assert 0 < report.to_json_dict()["explored_fraction"] < 1
+    argv = ["--exponents", "1 1 1 1 1 1 1 1 1 1", "--targets", "a;b;c", "--bound", "1", "--max-assignments", "50"]
+    cli.main(["verify-testword", *argv])
+    assert 0 < json.loads(capsys.readouterr().out)["explored_fraction"] < 1
 
 
 def product_walk(w, targets, bound, max_assignments=None):
