@@ -30,8 +30,8 @@ EXIT_ERROR = 1
 EXIT_FINDING = 2
 
 # --samples times (--radius + 1) for cayley-delta and midpoint-check, in
-# proportion to the geodesic vertices they build: about 12 s at rank 2,
-# radius 10 and 8 s at rank 1, radius 99,999, on a 2-core host
+# proportion to the geodesic vertices they build: about 6 s at rank 2,
+# radius 10 and 3 s at rank 1, radius 99,999, as CLI runs on a 2-core host
 SAMPLE_BUDGET = 10**6
 # --pairs times (--max-len + 1) for qm-defect, a bound on its random draws:
 # about 12 s at --max-len 9 and 25 s at --max-len 0, on a 2-core host

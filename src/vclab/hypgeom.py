@@ -20,7 +20,7 @@ import math
 import random
 from functools import cached_property
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .words import Alphabet, BudgetExceeded, Word, WordError, _core_power, count_reduced, free_word_metric, reduced_count_exceeds
@@ -109,7 +109,8 @@ class FiniteMetricSpace:
         return free_word_metric(u, v)
 
     def geodesic(self, u: Word, v: Word) -> list[Word]:
-        """The vertices of the geodesic from u to v, both ends included."""
+        """The vertices of the geodesic from u to v, both ends included: a
+        graph path whose vertex k lies at distance k from u."""
         self._require_points(u, v)
         return free_tree_geodesic(u, v)
 
@@ -139,40 +140,27 @@ def free_tree_geodesic(u: Word, v: Word) -> list[Word]:
     of the syllables of u or v, built once with the trusted constructor; no
     vertex is a product.
     """
-    if u.alphabet is not v.alphabet:
-        u._require_same_alphabet(v)
-    left, right = u.syllables, v.syllables
-    # p is `whole` syllables that u and v share, then `part` letters of the next
-    whole, n = 0, min(len(left), len(right))
-    while whole < n and left[whole] == right[whole]:
-        whole += 1
-    part = 0
-    if whole < n:
-        (gen, exp), (other_gen, other_exp) = left[whole], right[whole]
-        if gen == other_gen and (exp > 0) == (other_exp > 0):
-            part = min(abs(exp), abs(other_exp))
-    path = _climb(u, whole, part)
+    keep = (u.length + v.length - free_word_metric(u, v)) // 2
+    path = _climb(u, keep)
     # v's prefixes from |p| + 1 up to |v|: p itself is already on the path
-    path += _climb(v, whole, part)[-2::-1]
+    path += _climb(v, keep)[-2::-1]
     return path
 
 
-def _climb(w: Word, whole: int, part: int) -> list[Word]:
-    """The prefixes of w, one letter shorter each, from w itself down to the
-    prefix of its first ``whole`` syllables and ``part`` letters of the
-    next one."""
+def _climb(w: Word, keep: int) -> list[Word]:
+    """The prefixes of w, one letter shorter each, from w itself down to its
+    prefix of ``keep`` letters."""
     alph, syl, length = w.alphabet, w.syllables, w.length
-    path = []
-    for j in range(len(syl) - 1, whole - 1, -1):
+    path, j = [w], len(syl)
+    while length > keep:
+        j -= 1
         gen, exp = syl[j]
         head, step = syl[:j], 1 if exp > 0 else -1
-        # each syllable shrinks to one letter, but syllable `whole` only to
-        # the `part` letters p ends with, if p ends inside it
-        for k in range(abs(exp), part - 1 if j == whole and part else 0, -1):
-            path.append(Word._reduced(alph, head + ((gen, k * step),), length))
+        # the syllable shrinks a letter at a time, to nothing or to the
+        # letters of it that the prefix keeps
+        for k in range(abs(exp) - 1, max(keep - length + abs(exp), 0) - 1, -1):
             length -= 1
-    if not part:
-        path.append(Word._reduced(alph, syl[:whole], length))
+            path.append(Word._reduced(alph, (head + ((gen, k * step),)) if k else head, length))
     return path
 
 
@@ -187,10 +175,13 @@ def delta_thin_report(sp: FiniteMetricSpace, samples: int, seed: int = 0) -> Del
     witnessing triangle.
 
     Samples triangles (A, B, C) of points ``sp.point(i)``; on the sides
-    [C,A] and [C,B] given by ``sp.geodesic``, every pair of vertices at
-    equal distance from C, up to the Gromov product (A,B)_C, contributes
-    its distance.  The maximum is a lower bound for the thinness constant
-    of the ambient space.  Distances are integers, as in a graph.
+    [C,A] and [C,B] given by ``sp.geodesic``, vertex k of one side is
+    paired with vertex k of the other for k up to the Gromov product
+    (A,B)_C, and each pair contributes its distance.  A geodesic is a graph
+    path whose vertex k lies at distance k from its start, so the pairs are
+    the vertices at equal distance from C, and no vertex is measured from
+    C.  The maximum is a lower bound for the thinness constant of the
+    ambient space.
     """
     rng = random.Random(seed)
     n = len(sp)
@@ -202,21 +193,11 @@ def delta_thin_report(sp: FiniteMetricSpace, samples: int, seed: int = 0) -> Del
         a, b, c = (sp.point(rng.randrange(n)) for _ in range(3))
         # an integer distance is at most the product iff it is at most its floor
         reach = math.floor(gromov_product(sp, a, b, c))
-        side_a = sp.geodesic(c, a)
-        side_b = sp.geodesic(c, b)
-        # side_b's vertices by their distance from C, in path order
-        level: dict[int, list[Word]] = {}
-        for pb in side_b:
-            level.setdefault(sp.dist(c, pb), []).append(pb)
-        for pa in side_a:
-            da = sp.dist(c, pa)
-            if da > reach:
-                continue
-            for pb in level.get(da, ()):
-                gap = sp.dist(pa, pb)
-                if gap > best:
-                    best = gap
-                    witness = (a, b, c)
+        for pa, pb in islice(zip(sp.geodesic(c, a), sp.geodesic(c, b)), reach + 1):
+            gap = sp.dist(pa, pb)
+            if gap > best:
+                best = gap
+                witness = (a, b, c)
     return DeltaReport(Fraction(best), witness, samples)
 
 

@@ -20,7 +20,8 @@ from .words import Alphabet, BudgetExceeded, Word, WordError, format_word, parse
 Matrix = list[list[int]]
 
 # entries of the identities U (rows^2) and V (cols^2) a Smith normal form starts
-# from, or of the matrix and its per-row and per-column state when none is built
+# from, or of the matrix and its per-row and per-column state, plus V when only
+# V is built
 TRANSFORM_BUDGET = 4 * 10**6
 
 
@@ -293,7 +294,7 @@ def cyclic_retract_test(pres: Presentation, h: Word) -> CyclicRetractResult:
     if h.alphabet.rank != pres.num_gens:
         raise WordError("h must be a word in the presentation generators")
     rows, cols = len(pres.relators), pres.num_gens
-    _check_budget("transforms", rows * rows + cols * cols, rows, cols)
+    _check_budget("elimination arrays and V", rows * cols + rows + cols + cols * cols, rows, cols)
     m = relator_matrix(pres)
     d = [row[:] for row in m]
     vt = identity_matrix(cols)  # the columns of V; U is not read

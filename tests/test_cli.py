@@ -160,19 +160,36 @@ def test_cyclic_retract_mixed_sign_element(capsys, element, exponent_sums):
 @pytest.mark.parametrize("argv, rows, cols", [
     (["cyclic-retract", "--gens", "2000", "--relators", "a", "--element", "b"], 1, 2000),
     (["snf", "--matrix", " ".join(["1"] * 2000)], 1, 2000),
-    (["cyclic-retract", "--gens", "1", "--relators", ";".join(["a"] * 2000), "--element", "a"], 2000, 1),
 ])
 def test_transforms_past_the_budget_are_an_error(capsys, argv, rows, cols):
-    # refused before U (snf only) and V, identities of rows^2 and cols^2 entries, exist
-    entries = rows * rows + cols * cols
+    # refused before any of the arrays counted exists: snf counts the
+    # identities U and V, cyclic-retract the relator matrix, one pending
+    # factor per row and per column, and V
+    arrays, entries = {
+        "snf": ("transforms", rows * rows + cols * cols),
+        "cyclic-retract": ("elimination arrays and V", rows * cols + rows + cols + cols * cols),
+    }[argv[0]]
     start = time.perf_counter()
     assert main(argv) == 1
     assert time.perf_counter() - start < 1
     err = capsys.readouterr().err
     assert err == (
-        f"error: transforms of {entries} entries for a {rows} x {cols} matrix "
+        f"error: {arrays} of {entries} entries for a {rows} x {cols} matrix "
         f"exceed the budget of {presentations.TRANSFORM_BUDGET} entries\n"
     )
+
+
+@pytest.mark.parametrize("gens, relator, element, primitive", [
+    # 2000 relators: refused while the budget counted a U of 2000^2 entries, which is not built
+    ("1", "a", "a", False),
+    ("2", "a^2", "b", True),
+], ids=["2000x1", "2000x2"])
+def test_cyclic_retract_on_many_relators_is_admitted(capsys, gens, relator, element, primitive):
+    start = time.perf_counter()
+    code, out = run(capsys, "cyclic-retract", "--gens", gens, "--relators", ";".join([relator] * 2000), "--element", element)
+    assert time.perf_counter() - start < 3
+    assert code == 0
+    assert json.loads(out)["primitive"] is primitive
 
 
 def test_abelianize_past_its_budget_is_an_error(tmp_path, capsys):

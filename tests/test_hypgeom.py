@@ -39,13 +39,21 @@ def points(sp):
 
 class MatrixSpace:
     """A finite metric space given by its points and distance matrix, with a
-    ball's interface: ``len``, ``point``, ``dist`` and ``geodesic``.  Paths
-    not listed in ``geodesics`` are the single edge [u, v]."""
+    ball's interface: ``len``, ``point``, ``dist`` and ``geodesic``.
+
+    Its geodesics keep the ball's contract: a geodesic is a graph path, and
+    its vertex k lies at distance k from its start.  Each path listed in
+    ``geodesics`` is checked for that here; a pair not listed must be one
+    edge, and its path is [u, v]."""
 
     def __init__(self, pts, matrix, geodesics=None):
         self.points, self.matrix = tuple(pts), matrix
         self.index = {pt: i for i, pt in enumerate(self.points)}
         self.geodesics = geodesics or {}
+        for (u, v), path in self.geodesics.items():
+            assert (path[0], path[-1]) == (u, v)
+            assert [self.dist(u, x) for x in path] == list(range(len(path)))
+            assert all(self.dist(x, y) == 1 for x, y in zip(path, path[1:]))
 
     def __len__(self):
         return len(self.points)
@@ -57,7 +65,11 @@ class MatrixSpace:
         return self.matrix[self.index[u]][self.index[v]]
 
     def geodesic(self, u, v):
-        return self.geodesics.get((u, v), [u, v])
+        if (u, v) in self.geodesics:
+            return self.geodesics[u, v]
+        if self.dist(u, v) != 1:
+            raise AssertionError(f"no geodesic listed from {u} to {v}, {self.dist(u, v)} apart")
+        return [u, v]
 
 
 def _bfs_ball(gens, radius):
@@ -254,26 +266,26 @@ def test_two_point_space():
     assert delta_thin_report(sp, 50, seed=1).lower_bound == 0
 
 
-def _perturbed_space():
-    c, pp, q, a, b = p(""), p("a"), p("b"), p("a^2"), p("b^2")
-    pts = (c, pp, q, a, b)
-    idx = {x: i for i, x in enumerate(pts)}
-    d = [[0] * 5 for _ in range(5)]
+def _cycle_space():
+    """The 6-cycle "", a, a^2, a^3, b^2, b as a graph, its points listed in
+    the order "", a, a^2, a^3, b, b^2.  Each geodesic takes the shorter arc,
+    and the clockwise one between antipodes.  On the sides from "" to a^2
+    and to b^2, whose Gromov product is 1, the vertices a and b lie 2 apart."""
+    pts = [p(w) for w in ("", "a", "a^2", "a^3", "b", "b^2")]
+    ring = [pts[i] for i in (0, 1, 2, 3, 5, 4)]
+    at = {x: i for i, x in enumerate(ring)}
 
-    def setd(u, v, val):
-        d[idx[u]][idx[v]] = val
-        d[idx[v]][idx[u]] = val
+    def arc(u, v):
+        forward = (at[v] - at[u]) % 6
+        step = 1 if forward <= 3 else -1
+        return [ring[(at[u] + step * k) % 6] for k in range(min(forward, 6 - forward) + 1)]
 
-    setd(c, pp, 1); setd(c, q, 1); setd(c, a, 2); setd(c, b, 2)
-    setd(pp, q, 2); setd(pp, a, 1); setd(pp, b, 2)
-    setd(q, a, 2); setd(q, b, 1)
-    setd(a, b, 2)  # tree value would be 4; perturbed to open the product
-    geo = {(c, a): [c, pp, a], (a, c): [a, pp, c], (c, b): [c, q, b], (b, c): [b, q, c]}
-    return MatrixSpace(pts, tuple(tuple(r) for r in d), geo)
+    geo = {(u, v): arc(u, v) for u in pts for v in pts}
+    return MatrixSpace(pts, tuple(tuple(len(geo[u, v]) - 1 for v in pts) for u in pts), geo)
 
 
-def test_perturbed_metric_gives_positive_delta():
-    sp = _perturbed_space()
+def test_cycle_metric_gives_positive_delta():
+    sp = _cycle_space()
     n = len(sp)
     full = all(
         sp.matrix[i][k] <= sp.matrix[i][j] + sp.matrix[j][k]
@@ -300,7 +312,7 @@ def _quadratic_delta(sp, samples, seed):
 
 @pytest.mark.parametrize("samples, seed", [(1, 0), (3, 1), (10, 2), (40, 3), (1000, 5)])
 def test_delta_report_matches_quadratic_reference(samples, seed):
-    sp = _perturbed_space()
+    sp = _cycle_space()
     report = delta_thin_report(sp, samples, seed=seed)
     assert (report.lower_bound, report.witness_triangle) == _quadratic_delta(sp, samples, seed)
 
@@ -311,6 +323,28 @@ def test_delta_report_on_tree_ball_matches_quadratic_reference():
         for seed in (0, 4, 9):
             report = delta_thin_report(sp, 200, seed=seed)
             assert (report.lower_bound, report.witness_triangle) == _quadratic_delta(sp, 200, seed)
+
+
+class CountingBall(hypgeom.FiniteMetricSpace):
+    calls = 0
+
+    def dist(self, u, v):
+        self.calls += 1
+        return super().dist(u, v)
+
+
+def test_delta_report_measures_only_what_it_compares():
+    # three distances for the Gromov product (A|B)_C, then one for each pair
+    # of vertices k <= (A|B)_C; none from C to a vertex of a side
+    sp = CountingBall(F2, 4)
+    n = len(sp)
+    for seed in range(200):
+        rng = random.Random(seed)
+        a, b, c = (sp.point(rng.randrange(n)) for _ in range(3))
+        reach = (free_word_metric(c, a) + free_word_metric(c, b) - free_word_metric(a, b)) // 2
+        sp.calls = 0
+        delta_thin_report(sp, 1, seed=seed)
+        assert sp.calls <= 3 + reach + 1
 
 
 # -- quasi-geodesics -----------------------------------------------------------------
@@ -342,12 +376,12 @@ def test_points_and_geodesic_vertices_are_valid_words(alph, radius):
     for u in pts:
         _assert_trusted(u)
         for v in pts:
-            path = free_tree_geodesic(u, v)
+            path = sp.geodesic(u, v)
             assert len(path) == free_word_metric(u, v) + 1
             assert (path[0], path[-1]) == (u, v)
             for k, vertex in enumerate(path):
                 _assert_trusted(vertex)
-                assert free_word_metric(u, vertex) == k
+                assert sp.dist(u, vertex) == k
 
 
 def test_geodesic_between_alphabets_of_equal_rank():

@@ -337,7 +337,7 @@ def test_transform_budget_admits_exactly_its_entries(monkeypatch, rows, cols):
     runs = [  # what is counted, how many entries, for which shape; the run and a check of its result
         ("transforms", rows * rows + snf_cols * snf_cols, (rows, snf_cols),
          lambda: smith_normal_form(m), lambda snf: mat_mul(mat_mul(snf.u, m), snf.v) == snf.d),
-        ("transforms", rows * rows + cols * cols, (rows, cols),
+        ("elimination arrays and V", rows * cols + rows + cols + cols * cols, (rows, cols),
          lambda: cyclic_retract_test(pres, h), lambda res: res.primitive == (rows == 0)),
         ("elimination arrays", rows * cols + rows + cols, (rows, cols),
          lambda: abelianization(pres), lambda ab: ab.free_rank == cols - min(rows, cols)),
