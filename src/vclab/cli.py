@@ -30,11 +30,12 @@ EXIT_ERROR = 1
 EXIT_FINDING = 2
 
 # --samples times (--radius + 1) for cayley-delta and midpoint-check, in
-# proportion to the geodesic vertices they build: about 6 s at rank 2,
-# radius 10 and 3 s at rank 1, radius 99,999, as CLI runs on a 2-core host
+# proportion to the geodesic vertices cayley-delta builds: about 6 s at rank
+# 2, radius 10 and 3 s at rank 1, radius 99,999, as CLI runs on a 2-core
+# host; midpoint-check builds two vertices a triangle, about 2 s and 0.1 s
 SAMPLE_BUDGET = 10**6
 # --pairs times (--max-len + 1) for qm-defect, a bound on its random draws:
-# about 12 s at --max-len 9 and 25 s at --max-len 0, on a 2-core host
+# about 4 s at --max-len 9 and 7 s at --max-len 0, as CLI runs on a 2-core host
 PAIR_BUDGET = 10**7
 # items of a streamed report list formatted and written per chunk
 CHUNK_ROWS = 4096
@@ -270,8 +271,9 @@ def _cmd_certificates(args) -> tuple[int, Iterable[str]]:
     return (EXIT_OK if cert.ok else EXIT_FINDING), _json_chunks(data)
 
 
-def _random_pairs(alph: Alphabet, count: int, max_len: int, seed: int) -> Iterator[tuple[Word, Word]]:
-    """``count`` seeded pairs of random reduced words, one pair at a time.
+def _random_pairs(alph: Alphabet, count: int, max_len: int, seed: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """``count`` seeded pairs of random reduced words, one pair at a time,
+    each word as its signed letters +-(gen+1) (``Word.letters``).
 
     Each word draws a length ``randint(0, max_len)``, then a generator
     ``randrange(rank)`` and a sign ``choice((1, -1))`` per letter, and is
@@ -279,20 +281,18 @@ def _random_pairs(alph: Alphabet, count: int, max_len: int, seed: int) -> Iterat
     ``getrandbits(n.bit_length())`` until the value is below n, the
     ``Random._randbelow`` loop, and this loop draws the same bits itself,
     so the stream is theirs without the frames around it.  The letters go
-    through a cancellation stack, so each word is reduced when it is built;
-    every word that reduces to nothing is one shared identity.
+    through a cancellation stack, so each word is reduced when it is drawn,
+    and no ``Word`` is built.
     """
     bits = random.Random(seed).getrandbits
     rank = alph.rank
     length_bits, gen_bits = (max_len + 1).bit_length(), rank.bit_length()
-    reduced, identity = Word._reduced, alph.identity()
 
-    def rand_word() -> Word:
+    def rand_word() -> tuple[int, ...]:
         n = bits(length_bits)
         while n > max_len:
             n = bits(length_bits)
-        stack: list[list[int]] = []  # the [gen, exp] syllables of the reduced prefix
-        length = 0
+        stack: list[int] = []  # the letters of the reduced prefix
         for _ in range(n):
             gen = bits(gen_bits)
             while gen >= rank:
@@ -300,20 +300,13 @@ def _random_pairs(alph: Alphabet, count: int, max_len: int, seed: int) -> Iterat
             sign = bits(2)
             while sign > 1:
                 sign = bits(2)
-            # choice((1, -1)) picks the entry at index `sign`
-            exp = -1 if sign else 1
-            if stack and stack[-1][0] == gen:
-                top = stack[-1]
-                length += 1 if (top[1] > 0) == (exp > 0) else -1
-                top[1] += exp
-                if not top[1]:
-                    stack.pop()
+            # choice((1, -1)) picks the entry at index `sign`; ~gen is -(gen+1)
+            letter = ~gen if sign else gen + 1
+            if stack and stack[-1] == -letter:
+                stack.pop()
             else:
-                stack.append([gen, exp])
-                length += 1
-        if not stack:
-            return identity
-        return reduced(alph, tuple(map(tuple, stack)), length)
+                stack.append(letter)
+        return tuple(stack)
 
     for _ in range(count):
         yield rand_word(), rand_word()

@@ -114,6 +114,11 @@ class FiniteMetricSpace:
         self._require_points(u, v)
         return free_tree_geodesic(u, v)
 
+    def geodesic_vertex(self, u: Word, v: Word, k: int) -> Word:
+        """Vertex k of ``geodesic(u, v)``, built without the others."""
+        self._require_points(u, v)
+        return free_tree_vertex(u, v, k)
+
 
 def cayley_ball(alph: Alphabet, radius: int) -> FiniteMetricSpace:
     """The ball of ``radius`` over the standard basis of ``alph``, refused
@@ -145,6 +150,34 @@ def free_tree_geodesic(u: Word, v: Word) -> list[Word]:
     # v's prefixes from |p| + 1 up to |v|: p itself is already on the path
     path += _climb(v, keep)[-2::-1]
     return path
+
+
+def free_tree_vertex(u: Word, v: Word, k: int) -> Word:
+    """Vertex k of ``free_tree_geodesic(u, v)``, for 0 <= k <= d(u, v): the
+    prefix of u of length |u| - k while k <= |u| - |p|, past that the prefix
+    of v of length |p| + k - (|u| - |p|).  Only that vertex is built."""
+    d = free_word_metric(u, v)
+    if not 0 <= k <= d:
+        raise IndexError(f"vertex {k} out of range for a geodesic of {d} edges")
+    keep = (u.length + v.length - d) // 2
+    climb = u.length - keep
+    return _prefix(u, u.length - k) if k <= climb else _prefix(v, keep + k - climb)
+
+
+def _prefix(w: Word, n: int) -> Word:
+    """The prefix of w of n <= |w| letters, one slice of its syllables."""
+    if n == w.length:
+        return w
+    syl, j, rest = w.syllables, 0, n
+    while rest >= abs(syl[j][1]):
+        rest -= abs(syl[j][1])
+        j += 1
+    # the prefix keeps `rest` letters of syllable j, fewer than it has
+    head = syl[:j]
+    if rest:
+        gen, exp = syl[j]
+        head += ((gen, rest if exp > 0 else -rest),)
+    return Word._reduced(w.alphabet, head, n)
 
 
 def _climb(w: Word, keep: int) -> list[Word]:
@@ -232,12 +265,11 @@ def check_midpoint_inequality(
     """d(mid[A,C], mid[B,C]) <= d(A,B) + 2 delta, on the geodesics of ``sp``.
 
     The midpoint of a geodesic with k edges is the vertex at index
-    floor(k/2) counted from the first-named endpoint.
+    floor(k/2) counted from the first-named endpoint; only the two
+    midpoints are built (``geodesic_vertex``), not the sides.
     """
-    path_a = sp.geodesic(a, c)
-    path_b = sp.geodesic(b, c)
-    mid_a = path_a[(len(path_a) - 1) // 2]
-    mid_b = path_b[(len(path_b) - 1) // 2]
+    mid_a = sp.geodesic_vertex(a, c, sp.dist(a, c) // 2)
+    mid_b = sp.geodesic_vertex(b, c, sp.dist(b, c) // 2)
     return Fraction(sp.dist(mid_a, mid_b)) <= Fraction(sp.dist(a, b)) + 2 * delta
 
 

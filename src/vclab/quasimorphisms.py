@@ -36,7 +36,7 @@ class QuasiMorphism:
     def __init__(self, pattern: Word) -> None:
         self.pattern = pattern
         # signed letters of the pattern and of its inverse
-        letters = _letters_from(pattern.syllables, 0, 0, len(pattern))
+        letters = tuple(pattern.letters())
         self.probes = letters, tuple(-l for l in reversed(letters))
         # for each g asked about, q(g^m0) and the step of q(g^m) past m0
         # (``_power_value``): a table of truncations counts them once
@@ -60,8 +60,10 @@ class QuasiMorphism:
             count += (window == probe) - (window == inverse)
         return count
 
-    def gap(self, f: Word, g: Word) -> int:
-        """q(fg) - q(f) - q(g), from the letters around the cancellation.
+    def gap(self, f: tuple[int, ...], g: tuple[int, ...]) -> int:
+        """q(fg) - q(f) - q(g) for reduced words f and g given as their
+        signed letters (``Word.letters``), from the letters around the
+        cancellation.
 
         Write f = f'c and g = c^{-1}g' reduced, with c the cancelled part,
         so that fg = f'g'.  For a pattern of length k let cross(A|B) be the
@@ -73,29 +75,22 @@ class QuasiMorphism:
             q(fg) - q(f) - q(g) = cross(f'|g') - cross(f'|c) - cross(c^{-1}|g').
 
         The last k - 1 letters of c^{-1} invert the first k - 1 of c, so
-        the work depends only on k and on the syllables of c.  When f or g
-        is the identity the gap is 0 at once, since q(1) = 0.
+        the work depends only on k and on the length of c.  When f or g
+        is the identity the gap is 0 at once, since q(1) = 0; when nothing
+        cancels, c is empty and the gap is cross(f|g) alone.
         """
-        if f.alphabet is not g.alphabet:
-            f._require_same_alphabet(g)
-        left, right = f.syllables, g.syllables
-        if not left or not right:
+        if not f or not g:
             return 0
-        i, j, n = len(left), 0, len(right)
-        while i and j < n and left[i - 1][0] == right[j][0] and left[i - 1][1] == -right[j][1]:
+        i, j, n = len(f), 0, len(g)
+        while i and j < n and f[i - 1] == -g[j]:
             i -= 1
             j += 1
-        # c is the last `part` letters of left[i - 1], then left[i:]
-        part = 0
-        if i and j < n and left[i - 1][0] == right[j][0] and (left[i - 1][1] > 0) != (right[j][1] > 0):
-            part = min(abs(left[i - 1][1]), abs(right[j][1]))
+        # c is f[i:], and f' ends at i
         width = len(self.probes[0]) - 1
-        f_end = _letters_before(left, i, part, width)
-        g_start = _letters_from(right, j, part, width)
-        if part:
-            c_start = _letters_from(left, i - 1, abs(left[i - 1][1]) - part, width)
-        else:
-            c_start = _letters_from(left, i, 0, width)
+        f_end, g_start = f[max(i - width, 0):i], g[j:j + width]
+        if not j:
+            return self._signed_count(f_end + g_start)
+        c_start = f[i:i + width]
         c_inverse_end = tuple(-l for l in reversed(c_start))
         return (
             self._signed_count(f_end + g_start)
@@ -132,32 +127,6 @@ def _runs(gen: int, exp: int, part_gen: int, part_exp: int) -> bool:
     return gen == part_gen and (0 < part_exp <= exp or exp <= part_exp < 0)
 
 
-def _letter(gen: int, exp: int) -> int:
-    return gen + 1 if exp > 0 else -gen - 1
-
-
-def _letters_from(syllables: tuple, index: int, drop: int, count: int) -> tuple[int, ...]:
-    """Up to ``count`` letters of syllables[index:], after its first ``drop``."""
-    out: list[int] = []
-    while len(out) < count and index < len(syllables):
-        gen, exp = syllables[index]
-        out += [_letter(gen, exp)] * min(abs(exp) - drop, count - len(out))
-        drop = 0
-        index += 1
-    return tuple(out)
-
-
-def _letters_before(syllables: tuple, index: int, drop: int, count: int) -> tuple[int, ...]:
-    """Up to ``count`` last letters of syllables[:index], before its last ``drop``."""
-    out: list[int] = []
-    while len(out) < count and index:
-        index -= 1
-        gen, exp = syllables[index]
-        out += [_letter(gen, exp)] * min(abs(exp) - drop, count - len(out))
-        drop = 0
-    return tuple(reversed(out))
-
-
 def counting_qm(pattern: Word) -> QuasiMorphism:
     """Signed subword counting: occurrences of the pattern minus occurrences
     of its inverse, over the reduced word only (no cyclic counting)."""
@@ -175,9 +144,10 @@ class DefectEstimate(NamedTuple):
     sample_count: int
 
 
-def defect_estimate(q: QuasiMorphism, sample_pairs: Iterable[tuple[Word, Word]]) -> DefectEstimate:
-    """max |q(fg) - q(f) - q(g)| over the given pairs, read one at a time;
-    a lower bound for the true defect, never an upper bound."""
+def defect_estimate(q: QuasiMorphism, sample_pairs: Iterable[tuple[tuple[int, ...], tuple[int, ...]]]) -> DefectEstimate:
+    """max |q(fg) - q(f) - q(g)| over the given pairs of reduced letter
+    sequences (``QuasiMorphism.gap``), read one at a time; a lower bound
+    for the true defect, never an upper bound."""
     best = count = 0
     for count, (f, g) in enumerate(sample_pairs, 1):
         gap = abs(q.gap(f, g))

@@ -150,7 +150,7 @@ def test_acceptance_06_quasimorphism_numerics():
     start = time.time()
     q = quasimorphisms.counting_qm(p2("ab"))
     rng = random.Random(606)
-    pairs = [(rand_word(rng, F2, 10), rand_word(rng, F2, 10)) for _ in range(10_000)]
+    pairs = [(tuple(rand_word(rng, F2, 10).letters()), tuple(rand_word(rng, F2, 10).letters())) for _ in range(10_000)]
     d_hat = quasimorphisms.defect_estimate(q, pairs).lower_bound
     truncations = (1, 2, 4, 8, 16, 32, 64)
     rng = random.Random(607)

@@ -15,7 +15,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from test_golden import CASES, GOLDEN
-from vclab import cli, equations, presentations, testwords
+from vclab import cli, equations, presentations, quasimorphisms, testwords
 from vclab.cli import _json_chunks, _random_pairs, build_parser, main
 from vclab.words import Alphabet, Word, parse_word
 
@@ -786,34 +786,56 @@ def _reference_pairs(alph, count, max_len, seed):
     return [(rand_word(), rand_word()) for _ in range(count)]
 
 
+def _letters(pairs):
+    """Word pairs as the letter tuples ``_random_pairs`` yields."""
+    return [(tuple(f.letters()), tuple(g.letters())) for f, g in pairs]
+
+
 @pytest.mark.parametrize("rank", [1, 2, 3])
 @pytest.mark.parametrize("max_len", [0, 1, 10])
 @pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
 def test_random_pairs_draw_the_stream_of_randrange_and_choice(rank, max_len, seed):
     alph = Alphabet(rank)
     pairs = list(_random_pairs(alph, 300, max_len, seed))
-    assert pairs == _reference_pairs(alph, 300, max_len, seed)
+    assert pairs == _letters(_reference_pairs(alph, 300, max_len, seed))
     for pair in pairs:
         for w in pair:
-            # a trusted build: the syllables are plain pairs that re-validate,
-            # and the length is theirs
-            assert Word(w.alphabet, w.syllables) == w
-            assert all(type(syl) is tuple for syl in w.syllables)
-            assert w.length == sum(abs(exp) for _, exp in w.syllables) <= max_len
+            # reduced signed letters of the alphabet, as a tuple that
+            # rebuilds the word letter for letter
+            assert type(w) is tuple and all(0 < abs(l) <= rank for l in w)
+            assert all(l != -m for l, m in zip(w, w[1:]))
+            assert tuple(Word.from_letters(alph, w).letters()) == w
+            assert len(w) <= max_len
 
 
 @pytest.mark.parametrize("max_len", [0, 2])
 def test_random_pairs_share_one_identity(max_len):
     # max_len 0 draws only empty words; at 2, aA and the like reduce to nothing
-    empty = [w for pair in _random_pairs(Alphabet(2), 300, max_len, 5) for w in pair if w.is_identity()]
+    empty = [w for pair in _random_pairs(Alphabet(2), 300, max_len, 5) for w in pair if not w]
     assert len(empty) > 20
-    assert all(w is empty[0] for w in empty)
-    assert empty[0] == Alphabet(2).identity() and empty[0].length == 0
+    assert all(w == () for w in empty)
+    assert tuple(Alphabet(2).identity().letters()) == ()
 
 
 def test_random_pairs_are_drawn_one_at_a_time():
     pairs = _random_pairs(Alphabet(2), 10**9, 10, 3)
-    assert next(pairs) == _reference_pairs(Alphabet(2), 1, 10, 3)[0]
+    assert next(pairs) == _letters(_reference_pairs(Alphabet(2), 1, 10, 3))[0]
+
+
+@pytest.mark.parametrize("pattern, rank", [
+    ("a", 1), ("a", 2), ("a", 3), ("ab", 2), ("ab", 3), ("a^2bAB", 2), ("a^2bAB", 3),
+])
+@pytest.mark.parametrize("max_len", [0, 1, 10])
+@pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+def test_sampled_defect_equals_the_recount_on_the_reference_words(pattern, rank, max_len, seed):
+    # the estimate that qm-defect reports, against q(fg) - q(f) - q(g)
+    # recounted on the words that randint, randrange and choice draw
+    alph = Alphabet(rank)
+    q = quasimorphisms.counting_qm(parse_word(pattern, alph))
+    gaps = [q(f * g) - q(f) - q(g) for f, g in _reference_pairs(alph, 300, max_len, seed)]
+    assert [q.gap(f, g) for f, g in _random_pairs(alph, 300, max_len, seed)] == gaps
+    est = quasimorphisms.defect_estimate(q, _random_pairs(alph, 300, max_len, seed))
+    assert est == (max(map(abs, gaps)), 300)
 
 
 def test_one_syllable_power_is_free(capsys):

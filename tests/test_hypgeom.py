@@ -16,6 +16,7 @@ from vclab.hypgeom import (
     delta_thin_report,
     divergence_experiment,
     free_tree_geodesic,
+    free_tree_vertex,
     gromov_product,
     quasigeodesic_slack,
 )
@@ -44,7 +45,8 @@ class MatrixSpace:
     Its geodesics keep the ball's contract: a geodesic is a graph path, and
     its vertex k lies at distance k from its start.  Each path listed in
     ``geodesics`` is checked for that here; a pair not listed must be one
-    edge, and its path is [u, v]."""
+    edge, and its path is [u, v].  Vertex k of a geodesic is read off the
+    whole path."""
 
     def __init__(self, pts, matrix, geodesics=None):
         self.points, self.matrix = tuple(pts), matrix
@@ -70,6 +72,9 @@ class MatrixSpace:
         if self.dist(u, v) != 1:
             raise AssertionError(f"no geodesic listed from {u} to {v}, {self.dist(u, v)} apart")
         return [u, v]
+
+    def geodesic_vertex(self, u, v, k):
+        return self.geodesic(u, v)[k]
 
 
 def _bfs_ball(gens, radius):
@@ -384,6 +389,29 @@ def test_points_and_geodesic_vertices_are_valid_words(alph, radius):
                 assert sp.dist(u, vertex) == k
 
 
+def test_geodesic_vertex_is_the_vertex_of_the_whole_geodesic(ball4):
+    # every pair and every k of the rank-2 radius-4 ball, each vertex a
+    # trusted word built on its own
+    pts = points(ball4)
+    for u in pts:
+        for v in pts:
+            path = ball4.geodesic(u, v)
+            for k, vertex in enumerate(path):
+                built = ball4.geodesic_vertex(u, v, k)
+                assert built == vertex
+                _assert_trusted(built)
+            for k in (-1, len(path)):
+                with pytest.raises(IndexError, match=f"^vertex {k} out of range for a geodesic of {len(path) - 1} edges$"):
+                    free_tree_vertex(u, v, k)
+
+
+def test_geodesic_vertex_of_long_syllables():
+    u, v = p("a^1000000000000b^3"), p("a^999999999999B")
+    d = free_word_metric(u, v)
+    assert d == 5
+    assert [free_tree_vertex(u, v, k) for k in range(d + 1)] == [u, p("a^1000000000000b^2"), p("a^1000000000000b"), p("a^1000000000000"), p("a^999999999999"), v]
+
+
 def test_geodesic_between_alphabets_of_equal_rank():
     u, v = p("a^3b", Alphabet(2)), p("a^2B^2")
     assert free_tree_geodesic(u, v) == [u, p("a^3"), p("a^2"), p("a^2B"), v]
@@ -456,6 +484,17 @@ def test_midpoint_rejects_points_outside_the_ball(ball4):
         check_midpoint_inequality(ball4, p("a"), p("a"), p("a^6"), Fraction(0))
     with pytest.raises(WordError, match="^point a\\^6 not in space$"):
         ball4.geodesic(p(""), p("a^6"))
+
+
+def test_midpoint_builds_no_whole_geodesic(ball4, monkeypatch):
+    def refuse(u, v):
+        raise AssertionError("a whole geodesic was built")
+
+    monkeypatch.setattr(hypgeom, "free_tree_geodesic", refuse)
+    rng = random.Random(23)
+    pts = points(ball4)
+    for _ in range(200):
+        assert check_midpoint_inequality(ball4, rng.choice(pts), rng.choice(pts), rng.choice(pts), Fraction(0))
 
 
 def test_midpoint_reads_the_geodesics_of_the_space():

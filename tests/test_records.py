@@ -71,7 +71,7 @@ RECORDS = {
     "AbelianizationData": lambda: presentations.abelianization(presentation("a^4", "b^2", "Baba")),
     "CyclicRetractResult": lambda: presentations.cyclic_retract_test(presentation("abAB"), w("ab^2")),
     "RetractionResult": lambda: presentations.RetractionResult((w("a"), w("1")), True),
-    "DefectEstimate": lambda: quasimorphisms.defect_estimate(qm(), [(w("ab"), w("Ba"))]),
+    "DefectEstimate": lambda: quasimorphisms.defect_estimate(qm(), [(tuple(w("ab").letters()), tuple(w("Ba").letters()))]),
     "HomogenizationResult": lambda: quasimorphisms.homogenize(qm(), w("ab"), 4, Fraction(3)),
     "InvarianceCheck": lambda: quasimorphisms.conjugacy_invariance_check(qm(), w("ab"), w("a"), 64, Fraction(3)),
     "Violation": lambda: control_report().violations[0],
