@@ -30,9 +30,10 @@ EXIT_ERROR = 1
 EXIT_FINDING = 2
 
 # --samples times (--radius + 1) for cayley-delta and midpoint-check, in
-# proportion to the geodesic vertices cayley-delta builds: about 6 s at rank
-# 2, radius 10 and 3 s at rank 1, radius 99,999, as CLI runs on a 2-core
-# host; midpoint-check builds two vertices a triangle, about 2 s and 0.1 s
+# proportion to the geodesic vertices cayley-delta builds: about 5.5 s at
+# rank 2, radius 10 and 2.2 s at rank 1, radius 99,999, as CLI runs on a
+# 2-core host; midpoint-check builds two vertices a triangle, about 2 s and
+# 0.1 s
 SAMPLE_BUDGET = 10**6
 # --pairs times (--max-len + 1) for qm-defect, a bound on its random draws:
 # about 4 s at --max-len 9 and 7 s at --max-len 0, as CLI runs on a 2-core host

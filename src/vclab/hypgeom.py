@@ -6,12 +6,13 @@ identity.  It stores no points: a sampled point is unranked from its index
 in shortlex order straight into run-length syllables, distances are word
 lengths computed when asked for, and the geodesic between two points is the
 unique path in the tree, whose vertices are letter prefixes of its two ends.
-Every word a ball hands out is built once, from slices of syllables, with
-the trusted constructor.  The validators (thin triangles, midpoints,
-quasi-geodesic concatenation) measure quantities on finite data; a delta
-estimate is a lower bound for
-the ambient space, never a certification.  Quasi-geodesic checks take
-plain vertex sequences and measure them in the standard-basis word metric.
+No path is held whole: a geodesic is read one vertex at a time, and every
+word a ball hands out is built once, from a slice of syllables
+(``Word.prefix``), with the trusted constructor.  The validators (thin
+triangles, midpoints, quasi-geodesic concatenation) measure quantities on
+finite data; a delta estimate is a lower bound for the ambient space, never
+a certification.  Quasi-geodesic checks take plain vertex sequences and
+measure them in the standard-basis word metric.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import math
 import random
 from functools import cached_property
 from fractions import Fraction
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .words import Alphabet, BudgetExceeded, Word, WordError, _core_power, count_reduced, free_word_metric, reduced_count_exceeds
@@ -108,14 +109,10 @@ class FiniteMetricSpace:
             self._require_points(u, v)
         return free_word_metric(u, v)
 
-    def geodesic(self, u: Word, v: Word) -> list[Word]:
-        """The vertices of the geodesic from u to v, both ends included: a
-        graph path whose vertex k lies at distance k from u."""
-        self._require_points(u, v)
-        return free_tree_geodesic(u, v)
-
     def geodesic_vertex(self, u: Word, v: Word, k: int) -> Word:
-        """Vertex k of ``geodesic(u, v)``, built without the others."""
+        """Vertex k of the geodesic from u to v, for 0 <= k <= d(u, v): it
+        lies at distance k from u, one edge from vertex k - 1, and it is
+        built without the others."""
         self._require_points(u, v)
         return free_tree_vertex(u, v, k)
 
@@ -135,66 +132,23 @@ def gromov_product(sp: FiniteMetricSpace, a: Word, b: Word, c: Word) -> Fraction
     return Fraction(sp.dist(c, a) + sp.dist(c, b) - sp.dist(a, b), 2)
 
 
-def free_tree_geodesic(u: Word, v: Word) -> list[Word]:
-    """The unique geodesic between u and v over the standard basis.
+def free_tree_vertex(u: Word, v: Word, k: int) -> Word:
+    """Vertex k of the unique geodesic from u to v over the standard basis,
+    for 0 <= k <= d(u, v): the vertex at distance k from u, one edge from
+    vertex k - 1.
 
     In the tree the path climbs from u to the longest common letter prefix
-    p of u and v, then descends to v: its vertices are the prefixes of u
-    of lengths |u|, |u| - 1, ..., |p|, then those of v of lengths |p| + 1,
-    ..., |v|, where |p| = (|u| + |v| - d(u, v)) / 2.  Each vertex is a slice
-    of the syllables of u or v, built once with the trusted constructor; no
-    vertex is a product.
+    p of u and v, then descends to v, where |p| = (|u| + |v| - d(u, v)) / 2:
+    vertex k is the prefix of u of length |u| - k while k <= |u| - |p|, past
+    that the prefix of v of length |p| + k - (|u| - |p|).  Only that vertex
+    is built, as one ``Word.prefix``; no vertex is a product.
     """
-    keep = (u.length + v.length - free_word_metric(u, v)) // 2
-    path = _climb(u, keep)
-    # v's prefixes from |p| + 1 up to |v|: p itself is already on the path
-    path += _climb(v, keep)[-2::-1]
-    return path
-
-
-def free_tree_vertex(u: Word, v: Word, k: int) -> Word:
-    """Vertex k of ``free_tree_geodesic(u, v)``, for 0 <= k <= d(u, v): the
-    prefix of u of length |u| - k while k <= |u| - |p|, past that the prefix
-    of v of length |p| + k - (|u| - |p|).  Only that vertex is built."""
     d = free_word_metric(u, v)
     if not 0 <= k <= d:
         raise IndexError(f"vertex {k} out of range for a geodesic of {d} edges")
     keep = (u.length + v.length - d) // 2
     climb = u.length - keep
-    return _prefix(u, u.length - k) if k <= climb else _prefix(v, keep + k - climb)
-
-
-def _prefix(w: Word, n: int) -> Word:
-    """The prefix of w of n <= |w| letters, one slice of its syllables."""
-    if n == w.length:
-        return w
-    syl, j, rest = w.syllables, 0, n
-    while rest >= abs(syl[j][1]):
-        rest -= abs(syl[j][1])
-        j += 1
-    # the prefix keeps `rest` letters of syllable j, fewer than it has
-    head = syl[:j]
-    if rest:
-        gen, exp = syl[j]
-        head += ((gen, rest if exp > 0 else -rest),)
-    return Word._reduced(w.alphabet, head, n)
-
-
-def _climb(w: Word, keep: int) -> list[Word]:
-    """The prefixes of w, one letter shorter each, from w itself down to its
-    prefix of ``keep`` letters."""
-    alph, syl, length = w.alphabet, w.syllables, w.length
-    path, j = [w], len(syl)
-    while length > keep:
-        j -= 1
-        gen, exp = syl[j]
-        head, step = syl[:j], 1 if exp > 0 else -1
-        # the syllable shrinks a letter at a time, to nothing or to the
-        # letters of it that the prefix keeps
-        for k in range(abs(exp) - 1, max(keep - length + abs(exp), 0) - 1, -1):
-            length -= 1
-            path.append(Word._reduced(alph, (head + ((gen, k * step),)) if k else head, length))
-    return path
+    return u.prefix(u.length - k) if k <= climb else v.prefix(keep + k - climb)
 
 
 class DeltaReport(NamedTuple):
@@ -207,13 +161,13 @@ def delta_thin_report(sp: FiniteMetricSpace, samples: int, seed: int = 0) -> Del
     """Max deviation of matched points on two triangle sides, with the
     witnessing triangle.
 
-    Samples triangles (A, B, C) of points ``sp.point(i)``; on the sides
-    [C,A] and [C,B] given by ``sp.geodesic``, vertex k of one side is
-    paired with vertex k of the other for k up to the Gromov product
-    (A,B)_C, and each pair contributes its distance.  A geodesic is a graph
-    path whose vertex k lies at distance k from its start, so the pairs are
-    the vertices at equal distance from C, and no vertex is measured from
-    C.  The maximum is a lower bound for the thinness constant of the
+    Samples triangles (A, B, C) of points ``sp.point(i)``; for k up to the
+    Gromov product (A,B)_C, vertex k of the side [C,A] and vertex k of the
+    side [C,B] are read from ``sp.geodesic_vertex``, one pair at a time,
+    and each pair contributes its distance.  Vertex k of a geodesic lies at
+    distance k from its start, so the pairs are the vertices at equal
+    distance from C, and no vertex is measured from C; no side is held
+    whole.  The maximum is a lower bound for the thinness constant of the
     ambient space.
     """
     rng = random.Random(seed)
@@ -226,8 +180,8 @@ def delta_thin_report(sp: FiniteMetricSpace, samples: int, seed: int = 0) -> Del
         a, b, c = (sp.point(rng.randrange(n)) for _ in range(3))
         # an integer distance is at most the product iff it is at most its floor
         reach = math.floor(gromov_product(sp, a, b, c))
-        for pa, pb in islice(zip(sp.geodesic(c, a), sp.geodesic(c, b)), reach + 1):
-            gap = sp.dist(pa, pb)
+        for k in range(reach + 1):
+            gap = sp.dist(sp.geodesic_vertex(c, a, k), sp.geodesic_vertex(c, b, k))
             if gap > best:
                 best = gap
                 witness = (a, b, c)
@@ -440,7 +394,5 @@ def divergence_experiment(c: Word, d: Word, n_max: int, m_max: int) -> Divergenc
 
 def _powers(core: Word, conj: Word, k_max: int) -> list[Word]:
     """w^1, ..., w^k_max for w = conj core conj^-1 with ``core`` cyclically
-    reduced: each is conj core^k conj^-1, with core^k from ``_core_power``,
-    two products that never cancel."""
-    conj_inv = conj.inverse()
-    return [conj * _core_power(core, k) * conj_inv for k in range(1, k_max + 1)]
+    reduced, each from ``_core_power``."""
+    return [_core_power(core, conj, k) for k in range(1, k_max + 1)]

@@ -55,7 +55,7 @@ def is_conjugate(u: Word, v: Word) -> Optional[ConjugacyWitness]:
             shifts.append(offset % len(cu))
         offset += abs(exp)
     # g = pu x pv^{-1} conjugates u to v
-    return ConjugacyWitness(pu * _cut(cu, min(shifts)) * pv.inverse()) if shifts else None
+    return ConjugacyWitness(pu * cu.prefix(min(shifts)) * pv.inverse()) if shifts else None
 
 
 def _cyclic_form(w: Word) -> tuple[Word, Word, list[tuple[int, int]], int]:
@@ -71,17 +71,6 @@ def _cyclic_form(w: Word) -> tuple[Word, Word, list[tuple[int, int]], int]:
         cyclic[0] = (gen, cyclic[0][1] + last)
         return core, conj, cyclic, len(core) - abs(last)
     return core, conj, cyclic, 0
-
-
-def _cut(w: Word, k: int) -> Word:
-    """The first k letters of w, 0 <= k <= |w|, cut from its syllables."""
-    left = k
-    for i, (gen, exp) in enumerate(w.syllables):
-        if left <= abs(exp):
-            part = ((gen, left if exp > 0 else -left),) if left else ()
-            return Word._reduced(w.alphabet, w.syllables[:i] + part, k)
-        left -= abs(exp)
-    return w
 
 
 def _prefix_function(seq: Sequence) -> list[int]:
@@ -120,7 +109,7 @@ def root(w: Word) -> RootData:
         exponent = 1 if size % period else size // period
     if exponent == 1:
         return RootData(w, 1)
-    return RootData(conj * _cut(core, len(core) // exponent) * conj.inverse(), exponent)
+    return RootData(conj * core.prefix(len(core) // exponent) * conj.inverse(), exponent)
 
 
 def is_commensurable(u: Word, v: Word) -> Optional[CommensurabilityWitness]:

@@ -45,9 +45,11 @@ def parse_presentation(text: str) -> Presentation:
     """File format: a line ``gens: <n>`` then one relator literal per line."""
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines or not lines[0].startswith("gens:"):
-        raise WordError("presentation must start with 'gens: <n>'")
-    num = int(lines[0].split(":", 1)[1])
+    head = lines[0] if lines else ""
+    try:
+        num = int(head[len("gens:"):] if head.startswith("gens:") else "")
+    except ValueError:
+        raise WordError("presentation must start with 'gens: <n>'") from None
     alph = Alphabet(num)
     relators = tuple(parse_word(ln, alph) for ln in lines[1:])
     return Presentation(num, relators)

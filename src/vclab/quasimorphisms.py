@@ -189,17 +189,12 @@ def _power_value(q: QuasiMorphism, g: Word, m: int) -> Fraction:
     k, period = (len(q.pattern), len(core)) if len(cyclic) == 1 else (len(q.pattern.syllables), len(cyclic))
     m0 = (k + period - 1) // period + 2
     if m <= m0:
-        return q(_power(core, t, m))
+        return q(_core_power(core, t, m))
     line = q.power_lines.get(g)
     if line is None:
-        base = q(_power(core, t, m0))
-        line = q.power_lines[g] = base, q(_power(core, t, m0 + 1)) - base
+        base = q(_core_power(core, t, m0))
+        line = q.power_lines[g] = base, q(_core_power(core, t, m0 + 1)) - base
     return line[0] + (m - m0) * line[1]
-
-
-def _power(core: Word, t: Word, m: int) -> Word:
-    """t c^m t^{-1} for a cyclically reduced core c, past ``POWER_BUDGET`` too."""
-    return t * _core_power(core, m) * t.inverse()
 
 
 class HomogenizationResult(NamedTuple):

@@ -175,6 +175,24 @@ class Word:
             for _ in range(abs(exp)):
                 yield step
 
+    def prefix(self, n: int) -> "Word":
+        """The prefix of n letters, 0 <= n <= |w|: a slice of the syllables,
+        the last one kept cut short when n ends inside it."""
+        if n == self.length:
+            return self
+        if not 0 <= n < self.length:
+            raise WordError(f"prefix of {n} letters out of range for a word of {self.length} letters")
+        syl, j, rest = self.syllables, 0, n
+        while rest >= abs(syl[j][1]):
+            rest -= abs(syl[j][1])
+            j += 1
+        # the prefix keeps `rest` letters of syllable j, fewer than it has
+        head = syl[:j]
+        if rest:
+            gen, exp = syl[j]
+            head += ((gen, rest if exp > 0 else -rest),)
+        return Word._reduced(self.alphabet, head, n)
+
     def _require_same_alphabet(self, other: "Word") -> None:
         if self.alphabet != other.alphabet:
             raise WordError(f"alphabet mismatch: rank {self.alphabet.rank} vs {other.alphabet.rank}")
@@ -226,7 +244,7 @@ class Word:
             return self.alphabet.identity()
         if len(core.syllables) > 1 and k * core.length > POWER_BUDGET:
             raise BudgetExceeded(f"power of {k * core.length} letters exceeds the budget of {POWER_BUDGET} letters")
-        return conj * _core_power(core, k) * conj.inverse()
+        return _core_power(core, conj, k)
 
     def conjugate(self, g: "Word") -> "Word":
         """g^{-1} * self * g."""
@@ -295,9 +313,10 @@ _set_syllables = Word.__dict__["syllables"].__set__
 _set_length = Word.__dict__["length"].__set__
 
 
-def _core_power(core: Word, k: int) -> Word:
-    """core^k for a nonidentity cyclically reduced core and k >= 1, at any
-    length: no budget applies here."""
+def _core_power(core: Word, conj: Word, k: int) -> Word:
+    """conj core^k conj^-1 for a nonidentity cyclically reduced core and
+    k >= 1, with ``(core, conj)`` from ``cyclic_reduce``, so that neither
+    product cancels; at any length: no budget applies here."""
     syl = core.syllables
     if len(syl) == 1:
         powered: tuple[tuple[int, int], ...] = ((syl[0][0], syl[0][1] * k),)
@@ -309,7 +328,7 @@ def _core_power(core: Word, k: int) -> Word:
         seam = (syl[0][0], syl[0][1] + syl[-1][1])
         middle = syl[1:-1]
         powered = (syl[0],) + (middle + (seam,)) * (k - 1) + middle + (syl[-1],)
-    return Word._reduced(core.alphabet, powered, k * core.length)
+    return conj * Word._reduced(core.alphabet, powered, k * core.length) * conj.inverse()
 
 
 def substitute(w: Word, images: Sequence[Word]) -> Word:

@@ -15,7 +15,6 @@ from vclab.hypgeom import (
     check_midpoint_inequality,
     delta_thin_report,
     divergence_experiment,
-    free_tree_geodesic,
     free_tree_vertex,
     gromov_product,
     quasigeodesic_slack,
@@ -38,15 +37,20 @@ def points(sp):
     return [sp.point(i) for i in range(len(sp))]
 
 
+def geodesic(sp, u, v):
+    """The vertices of the geodesic from u to v in ``sp``, read one at a time."""
+    return [sp.geodesic_vertex(u, v, k) for k in range(sp.dist(u, v) + 1)]
+
+
 class MatrixSpace:
     """A finite metric space given by its points and distance matrix, with a
-    ball's interface: ``len``, ``point``, ``dist`` and ``geodesic``.
+    ball's interface: ``len``, ``point``, ``dist`` and ``geodesic_vertex``.
 
-    Its geodesics keep the ball's contract: a geodesic is a graph path, and
-    its vertex k lies at distance k from its start.  Each path listed in
+    Its geodesics keep the ball's contract: vertex k lies at distance k
+    from the start, one edge from vertex k - 1.  Each path listed in
     ``geodesics`` is checked for that here; a pair not listed must be one
     edge, and its path is [u, v].  Vertex k of a geodesic is read off the
-    whole path."""
+    listed path."""
 
     def __init__(self, pts, matrix, geodesics=None):
         self.points, self.matrix = tuple(pts), matrix
@@ -66,15 +70,12 @@ class MatrixSpace:
     def dist(self, u, v):
         return self.matrix[self.index[u]][self.index[v]]
 
-    def geodesic(self, u, v):
+    def geodesic_vertex(self, u, v, k):
         if (u, v) in self.geodesics:
-            return self.geodesics[u, v]
+            return self.geodesics[u, v][k]
         if self.dist(u, v) != 1:
             raise AssertionError(f"no geodesic listed from {u} to {v}, {self.dist(u, v)} apart")
-        return [u, v]
-
-    def geodesic_vertex(self, u, v, k):
-        return self.geodesic(u, v)[k]
+        return [u, v][k]
 
 
 def _bfs_ball(gens, radius):
@@ -185,7 +186,14 @@ def test_standard_ball_matches_breadth_first_ball(rank, radius):
     assert pts == list(slow.points)
     assert pts == list(enumerate_reduced(alph, radius))
     assert tuple(tuple(fast.dist(u, v) for v in pts) for u in pts) == slow.matrix
-    assert all(fast.geodesic(u, v) == free_tree_geodesic(u, v) for u in pts for v in pts)
+    # each geodesic of the ball is a shortest path of the breadth-first
+    # metric, which in a tree is the only one
+    for u in pts:
+        for v in pts:
+            path = geodesic(fast, u, v)
+            assert (path[0], path[-1]) == (u, v)
+            assert [slow.dist(u, x) for x in path] == list(range(len(path)))
+            assert all(slow.dist(x, y) == 1 for x, y in zip(path, path[1:]))
 
 
 def test_on_demand_dist_rejects_points_outside_the_ball(ball4):
@@ -308,8 +316,8 @@ def _quadratic_delta(sp, samples, seed):
     for _ in range(samples):
         a, b, c = (sp.point(rng.randrange(n)) for _ in range(3))
         product = Fraction(sp.dist(c, a) + sp.dist(c, b) - sp.dist(a, b), 2)
-        for pa in sp.geodesic(c, a):
-            for pb in sp.geodesic(c, b):
+        for pa in geodesic(sp, c, a):
+            for pb in geodesic(sp, c, b):
                 if sp.dist(c, pa) == sp.dist(c, pb) <= product and sp.dist(pa, pb) > best:
                     best, witness = Fraction(sp.dist(pa, pb)), (a, b, c)
     return best, witness
@@ -331,38 +339,45 @@ def test_delta_report_on_tree_ball_matches_quadratic_reference():
 
 
 class CountingBall(hypgeom.FiniteMetricSpace):
-    calls = 0
+    calls = vertex_calls = 0
 
     def dist(self, u, v):
         self.calls += 1
         return super().dist(u, v)
 
+    def geodesic_vertex(self, u, v, k):
+        self.vertex_calls += 1
+        return super().geodesic_vertex(u, v, k)
+
 
 def test_delta_report_measures_only_what_it_compares():
     # three distances for the Gromov product (A|B)_C, then one for each pair
-    # of vertices k <= (A|B)_C; none from C to a vertex of a side
+    # of vertices k <= (A|B)_C; none from C to a vertex of a side, and only
+    # the vertices of those pairs are built
     sp = CountingBall(F2, 4)
     n = len(sp)
     for seed in range(200):
         rng = random.Random(seed)
         a, b, c = (sp.point(rng.randrange(n)) for _ in range(3))
         reach = (free_word_metric(c, a) + free_word_metric(c, b) - free_word_metric(a, b)) // 2
-        sp.calls = 0
+        sp.calls = sp.vertex_calls = 0
         delta_thin_report(sp, 1, seed=seed)
         assert sp.calls <= 3 + reach + 1
+        assert sp.vertex_calls == 2 * (reach + 1)
 
 
 # -- quasi-geodesics -----------------------------------------------------------------
 
 @pytest.mark.parametrize("alph, radius", [(F2, 2), (F3, 2), (Alphabet(1), 4)])
 def test_geodesic_matches_letter_by_letter_construction(alph, radius):
+    sp = cayley_ball(alph, radius)
     points = list(enumerate_reduced(alph, radius))
     for u in points:
         for v in points:
             path = [u]
             for letter in (u.inverse() * v).letters():
                 path.append(path[-1] * Word.from_letters(alph, [letter]))
-            assert free_tree_geodesic(u, v) == path
+            assert geodesic(sp, u, v) == path
 
 
 def _assert_trusted(w):
@@ -381,7 +396,7 @@ def test_points_and_geodesic_vertices_are_valid_words(alph, radius):
     for u in pts:
         _assert_trusted(u)
         for v in pts:
-            path = sp.geodesic(u, v)
+            path = geodesic(sp, u, v)
             assert len(path) == free_word_metric(u, v) + 1
             assert (path[0], path[-1]) == (u, v)
             for k, vertex in enumerate(path):
@@ -390,16 +405,16 @@ def test_points_and_geodesic_vertices_are_valid_words(alph, radius):
 
 
 def test_geodesic_vertex_is_the_vertex_of_the_whole_geodesic(ball4):
-    # every pair and every k of the rank-2 radius-4 ball, each vertex a
-    # trusted word built on its own
+    # every pair and every k of the rank-2 radius-4 ball: in a tree, vertex
+    # k is the one point at distance k from u and d(u, v) - k from v; each
+    # vertex is a trusted word built on its own
     pts = points(ball4)
     for u in pts:
         for v in pts:
-            path = ball4.geodesic(u, v)
+            path = geodesic(ball4, u, v)
             for k, vertex in enumerate(path):
-                built = ball4.geodesic_vertex(u, v, k)
-                assert built == vertex
-                _assert_trusted(built)
+                assert (ball4.dist(u, vertex), ball4.dist(vertex, v)) == (k, len(path) - 1 - k)
+                _assert_trusted(vertex)
             for k in (-1, len(path)):
                 with pytest.raises(IndexError, match=f"^vertex {k} out of range for a geodesic of {len(path) - 1} edges$"):
                     free_tree_vertex(u, v, k)
@@ -412,15 +427,15 @@ def test_geodesic_vertex_of_long_syllables():
     assert [free_tree_vertex(u, v, k) for k in range(d + 1)] == [u, p("a^1000000000000b^2"), p("a^1000000000000b"), p("a^1000000000000"), p("a^999999999999"), v]
 
 
-def test_geodesic_between_alphabets_of_equal_rank():
+def test_geodesic_between_alphabets_of_equal_rank(ball4):
     u, v = p("a^3b", Alphabet(2)), p("a^2B^2")
-    assert free_tree_geodesic(u, v) == [u, p("a^3"), p("a^2"), p("a^2B"), v]
+    assert geodesic(ball4, u, v) == [u, p("a^3"), p("a^2"), p("a^2B"), v]
     with pytest.raises(WordError, match="alphabet mismatch"):
-        free_tree_geodesic(p("a"), p("c", F3))
+        free_tree_vertex(p("a"), p("c", F3), 0)
 
 
 def test_geodesic_segment_is_one_zero_quasigeodesic():
-    path = free_tree_geodesic(p(""), p("a^3b^2"))
+    path = geodesic(cayley_ball(F2, 5), p(""), p("a^3b^2"))
     assert quasigeodesic_slack(path, Fraction(1)) == 0
 
 
@@ -483,18 +498,9 @@ def test_midpoint_rejects_points_outside_the_ball(ball4):
     with pytest.raises(WordError, match="^point a\\^6 not in space$"):
         check_midpoint_inequality(ball4, p("a"), p("a"), p("a^6"), Fraction(0))
     with pytest.raises(WordError, match="^point a\\^6 not in space$"):
-        ball4.geodesic(p(""), p("a^6"))
-
-
-def test_midpoint_builds_no_whole_geodesic(ball4, monkeypatch):
-    def refuse(u, v):
-        raise AssertionError("a whole geodesic was built")
-
-    monkeypatch.setattr(hypgeom, "free_tree_geodesic", refuse)
-    rng = random.Random(23)
-    pts = points(ball4)
-    for _ in range(200):
-        assert check_midpoint_inequality(ball4, rng.choice(pts), rng.choice(pts), rng.choice(pts), Fraction(0))
+        geodesic(ball4, p(""), p("a^6"))
+    with pytest.raises(WordError, match="^point a\\^6 not in space$"):
+        ball4.geodesic_vertex(p(""), p("a^6"), 3)
 
 
 def test_midpoint_reads_the_geodesics_of_the_space():
@@ -512,7 +518,7 @@ def test_midpoint_reads_the_geodesics_of_the_space():
 # -- concatenation -----------------------------------------------------------------------
 
 def _seg(u, v):
-    return free_tree_geodesic(u, v)
+    return geodesic(cayley_ball(F2, 4), u, v)
 
 
 def test_concatenation_clean_joint():

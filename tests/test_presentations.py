@@ -544,5 +544,7 @@ def test_parse_presentation_file():
 
 
 def test_parse_presentation_rejects_missing_header():
-    with pytest.raises(WordError):
-        parse_presentation("a^4\n")
+    # a count that is no integer is no header either
+    for text in ("a^4\n", "gens: x\n", "gens:\n"):
+        with pytest.raises(WordError, match="^presentation must start with 'gens: <n>'$"):
+            parse_presentation(text)

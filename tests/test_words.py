@@ -381,7 +381,7 @@ def test_compound_power_past_the_budget_raises(text, k):
     with pytest.raises(BudgetExceeded, match=f"^power of {letters} letters exceeds the budget of {POWER_BUDGET} letters$"):
         w(text) ** k
     # the budget belongs to ``**``: the kernel helper builds the same power
-    assert len(words._core_power(core, abs(k))) == letters
+    assert len(words._core_power(core, core.alphabet.identity(), abs(k))) == letters
 
 
 # cyclically reduced cores at ranks 1-3: the core of any nonidentity word
@@ -400,15 +400,40 @@ cores = st.integers(1, 3).flatmap(
 @example(parse_word("abca", F3), 6)
 @example(w("a^3"), 1)
 def test_core_power_spells_the_core_k_times(core, k):
-    power = words._core_power(core, k)
+    power = words._core_power(core, core.alphabet.identity(), k)
     assert checked(power) == letters_of(core) * k
     assert power == Word.from_letters(core.alphabet, letters_of(core) * k)
     assert power.length == k * core.length
 
 
+@pytest.mark.parametrize("alph, max_len", [(F2, 6), (F3, 4)])
+def test_prefix_is_the_first_n_letters(alph, max_len):
+    for word in enumerate_reduced(alph, max_len):
+        letters = letters_of(word)
+        for n in range(len(word) + 1):
+            cut = word.prefix(n)
+            assert checked(cut) == letters[:n]
+            assert cut == Word.from_letters(alph, letters[:n])
+            assert cut.length == n
+
+
+def test_prefix_of_long_syllables():
+    word = w("a^1000000000000b^3")
+    big = 10**12
+    for n, text in [(0, ""), (1, "a"), (big - 1, f"a^{big - 1}"), (big, f"a^{big}"), (big + 2, f"a^{big}b^2")]:
+        cut = word.prefix(n)
+        # re-validated without spelling out its letters
+        assert Word(F2, cut.syllables) == cut and plain(cut) and has_its_length(cut)
+        assert cut == w(text) and cut.length == n
+    assert word.prefix(big + 3) is word
+    for n in (-1, big + 4):
+        with pytest.raises(WordError, match=f"^prefix of {n} letters out of range for a word of {big + 3} letters$"):
+            word.prefix(n)
+
+
 def test_one_syllable_powers_are_free():
     assert (w("a") ** 10**12).syllables == ((0, 10**12),)
-    power = words._core_power(w("A^3"), 10**12)
+    power = words._core_power(w("A^3"), F2.identity(), 10**12)
     assert power.syllables == ((0, -3 * 10**12),) and power.length == 3 * 10**12
     # a conjugated one-syllable core is free too
     assert w("ba^5B") ** -10**12 == w(f"ba^{-5 * 10**12}B")
