@@ -29,11 +29,10 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_FINDING = 2
 
-# --samples times (--radius + 1) for cayley-delta and midpoint-check, in
-# proportion to the geodesic vertices cayley-delta builds: about 5.5 s at
-# rank 2, radius 10 and 2.2 s at rank 1, radius 99,999, as CLI runs on a
-# 2-core host; midpoint-check builds two vertices a triangle, about 2 s and
-# 0.1 s
+# --samples times (--radius + 1) for cayley-delta and midpoint-check: a sample
+# unranks three points in O(radius) steps, then reads at most 2 radius + 1 gaps
+# or builds two midpoints.  As CLI runs on a 2-core host: 1.6-3.1 s and 2.0-3.7 s
+# at radius 10, rank 2; 0.3-0.5 s and 0.1 s at radius 99,999, rank 1
 SAMPLE_BUDGET = 10**6
 # --pairs times (--max-len + 1) for qm-defect, a bound on its random draws:
 # about 4 s at --max-len 9 and 7 s at --max-len 0, as CLI runs on a 2-core host
@@ -377,7 +376,7 @@ def _cmd_qm_invariance(args) -> tuple[int, Iterable[str]]:
 
 def _sampled_ball(args) -> hypgeom.FiniteMetricSpace:
     """The ball of ``--rank`` and ``--radius``, refused past its cap or when
-    ``--samples`` would build too many geodesic vertices."""
+    ``--samples`` times ``--radius`` + 1 passes ``SAMPLE_BUDGET``."""
     ball = hypgeom.cayley_ball(Alphabet(args.rank), args.radius)
     if args.samples * (args.radius + 1) > SAMPLE_BUDGET:
         raise BudgetExceeded(

@@ -6,18 +6,17 @@ identity.  It stores no points: a sampled point is unranked from its index
 in shortlex order straight into run-length syllables, distances are word
 lengths computed when asked for, and the geodesic between two points is the
 unique path in the tree, whose vertices are letter prefixes of its two ends.
-No path is held whole: a geodesic is read one vertex at a time, and every
-word a ball hands out is built once, from a slice of syllables
-(``Word.prefix``), with the trusted constructor.  The validators (thin
-triangles, midpoints, quasi-geodesic concatenation) measure quantities on
-finite data; a delta estimate is a lower bound for the ambient space, never
-a certification.  Quasi-geodesic checks take plain vertex sequences and
-measure them in the standard-basis word metric.
+No path is held whole: a geodesic is read one vertex at a time, each built
+once from a slice of syllables (``Word.prefix``), and a thin triangle reads
+its vertex pairs' distances off its three points, building no vertex.  The
+validators (thin triangles, midpoints, quasi-geodesic concatenation) measure
+quantities on finite data; a delta estimate is a lower bound for the ambient
+space, never a certification.  Quasi-geodesic checks take plain vertex
+sequences and measure them in the standard-basis word metric.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from functools import cached_property
 from fractions import Fraction
@@ -40,7 +39,8 @@ class FiniteMetricSpace:
     order of ``enumerate_reduced``, and none of them is stored: ``point(i)``
     builds the i-th.  A word is a point iff it has the ball's alphabet and
     length at most ``radius``; the distance is the word metric, computed on
-    demand.
+    demand.  Every space that ``hypgeom`` measures offers ``len``, ``point``,
+    ``dist``, ``geodesic_vertex`` and ``side_gaps``, as the ball does.
     """
 
     def __init__(self, alphabet: Alphabet, radius: int) -> None:
@@ -96,9 +96,9 @@ class FiniteMetricSpace:
         syllables.append((letter >> 1, -run if letter & 1 else run))
         return Word._reduced(alph, tuple(syllables), length)
 
-    def _require_points(self, u: Word, v: Word) -> None:
+    def _require_points(self, *words: Word) -> None:
         alph, radius = self.alphabet, self.radius
-        for w in (u, v):
+        for w in words:
             if (w.alphabet is not alph and w.alphabet != alph) or w.length > radius:
                 raise WordError(f"point {w} not in space")
 
@@ -116,6 +116,32 @@ class FiniteMetricSpace:
         self._require_points(u, v)
         return free_tree_vertex(u, v, k)
 
+    def side_gaps(self, a: Word, b: Word, c: Word) -> list[int]:
+        """d(vertex k of [c, a], vertex k of [c, b]) for k = 0 ... (a|b)_c, in
+        order, from three lengths and three distances, with no vertex built.
+
+        Let X_i be the prefix of i letters of X, and p_XY = (|X| + |Y| -
+        d(X, Y)) / 2 the common prefix length of X and Y (p_XX = |X|).  Vertex
+        k of [c, a] is c_(|c| - k) for k <= |c| - p_ca, else a_(2 p_ca - |c| +
+        k) (``free_tree_vertex``), and d(X_i, Y_j) = i + j - 2 min(i, j, p_XY).
+        Proof: X_i and Y_j are reduced and share their first m letters iff
+        m <= min(i, j, p_XY); a distance of reduced words is both lengths less
+        twice their common prefix.  QED
+        """
+        self._require_points(c, a, b)
+        lc = c.length
+        p_ca = (lc + a.length - free_word_metric(c, a)) // 2
+        p_cb = (lc + b.length - free_word_metric(c, b)) // 2
+        p_ab = (a.length + b.length - free_word_metric(a, b)) // 2
+        # common[on_a][on_b]: p_XY of the words X, Y the two vertices are cut from
+        common, gaps = ((lc, p_cb), (p_ca, p_ab)), []
+        for k in range(lc - p_ca - p_cb + p_ab + 1):  # (a|b)_c + 1 vertex pairs
+            on_a, on_b = k > lc - p_ca, k > lc - p_cb
+            i = 2 * p_ca - lc + k if on_a else lc - k
+            j = 2 * p_cb - lc + k if on_b else lc - k
+            gaps.append(i + j - 2 * min(i, j, common[on_a][on_b]))
+        return gaps
+
 
 def cayley_ball(alph: Alphabet, radius: int) -> FiniteMetricSpace:
     """The ball of ``radius`` over the standard basis of ``alph``, refused
@@ -125,11 +151,6 @@ def cayley_ball(alph: Alphabet, radius: int) -> FiniteMetricSpace:
     if reduced_count_exceeds(alph.rank, radius, BALL_CAP):
         raise BudgetExceeded(f"ball exceeds cap of {BALL_CAP} elements")
     return FiniteMetricSpace(alph, radius)
-
-
-def gromov_product(sp: FiniteMetricSpace, a: Word, b: Word, c: Word) -> Fraction:
-    """(a, b)_c = (d(c,a) + d(c,b) - d(a,b)) / 2, exactly."""
-    return Fraction(sp.dist(c, a) + sp.dist(c, b) - sp.dist(a, b), 2)
 
 
 def free_tree_vertex(u: Word, v: Word, k: int) -> Word:
@@ -161,27 +182,17 @@ def delta_thin_report(sp: FiniteMetricSpace, samples: int, seed: int = 0) -> Del
     """Max deviation of matched points on two triangle sides, with the
     witnessing triangle.
 
-    Samples triangles (A, B, C) of points ``sp.point(i)``; for k up to the
-    Gromov product (A,B)_C, vertex k of the side [C,A] and vertex k of the
-    side [C,B] are read from ``sp.geodesic_vertex``, one pair at a time,
-    and each pair contributes its distance.  Vertex k of a geodesic lies at
-    distance k from its start, so the pairs are the vertices at equal
-    distance from C, and no vertex is measured from C; no side is held
-    whole.  The maximum is a lower bound for the thinness constant of the
-    ambient space.
+    Samples triangles (A, B, C) of points ``sp.point(i)``; ``sp.side_gaps``
+    gives the distance of vertex k of [C,A] to vertex k of [C,B] for k up to
+    (A,B)_C.  The first triangle to reach the maximum is its witness, and the
+    maximum is a lower bound for the thinness constant of the ambient space.
     """
     rng = random.Random(seed)
     n = len(sp)
-    if n < 3:
-        return DeltaReport(Fraction(0), None, samples)
-    best = 0
-    witness = None
+    best, witness = 0, None
     for _ in range(samples):
         a, b, c = (sp.point(rng.randrange(n)) for _ in range(3))
-        # an integer distance is at most the product iff it is at most its floor
-        reach = math.floor(gromov_product(sp, a, b, c))
-        for k in range(reach + 1):
-            gap = sp.dist(sp.geodesic_vertex(c, a, k), sp.geodesic_vertex(c, b, k))
+        for gap in sp.side_gaps(a, b, c):
             if gap > best:
                 best = gap
                 witness = (a, b, c)

@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -16,7 +17,6 @@ from vclab.hypgeom import (
     delta_thin_report,
     divergence_experiment,
     free_tree_vertex,
-    gromov_product,
     quasigeodesic_slack,
 )
 
@@ -42,15 +42,24 @@ def geodesic(sp, u, v):
     return [sp.geodesic_vertex(u, v, k) for k in range(sp.dist(u, v) + 1)]
 
 
+def vertex_gaps(sp, a, b, c):
+    """d(vertex k of [c, a], vertex k of [c, b]) for k up to (a|b)_c, each
+    pair built by ``geodesic_vertex`` and measured by ``dist``."""
+    reach = (sp.dist(c, a) + sp.dist(c, b) - sp.dist(a, b)) // 2
+    return [sp.dist(sp.geodesic_vertex(c, a, k), sp.geodesic_vertex(c, b, k)) for k in range(reach + 1)]
+
+
 class MatrixSpace:
     """A finite metric space given by its points and distance matrix, with a
-    ball's interface: ``len``, ``point``, ``dist`` and ``geodesic_vertex``.
+    ball's interface: ``len``, ``point``, ``dist``, ``geodesic_vertex`` and
+    ``side_gaps``.
 
     Its geodesics keep the ball's contract: vertex k lies at distance k
     from the start, one edge from vertex k - 1.  Each path listed in
-    ``geodesics`` is checked for that here; a pair not listed must be one
-    edge, and its path is [u, v].  Vertex k of a geodesic is read off the
-    listed path."""
+    ``geodesics`` is checked for that here; a pair not listed must be at
+    most one edge apart, and its path is [u, v], or [u] when u = v.  Vertex
+    k of a geodesic is read off the listed path, and the side gaps are
+    measured between such vertices."""
 
     def __init__(self, pts, matrix, geodesics=None):
         self.points, self.matrix = tuple(pts), matrix
@@ -73,9 +82,12 @@ class MatrixSpace:
     def geodesic_vertex(self, u, v, k):
         if (u, v) in self.geodesics:
             return self.geodesics[u, v][k]
-        if self.dist(u, v) != 1:
+        if self.dist(u, v) > 1:
             raise AssertionError(f"no geodesic listed from {u} to {v}, {self.dist(u, v)} apart")
-        return [u, v][k]
+        return ([u, v] if u != v else [u])[k]
+
+    def side_gaps(self, a, b, c):
+        return vertex_gaps(self, a, b, c)
 
 
 def _bfs_ball(gens, radius):
@@ -248,24 +260,67 @@ def test_on_demand_dist_reads_alphabets_by_equality(ball4):
 
 # -- Gromov products --------------------------------------------------------------
 
+def gromov_floor(sp, a, b, c):
+    """floor((a|b)_c), read as the last index of ``side_gaps``."""
+    return len(sp.side_gaps(a, b, c)) - 1
+
+
 def test_gromov_product_examples(ball4):
     one = p("")
-    assert gromov_product(ball4, p("a"), p("b"), one) == 0
-    assert gromov_product(ball4, p("ab"), p("a"), one) == 1
-    assert gromov_product(ball4, p("a"), p("a"), p("b")) == ball4.dist(p("b"), p("a"))
+    assert gromov_floor(ball4, p("a"), p("b"), one) == 0
+    assert gromov_floor(ball4, p("ab"), p("a"), one) == 1
+    assert gromov_floor(ball4, p("a"), p("a"), p("b")) == ball4.dist(p("b"), p("a"))
 
 
 def test_gromov_product_sum_identity(ball4):
+    # in a free group d(c, a) + d(c, b) - d(a, b) is even, so each product
+    # is its floor
     rng = random.Random(11)
     pts = points(ball4)
     for _ in range(300):
         a, b, c = rng.choice(pts), rng.choice(pts), rng.choice(pts)
-        assert gromov_product(ball4, a, b, c) + gromov_product(ball4, a, c, b) == ball4.dist(b, c)
+        assert gromov_floor(ball4, a, b, c) + gromov_floor(ball4, a, c, b) == ball4.dist(b, c)
 
 
 def test_gromov_product_unknown_point(ball4):
     with pytest.raises(WordError):
-        gromov_product(ball4, p("a^9"), p("a"), p(""))
+        ball4.side_gaps(p("a^9"), p("a"), p(""))
+
+
+# -- side gaps -------------------------------------------------------------------
+
+@pytest.mark.parametrize("rank, radius", [(1, 5), (2, 2), (3, 1)])
+def test_side_gaps_match_built_vertices_on_every_triangle(rank, radius):
+    sp = cayley_ball(Alphabet(rank), radius)
+    pts = points(sp)
+    for a in pts:
+        for b in pts:
+            for c in pts:
+                assert sp.side_gaps(a, b, c) == vertex_gaps(sp, a, b, c)
+
+
+@pytest.mark.parametrize("rank, radius", [(2, 10), (4, 4)])
+def test_side_gaps_match_built_vertices_on_seeded_triangles(rank, radius):
+    sp = cayley_ball(Alphabet(rank), radius)
+    rng = random.Random(rank * 100 + radius)
+    for _ in range(500):
+        a, b, c = (sp.point(rng.randrange(len(sp))) for _ in range(3))
+        assert sp.side_gaps(a, b, c) == vertex_gaps(sp, a, b, c)
+
+
+def test_side_gaps_of_long_syllables():
+    alph = Alphabet(1)
+    sp = cayley_ball(alph, 99_999)
+    words = [p(w, alph) for w in ("a^99999", "A^99998", "a^5")]
+    for a, b, c in permutations(words):
+        assert sp.side_gaps(a, b, c) == vertex_gaps(sp, a, b, c)
+
+
+def test_side_gaps_refuse_a_point_outside_the_ball(ball4):
+    inside, outside = p("ab"), p("a^5")
+    for triangle in ((outside, inside, inside), (inside, outside, inside), (inside, inside, outside)):
+        with pytest.raises(WordError, match="^point a\\^5 not in space$"):
+            ball4.side_gaps(*triangle)
 
 
 # -- thin triangles ------------------------------------------------------------------
@@ -339,31 +394,52 @@ def test_delta_report_on_tree_ball_matches_quadratic_reference():
 
 
 class CountingBall(hypgeom.FiniteMetricSpace):
-    calls = vertex_calls = 0
+    """A ball that keeps the points it hands out and counts the geodesic
+    vertices it is asked for."""
 
-    def dist(self, u, v):
-        self.calls += 1
-        return super().dist(u, v)
+    def __init__(self, alphabet, radius):
+        super().__init__(alphabet, radius)
+        self.sampled, self.vertex_calls = [], 0
+
+    def point(self, i):
+        self.sampled.append(super().point(i))
+        return self.sampled[-1]
 
     def geodesic_vertex(self, u, v, k):
         self.vertex_calls += 1
         return super().geodesic_vertex(u, v, k)
 
 
-def test_delta_report_measures_only_what_it_compares():
-    # three distances for the Gromov product (A|B)_C, then one for each pair
-    # of vertices k <= (A|B)_C; none from C to a vertex of a side, and only
-    # the vertices of those pairs are built
+def test_delta_report_measures_only_what_it_compares(monkeypatch):
+    # a triangle's gaps are read off its three points: no geodesic vertex
+    # is asked for, and the only words built are the points themselves
+    built = []
+    trusted = Word._reduced
+
+    def counted(*args):
+        built.append(trusted(*args))
+        return built[-1]
+
+    monkeypatch.setattr(Word, "_reduced", staticmethod(counted))
     sp = CountingBall(F2, 4)
-    n = len(sp)
     for seed in range(200):
-        rng = random.Random(seed)
-        a, b, c = (sp.point(rng.randrange(n)) for _ in range(3))
-        reach = (free_word_metric(c, a) + free_word_metric(c, b) - free_word_metric(a, b)) // 2
-        sp.calls = sp.vertex_calls = 0
+        built.clear()
+        sp.sampled.clear()
         delta_thin_report(sp, 1, seed=seed)
-        assert sp.calls <= 3 + reach + 1
-        assert sp.vertex_calls == 2 * (reach + 1)
+        assert sp.vertex_calls == 0
+        assert len(sp.sampled) == 3
+        assert list(map(id, built)) == list(map(id, sp.sampled))
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_delta_report_on_the_one_point_ball(capsys, rank):
+    # every triangle of the radius-0 ball has its one point at each corner;
+    # the report is pinned byte for byte
+    assert cli.main(["cayley-delta", "--rank", str(rank), "--radius", "0"]) == 0
+    assert capsys.readouterr().out == (
+        '{\n  "ball": {\n    "points": 1,\n    "radius": 0\n  },\n  "delta_lower_bound": "0",\n'
+        '  "samples": 1000,\n  "witness_triangle": null\n}\n'
+    )
 
 
 # -- quasi-geodesics -----------------------------------------------------------------
