@@ -29,11 +29,17 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_FINDING = 2
 
-# --samples times (--radius + 1) for cayley-delta and midpoint-check: a sample
-# unranks three points in O(radius) steps, then reads at most 2 radius + 1 gaps
-# or builds two midpoints.  As CLI runs on a 2-core host: 1.6-3.1 s and 2.0-3.7 s
-# at radius 10, rank 2; 0.3-0.5 s and 0.1 s at radius 99,999, rank 1
-SAMPLE_BUDGET = 10**6
+# --samples times (--radius + SAMPLE_STEPS) for cayley-delta and midpoint-check:
+# a sample unranks three points in O(radius) steps, then reads at most
+# 2 radius + 1 gaps or builds two midpoints.  Its fixed cost, three draws and
+# three unrank calls, is worth 3.4-3.6 radius steps of those unrank calls
+# (Python 3.11 on a 2-core host), charged as SAMPLE_STEPS.  As CLI runs there,
+# cayley-delta and midpoint-check at rank 2 take 1.6-3.1 s and 3.4-5.0 s at
+# radius 0 (275,000 samples) and 1.5-3.0 s and 1.9-3.3 s at radius 10 (78,571
+# samples).  The budget is set so that the rank-1 cap ball, radius 99,999,
+# takes 10 samples and refuses 11
+SAMPLE_BUDGET = 1_100_000
+SAMPLE_STEPS = 4
 # --pairs times (--max-len + 1) for qm-defect, a bound on its random draws:
 # about 4 s at --max-len 9 and 7 s at --max-len 0, as CLI runs on a 2-core host
 PAIR_BUDGET = 10**7
@@ -376,11 +382,11 @@ def _cmd_qm_invariance(args) -> tuple[int, Iterable[str]]:
 
 def _sampled_ball(args) -> hypgeom.FiniteMetricSpace:
     """The ball of ``--rank`` and ``--radius``, refused past its cap or when
-    ``--samples`` times ``--radius`` + 1 passes ``SAMPLE_BUDGET``."""
+    ``--samples`` times ``--radius`` + ``SAMPLE_STEPS`` passes ``SAMPLE_BUDGET``."""
     ball = hypgeom.cayley_ball(Alphabet(args.rank), args.radius)
-    if args.samples * (args.radius + 1) > SAMPLE_BUDGET:
+    if args.samples * (args.radius + SAMPLE_STEPS) > SAMPLE_BUDGET:
         raise BudgetExceeded(
-            f"--samples {args.samples} x (--radius {args.radius} + 1) exceeds the budget of {SAMPLE_BUDGET} vertices"
+            f"--samples {args.samples} x (--radius {args.radius} + {SAMPLE_STEPS}) exceeds the budget of {SAMPLE_BUDGET} steps"
         )
     return ball
 

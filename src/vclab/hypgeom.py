@@ -2,17 +2,18 @@
 
 A ball is the set of reduced words of length at most its radius over the
 standard basis, the vertices of the free group's Cayley tree near the
-identity.  It stores no points: a sampled point is unranked from its index
-in shortlex order straight into run-length syllables, distances are word
-lengths computed when asked for, and the geodesic between two points is the
-unique path in the tree, whose vertices are letter prefixes of its two ends.
-No path is held whole: a geodesic is read one vertex at a time, each built
-once from a slice of syllables (``Word.prefix``), and a thin triangle reads
-its vertex pairs' distances off its three points, building no vertex.  The
-validators (thin triangles, midpoints, quasi-geodesic concatenation) measure
-quantities on finite data; a delta estimate is a lower bound for the ambient
-space, never a certification.  Quasi-geodesic checks take plain vertex
-sequences and measure them in the standard-basis word metric.
+identity.  It stores no points: a sampled point is ``words.unrank`` of its
+index in shortlex order, built straight into run-length syllables;
+distances are word lengths computed when asked for, and the geodesic
+between two points is the unique path in the tree, whose vertices are
+letter prefixes of its two ends.  No path is held whole: a geodesic is read
+one vertex at a time, each built once from a slice of syllables
+(``Word.prefix``), and a thin triangle reads its vertex pairs' distances off
+its three points, building no vertex.  The validators (thin triangles,
+midpoints, quasi-geodesic concatenation) measure quantities on finite data;
+a delta estimate is a lower bound for the ambient space, never a
+certification.  Quasi-geodesic checks take plain vertex sequences and
+measure them in the standard-basis word metric.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from fractions import Fraction
 from itertools import chain, repeat
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .words import Alphabet, BudgetExceeded, Word, WordError, _core_power, count_reduced, free_word_metric, reduced_count_exceeds
+from .words import Alphabet, BudgetExceeded, Word, WordError, _core_power, count_reduced, free_word_metric, reduced_count_exceeds, unrank
 from .oracles import is_commensurable
 
 # points a ball may hold: radius 10 at rank 2 (118,097 points) fits
@@ -37,10 +38,11 @@ class FiniteMetricSpace:
 
     Its points are the reduced words of length at most ``radius``, in the
     order of ``enumerate_reduced``, and none of them is stored: ``point(i)``
-    builds the i-th.  A word is a point iff it has the ball's alphabet and
-    length at most ``radius``; the distance is the word metric, computed on
-    demand.  Every space that ``hypgeom`` measures offers ``len``, ``point``,
-    ``dist``, ``geodesic_vertex`` and ``side_gaps``, as the ball does.
+    checks that i is in range and builds the i-th with ``words.unrank``.  A
+    word is a point iff it has the ball's alphabet and length at most
+    ``radius``; the distance is the word metric, computed on demand.  Every
+    space that ``hypgeom`` measures offers ``len``, ``point``, ``dist``,
+    ``geodesic_vertex`` and ``side_gaps``, as the ball does.
     """
 
     def __init__(self, alphabet: Alphabet, radius: int) -> None:
@@ -50,51 +52,14 @@ class FiniteMetricSpace:
     def _size(self) -> int:
         return count_reduced(self.alphabet.rank, self.radius)
 
-    @cached_property
-    def _place_values(self) -> tuple[int, ...]:
-        """(2k - 1)^p for p < radius: how many reduced words of one length
-        share all but their last p letters, at rank k >= 2."""
-        branch = 2 * self.alphabet.rank - 1
-        return tuple(branch**p for p in range(self.radius))
-
     def __len__(self) -> int:
         return self._size
 
     def point(self, i: int) -> Word:
-        """The i-th point, built in O(radius) steps (O(1) at rank 1) and
-        without building any other."""
+        """The i-th point, ``unrank``ed without building any other."""
         if not 0 <= i < self._size:
             raise IndexError(f"point index {i} out of range for a ball of {self._size} points")
-        alph = self.alphabet
-        if not i:
-            return alph.identity()
-        if alph.rank == 1:
-            # the words of length n are a^n, then a^-n
-            n = (i + 1) // 2
-            return Word._reduced(alph, ((0, n if i % 2 else -n),), n)
-        # skip the shorter words: 1 of length 0, 2k (2k - 1)^(n-1) of length n
-        places, letters = self._place_values, 2 * alph.rank
-        i, length = i - 1, 1
-        while i >= letters * places[length - 1]:
-            i -= letters * places[length - 1]
-            length += 1
-        # i spells a first letter of 2k, then each later letter one of the
-        # 2k - 1 that do not cancel the one before, in letter order; letter c
-        # is generator c // 2, inverted when c is odd.  A run of equal letters
-        # is one syllable, and no two letters cancel, so the word is reduced.
-        letter, i = divmod(i, places[length - 1])
-        run, syllables = 1, []
-        for place in reversed(places[:length - 1]):
-            digit, i = divmod(i, place)
-            if digit >= letter ^ 1:
-                digit += 1
-            if digit == letter:
-                run += 1
-            else:
-                syllables.append((letter >> 1, -run if letter & 1 else run))
-                letter, run = digit, 1
-        syllables.append((letter >> 1, -run if letter & 1 else run))
-        return Word._reduced(alph, tuple(syllables), length)
+        return unrank(self.alphabet, i)
 
     def _require_points(self, *words: Word) -> None:
         alph, radius = self.alphabet, self.radius

@@ -20,7 +20,7 @@ from __future__ import annotations
 from itertools import islice
 from typing import Mapping, NamedTuple, Optional, Sequence
 
-from .words import Alphabet, BudgetExceeded, Word, WordError, count_reduced, enumerate_reduced, reduced_count_exceeds, substitute
+from .words import Alphabet, BudgetExceeded, Word, WordError, count_reduced, enumerate_reduced, rank, reduced_count_exceeds, substitute
 from .oracles import is_special_tuple
 
 
@@ -286,13 +286,13 @@ def verify_testword(
     syllable, as in every built word whose top tuple has q*t = 1, y_n is
     solved rather than enumerated: W = P y = U gives y = P^-1 U, the one
     image that can complete the other variables.  Its letters, P past lcp
-    inverted and then U past lcp, are formed only if d(P, U) <= bound and
-    looked up among the candidates.  Each assignment of the other
-    variables then stands for the block of consecutive product assignments
-    that differ in y alone.  So ``explored``, the ``max_assignments`` cut
-    (which may fall inside a block or a dropped node) and the order of the
-    violations are those of the full walk.  Any other W enumerates y_n as
-    well, in blocks of one.
+    inverted and then U past lcp, are formed only if d(P, U) <= bound, and
+    its index among the candidates is ``rank(y)``.  Each assignment of the
+    other variables then stands for the block of consecutive product
+    assignments that differ in y alone.  So ``explored``, the
+    ``max_assignments`` cut (which may fall inside a block or a dropped
+    node) and the order of the violations are those of the full walk.  Any
+    other W enumerates y_n as well, in blocks of one.
     """
     special_ok = is_special_tuple(targets)
     u = base_value(w, targets)
@@ -341,7 +341,6 @@ def verify_testword(
     extensions = [steps[stop[d]:stop[d + 1]] for d in range(free)]
     # the letters of U that a partial product can match, and a 0
     target = (*islice(u.letters(), reach[0]), 0)
-    index = {letters: i for i, letters in enumerate(candidates)} if solved else {}
     # splits[i]: the pieces t, c0, t^-1 of candidate i = t c0 t^-1 around
     # its cyclic core c0, filled on its first power other than 1
     splits: list[Optional[tuple]] = [None] * len(candidates)
@@ -375,9 +374,12 @@ def verify_testword(
             # y = P^-1 U; one of more than ``bound`` letters is no candidate
             if distance > bound:
                 return
-            found = index.get(_inverse(value[lcp:]) + target[lcp:size_u])
+            # y spells P past lcp inverted, then U past lcp; letter lcp of P
+            # differs from letter lcp of U, so y is reduced as spelled, and
+            # of at most ``bound`` letters it is always a candidate
+            found = rank(Word.from_letters(alph, _inverse(value[lcp:]) + target[lcp:size_u]))
             # a block cut by the budget holds only its first `covered` images
-            if found is None or found >= covered:
+            if found >= covered:
                 return
             picks[free] = found
         elif distance:

@@ -494,6 +494,80 @@ def enumerate_reduced(alph: Alphabet, max_len: int, first: Optional[tuple[int, i
         frontier = extended
 
 
+def unrank(alph: Alphabet, i: int) -> Word:
+    """The i-th word, from 0, in ``enumerate_reduced``'s order, built in
+    O(|w|) integer steps (O(1) at rank 1) without building any other."""
+    if i < 0:
+        raise WordError(f"word index must be >= 0, got {i}")
+    if not i:
+        return alph.identity()
+    if alph.rank == 1:
+        # the words of length n are a^n, then a^-n
+        n = (i + 1) // 2
+        return Word._reduced(alph, ((0, n if i % 2 else -n),), n)
+    # skip the shorter words: 1 of length 0, 2k (2k - 1)^(n-1) of length n
+    branch = 2 * alph.rank - 1
+    i, length, size = i - 1, 1, 2 * alph.rank
+    while i >= size:
+        i, length, size = i - size, length + 1, size * branch
+    # i spells a first letter of 2k, then each later letter one of the
+    # 2k - 1 that do not cancel the one before, in letter order; letter c
+    # is generator c // 2, inverted when c is odd.  A run of equal letters
+    # is one syllable, and no two letters cancel, so the word is reduced.
+    digits = []
+    for _ in range(length - 1):
+        i, digit = divmod(i, branch)
+        digits.append(digit)
+    letter, run, syllables = i, 1, []
+    for digit in reversed(digits):
+        if digit >= letter ^ 1:
+            digit += 1
+        if digit == letter:
+            run += 1
+        else:
+            syllables.append((letter >> 1, -run if letter & 1 else run))
+            letter, run = digit, 1
+    syllables.append((letter >> 1, -run if letter & 1 else run))
+    return Word._reduced(alph, tuple(syllables), length)
+
+
+def rank(w: Word) -> int:
+    """The index of ``w`` in ``enumerate_reduced``'s order, the inverse of
+    ``unrank``, in O(syllables) integer steps.
+
+    At rank k >= 2, with B = 2k - 1 and letter c = 2 gen + (1 if inverted),
+    a word of letters c_1 ... c_n follows the ``count_reduced(k, n - 1)``
+    shorter words, and among those of length n its place is the number
+    c_1 B^(n-1) + d_2 B^(n-2) + ... + d_n, where d_j is c_j less one if c_j
+    passes c_(j-1) ^ 1, the one letter that cannot follow c_(j-1).
+    Proof of the syllable steps.  Inside a syllable c_j = c_(j-1), which
+    passes c_j ^ 1 iff c_j is odd, so d_j = 2 gen: the r - 1 letters after
+    a syllable's first repeat one digit and add 2 gen (B^(r-1) - 1) / (B - 1)
+    once the value before them is scaled by B^(r-1).  At a syllable's first
+    letter the generator changes, so c_j passes c_(j-1) ^ 1 iff its
+    generator passes that of c_(j-1).  At rank 1, B = 1 and there is no digit: the words of
+    length n are a^n, then a^-n, at 2n - 1 and 2n.  QED
+
+    The index has about |w| log2(2k - 1) bits, so ``rank`` is meant for
+    words within a search bound: a^1000000000000 at rank 1 is cheap, but at
+    rank 2 its index would not fit in memory.
+    """
+    syllables = w.syllables
+    if not syllables:
+        return 0
+    if w.alphabet.rank == 1:
+        return 2 * w.length - (syllables[0][1] > 0)
+    branch = 2 * w.alphabet.rank - 1
+    # no generator passes the rank, so the first letter's digit is its own
+    value, last = 0, w.alphabet.rank
+    for gen, exp in syllables:
+        digit = 2 * gen + (exp < 0) - (gen > last)
+        repeat = branch ** (abs(exp) - 1)
+        value = (value * branch + digit) * repeat + 2 * gen * (repeat - 1) // (branch - 1)
+        last = gen
+    return count_reduced(w.alphabet.rank, w.length - 1) + value
+
+
 def reduced_count_exceeds(rank: int, max_len: int, cap: int) -> bool:
     """Whether more than ``cap`` reduced words of rank ``rank`` have length
     <= ``max_len``, for a cap >= 0 and whatever the length.

@@ -748,7 +748,7 @@ def test_samples_past_the_budget_are_an_error(capsys, command, samples, rank, ra
     assert main([command, "--samples", str(samples), "--rank", str(rank), "--radius", str(radius)]) == 1
     assert time.perf_counter() - start < 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: --samples {samples} x (--radius {radius} + 1) exceeds the budget of 1000000 vertices")
+    assert err.startswith(f"error: --samples {samples} x (--radius {radius} + 4) exceeds the budget of 1100000 steps")
     assert "Traceback" not in err
 
 
@@ -763,16 +763,19 @@ def test_qm_defect_draws_past_the_budget_are_an_error(capsys, pairs, max_len):
 
 
 def test_sampling_budgets_admit_exactly_their_size(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "SAMPLE_BUDGET", 21)
+    monkeypatch.setattr(cli, "SAMPLE_BUDGET", 42)
     monkeypatch.setattr(cli, "PAIR_BUDGET", 12)
     for command in ("cayley-delta", "midpoint-check"):
+        # a sample of radius r is charged r + SAMPLE_STEPS = r + 4
         assert main([command, "--radius", "2", "--samples", "7"]) == 0
         assert main([command, "--radius", "2", "--samples", "8"]) == 1
+        assert main([command, "--radius", "0", "--samples", "10"]) == 0
+        assert main([command, "--radius", "0", "--samples", "11"]) == 1
     assert main(["qm-defect", "--pattern", "ab", "--pairs", "3", "--max-len", "3"]) == 0
     assert main(["qm-defect", "--pattern", "ab", "--pairs", "2", "--max-len", "5"]) == 0
     assert main(["qm-defect", "--pattern", "ab", "--pairs", "13", "--max-len", "0"]) == 1
     assert main(["qm-defect", "--pattern", "ab", "--pairs", "1", "--max-len", "12"]) == 1
-    assert capsys.readouterr().err.count("exceeds the budget") == 4
+    assert capsys.readouterr().err.count("exceeds the budget") == 6
 
 
 def _reference_pairs(alph, count, max_len, seed):

@@ -655,3 +655,58 @@ def test_letter_order_is_the_enumeration_order_and_lazy():
     huge = Alphabet(10**18)
     assert list(itertools.islice(letter_order(huge.rank), 3)) == [(0, 1), (0, -1), (1, 1)]
     assert list(enumerate_reduced(huge, 1, (1, -1))) == [Word(huge, ((1, -1),))]
+
+
+# -- shortlex codec ---------------------------------------------------------------
+
+
+def letter_rank(w):
+    """The index of ``w`` in the enumeration, one digit per letter."""
+    k = w.alphabet.rank
+    codes = [2 * (abs(l) - 1) + (l < 0) for l in w.letters()]
+    if not codes:
+        return 0
+    value = codes[0]
+    for before, code in zip(codes, codes[1:]):
+        value = value * (2 * k - 1) + code - (code > (before ^ 1))
+    return count_reduced(k, len(codes) - 1) + value
+
+
+@pytest.mark.parametrize("rank, max_len", [(1, 50), (2, 8), (3, 5)])
+def test_unrank_is_the_enumeration_and_rank_inverts_it(rank, max_len):
+    alph = Alphabet(rank)
+    listed = list(enumerate_reduced(alph, max_len))
+    unranked = [words.unrank(alph, i) for i in range(len(listed))]
+    assert unranked == listed
+    # each word passes the checking constructor with the same length
+    assert all(len(Word(alph, w.syllables)) == len(w) for w in unranked)
+    assert [words.rank(w) for w in unranked] == list(range(len(listed)))
+
+
+def test_rank_reads_a_syllable_at_a_time_as_the_letters_do():
+    rng = random.Random(5)
+    for rank in (2, 3, 4):
+        alph = Alphabet(rank)
+        for _ in range(300):
+            syllables = [(rng.randrange(rank), rng.choice((1, -1)) * rng.randint(1, 12)) for _ in range(rng.randint(0, 6))]
+            w = Word.from_syllables(alph, syllables)
+            assert words.rank(w) == letter_rank(w)
+            assert words.unrank(alph, words.rank(w)) == w
+
+
+def test_rank_of_one_syllable_words_in_closed_form():
+    f1, n = Alphabet(1), 10**12
+    # rank 1 has no digit to repeat: a^n and a^-n are 2n - 1 and 2n
+    assert words.rank(Word(f1, [(0, n)])) == 2 * n - 1
+    assert words.rank(Word(f1, [(0, -n)])) == 2 * n
+    assert words.unrank(f1, 2 * n) == Word(f1, [(0, -n)])
+    # at rank 2, a^50 is the first word of 50 letters and A^50 the first
+    # after the 3^49 that begin with a
+    assert words.rank(parse_word("a^50", F2)) == count_reduced(2, 49)
+    assert words.rank(parse_word("A^50", F2)) == count_reduced(2, 49) + 3**49
+    assert words.unrank(F2, count_reduced(2, 49) + 3**49) == parse_word("A^50", F2)
+
+
+def test_unrank_refuses_a_negative_index():
+    with pytest.raises(WordError, match="word index must be >= 0, got -1"):
+        words.unrank(F2, -1)
