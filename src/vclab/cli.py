@@ -616,7 +616,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
             return None
         p = sub.add_parser(name, help=text)
         flags(p)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, usage_error=p.error)
         return p
 
     add("solve-eq", equation, "bounded solving of x^n y^m = a^n b^m", _cmd_solve_eq)
@@ -646,7 +646,6 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
 
     if p := add("qm-homogenize", qm, "truncated homogenization table", _cmd_qm_homogenize):
         p.add_argument("--truncations", type=_int_list, default="1,2,4,8,16,32,64")
-        p.set_defaults(usage_error=p.error)
 
     if p := add("qm-invariance", qm, "conjugacy invariance residual", _cmd_qm_invariance):
         p.add_argument("--conjugator", required=True)
@@ -715,7 +714,11 @@ def _exact_integers() -> Iterator[None]:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # --help, a missing or an unknown subcommand need the full parser
-    args = _parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    parser = _parser(command)
+    args, extra = parser.parse_known_args(argv)
+    if extra:  # with the subcommand first, all followed it: its parser refuses them, with its usage
+        (parser.error if command is None else args.usage_error)(f"unrecognized arguments: {' '.join(extra)}")
     try:
         # every check runs here, before the report's first byte is written,
         # and the report file is opened only once they have all passed

@@ -73,39 +73,6 @@ def identity_matrix(n: int) -> Matrix:
     return rows
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if a and b and len(a[0]) != len(b):
-        raise WordError("matrix shape mismatch")
-    inner = len(b)
-    cols = len(b[0]) if b else 0
-    return [[sum(row[k] * b[k][j] for k in range(inner)) for j in range(cols)] for row in a]
-
-
-def determinant(m: Matrix) -> int:
-    """Exact integer determinant by fraction-free (Bareiss) elimination."""
-    n = len(m)
-    if n == 0:
-        return 1
-    a = [row[:] for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 class SNFResult(NamedTuple):
     """U M V = D with U, V unimodular and D diagonal, d1 | d2 | ..."""
 

@@ -162,9 +162,6 @@ class Word:
         """Letter length |w| over the standard basis."""
         return self.length
 
-    def __bool__(self) -> bool:
-        return bool(self.syllables)
-
     def is_identity(self) -> bool:
         return not self.syllables
 

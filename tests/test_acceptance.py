@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+import audit
 from vclab.words import Alphabet, Word, enumerate_reduced, parse_word
 from vclab import equations, finitegroups, hypgeom, oracles, presentations, quasimorphisms, testwords
 
@@ -216,9 +217,9 @@ def test_acceptance_09_smith_normal_form():
         rows, cols = rng.randint(1, 6), rng.randint(1, 6)
         matrix = [[rng.randint(-10, 10) for _ in range(cols)] for _ in range(rows)]
         snf = presentations.smith_normal_form(matrix)
-        assert presentations.mat_mul(presentations.mat_mul(snf.u, matrix), snf.v) == snf.d
-        assert abs(presentations.determinant(snf.u)) == 1
-        assert abs(presentations.determinant(snf.v)) == 1
+        assert audit.mat_mul(audit.mat_mul(snf.u, matrix), snf.v) == snf.d
+        assert abs(audit.determinant(snf.u)) == 1
+        assert abs(audit.determinant(snf.v)) == 1
         diagonal = snf.diagonal()
         for i in range(len(diagonal) - 1):
             assert diagonal[i + 1] == 0 or (diagonal[i] != 0 and diagonal[i + 1] % diagonal[i] == 0)

@@ -15,6 +15,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from test_golden import CASES, GOLDEN
+import audit
 from vclab import cli, equations, presentations, quasimorphisms, testwords
 from vclab.cli import _json_chunks, _random_pairs, build_parser, main
 from vclab.words import Alphabet, Word, parse_word
@@ -88,7 +89,7 @@ def test_snf_writes_integers_past_the_digit_limit_exactly(capsys):
     # Decimal parses a string of any length, and int() of a Decimal is exact
     report = json.loads(out, parse_int=lambda text: int(Decimal(text)))
     assert max(abs(x) for row in report["u"] for x in row) >= 10**4300
-    assert presentations.mat_mul(presentations.mat_mul(report["u"], m), report["v"]) == report["d"]
+    assert audit.mat_mul(audit.mat_mul(report["u"], m), report["v"]) == report["d"]
 
 
 def test_dihedral_suite_subcommand(capsys):
@@ -271,11 +272,24 @@ def usage_exit(capsys, *argv):
 @pytest.mark.parametrize("argv", [
     ("snf", "--matrix", "1", "--seed", "5"),  # a flag snf does not read
     ("solve-eq", "--a", "a"),  # required flags missing
+    ("--bogus", "snf", "--matrix", "1"),  # a flag before the subcommand
 ])
 def test_usage_errors_exit_1(capsys, argv):
     code, err = usage_exit(capsys, *argv)
     assert code == 1
     assert err.startswith("usage: vclab")
+    # the parser that refuses a flag is the one it was given to
+    if argv[0] == "--bogus":
+        assert err.endswith("\nvclab: error: unrecognized arguments: --bogus\n")
+
+
+@pytest.mark.parametrize("argv", [argv for _, _, argv in CASES], ids=[name for name, _, _ in CASES])
+def test_an_unknown_flag_prints_the_subcommands_own_usage(capsys, argv):
+    name = argv[0]
+    code, err = usage_exit(capsys, *argv, "--bogus", "1")
+    assert code == 1
+    usage = subcommands(build_parser())[name].format_usage()
+    assert err == f"{usage}vclab {name}: error: unrecognized arguments: --bogus 1\n"
 
 
 def test_help_exits_0(capsys):
@@ -586,7 +600,7 @@ def parse_outcome(capsys, parser: argparse.ArgumentParser, argv: list[str]):
         args = vars(parser.parse_args(argv))
     except SystemExit as stop:
         return stop.code, capsys.readouterr().err
-    # qm-homogenize keeps its parser's error method: compare what it prints
+    # each subcommand keeps its parser's error method: compare what it prints
     if "usage_error" in args:
         args["usage_error"] = args["usage_error"].__self__.format_usage()
     return args

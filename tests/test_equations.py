@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import audit
 from vclab import cli, equations
 from vclab.words import Alphabet, BudgetExceeded, Word, WordError, count_reduced, enumerate_reduced, parse_word
 from vclab.equations import (
@@ -35,49 +36,6 @@ def w(text):
 
 def inst23():
     return EquationInstance(w("a"), w("b"), 2, 3)
-
-
-# -- independent letter-level oracle (tuples of signed ints, no syllables) ----
-
-def _letters_mul(u, v):
-    out = list(u)
-    for x in v:
-        if out and out[-1] == -x:
-            out.pop()
-        else:
-            out.append(x)
-    return tuple(out)
-
-
-def _letters_pow(u, k):
-    if k < 0:
-        u = tuple(-x for x in reversed(u))
-        k = -k
-    acc = ()
-    for _ in range(k):
-        acc = _letters_mul(acc, u)
-    return acc
-
-
-def _all_letter_words(rank, max_len):
-    alphabet = [g for i in range(rank) for g in (i + 1, -(i + 1))]
-    out = [()]
-    frontier = [()]
-    for _ in range(max_len):
-        nxt = []
-        for pref in frontier:
-            for letter in alphabet:
-                if pref and pref[-1] == -letter:
-                    continue
-                word = pref + (letter,)
-                nxt.append(word)
-                out.append(word)
-        frontier = nxt
-    return out
-
-
-def _to_word(letters):
-    return Word.from_syllables(F2, [(abs(l) - 1, 1 if l > 0 else -1) for l in letters])
 
 
 # -- construction and evaluation -----------------------------------------------
@@ -146,10 +104,10 @@ def test_brute_force_complete_against_letter_oracle(n, m, bound):
     inst = EquationInstance(w("a"), w("b"), n, m)
     target = tuple(inst.g.letters())
     expected = set()
-    for x in _all_letter_words(2, bound):
-        for y in _all_letter_words(2, bound):
-            if _letters_mul(_letters_pow(x, n), _letters_pow(y, m)) == target:
-                expected.add((_to_word(x), _to_word(y)))
+    for x in audit.words(2, bound):
+        for y in audit.words(2, bound):
+            if audit.mul(audit.power(x, n), audit.power(y, m)) == target:
+                expected.add((Word.from_letters(F2, x), Word.from_letters(F2, y)))
     got = {(p.x, p.y) for p in brute_force_solutions(inst, bound)}
     assert got == expected
 

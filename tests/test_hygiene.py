@@ -88,10 +88,8 @@ def test_no_assert_statements(path):
     assert assert_statements(path.read_text()) == []
 
 
-def dataclasses_imports(source: str) -> list[int]:
-    """Lines that import ``dataclasses``, in any form.  A record is a
-    ``NamedTuple``, or a plain class whose ``__init__`` checks its fields;
-    ``dataclasses`` would bring ``inspect`` into every start-up."""
+def imports_of(source: str, package: str) -> list[int]:
+    """Lines that import ``package`` or one of its modules, in any form."""
     lines = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -100,7 +98,7 @@ def dataclasses_imports(source: str) -> list[int]:
             names = [node.module]
         else:
             continue
-        if any(name.split(".")[0] == "dataclasses" for name in names):
+        if any(name.split(".")[0] == package for name in names):
             lines.append(node.lineno)
     return lines
 
@@ -111,12 +109,25 @@ def test_dataclasses_scan_finds_every_import_form():
         "from .dataclasses import x\nimport os.path\ntext = 'import dataclasses'\n"
         "def f():\n    from dataclasses import replace\n"
     )
-    assert dataclasses_imports(source) == [1, 2, 3, 8]
+    assert imports_of(source, "dataclasses") == [1, 2, 3, 8]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_module_imports_dataclasses(path):
-    assert dataclasses_imports(path.read_text()) == []
+    # a record is a NamedTuple, or a plain class whose __init__ checks its
+    # fields: dataclasses would bring inspect into every start-up
+    assert imports_of(path.read_text(), "dataclasses") == []
+
+
+def test_import_scan_finds_the_package_and_its_modules():
+    source = "from vclab import words\nimport vclab.cli as cli\nimport vclabx\nfrom vclab.words import Word\n"
+    assert imports_of(source, "vclab") == [1, 2, 4]
+
+
+def test_the_audit_kernel_imports_nothing_from_the_package():
+    # the tests' reference stays independent of the code it checks
+    audit = Path(__file__).resolve().parent / "audit.py"
+    assert imports_of(audit.read_text(), "vclab") == []
 
 
 def test_cli_start_up_imports_neither_dataclasses_nor_inspect():

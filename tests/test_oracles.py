@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vclab import oracles
+import audit
 from vclab.words import Alphabet, Word, WordError, enumerate_reduced, parse_word
 from vclab.oracles import (
     is_commensurable,
@@ -264,15 +264,10 @@ def test_special_tuple_rejects_identity():
         is_special_tuple([w("a"), w("")])
 
 
-def scan_root(word):
-    """Root by trying every divisor of the cyclic core's length in turn."""
-    core, conj = word.cyclic_reduce()
-    letters = list(core.letters())
-    n = len(letters)
-    for period in range(1, n + 1):
-        if n % period == 0 and all(letters[i] == letters[i % period] for i in range(n)):
-            piece = Word.from_letters(word.alphabet, letters[:period])
-            return conj * piece * conj.inverse(), n // period
+def audit_root(word):
+    """The kernel's root, read back as a word."""
+    r, e = audit.root(tuple(word.letters()))
+    return Word.from_letters(word.alphabet, r), e
 
 
 @pytest.mark.parametrize("rank, max_len", [(2, 8), (3, 5)])
@@ -281,20 +276,8 @@ def test_root_matches_divisor_scan(rank, max_len):
         if word.is_identity():
             continue
         got = root(word)
-        assert got == scan_root(word)
+        assert got == audit_root(word)
         assert Word(word.alphabet, got.root.syllables) == got.root
-
-
-def letter_root(word):
-    """The letter-level root: KMP over every letter of the cyclic core."""
-    core, conj = word.cyclic_reduce()
-    letters = list(core.letters())
-    n = len(letters)
-    period = n - oracles._prefix_function(letters)[-1]
-    if n % period or period == n:
-        return word, 1
-    piece = Word.from_letters(word.alphabet, letters[:period])
-    return conj * piece * conj.inverse(), n // period
 
 
 @given(st.integers(1, 3), syllable_lists, syllable_lists, st.integers(1, 5))
@@ -307,7 +290,7 @@ def test_root_on_syllables_matches_the_letter_oracle(rank, conjugator, base, k):
     if word.is_identity():
         return
     got = root(word)
-    assert got == letter_root(word)
+    assert got == audit_root(word)
     assert all(type(syl) is tuple for syl in got.root.syllables)
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from audit import determinant, mat_mul
 from vclab import presentations
 from vclab.words import Alphabet, BudgetExceeded, WordError, parse_word
 from vclab.presentations import (
@@ -15,9 +16,7 @@ from vclab.presentations import (
     RetractionConditionError,
     abelianization,
     cyclic_retract_test,
-    determinant,
     identity_matrix,
-    mat_mul,
     parse_presentation,
     relator_matrix,
     retraction_from_solution,

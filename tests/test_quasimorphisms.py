@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import audit
 from vclab import quasimorphisms
 from vclab.cli import main
 from vclab.words import Alphabet, BudgetExceeded, Word, WordError, parse_word
@@ -102,16 +103,6 @@ def test_counting_antisymmetry():
 
 # -- counting on syllables ------------------------------------------------------
 
-def letter_count(pattern, w):
-    """The oracle: windows of the pattern's length over the letters of w,
-    signed occurrences of the pattern minus those of its inverse."""
-    probe = tuple(pattern.letters())
-    inverse = tuple(-l for l in reversed(probe))
-    text = tuple(w.letters())
-    k = len(probe)
-    return sum((text[i:i + k] == probe) - (text[i:i + k] == inverse) for i in range(len(text) - k + 1))
-
-
 def syllable_words(alph, max_syllables, max_exp):
     """Words from syllable streams with long exponents; equal generators in a
     row merge, and opposite ones cancel."""
@@ -136,7 +127,7 @@ def syllable_patterns(alph):
 @example((parse_word("aCb^2", F3), parse_word("c^2aCb^3aC^2b^2", F3)))  # a longer middle does not match
 def test_syllable_count_equals_the_letter_count(case):
     pattern, w = case
-    assert counting_qm(pattern)(w) == letter_count(pattern, w)
+    assert counting_qm(pattern)(w) == audit.count(letters(pattern), letters(w))
 
 
 def test_long_periodic_pattern_counts_in_linear_time():
@@ -384,7 +375,7 @@ def test_power_value_equals_the_letter_count_of_the_power(case):
     size = len(pattern) if unit == "letters" else len(pattern.syllables)
     m0 = -(-size // period) + 2
     for m in range(1, m0 + 7):
-        assert quasimorphisms._power_value(q, g, m) == letter_count(pattern, g ** m)
+        assert quasimorphisms._power_value(q, g, m) == audit.count(letters(pattern), letters(g ** m))
 
 
 def test_power_threshold_counts_cyclic_syllables():
@@ -393,7 +384,7 @@ def test_power_threshold_counts_cyclic_syllables():
     # ceil(27 / 3) + 2 = 11 would read q(g^11) = q(g^12) = 0 and extrapolate 0
     pattern, g = p("ab" + "a^2b" * 12 + "a"), p("aba")
     q = counting_qm(pattern)
-    assert [letter_count(pattern, g ** m) for m in (11, 12, 13, 20)] == [0, 0, 1, 8]
+    assert [audit.count(letters(pattern), letters(g ** m)) for m in (11, 12, 13, 20)] == [0, 0, 1, 8]
     assert [quasimorphisms._power_value(q, g, m) for m in (11, 12, 13, 20, 10**12)] == [0, 0, 1, 8, 10**12 - 12]
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import audit
 from vclab import words
 from vclab.oracles import root
 from vclab.words import (
@@ -200,30 +201,16 @@ def test_power_agrees_with_repeated_multiplication():
 
 # -- the kernel against a letter-level oracle ------------------------------------
 #
-# The oracle works on signed letters +-(gen+1) with a cancellation stack and
-# shares no code with the syllable kernel.
+# The oracle is ``audit``: signed letters +-(gen+1) with a cancellation stack,
+# sharing no code with the syllable kernel.
 
 syllable_words = st.lists(st.tuples(st.integers(0, 2), st.integers(-3, 3)), max_size=12).map(
     lambda items: Word.from_syllables(F3, items)
 )
 
 
-def stack_reduce(letters):
-    out = []
-    for x in letters:
-        if out and out[-1] == -x:
-            out.pop()
-        else:
-            out.append(x)
-    return out
-
-
 def letters_of(word):
-    return list(word.letters())
-
-
-def inverse_letters(letters):
-    return [-x for x in reversed(letters)]
+    return tuple(word.letters())
 
 
 def plain(word):
@@ -241,32 +228,28 @@ def checked(word):
 
 @given(syllable_words, syllable_words)
 def test_product_matches_letter_reduction(u, v):
-    assert checked(u * v) == stack_reduce(letters_of(u) + letters_of(v))
+    assert checked(u * v) == audit.mul(letters_of(u), letters_of(v))
     # a factor that cancels deep into the other one
     assert checked(u * (u.inverse() * v)) == letters_of(v)
 
 
 @given(syllable_words, st.integers(-5, 5))
 def test_power_matches_letter_reduction(u, k):
-    piece = letters_of(u) if k >= 0 else inverse_letters(letters_of(u))
-    assert checked(u ** k) == stack_reduce(piece * abs(k))
+    assert checked(u ** k) == audit.power(letters_of(u), k)
 
 
 @given(syllable_words)
 def test_inverse_matches_letter_reduction(u):
-    assert checked(u.inverse()) == inverse_letters(letters_of(u))
+    assert checked(u.inverse()) == audit.inverse(letters_of(u))
 
 
 @given(syllable_words, syllable_words)
 def test_cyclic_reduce_matches_letter_trimming(u, g):
     word = g * u * g.inverse()
-    letters = letters_of(word)
-    k = 0
-    while 2 * k + 1 < len(letters) and letters[k] == -letters[-1 - k]:
-        k += 1
+    t, c = audit.cyclic_core(letters_of(word))
     core, conj = word.cyclic_reduce()
-    assert checked(core) == letters[k:len(letters) - k]
-    assert checked(conj) == letters[:k]
+    assert checked(core) == c
+    assert checked(conj) == t
 
 
 # -- the stored letter length ---------------------------------------------------
@@ -623,28 +606,11 @@ def test_enumeration_shortest_first():
     assert lengths == sorted(lengths)
 
 
-def letter_list_enumeration(alph, max_len):
-    """The enumeration as letter lists, each word rebuilt with full validation."""
-    yield alph.identity()
-    letters = [(g, s) for g in range(alph.rank) for s in (1, -1)]
-    frontier = [[]]
-    for _ in range(max_len):
-        extended = []
-        for prefix in frontier:
-            for gen, sign in letters:
-                if prefix and prefix[-1] == (gen, -sign):
-                    continue
-                ext = prefix + [(gen, sign)]
-                extended.append(ext)
-                yield Word.from_syllables(alph, ext)
-        frontier = extended
-
-
 @pytest.mark.parametrize("rank, max_len", [(1, 7), (2, 6), (3, 4)])
 def test_enumeration_matches_letter_list_construction(rank, max_len):
     alph = Alphabet(rank)
     words = list(enumerate_reduced(alph, max_len))
-    assert words == list(letter_list_enumeration(alph, max_len))
+    assert [letters_of(word) for word in words] == audit.words(rank, max_len)
     assert all(Word(alph, word.syllables) == word for word in words)
 
 
@@ -658,18 +624,6 @@ def test_letter_order_is_the_enumeration_order_and_lazy():
 
 
 # -- shortlex codec ---------------------------------------------------------------
-
-
-def letter_rank(w):
-    """The index of ``w`` in the enumeration, one digit per letter."""
-    k = w.alphabet.rank
-    codes = [2 * (abs(l) - 1) + (l < 0) for l in w.letters()]
-    if not codes:
-        return 0
-    value = codes[0]
-    for before, code in zip(codes, codes[1:]):
-        value = value * (2 * k - 1) + code - (code > (before ^ 1))
-    return count_reduced(k, len(codes) - 1) + value
 
 
 @pytest.mark.parametrize("rank, max_len", [(1, 50), (2, 8), (3, 5)])
@@ -690,7 +644,7 @@ def test_rank_reads_a_syllable_at_a_time_as_the_letters_do():
         for _ in range(300):
             syllables = [(rng.randrange(rank), rng.choice((1, -1)) * rng.randint(1, 12)) for _ in range(rng.randint(0, 6))]
             w = Word.from_syllables(alph, syllables)
-            assert words.rank(w) == letter_rank(w)
+            assert words.rank(w) == audit.index(letters_of(w), rank)
             assert words.unrank(alph, words.rank(w)) == w
 
 
