@@ -20,16 +20,16 @@ from __future__ import annotations
 import enum
 import functools
 import os
-from itertools import chain, compress
+from itertools import chain, compress, islice, repeat
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .words import Alphabet, BudgetExceeded, Word, WordError, enumerate_reduced, letter_order, reduced_count_exceeds
 from .oracles import is_conjugate, root
 
 # reduced x a search may enumerate, whatever max_candidates asks: bound 14
-# at rank 2 (9,565,937 words) took 16 s and 108 MiB peak RSS, n = 2, m = 3,
-# as one CLI run on a 2-core host (bound 12, 1,062,881 words, 1.9 s and
-# 28 MiB)
+# at rank 2 (9,565,937 words) took 7.6-7.9 s and 107 MiB peak RSS, n = 2,
+# m = 3, as a CLI run on a shared 2-core host (bound 12, 1,062,881 words,
+# 0.9 s and 26 MiB)
 CANDIDATE_CAP = 10**7
 
 
@@ -109,11 +109,12 @@ def brute_force_solutions(
 
     Enumerates x only: y is forced, since in a free group x^{-n} g is an
     m-th power in at most one way.  Every reduced x comes from
-    ``enumerate_reduced``; x is dropped unless the abelianized equation
-    n*sigma(x) + m*sigma(y) = sigma(g) has an integer solution sigma(y),
-    sigma being the vector of exponent sums: every solution passes this
-    test, which ``_abelian_survivors`` decides for each position of a
-    shard's shortlex order and reads no syllable of x.  A survivor is then
+    ``enumerate_reduced`` as its syllable tuple; x is dropped unless the
+    abelianized equation n*sigma(x) + m*sigma(y) = sigma(g) has an integer
+    solution sigma(y), sigma being the vector of exponent sums: every
+    solution passes this test, which ``_abelian_survivors`` decides for
+    each position of a shard's shortlex order, reading no syllable of x,
+    and only then builds x as a ``Word``.  A survivor is then
     mapped to a class-2 nilpotent group Q of exponent dividing m, where y^m
     vanishes too, so phi(x)^n = phi(g) in Q; for every pair i < j of
     generators that is one more congruence,
@@ -140,7 +141,8 @@ def brute_force_solutions(
         raise BudgetExceeded(f"x-candidates of length <= {bound} exceed cap {cap}")
     n, m = inst.n, inst.m
     # x = 1, the one word of length 0
-    found = _solve_candidates(enumerate_reduced(inst.alphabet, 0), n, m, inst.g, bound)
+    ones = [Word._reduced(inst.alphabet, syllables, 0) for syllables in enumerate_reduced(inst.alphabet, 0)]
+    found = _solve_candidates(ones, n, m, inst.g, bound)
     shards = list(letter_order(rank)) if bound else []
     solve = functools.partial(_solve_shard, inst, bound)
     # never more workers than CPUs or shards, whatever jobs asks for
@@ -165,19 +167,22 @@ def _solve_shard(inst: EquationInstance, bound: int, first: tuple[int, int]) -> 
     return _solve_candidates(survivors, n, m, g, bound)
 
 
-def _abelian_survivors(xs: Iterable[Word], g: Word, n: int, m: int, bound: int, first: tuple[int, int]) -> Iterator[Word]:
-    """The x in ``xs`` with n*sigma(x) = sigma(g) modulo m, in order, where
-    ``xs`` holds, position by position, ``enumerate_reduced(g.alphabet,
-    bound, first)``; no x is read.
+def _abelian_survivors(xs: Iterable[tuple], g: Word, n: int, m: int, bound: int, first: tuple[int, int]) -> Iterator[Word]:
+    """The words x of ``xs`` with n*sigma(x) = sigma(g) modulo m, in order,
+    where ``xs`` holds, position by position, the syllables of
+    ``enumerate_reduced(g.alphabet, bound, first)``; no x is read, and a
+    ``Word`` is built for the survivors alone.
 
     Level 1 of that shard is ``first``, and level L lists, for each word of
     level L-1 in turn, its extensions by every letter but the inverse of its
-    last one, in letter order.  So a walk over the states (sigma(x) mod m,
-    last letter), level by level, marks each position: ``children`` maps a
-    state to its children's states and ``kept`` to their verdicts, both
-    filled on first use, for at most min(m, 2*bound + 1)^rank * 2*rank states.
+    last one, in letter order: (2*rank - 1)^(L-1) words of L letters.  So a
+    walk over the states (sigma(x) mod m, last letter), level by level,
+    marks each position and knows its length: ``children`` maps a state to
+    its children's states and ``kept`` to their verdicts, both filled on
+    first use, for at most min(m, 2*bound + 1)^rank * 2*rank states.
     """
-    rank = g.alphabet.rank
+    alph = g.alphabet
+    rank = alph.rank
     letters = list(letter_order(rank))
     size = len(letters)
     target = g.exponent_sums()
@@ -195,20 +200,21 @@ def _abelian_survivors(xs: Iterable[Word], g: Word, n: int, m: int, bound: int, 
 
     children: dict[int, tuple[int, ...]] = {}
     kept: dict[int, tuple[bool, ...]] = {}
-
-    def marks() -> Iterator[Iterable[bool]]:
-        level = [child(0, letters.index(first))]
-        yield map(passes, level)
-        for length in range(2, bound + 1):
-            for state in set(level).difference(children):
-                code, last = divmod(state, size)
-                kids = children[state] = tuple(child(code, k) for k in range(size) if k != last ^ 1)
-                kept[state] = tuple(map(passes, kids))
-            yield chain.from_iterable(map(kept.__getitem__, level))
-            if length < bound:
-                level = list(chain.from_iterable(map(children.__getitem__, level)))
-
-    return compress(xs, chain.from_iterable(marks()))
+    level = [child(0, letters.index(first))]
+    verdicts: Iterable[bool] = map(passes, level)
+    shard, reduced = iter(xs), Word._reduced
+    for length in range(1, bound + 1):
+        yield from map(reduced, repeat(alph), compress(islice(shard, (size - 1) ** (length - 1)), verdicts), repeat(length))
+        if length == bound:
+            break
+        # the verdicts of level length + 1, and its states if it has children
+        for state in set(level).difference(children):
+            code, last = divmod(state, size)
+            kids = children[state] = tuple(child(code, k) for k in range(size) if k != last ^ 1)
+            kept[state] = tuple(map(passes, kids))
+        verdicts = chain.from_iterable(map(kept.__getitem__, level))
+        if length + 1 < bound:
+            level = list(chain.from_iterable(map(children.__getitem__, level)))
 
 
 def _class2_survivors(xs: Iterable[Word], g: Word, n: int, m: int) -> Iterable[Word]:

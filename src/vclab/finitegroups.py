@@ -326,16 +326,16 @@ def default_corpus(num_vars: int = 2, max_len: int = 4) -> list[Word]:
     alph = Alphabet(num_vars)
     seen = set()
     corpus = []
-    for word in enumerate_reduced(alph, max_len):
-        if word.is_identity():
+    for syllables in enumerate_reduced(alph, max_len):
+        if not syllables:
             continue
         keys = []
         for perm in itertools.permutations(range(num_vars)):
-            keys.append(tuple((perm[g], e) for g, e in word.syllables))
+            keys.append(tuple((perm[g], e) for g, e in syllables))
         canon = min(keys)
         if canon not in seen:
             seen.add(canon)
-            corpus.append(word)
+            corpus.append(Word._reduced(alph, syllables, sum(abs(e) for _, e in syllables)))
     return corpus
 
 

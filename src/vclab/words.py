@@ -442,33 +442,35 @@ def letter_order(rank: int) -> Iterator[tuple[int, int]]:
     return ((gen, sign) for gen in range(rank) for sign in (1, -1))
 
 
-def enumerate_reduced(alph: Alphabet, max_len: int, first: Optional[tuple[int, int]] = None) -> Iterator[Word]:
-    """All reduced words of letter length <= max_len, shortest first.
+def enumerate_reduced(alph: Alphabet, max_len: int, first: Optional[tuple[int, int]] = None) -> Iterator[tuple[tuple[int, int], ...]]:
+    """The syllables of every reduced word of letter length <= max_len,
+    shortest first.
 
-    Within a length class the order is lexicographic on letter sequences,
-    letters ordered by ``letter_order``.  Yields each word exactly once;
-    the count is 1 + sum_{n=1..max_len} 2k(2k-1)^{n-1} for rank k.  Given a
-    letter ``first`` (exponent +-1), only the words that begin with it, in
-    the same order; the identity is not one of them.
+    Each item is the tuple ``Word.syllables`` would hold, and no ``Word``
+    is built: a search builds the words it keeps, so the ones it drops by
+    position cost no object.  Within a length class the order is
+    lexicographic on letter sequences, letters ordered by
+    ``letter_order``.  Yields each word exactly once; the count is
+    1 + sum_{n=1..max_len} 2k(2k-1)^{n-1} for rank k.  Given a letter
+    ``first`` (exponent +-1), only the words that begin with it, in the
+    same order; the identity is not one of them.
     """
     if max_len < 0:
         raise WordError("max_len must be >= 0")
     if first is None:
-        yield alph.identity()
+        yield ()
         starts = letter_order(alph.rank)
     elif first in letter_order(alph.rank):
         starts = [(first[0], first[1])]
     else:
         raise WordError(f"first must be a letter of rank {alph.rank}, got {tuple(first)}")
     frontier = [(letter,) for letter in starts] if max_len else []
-    for prefix in frontier:
-        yield Word._reduced(alph, prefix, 1)
+    yield from frontier
     # one letter extends a reduced word by bumping its last syllable (same
     # generator and sign), is refused (the inverse letter), or opens a new
     # syllable, so every extension is reduced by construction; the steps
     # after a last syllable are (bumps it, one-syllable tail), in letter order
     steps: dict[tuple[int, int], list[tuple[bool, tuple]]] = {}
-    reduced = Word._reduced
     for level in range(2, max_len + 1):
         # the last level is never extended, so its words are not kept
         extended = []
@@ -487,7 +489,7 @@ def enumerate_reduced(alph: Alphabet, max_len: int, first: Optional[tuple[int, i
                 ext = (head if bumps else prefix) + tail
                 if keep:
                     extended.append(ext)
-                yield reduced(alph, ext, level)
+                yield ext
         frontier = extended
 
 

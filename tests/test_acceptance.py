@@ -64,7 +64,7 @@ def test_acceptance_01_conjugacy_oracle_equivalence():
             cache[word] = closure(word, 5)
         return cache[word]
 
-    words = list(enumerate_reduced(F2, 5))
+    words = [Word(F2, syllables) for syllables in enumerate_reduced(F2, 5)]
     assert len(words) == 485
     rng = random.Random(2024)
     disagreements = 0

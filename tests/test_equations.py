@@ -11,7 +11,6 @@ import audit
 from vclab import cli, equations
 from vclab.words import Alphabet, BudgetExceeded, Word, WordError, count_reduced, enumerate_reduced, parse_word
 from vclab.equations import (
-    Classification,
     EquationInstance,
     SolutionPair,
     Tag,
@@ -28,6 +27,11 @@ from vclab.equations import (
 from vclab.oracles import is_conjugate, root
 
 F2 = Alphabet(2)
+
+
+def reduced_words(alph, max_len, first=None):
+    """``enumerate_reduced``'s stream as words, each built by the checking constructor."""
+    return [Word(alph, syllables) for syllables in enumerate_reduced(alph, max_len, first)]
 
 
 def w(text):
@@ -68,7 +72,7 @@ def test_conjugate_family_examples():
 
 def test_conjugate_family_solves_for_special_instances():
     rng = random.Random(5)
-    words = [word for word in enumerate_reduced(F2, 3) if not word.is_identity()]
+    words = [word for word in reduced_words(F2, 3) if not word.is_identity()]
     tried = 0
     while tried < 40:
         a, b = rng.choice(words), rng.choice(words)
@@ -214,7 +218,7 @@ def passes_abelian_test(inst, x):
 def unpruned_solutions(inst, bound):
     """A root for every candidate x, nothing skipped, in shortlex order of x."""
     found = []
-    for x in enumerate_reduced(inst.alphabet, bound):
+    for x in reduced_words(inst.alphabet, bound):
         rem = (x ** inst.n).inverse() * inst.g
         if rem.is_identity():
             y = inst.alphabet.identity()
@@ -248,8 +252,9 @@ def check_abelian_filter_by_shard(inst, max_bound):
     alph = inst.alphabet
     for bound in range(1, max_bound + 1):
         for first in shard_letters(alph):
-            xs = list(enumerate_reduced(alph, bound, first))
-            got = list(_abelian_survivors(xs, inst.g, inst.n, inst.m, bound, first))
+            shard = list(enumerate_reduced(alph, bound, first))
+            got = list(_abelian_survivors(shard, inst.g, inst.n, inst.m, bound, first))
+            xs = [Word(alph, syllables) for syllables in shard]
             assert got == [x for x in xs if passes_abelian_test(inst, x)]
 
 
@@ -268,17 +273,37 @@ def test_abelian_filter_keeps_exactly_the_survivors_of_a_large_modulus(a, b, ran
     check_abelian_filter_by_shard(EquationInstance(parse_word(a, alph), parse_word(b, alph), n, 1000003), 5)
 
 
+@pytest.mark.parametrize("a, b, rank, max_bound", [("a", "a^2", 1, 6), ("a", "b", 2, 6), ("a", "bc", 3, 5)])
+def test_abelian_filter_builds_exactly_the_surviving_words(a, b, rank, max_bound):
+    # the words it builds from the shard's syllables, for every n, m in
+    # 1..6 (m | n included), are the checked words of the survivors, in
+    # order, each with its letter count as its length
+    alph = Alphabet(rank)
+    for bound in range(1, max_bound + 1):
+        for first in shard_letters(alph):
+            shard = list(enumerate_reduced(alph, bound, first))
+            xs = [Word(alph, syllables) for syllables in shard]
+            for n in range(1, 7):
+                for m in range(1, 7):
+                    inst = EquationInstance(parse_word(a, alph), parse_word(b, alph), n, m)
+                    got = list(_abelian_survivors(shard, inst.g, n, m, bound, first))
+                    assert got == [x for x in xs if passes_abelian_test(inst, x)]
+                    assert all(x.length == sum(abs(exp) for _, exp in x.syllables) for x in got)
+
+
 @pytest.mark.parametrize("a, b, rank, bound", [("a", "a^2", 1, 7), ("a", "b", 2, 6), ("aB", "b^2", 2, 6), ("ab", "c", 3, 4)])
 @pytest.mark.parametrize("n, m", [(2, 3), (3, 2), (4, 6), (2, 1000003)])
 def test_abelian_filter_reads_positions_only(a, b, rank, bound, n, m):
     # the walk marks positions of the shard's order: given the indices in
-    # place of the words, it keeps exactly the survivors' indices
+    # place of the syllables, it keeps exactly the survivors' indices, each
+    # in the word it builds, unread, with the survivor's length
     alph = Alphabet(rank)
     inst = EquationInstance(parse_word(a, alph), parse_word(b, alph), n, m)
     for first in shard_letters(alph):
-        xs = list(enumerate_reduced(alph, bound, first))
+        xs = reduced_words(alph, bound, first)
         got = list(_abelian_survivors(range(len(xs)), inst.g, n, m, bound, first))
-        assert got == [i for i, x in enumerate(xs) if passes_abelian_test(inst, x)]
+        assert [x.syllables for x in got] == [i for i, x in enumerate(xs) if passes_abelian_test(inst, x)]
+        assert [x.length for x in got] == [len(x) for x in xs if passes_abelian_test(inst, x)]
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -299,7 +324,7 @@ def test_brute_force_enumerates_each_x_once(monkeypatch, jobs):
     assert brute_force_solutions(inst23(), 4, jobs=jobs) == unpruned_solutions(inst23(), 4)
     # x = 1, then the shards in letter order: a stable sort by length gives
     # the shortlex order, as brute_force_solutions relies on
-    assert sorted(seen, key=len) == list(enumerate_reduced(F2, 4))
+    assert sorted((Word(F2, x) for x in seen), key=len) == reduced_words(F2, 4)
     assert len(seen) == count_reduced(2, 4) == 161
 
 
@@ -388,17 +413,18 @@ def test_class2_stage_keeps_exactly_the_q_survivors(a, b, rank, n, m):
     inst = EquationInstance(parse_word(a, alph), parse_word(b, alph), n, m)
     bound = 5 if rank < 3 else 4
     for first in shard_letters(alph):
-        xs = list(enumerate_reduced(alph, bound, first))
-        got = list(_class2_survivors(_abelian_survivors(xs, inst.g, n, m, bound, first), inst.g, n, m))
+        shard = list(enumerate_reduced(alph, bound, first))
+        xs = [Word(alph, syllables) for syllables in shard]
+        got = list(_class2_survivors(_abelian_survivors(shard, inst.g, n, m, bound, first), inst.g, n, m))
         assert got == [x for x in xs if passes_q_test(inst, x)]
 
 
 def test_class2_stage_is_skipped_where_it_says_nothing():
-    xs = list(enumerate_reduced(F2, 2))
+    xs = reduced_words(F2, 2)
     for m in (1, 2):
         assert _class2_survivors(xs, inst23().g, 2, m) is xs
     rank1 = Alphabet(1)
-    ys = list(enumerate_reduced(rank1, 3))
+    ys = reduced_words(rank1, 3)
     assert _class2_survivors(ys, rank1.generator(0) ** 5, 2, 3) is ys
 
 
@@ -432,7 +458,7 @@ def test_root_calls_are_pinned_with_both_prunes(monkeypatch):
 
     monkeypatch.setattr(vclab.equations, "root", counting_root)
     inst = inst23()
-    xs = list(enumerate_reduced(F2, 5))
+    xs = reduced_words(F2, 5)
     assert len(xs) == 485
     assert sum(passes_abelian_test(inst, x) for x in xs) == 56
     assert sum(passes_q_test(inst, x) for x in xs) == 16
@@ -468,7 +494,7 @@ def test_brute_force_takes_roots_of_survivors_only(monkeypatch):
 
     monkeypatch.setattr(vclab.equations, "root", counting_root)
     inst = inst23()
-    xs = list(enumerate_reduced(F2, 5))
+    xs = reduced_words(F2, 5)
     survivors = [x for x in xs if passes_abelian_test(inst, x)]
     assert brute_force_solutions(inst, 5) == unpruned_solutions(inst, 5)
     assert 0 < len(calls) <= len(survivors) < len(xs) // 4

@@ -19,6 +19,8 @@ from vclab import cli
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "vclab"
 MODULES = sorted(PACKAGE.glob("*.py"))
+# the test modules, the audit kernel among them
+TEST_MODULES = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -65,9 +67,10 @@ def test_scan_counts_all_and_attribute_roots():
 
 def test_package_modules_found():
     assert len(MODULES) >= 9
+    assert {"audit.py", "test_hygiene.py", "test_words.py"} <= {p.name for p in TEST_MODULES}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES, ids=lambda p: p.name if p.parent == PACKAGE else f"tests/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

@@ -24,6 +24,11 @@ F2 = Alphabet(2)
 F3 = Alphabet(3)
 
 
+def reduced_words(alph, max_len, first=None):
+    """``enumerate_reduced``'s stream as words, each built by the checking constructor."""
+    return [Word(alph, syllables) for syllables in enumerate_reduced(alph, max_len, first)]
+
+
 def p(text, alph=F2):
     return parse_word(text, alph)
 
@@ -108,7 +113,7 @@ def _bfs_ball(gens, radius):
                     distances[img] = step
                     nxt.append(img)
         frontier = nxt
-    order = {w: i for i, w in enumerate(enumerate_reduced(alph, radius))}
+    order = {w: i for i, w in enumerate(reduced_words(alph, radius))}
     pts = sorted((w for w, d in distances.items() if d <= radius), key=lambda w: (distances[w], order[w]))
     return MatrixSpace(pts, tuple(tuple(distances[u.inverse() * v] for v in pts) for u in pts))
 
@@ -197,7 +202,7 @@ def test_standard_ball_matches_breadth_first_ball(rank, radius):
     # the unranked order is the breadth-first order (distance, shortlex)
     pts = points(fast)
     assert pts == list(slow.points)
-    assert pts == list(enumerate_reduced(alph, radius))
+    assert pts == reduced_words(alph, radius)
     assert tuple(tuple(fast.dist(u, v) for v in pts) for u in pts) == slow.matrix
     # each geodesic of the ball is a shortest path of the breadth-first
     # metric, which in a tree is the only one
@@ -243,7 +248,7 @@ def test_on_demand_membership_matches_an_index_of_the_points(rank, radius):
     pts = points(ball)
     one = alph.identity()
     outside = p("a" * (radius + 1), alph)
-    for x in enumerate_reduced(alph, radius + 1):
+    for x in reduced_words(alph, radius + 1):
         for u, v in ((x, one), (one, x), (x, x), (x, outside), (outside, x)):
             assert _outcome(ball.dist, u, v) == _outcome(lambda *uv: _index_dist(pts, *uv), u, v)
 
@@ -448,7 +453,7 @@ def test_delta_report_on_the_one_point_ball(capsys, rank):
 @pytest.mark.parametrize("alph, radius", [(F2, 2), (F3, 2), (Alphabet(1), 4)])
 def test_geodesic_matches_letter_by_letter_construction(alph, radius):
     sp = cayley_ball(alph, radius)
-    points = list(enumerate_reduced(alph, radius))
+    points = reduced_words(alph, radius)
     for u in points:
         for v in points:
             path = [u]
@@ -825,7 +830,7 @@ def test_divergence_csv_shape(capsys, monkeypatch):
 
 @pytest.mark.parametrize("alph, max_len", [(F2, 4), (F3, 3)])
 def test_free_word_metric_equals_length_of_quotient(alph, max_len):
-    words = list(enumerate_reduced(alph, max_len))
+    words = reduced_words(alph, max_len)
     for u in words:
         for v in words:
             assert free_word_metric(u, v) == len(u.inverse() * v)

@@ -17,6 +17,11 @@ from vclab.oracles import (
 F2 = Alphabet(2)
 
 
+def reduced_words(alph, max_len, first=None):
+    """``enumerate_reduced``'s stream as words, each built by the checking constructor."""
+    return [Word(alph, syllables) for syllables in enumerate_reduced(alph, max_len, first)]
+
+
 def w(text, alph=F2):
     return parse_word(text, alph)
 
@@ -76,8 +81,8 @@ def test_conjugacy_witness_soundness():
 
 
 def test_conjugacy_agrees_with_naive_search():
-    words = list(enumerate_reduced(F2, 3))
-    all_g = list(enumerate_reduced(F2, 4))
+    words = reduced_words(F2, 3)
+    all_g = reduced_words(F2, 4)
     rng = random.Random(43)
     for _ in range(150):
         u, v = rng.choice(words), rng.choice(words)
@@ -88,7 +93,7 @@ def test_conjugacy_agrees_with_naive_search():
 
 
 def test_conjugacy_agrees_with_bounded_exhaustive_search():
-    words = list(enumerate_reduced(F2, 4))
+    words = reduced_words(F2, 4)
     rng = random.Random(47)
     for _ in range(200):
         u, v = rng.choice(words), rng.choice(words)
@@ -114,7 +119,7 @@ def rotation_scan_conjugate(u, v):
 
 def test_conjugacy_matches_rotation_scan():
     by_length = {}
-    for word in enumerate_reduced(F2, 5):
+    for word in reduced_words(F2, 5):
         by_length.setdefault(len(word), []).append(word)
     for words in by_length.values():
         for u, v in itertools.product(words, repeat=2):
@@ -213,7 +218,7 @@ def test_non_commensurable_pair_backed_by_exhaustion():
     for s, t in itertools.product(range(-3, 4), repeat=2):
         if s == 0 or t == 0:
             continue
-        for g in enumerate_reduced(F2, 4):
+        for g in reduced_words(F2, 4):
             assert a ** s != (b ** t).conjugate(g)
 
 
@@ -272,7 +277,7 @@ def audit_root(word):
 
 @pytest.mark.parametrize("rank, max_len", [(2, 8), (3, 5)])
 def test_root_matches_divisor_scan(rank, max_len):
-    for word in enumerate_reduced(Alphabet(rank), max_len):
+    for word in reduced_words(Alphabet(rank), max_len):
         if word.is_identity():
             continue
         got = root(word)

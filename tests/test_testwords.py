@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from vclab import cli, testwords
 from vclab.words import Alphabet, BudgetExceeded, Word, WordError, count_reduced, enumerate_reduced, free_word_metric, parse_word, substitute
 from vclab.testwords import (
-    CertificateResult,
     ExponentTuple,
     TestWordSpec,
     base_test_word,
@@ -266,7 +265,8 @@ def product_walk(w, targets, bound, max_assignments=None):
     level = word_level(w)
     nvars = variable_count(level)
     names = [variable_name(level, i) for i in range(nvars)]
-    candidates = list(enumerate_reduced(targets[0].alphabet, bound))
+    alph = targets[0].alphabet
+    candidates = [Word(alph, syllables) for syllables in enumerate_reduced(alph, bound)]
     total = len(candidates) ** nvars
     budget = total if max_assignments is None else min(total, max_assignments)
     violations, explored = [], 0

@@ -4,7 +4,7 @@ import pickle
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import audit
@@ -31,6 +31,11 @@ F3 = Alphabet(3)
 
 def w(text, alph=F2):
     return parse_word(text, alph)
+
+
+def reduced_words(alph, max_len, first=None):
+    """``enumerate_reduced``'s stream as words, each built by the checking constructor."""
+    return [Word(alph, syllables) for syllables in enumerate_reduced(alph, max_len, first)]
 
 
 def random_word(rng, alph, max_len):
@@ -213,9 +218,14 @@ def letters_of(word):
     return tuple(word.letters())
 
 
+def exact(syllables):
+    """Whether a syllable tuple and every syllable in it are exact tuples."""
+    return type(syllables) is tuple and all(type(syl) is tuple for syl in syllables)
+
+
 def plain(word):
     """Whether every syllable is an exact tuple, the one type the kernel builds."""
-    return type(word.syllables) is tuple and all(type(syl) is tuple for syl in word.syllables)
+    return exact(word.syllables)
 
 
 def checked(word):
@@ -302,15 +312,27 @@ def test_constructors_carry_their_lengths(items):
     assert plain(word) and plain(Word.from_letters(F3, word.letters())) and plain(parse_word(format_word(word), F3))
 
 
+def level_of(rank, i):
+    """The letter length of word i of ``enumerate_reduced``'s order."""
+    length = 0
+    while count_reduced(rank, length) <= i:
+        length += 1
+    return length
+
+
 @pytest.mark.parametrize("rank, max_len", [(1, 6), (2, 5), (3, 3)])
 def test_enumeration_carries_lengths(rank, max_len):
+    # the stream holds exact syllable tuples, reduced as yielded, whose
+    # letter length is the one a consumer reads off the position
     alph = Alphabet(rank)
-    assert all(has_its_length(word) for word in enumerate_reduced(alph, max_len))
-    assert all(plain(word) for word in enumerate_reduced(alph, max_len))
+    for i, syllables in enumerate(enumerate_reduced(alph, max_len)):
+        word = Word._reduced(alph, syllables, level_of(rank, i))
+        assert exact(syllables) and has_its_length(word) and Word(alph, syllables) == word
     for first in [(gen, sign) for gen in range(rank) for sign in (1, -1)]:
-        assert all(has_its_length(word) for word in enumerate_reduced(alph, max_len, first))
-        # a named pair as the first letter starts plain words too
-        assert all(plain(word) for word in enumerate_reduced(alph, max_len, Pair(*first)))
+        assert all(has_its_length(word) for word in reduced_words(alph, max_len, first))
+        # a named pair as the first letter starts exact syllables too
+        for syllables in enumerate_reduced(alph, max_len, Pair(*first)):
+            assert exact(syllables) and Word(alph, syllables).syllables == syllables
 
 
 @given(any_words)
@@ -391,7 +413,7 @@ def test_core_power_spells_the_core_k_times(core, k):
 
 @pytest.mark.parametrize("alph, max_len", [(F2, 6), (F3, 4)])
 def test_prefix_is_the_first_n_letters(alph, max_len):
-    for word in enumerate_reduced(alph, max_len):
+    for word in reduced_words(alph, max_len):
         letters = letters_of(word)
         for n in range(len(word) + 1):
             cut = word.prefix(n)
@@ -491,7 +513,7 @@ def test_cyclic_core_is_shortest_conjugate():
     for _ in range(50):
         word = random_word(rng, F2, 8)
         core, _ = word.cyclic_reduce()
-        for conj in enumerate_reduced(F2, 3):
+        for conj in reduced_words(F2, 3):
             assert len(word.conjugate(conj)) >= len(core)
 
 
@@ -542,7 +564,7 @@ def test_enumeration_counts_examples():
 @pytest.mark.parametrize("rank", [1, 2, 3])
 @pytest.mark.parametrize("max_len", [0, 1, 2, 3, 4, 5, 6])
 def test_enumeration_matches_closed_form(rank, max_len):
-    words = list(enumerate_reduced(Alphabet(rank), max_len))
+    words = reduced_words(Alphabet(rank), max_len)
     assert len(words) == count_reduced(rank, max_len)
     assert len(set(words)) == len(words)
     assert all(len(word) <= max_len for word in words)
@@ -570,9 +592,9 @@ def test_count_exceeds_the_cap_exactly_as_the_count_does(monkeypatch):
 @pytest.mark.parametrize("rank, max_len", [(1, 5), (2, 4), (3, 3)])
 def test_first_letter_shards_split_the_enumeration(rank, max_len):
     alph = Alphabet(rank)
-    words = list(enumerate_reduced(alph, max_len))
+    words = reduced_words(alph, max_len)
     for first in [(gen, sign) for gen in range(rank) for sign in (1, -1)]:
-        shard = list(enumerate_reduced(alph, max_len, first))
+        shard = reduced_words(alph, max_len, first)
         assert shard == [word for word in words if word and word.syllables[0][0] == first[0]
                          and (word.syllables[0][1] > 0) == (first[1] > 0)]
         assert list(enumerate_reduced(alph, 0, first)) == []
@@ -592,7 +614,7 @@ def test_each_level_of_a_shard_extends_the_level_before_in_letter_order(rank):
             levels.append([word + [letter] for word in levels[-1] for letter in letters if letter != (word[-1][0], -word[-1][1])])
         for max_len in range(6):
             expected = [Word.from_syllables(alph, word) for level in levels[:max_len] for word in level]
-            assert list(enumerate_reduced(alph, max_len, first)) == expected
+            assert reduced_words(alph, max_len, first) == expected
 
 
 def test_first_letter_must_be_a_letter():
@@ -602,25 +624,25 @@ def test_first_letter_must_be_a_letter():
 
 
 def test_enumeration_shortest_first():
-    lengths = [len(word) for word in enumerate_reduced(F2, 4)]
+    lengths = [len(word) for word in reduced_words(F2, 4)]
     assert lengths == sorted(lengths)
 
 
 @pytest.mark.parametrize("rank, max_len", [(1, 7), (2, 6), (3, 4)])
 def test_enumeration_matches_letter_list_construction(rank, max_len):
     alph = Alphabet(rank)
-    words = list(enumerate_reduced(alph, max_len))
+    words = reduced_words(alph, max_len)
     assert [letters_of(word) for word in words] == audit.words(rank, max_len)
-    assert all(Word(alph, word.syllables) == word for word in words)
+    assert [word.syllables for word in words] == list(enumerate_reduced(alph, max_len))
 
 
 def test_letter_order_is_the_enumeration_order_and_lazy():
     assert list(letter_order(2)) == [(0, 1), (0, -1), (1, 1), (1, -1)]
-    assert [word.syllables for word in enumerate_reduced(F3, 1)] == [()] + [(letter,) for letter in letter_order(3)]
+    assert list(enumerate_reduced(F3, 1)) == [()] + [(letter,) for letter in letter_order(3)]
     # a rank far past every budget: no letter is built before it is read
     huge = Alphabet(10**18)
     assert list(itertools.islice(letter_order(huge.rank), 3)) == [(0, 1), (0, -1), (1, 1)]
-    assert list(enumerate_reduced(huge, 1, (1, -1))) == [Word(huge, ((1, -1),))]
+    assert reduced_words(huge, 1, (1, -1)) == [Word(huge, ((1, -1),))]
 
 
 # -- shortlex codec ---------------------------------------------------------------
@@ -629,12 +651,25 @@ def test_letter_order_is_the_enumeration_order_and_lazy():
 @pytest.mark.parametrize("rank, max_len", [(1, 50), (2, 8), (3, 5)])
 def test_unrank_is_the_enumeration_and_rank_inverts_it(rank, max_len):
     alph = Alphabet(rank)
-    listed = list(enumerate_reduced(alph, max_len))
+    listed = reduced_words(alph, max_len)
     unranked = [words.unrank(alph, i) for i in range(len(listed))]
     assert unranked == listed
     # each word passes the checking constructor with the same length
     assert all(len(Word(alph, w.syllables)) == len(w) for w in unranked)
     assert [words.rank(w) for w in unranked] == list(range(len(listed)))
+
+
+@pytest.mark.parametrize("rank, max_len", [(1, 9), (2, 6), (3, 4)])
+def test_every_shard_item_is_the_syllables_of_its_unranked_word(rank, max_len):
+    # level L of shard c is the block of B^(L-1) words of length L that
+    # starts at count_reduced(rank, L - 1) + c B^(L-1), B = 2 rank - 1
+    alph = Alphabet(rank)
+    branch = 2 * rank - 1
+    for c, first in enumerate(letter_order(rank)):
+        starts = [count_reduced(rank, length - 1) + c * branch ** (length - 1) for length in range(1, max_len + 1)]
+        indices = [start + j for length, start in enumerate(starts, 1) for j in range(branch ** (length - 1))]
+        assert list(enumerate_reduced(alph, max_len, first)) == [words.unrank(alph, i).syllables for i in indices]
+    assert list(enumerate_reduced(alph, max_len)) == [words.unrank(alph, i).syllables for i in range(count_reduced(rank, max_len))]
 
 
 def test_rank_reads_a_syllable_at_a_time_as_the_letters_do():
