@@ -179,7 +179,9 @@ def _abelian_survivors(xs: Iterable[tuple], g: Word, n: int, m: int, bound: int,
     walk over the states (sigma(x) mod m, last letter), level by level,
     marks each position and knows its length: ``children`` maps a state to
     its children's states and ``kept`` to their verdicts, both filled on
-    first use, for at most min(m, 2*bound + 1)^rank * 2*rank states.
+    first use, for at most min(m, 2*bound + 1)^rank * 2*rank states.  When
+    m divides n and sigma(g), as it divides sigma(a^n b^m) whenever it
+    divides n, every x passes and no state is walked.
     """
     alph = g.alphabet
     rank = alph.rank
@@ -198,23 +200,37 @@ def _abelian_survivors(xs: Iterable[tuple], g: Word, n: int, m: int, bound: int,
         code = state // size
         return all((target[i] - n * (code // m ** i % m)) % m == 0 for i in range(rank))
 
+    shard = iter(xs)
+
+    def built(length: int, verdicts: Iterable[bool]) -> Iterator[Word]:
+        """The words of level ``length`` whose verdicts pass."""
+        return map(Word._reduced, repeat(alph), compress(islice(shard, (size - 1) ** (length - 1)), verdicts), repeat(length))
+
+    # the levels are chained, so no generator frame is resumed per survivor
+    if n % m == 0 and all(t % m == 0 for t in target):
+        return chain.from_iterable(built(length, repeat(True)) for length in range(1, bound + 1))
+
     children: dict[int, tuple[int, ...]] = {}
     kept: dict[int, tuple[bool, ...]] = {}
-    level = [child(0, letters.index(first))]
-    verdicts: Iterable[bool] = map(passes, level)
-    shard, reduced = iter(xs), Word._reduced
-    for length in range(1, bound + 1):
-        yield from map(reduced, repeat(alph), compress(islice(shard, (size - 1) ** (length - 1)), verdicts), repeat(length))
-        if length == bound:
-            break
-        # the verdicts of level length + 1, and its states if it has children
-        for state in set(level).difference(children):
-            code, last = divmod(state, size)
-            kids = children[state] = tuple(child(code, k) for k in range(size) if k != last ^ 1)
-            kept[state] = tuple(map(passes, kids))
-        verdicts = chain.from_iterable(map(kept.__getitem__, level))
-        if length + 1 < bound:
-            level = list(chain.from_iterable(map(children.__getitem__, level)))
+
+    def levels() -> Iterator[Iterator[Word]]:
+        """The survivors of each level in turn."""
+        level = [child(0, letters.index(first))]
+        verdicts: Iterable[bool] = map(passes, level)
+        for length in range(1, bound + 1):
+            yield built(length, verdicts)
+            if length == bound:
+                return
+            # the verdicts of level length + 1, and its states if it has children
+            for state in set(level).difference(children):
+                code, last = divmod(state, size)
+                kids = children[state] = tuple(child(code, k) for k in range(size) if k != last ^ 1)
+                kept[state] = tuple(map(passes, kids))
+            verdicts = chain.from_iterable(map(kept.__getitem__, level))
+            if length + 1 < bound:
+                level = list(chain.from_iterable(map(children.__getitem__, level)))
+
+    return chain.from_iterable(levels())
 
 
 def _class2_survivors(xs: Iterable[Word], g: Word, n: int, m: int) -> Iterable[Word]:

@@ -313,14 +313,14 @@ def verify_testword(
         for alpha in range(-alpha_window, alpha_window + 1):
             canonical.append(canonical_solutions(w, targets, alpha))
 
-    # candidates[i]: the letters of candidate image i, spelled from its
-    # syllables spelled[i]; a Word is built only for an image the walk
-    # powers or records
+    # candidates[i]: the letters of words[i], candidate image i, both built
+    # from its syllables as enumerated, which need no check
     spelled = list(enumerate_reduced(alph, bound))
     candidates = [
         tuple(chain.from_iterable(repeat(gen + 1 if exp > 0 else -gen - 1, abs(exp)) for gen, exp in syllables))
         for syllables in spelled
     ]
+    words = [Word._reduced(alph, syllables, len(letters)) for syllables, letters in zip(spelled, candidates)]
     total = len(candidates) ** nvars
     budget = total if max_assignments is None else min(total, max_assignments)
 
@@ -354,17 +354,13 @@ def verify_testword(
     violations: list[Violation] = []
     explored = 0
 
-    def word(i: int) -> Word:
-        """Candidate image i as a word."""
-        return Word._reduced(alph, spelled[i], len(candidates[i]))
-
     def power(i: int, exp: int) -> tuple:
         """The letters of candidate i to the power ``exp``."""
         if exp == 1:
             return candidates[i]
         split = splits[i]
         if split is None:
-            core, t = word(i).cyclic_reduce()
+            core, t = words[i].cyclic_reduce()
             t_letters = tuple(t.letters())
             split = splits[i] = t_letters, tuple(core.letters()), _inverse(t_letters)
         conj, core, conj_inv = split
@@ -393,7 +389,7 @@ def verify_testword(
             picks[free] = found
         elif distance:
             return
-        images = [word(i) for i in picks]
+        images = [words[i] for i in picks]
         assignment = dict(zip(var_names, images))
         if any(assignment == c for c in canonical):
             return
