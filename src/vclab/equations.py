@@ -27,9 +27,9 @@ from .words import Alphabet, BudgetExceeded, Word, WordError, enumerate_reduced,
 from .oracles import is_conjugate, root
 
 # reduced x a search may enumerate, whatever max_candidates asks: bound 14
-# at rank 2 (9,565,937 words) took 7.6-7.9 s and 107 MiB peak RSS, n = 2,
+# at rank 2 (9,565,937 words) took 10-12 s and 107 MiB peak RSS, n = 2,
 # m = 3, as a CLI run on a shared 2-core host (bound 12, 1,062,881 words,
-# 0.9 s and 26 MiB)
+# 1.2-1.3 s and 26 MiB)
 CANDIDATE_CAP = 10**7
 
 
