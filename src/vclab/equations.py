@@ -179,9 +179,7 @@ def _abelian_survivors(xs: Iterable[tuple], g: Word, n: int, m: int, bound: int,
     walk over the states (sigma(x) mod m, last letter), level by level,
     marks each position and knows its length: ``children`` maps a state to
     its children's states and ``kept`` to their verdicts, both filled on
-    first use, for at most min(m, 2*bound + 1)^rank * 2*rank states.  When
-    m divides n and sigma(g), as it divides sigma(a^n b^m) whenever it
-    divides n, every x passes and no state is walked.
+    first use, for at most min(m, 2*bound + 1)^rank * 2*rank states.
     """
     alph = g.alphabet
     rank = alph.rank
@@ -206,10 +204,6 @@ def _abelian_survivors(xs: Iterable[tuple], g: Word, n: int, m: int, bound: int,
         """The words of level ``length`` whose verdicts pass."""
         return map(Word._reduced, repeat(alph), compress(islice(shard, (size - 1) ** (length - 1)), verdicts), repeat(length))
 
-    # the levels are chained, so no generator frame is resumed per survivor
-    if n % m == 0 and all(t % m == 0 for t in target):
-        return chain.from_iterable(built(length, repeat(True)) for length in range(1, bound + 1))
-
     children: dict[int, tuple[int, ...]] = {}
     kept: dict[int, tuple[bool, ...]] = {}
 
@@ -230,6 +224,7 @@ def _abelian_survivors(xs: Iterable[tuple], g: Word, n: int, m: int, bound: int,
             if length + 1 < bound:
                 level = list(chain.from_iterable(map(children.__getitem__, level)))
 
+    # the levels are chained, so no generator frame is resumed per survivor
     return chain.from_iterable(levels())
 
 

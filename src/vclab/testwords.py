@@ -17,7 +17,7 @@ its consequences, never claimed to yield a genuine test word outright.
 
 from __future__ import annotations
 
-from itertools import chain, islice, repeat
+from itertools import islice
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .words import Alphabet, BudgetExceeded, Word, WordError, count_reduced, enumerate_reduced, rank, reduced_count_exceeds, substitute
@@ -313,14 +313,10 @@ def verify_testword(
         for alpha in range(-alpha_window, alpha_window + 1):
             canonical.append(canonical_solutions(w, targets, alpha))
 
-    # candidates[i]: the letters of words[i], candidate image i, both built
-    # from its syllables as enumerated, which need no check
-    spelled = list(enumerate_reduced(alph, bound))
-    candidates = [
-        tuple(chain.from_iterable(repeat(gen + 1 if exp > 0 else -gen - 1, abs(exp)) for gen, exp in syllables))
-        for syllables in spelled
-    ]
-    words = [Word._reduced(alph, syllables, len(letters)) for syllables, letters in zip(spelled, candidates)]
+    # candidates[i]: the letters of words[i], candidate image i, built from
+    # its syllables as enumerated, which need no check
+    words = [Word._reduced(alph, s, sum(abs(e) for _, e in s)) for s in enumerate_reduced(alph, bound)]
+    candidates = [tuple(word.letters()) for word in words]
     total = len(candidates) ** nvars
     budget = total if max_assignments is None else min(total, max_assignments)
 

@@ -11,7 +11,8 @@ from fractions import Fraction
 import pytest
 
 import audit
-from vclab.words import Alphabet, Word, enumerate_reduced, parse_word
+from wordstream import reduced_words
+from vclab.words import Alphabet, Word, parse_word
 from vclab import equations, finitegroups, hypgeom, oracles, presentations, quasimorphisms, testwords
 
 F2 = Alphabet(2)
@@ -64,7 +65,7 @@ def test_acceptance_01_conjugacy_oracle_equivalence():
             cache[word] = closure(word, 5)
         return cache[word]
 
-    words = [Word(F2, syllables) for syllables in enumerate_reduced(F2, 5)]
+    words = reduced_words(F2, 5)
     assert len(words) == 485
     rng = random.Random(2024)
     disagreements = 0

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from wordstream import reduced_words
 from vclab import cli, hypgeom
 from vclab.oracles import is_commensurable
-from vclab.words import Alphabet, BudgetExceeded, Word, WordError, count_reduced, enumerate_reduced, free_word_metric, parse_word, unrank
+from vclab.words import Alphabet, BudgetExceeded, Word, WordError, count_reduced, free_word_metric, parse_word, unrank
 from vclab.hypgeom import (
     cayley_ball,
     check_concatenation_quasigeodesic,
@@ -22,11 +23,6 @@ from vclab.hypgeom import (
 
 F2 = Alphabet(2)
 F3 = Alphabet(3)
-
-
-def reduced_words(alph, max_len, first=None):
-    """``enumerate_reduced``'s stream as words, each built by the checking constructor."""
-    return [Word(alph, syllables) for syllables in enumerate_reduced(alph, max_len, first)]
 
 
 def p(text, alph=F2):

@@ -6,7 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import audit
-from vclab.words import Alphabet, Word, WordError, enumerate_reduced, parse_word
+from wordstream import reduced_words
+from vclab.words import Alphabet, Word, WordError, parse_word
 from vclab.oracles import (
     is_commensurable,
     is_conjugate,
@@ -15,11 +16,6 @@ from vclab.oracles import (
 )
 
 F2 = Alphabet(2)
-
-
-def reduced_words(alph, max_len, first=None):
-    """``enumerate_reduced``'s stream as words, each built by the checking constructor."""
-    return [Word(alph, syllables) for syllables in enumerate_reduced(alph, max_len, first)]
 
 
 def w(text, alph=F2):

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from wordstream import reduced_words
 from vclab import cli, testwords
-from vclab.words import Alphabet, BudgetExceeded, Word, WordError, count_reduced, enumerate_reduced, free_word_metric, parse_word, substitute
+from vclab.words import Alphabet, BudgetExceeded, Word, WordError, count_reduced, free_word_metric, parse_word, substitute
 from vclab.testwords import (
     ExponentTuple,
     TestWordSpec,
@@ -266,7 +267,7 @@ def product_walk(w, targets, bound, max_assignments=None):
     nvars = variable_count(level)
     names = [variable_name(level, i) for i in range(nvars)]
     alph = targets[0].alphabet
-    candidates = [Word(alph, syllables) for syllables in enumerate_reduced(alph, bound)]
+    candidates = reduced_words(alph, bound)
     total = len(candidates) ** nvars
     budget = total if max_assignments is None else min(total, max_assignments)
     violations, explored = [], 0

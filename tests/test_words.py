@@ -8,6 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import audit
+from wordstream import reduced_words
 from vclab import words
 from vclab.oracles import root
 from vclab.words import (
@@ -31,11 +32,6 @@ F3 = Alphabet(3)
 
 def w(text, alph=F2):
     return parse_word(text, alph)
-
-
-def reduced_words(alph, max_len, first=None):
-    """``enumerate_reduced``'s stream as words, each built by the checking constructor."""
-    return [Word(alph, syllables) for syllables in enumerate_reduced(alph, max_len, first)]
 
 
 def random_word(rng, alph, max_len):
