@@ -248,8 +248,9 @@ def check_abelian_filter_by_shard(inst, max_bound):
     alph = inst.alphabet
     for bound in range(1, max_bound + 1):
         for first in shard_letters(alph):
+            shard = list(enumerate_reduced(alph, bound, first))
+            got = list(_abelian_survivors(shard, inst.g, inst.n, inst.m, bound, first))
             xs = reduced_words(alph, bound, first)
-            got = list(_abelian_survivors([x.syllables for x in xs], inst.g, inst.n, inst.m, bound, first))
             assert got == [x for x in xs if passes_abelian_test(inst, x)]
 
 
@@ -276,8 +277,8 @@ def test_abelian_filter_builds_exactly_the_surviving_words(a, b, rank, max_bound
     alph = Alphabet(rank)
     for bound in range(1, max_bound + 1):
         for first in shard_letters(alph):
+            shard = list(enumerate_reduced(alph, bound, first))
             xs = reduced_words(alph, bound, first)
-            shard = [x.syllables for x in xs]
             for n in range(1, 7):
                 for m in range(1, 7):
                     inst = EquationInstance(parse_word(a, alph), parse_word(b, alph), n, m)
@@ -408,8 +409,9 @@ def test_class2_stage_keeps_exactly_the_q_survivors(a, b, rank, n, m):
     inst = EquationInstance(parse_word(a, alph), parse_word(b, alph), n, m)
     bound = 5 if rank < 3 else 4
     for first in shard_letters(alph):
+        shard = list(enumerate_reduced(alph, bound, first))
         xs = reduced_words(alph, bound, first)
-        got = list(_class2_survivors(_abelian_survivors([x.syllables for x in xs], inst.g, n, m, bound, first), inst.g, n, m))
+        got = list(_class2_survivors(_abelian_survivors(shard, inst.g, n, m, bound, first), inst.g, n, m))
         assert got == [x for x in xs if passes_q_test(inst, x)]
 
 
